@@ -30,7 +30,7 @@ integral and the closed forms for the inner one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -192,7 +192,6 @@ class BemOperatorSet:
     single_layer: np.ndarray
     double_layer: np.ndarray
     boundary_mass: sparse.csr_matrix
-    _geo: PanelGeometry | None = field(default=None, repr=False, compare=False)
 
     def gauss_residual(self) -> float:
         """max_f |row_f of (double_layer + boundary_mass / 2) applied to 1|.
@@ -250,7 +249,6 @@ def assemble_bem(
         single_layer=v_mat,
         double_layer=k_mat,
         boundary_mass=assemble_boundary_mass(surface),
-        _geo=geo,
     )
 
 

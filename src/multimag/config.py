@@ -188,6 +188,8 @@ def load_config(path: str) -> SimulationConfig:
     if "cubic" in terms:
         cubic_k1 = float(get("cubic", "k1", required=True))
         cubic_k2 = float(get("cubic", "k2", "0.0"))
+        if cubic_k1 < 0.0 or cubic_k2 < 0.0:
+            raise ValueError(f"cubic k1 and k2 must be nonnegative, got {cubic_k1}, {cubic_k2}")
 
     strayfield_method = "none"
     if "strayfield" in terms:
@@ -220,6 +222,10 @@ def load_config(path: str) -> SimulationConfig:
             raise ValueError(f"unknown nonlinear scheme {multiscale_scheme!r}")
         multiscale_tol = float(get("multiscale", "tol", "1e-8"))
         multiscale_max_iter = int(get("multiscale", "max_iter", "200"))
+        if not multiscale_tol > 0.0:
+            raise ValueError(f"multiscale tol must be positive, got {multiscale_tol}")
+        if multiscale_max_iter < 1:
+            raise ValueError(f"multiscale max_iter must be at least 1, got {multiscale_max_iter}")
 
     applied_kind = "none"
     applied_amplitude = None
@@ -235,6 +241,8 @@ def load_config(path: str) -> SimulationConfig:
             applied_omega = float(get("applied_field", "omega", "0.0"))
 
     solver_tol = float(get("solver", "tol", "1e-10")) if parser.has_section("solver") else 1e-10
+    if not solver_tol > 0.0:
+        raise ValueError(f"solver tol must be positive, got {solver_tol}")
     bem_quad_degree = (
         int(get("solver", "bem_quadrature_degree", "5")) if parser.has_section("solver") else 5
     )

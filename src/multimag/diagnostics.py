@@ -64,19 +64,23 @@ def energy(
     constants: NondimConstants,
     ws,
     *,
-    pi_field=None,
+    outputs=None,
     dissipation_sum: float = 0.0,
 ) -> EnergyRecord:
     """Energy record for one magnetization state.
+
+    The outputs of the linear self-adjoint contributions are summed in
+    contribution order, starting from zeros, and enter through one inner
+    product (1/2) <sum_i pi_i(m), m>.
 
     Args:
         state: MagnetizationState (or any object with .m, .step, .time).
         ws: workspace carrying assembled ``mass`` and ``stiffness``
             operators for the state's mesh.
-        pi_field: optionally the precomputed total pi(m, zeta); it is only
-            usable for the quadratic form when every contribution is
-            flagged linear and self-adjoint, and is re-evaluated per
-            contribution otherwise.
+        outputs: optionally the per-contribution values pi_i(m, zeta) of
+            this state, in contribution order (as ``evaluate_contributions``
+            returns them); the linear self-adjoint contributions are
+            evaluated here otherwise.
     """
     m = state.m
     mass = ws.mass
@@ -84,25 +88,25 @@ def energy(
     e_exch = 0.5 * constants.c_exch * h1_seminorm_sq(stiffness, m.values)
 
     e_int = 0.0
-    if pi_field is not None and contributions and all(
-        c.linear_self_adjoint for c in contributions
-    ):
-        e_int = 0.5 * l2_inner(mass, pi_field.values, m.values)
-    else:
-        for contrib in contributions:
-            if contrib.linear_self_adjoint:
-                out = contrib.evaluate(m, zeta=f_field, time_index=state.step)
-                e_int += 0.5 * l2_inner(mass, out.values, m.values)
-            elif hasattr(contrib, "energy_density"):
-                density = np.asarray(contrib.energy_density(m), dtype=np.float64)
-                e_int += float(m.mesh.hat_integrals @ density)
-            elif contrib.name not in _EXCLUDED_WARNED:
-                _EXCLUDED_WARNED.add(contrib.name)
-                logger.info(
-                    "contribution %r has neither a quadratic form nor a pointwise "
-                    "density; excluded from E_int",
-                    contrib.name,
-                )
+    quadratic = np.zeros_like(m.values)
+    for i, contrib in enumerate(contributions):
+        if contrib.linear_self_adjoint:
+            out = (
+                outputs[i] if outputs is not None
+                else contrib.evaluate(m, zeta=f_field, time_index=state.step)
+            )
+            quadratic += out.values
+        elif hasattr(contrib, "energy_density"):
+            density = np.asarray(contrib.energy_density(m), dtype=np.float64)
+            e_int += float(m.mesh.hat_integrals @ density)
+        elif contrib.name not in _EXCLUDED_WARNED:
+            _EXCLUDED_WARNED.add(contrib.name)
+            logger.info(
+                "contribution %r has neither a quadratic form nor a pointwise "
+                "density; excluded from E_int",
+                contrib.name,
+            )
+    e_int += 0.5 * l2_inner(mass, quadratic, m.values)
 
     e_zeeman = 0.0
     if f_field is not None:
@@ -129,28 +133,18 @@ class DecayReport:
     slack: float
 
 
-def check_energy_decay(
-    records,
-    constants: NondimConstants = None,
-    *,
-    include_defect_allowance: bool = True,
-    c_defect: float = 0.0,
-) -> DecayReport:
+def check_energy_decay(records, *, include_defect_allowance: bool = True) -> DecayReport:
     """Verify E_j + dissipation_j <= E_0 + slack for every record.
 
     The base slack is 1e-8 (1 + |E_0|).  When a Trajectory is passed, its
     own O(k) defect estimate c * k * sum_i |v_i|^2 is added by default (and
     logged); pass include_defect_allowance=False for the strict inequality.
-    For bare record sequences, an explicit coefficient ``c_defect`` can add
-    the same allowance, recovered from the final dissipation sum as
-    c * dissipation / alpha (which requires the run constants).
 
     Args:
         records: EnergyRecord sequence, or a Trajectory (its records are used).
-        constants: only needed when c_defect is nonzero.
     """
     allowance = 0.0
-    coefficient = c_defect
+    coefficient = 0.0
     if hasattr(records, "records"):
         if include_defect_allowance:
             allowance = records.defect_allowance
@@ -158,10 +152,6 @@ def check_energy_decay(
         records = records.records
     if not records:
         raise ValueError("no energy records to check")
-    if c_defect != 0.0:
-        if constants is None:
-            raise ValueError("constants required when c_defect is nonzero")
-        allowance = c_defect * records[-1].dissipation_sum / constants.alpha
     e0 = records[0].e_total
     slack = 1e-8 * (1.0 + abs(e0))
     if allowance != 0.0:

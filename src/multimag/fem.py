@@ -9,10 +9,12 @@ only where point evaluations of user callables are integrated:
   degree-2 rule is selectable where a degree parameter is exposed);
 * tetrahedra use a fixed 4-point rule, exact to degree 2.
 
-Linear solves are preconditioned conjugate gradients with the diagonal
-preconditioner, relative tolerance 1e-10 by default, and an iteration cap of
-10x the number of unknowns; failure to converge raises instead of returning
-a bad solution.
+The mass and stiffness matrices of a mesh are assembled once and shared by
+every caller.  Linear solves eliminate the constrained nodes and use a
+sparse LU factorization of the free block, built once per operator and set
+of constrained nodes; every solution is checked against the relative
+residual bound SOLVE_RESIDUAL_TOL and raises instead of returning a bad
+solution.
 """
 
 from __future__ import annotations
@@ -139,38 +141,39 @@ class FaceDensity:
 
 @dataclass
 class SparseOperator:
-    """Assembled sparse Galerkin matrix plus the data constrained solves need."""
+    """Assembled sparse Galerkin matrix plus the factorizations solves reuse."""
 
     matrix: sparse.csr_matrix
     mesh: TetMesh
-    symmetric: bool = True
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def shape(self):
         return self.matrix.shape
 
-    def boundary_node_mask(self) -> np.ndarray:
-        if "bmask" not in self._cache:
-            mask = np.zeros(self.mesh.n_nodes, dtype=bool)
-            mask[self.mesh.boundary().boundary_nodes] = True
-            self._cache["bmask"] = mask
-        return self._cache["bmask"]
-
 
 def assemble_mass(mesh: TetMesh) -> SparseOperator:
-    """Consistent P1 mass matrix: M_ij = <eta_i, eta_j>."""
-    vol = mesh.volumes
-    local = (np.ones((4, 4)) + np.eye(4)) / 20.0
-    data = vol[:, None, None] * local[None, :, :]
-    return _scatter(mesh, data)
+    """Consistent P1 mass matrix: M_ij = <eta_i, eta_j>.
+
+    Assembled once per mesh; every call returns the same operator.
+    """
+    if "fem.mass" not in mesh._cache:
+        vol = mesh.volumes
+        local = (np.ones((4, 4)) + np.eye(4)) / 20.0
+        mesh._cache["fem.mass"] = _scatter(mesh, vol[:, None, None] * local[None, :, :])
+    return mesh._cache["fem.mass"]
 
 
 def assemble_stiffness(mesh: TetMesh) -> SparseOperator:
-    """P1 stiffness matrix: K_ij = <grad eta_i, grad eta_j>."""
-    g = mesh.hat_gradients
-    data = np.einsum("mid,mjd->mij", g, g) * mesh.volumes[:, None, None]
-    return _scatter(mesh, data)
+    """P1 stiffness matrix: K_ij = <grad eta_i, grad eta_j>.
+
+    Assembled once per mesh; every call returns the same operator.
+    """
+    if "fem.stiffness" not in mesh._cache:
+        g = mesh.hat_gradients
+        data = np.einsum("mid,mjd->mij", g, g) * mesh.volumes[:, None, None]
+        mesh._cache["fem.stiffness"] = _scatter(mesh, data)
+    return mesh._cache["fem.stiffness"]
 
 
 def assemble_weighted_stiffness(mesh: TetMesh, weights: np.ndarray) -> SparseOperator:
@@ -209,11 +212,9 @@ def divergence_load(mesh: TetMesh, m_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cg_compat(A, b, M=None, rtol=1e-10, maxiter=None, x0=None):
-    try:
-        return spla.cg(A, b, M=M, rtol=rtol, atol=0.0, maxiter=maxiter, x0=x0)
-    except TypeError:  # scipy < 1.12 spelled the relative tolerance 'tol'
-        return spla.cg(A, b, M=M, tol=rtol, atol=0.0, maxiter=maxiter, x0=x0)
+# Relative residual bound ||b - A x|| <= SOLVE_RESIDUAL_TOL ||b|| that every
+# solve_spd result is checked against on its free rows.
+SOLVE_RESIDUAL_TOL = 1e-10
 
 
 def solve_spd(
@@ -223,87 +224,79 @@ def solve_spd(
     constraint: str = "none",
     dirichlet_nodes: np.ndarray | None = None,
     dirichlet_values: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
 ) -> np.ndarray:
-    """Solve a symmetric positive (semi-)definite system with PCG.
+    """Solve a symmetric positive (semi-)definite system by Dirichlet elimination.
+
+    Every constraint fixes the values at a set of nodes and solves for the
+    rest with a sparse LU factorization of the free block.  The factor is
+    built on the first solve with a given node set and cached on ``op``.
 
     Args:
         op: assembled operator (stiffness or mass family).
         rhs: (N,) load vector.
         constraint: one of
-            ``"none"`` - plain SPD solve;
+            ``"none"`` - plain SPD solve (no constrained nodes);
             ``"zero-mean"`` - stiffness-type singular system; the rhs is
                 projected onto the compatible subspace (component sum
-                removed) and the solution is shifted to zero integral mean;
+                removed), node 0 is pinned to zero, and the solution is
+                shifted to zero hat-weighted integral mean;
             ``"zero-dirichlet"`` - homogeneous Dirichlet on all boundary nodes;
             ``"dirichlet"`` - inhomogeneous data on ``dirichlet_nodes``.
         dirichlet_nodes / dirichlet_values: constrained node ids and values
             (``"dirichlet"`` only; ``"zero-dirichlet"`` derives both).
-        tol: relative residual tolerance.
-        max_iter: iteration cap; defaults to 10x the number of unknowns.
 
     Returns:
         (N,) solution; constraints hold exactly (Dirichlet rows are set, the
         zero-mean shift is applied after the solve), and the residual
-        satisfies ||b - A x|| <= tol * ||b|| on the solved subsystem.
+        satisfies ||b - A x|| <= SOLVE_RESIDUAL_TOL ||b|| on the free rows.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (op.shape[0],):
         raise ValueError(f"rhs shape {rhs.shape} does not match operator {op.shape}")
-    A = op.matrix
-
+    values = None
     if constraint == "none":
-        return _pcg(A, rhs, tol, max_iter)
+        nodes = []
+    elif constraint == "zero-mean":
+        rhs = rhs - rhs.mean()
+        nodes = [0]
+    elif constraint == "zero-dirichlet":
+        nodes = op.mesh.boundary().boundary_nodes
+    elif constraint == "dirichlet":
+        if dirichlet_nodes is None or dirichlet_values is None:
+            raise ValueError("dirichlet constraint requires nodes and values")
+        nodes = dirichlet_nodes
+        values = np.asarray(dirichlet_values, dtype=np.float64)
+        if np.shape(nodes) != values.shape:
+            raise ValueError("dirichlet nodes/values shape mismatch")
+    else:
+        raise ValueError(f"unknown constraint {constraint!r}")
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if values is None:
+        values = np.zeros(nodes.size)
 
-    if constraint == "zero-mean":
-        b = rhs - rhs.mean()
-        x = _pcg(A, b, tol, max_iter)
-        w = op.mesh.hat_integrals
-        x -= (w @ x) / w.sum()
-        return x
-
-    if constraint in ("zero-dirichlet", "dirichlet"):
-        if constraint == "zero-dirichlet":
-            nodes = op.mesh.boundary().boundary_nodes
-            values = np.zeros(nodes.size)
-        else:
-            if dirichlet_nodes is None or dirichlet_values is None:
-                raise ValueError("dirichlet constraint requires nodes and values")
-            nodes = np.asarray(dirichlet_nodes, dtype=np.int64)
-            values = np.asarray(dirichlet_values, dtype=np.float64)
-            if nodes.shape != values.shape:
-                raise ValueError("dirichlet nodes/values shape mismatch")
+    key = nodes.tobytes()
+    if key not in op._cache:
         free = np.ones(op.shape[0], dtype=bool)
         free[nodes] = False
-        x = np.zeros(op.shape[0])
-        x[nodes] = values
-        if free.any():
-            b_free = rhs[free] - A[free][:, nodes] @ values
-            x[free] = _pcg(A[free][:, free].tocsr(), b_free, tol, max_iter)
-        return x
+        rows = op.matrix[free]
+        lu = spla.splu(rows[:, free].tocsc()) if free.any() else None
+        op._cache[key] = (free, lu, rows[:, nodes].tocsr())
+    free, lu, a_fd = op._cache[key]
 
-    raise ValueError(f"unknown constraint {constraint!r}")
-
-
-def _pcg(A: sparse.csr_matrix, b: np.ndarray, tol: float, max_iter: int | None) -> np.ndarray:
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return np.zeros(n)
-    diag = A.diagonal()
-    if np.any(diag <= 0.0):
-        raise ValueError("operator diagonal must be positive for the diagonal preconditioner")
-    M = sparse.diags(1.0 / diag)
-    cap = max_iter if max_iter is not None else 10 * n
-    x, info = _cg_compat(A, b, M=M, rtol=tol, maxiter=cap)
-    residual = np.linalg.norm(b - A @ x)
-    if residual > tol * norm_b * (1.0 + 1e-6):
-        raise RuntimeError(
-            f"PCG did not converge: rel residual {residual / norm_b:.3e} (info={info})"
-        )
+    x = np.zeros(op.shape[0])
+    x[nodes] = values
+    if lu is not None:
+        b_free = rhs[free] - a_fd @ values
+        x[free] = lu.solve(b_free)
+        residual = np.linalg.norm((rhs - op.matrix @ x)[free])
+        norm_b = np.linalg.norm(b_free)
+        if residual > SOLVE_RESIDUAL_TOL * norm_b:
+            raise RuntimeError(
+                f"sparse LU solve inaccurate: residual {residual:.3e}, |b| {norm_b:.3e}"
+            )
+    if constraint == "zero-mean":
+        w = op.mesh.hat_integrals
+        x -= (w @ x) / w.sum()
     return x
 
 

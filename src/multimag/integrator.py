@@ -176,15 +176,22 @@ def evaluate_contributions(
     m: NodalVectorField,
     zeta,
     time_index: int,
-) -> NodalVectorField:
-    """Sum pi(m, zeta) over all contributions, validating finiteness."""
+) -> tuple[NodalVectorField, list[NodalVectorField]]:
+    """Evaluate pi_i(m, zeta) once per contribution, validating finiteness.
+
+    Returns:
+        (total, outputs): the sum over all contributions, accumulated in
+        order from zeros, and the per-contribution outputs in order.
+    """
     total = np.zeros_like(m.values)
+    outputs = []
     for contrib in contributions:
         out = contrib.evaluate(m, zeta=zeta, time_index=time_index)
         if not np.isfinite(out.values).all():
             raise RuntimeError(f"contribution {contrib.name!r} produced non-finite values")
         total += out.values
-    return NodalVectorField(m.mesh, total)
+        outputs.append(out)
+    return NodalVectorField(m.mesh, total), outputs
 
 
 def llg_step(
@@ -219,7 +226,7 @@ def llg_step(
     m_vec = state.m.values.ravel()
 
     if pi_field is None:
-        pi_field = evaluate_contributions(contributions, state.m, f_field, state.step)
+        pi_field, _ = evaluate_contributions(contributions, state.m, f_field, state.step)
     if not np.isfinite(pi_field.values).all():
         raise RuntimeError("field contribution produced non-finite values")
 
@@ -269,19 +276,9 @@ def _solve_velocity(a: sparse.csr_matrix, b: np.ndarray, tol: float) -> np.ndarr
     if norm_b == 0.0:
         return np.zeros_like(b)
     precond = sparse.diags(1.0 / a.diagonal())
-    try:
-        x, info = spla.bicgstab(a, b, M=precond, rtol=tol, atol=0.0, maxiter=10 * b.size)
-    except TypeError:  # scipy < 1.12 spelled the relative tolerance 'tol'
-        x, info = spla.bicgstab(a, b, M=precond, tol=tol, atol=0.0, maxiter=10 * b.size)
+    x, info = spla.bicgstab(a, b, M=precond, rtol=tol, atol=0.0, maxiter=10 * b.size)
     if info != 0:
-        try:
-            x2, info2 = spla.gmres(
-                a, b, M=precond, rtol=tol, atol=0.0, restart=200, maxiter=50
-            )
-        except TypeError:
-            x2, info2 = spla.gmres(
-                a, b, M=precond, tol=tol, atol=0.0, restart=200, maxiter=50
-            )
+        x2, info2 = spla.gmres(a, b, M=precond, rtol=tol, atol=0.0, restart=200, maxiter=50)
         if np.linalg.norm(b - a @ x2) < np.linalg.norm(b - a @ x):
             x, info = x2, info2
     residual = np.linalg.norm(b - a @ x)
@@ -368,12 +365,12 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
         return sample_applied_field(setup.applied_field, setup.mesh, t)
 
     f0 = sample_f(0.0)
-    pi0 = evaluate_contributions(setup.contributions, state.m, f0, 0)
+    pi0, outputs0 = evaluate_contributions(setup.contributions, state.m, f0, 0)
     traj = Trajectory(
         states=[state],
         velocities=[],
         records=[
-            energy(state, setup.contributions, f0, setup.constants, ws, pi_field=pi0,
+            energy(state, setup.contributions, f0, setup.constants, ws, outputs=outputs0,
                    dissipation_sum=0.0)
         ],
     )
@@ -404,7 +401,9 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
             velocity_sq_sum += _l2_sq(ws, v.values)
             dissipation = setup.constants.alpha * setup.k * velocity_sq_sum
             f_next = sample_f(state.time)
-            pi_current = evaluate_contributions(setup.contributions, state.m, f_next, state.step)
+            pi_current, outputs = evaluate_contributions(
+                setup.contributions, state.m, f_next, state.step
+            )
             f_current = f_next
             record = energy(
                 state,
@@ -412,7 +411,7 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
                 f_next,
                 setup.constants,
                 ws,
-                pi_field=pi_current,
+                outputs=outputs,
                 dissipation_sum=dissipation,
             )
         except Exception as exc:

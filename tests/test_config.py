@@ -181,6 +181,12 @@ def test_material_section_converts_to_reduced_units(tmp_path, cube_file):
         ("[output]", "[applied_field]\nkind = pulse\n\n[output]", "applied field kind must be"),
         ("[output]", "[contributions]\nterms = multiscale\n\n[multiscale]\nlaw = linear\nparams = 2\n\n[output]",
          "requires mesh omega2"),
+        ("[output]", "[solver]\ntol = -1\n\n[output]", "solver tol must be positive"),
+        ("[output]", "[solver]\ntol = 0\n\n[output]", "solver tol must be positive"),
+        ("[output]", "[contributions]\nterms = cubic\n\n[cubic]\nk1 = -1\n\n[output]",
+         "cubic k1 and k2 must be nonnegative"),
+        ("[output]", "[contributions]\nterms = cubic\n\n[cubic]\nk1 = 1\nk2 = -0.5\n\n[output]",
+         "cubic k1 and k2 must be nonnegative"),
     ],
 )
 def test_rejects_bad_values(tmp_path, cube_file, old, new, match):
@@ -197,6 +203,9 @@ def test_rejects_bad_values(tmp_path, cube_file, old, new, match):
         ("law = zero\nparams = 0.5", r"law 'zero' takes 0 parameters, got 1"),
         ("law = cubic", "unknown material law 'cubic'"),
         ("law = tanh\nparams = 1 1\nscheme = newton", "unknown nonlinear scheme 'newton'"),
+        ("law = tanh\nparams = 1 1\ntol = 0", "multiscale tol must be positive"),
+        ("law = tanh\nparams = 1 1\ntol = -1e-8", "multiscale tol must be positive"),
+        ("law = tanh\nparams = 1 1\nmax_iter = 0", "multiscale max_iter must be at least 1"),
     ],
 )
 def test_multiscale_law_validation(tmp_path, cube_file, law_block, match):

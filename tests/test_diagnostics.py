@@ -177,11 +177,6 @@ def test_decay_defect_allowance_paths():
     records = [record(0, e0, diss=0.0), record(1, e0 - 0.1 + bump, diss=0.1)]
     strict = check_energy_decay(records)
     assert not strict.passed
-    # bare records: allowance = c_defect * dissipation / alpha
-    report = check_energy_decay(records, CONSTANTS, c_defect=2.0 * bump / 0.1)
-    assert report.passed
-    with pytest.raises(ValueError, match="constants required"):
-        check_energy_decay(records, c_defect=1.0)
     # a trajectory carries its own evaluated allowance
     traj = Trajectory(
         states=[], velocities=[], records=records,

@@ -8,6 +8,8 @@ frozen here as exact fractions.
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multimag import (
     NodalScalarField,
@@ -15,9 +17,12 @@ from multimag import (
     assemble_boundary_mass,
     assemble_mass,
     assemble_stiffness,
+    kuhn_cube,
+    make_llg_workspace,
     solve_spd,
 )
 from multimag.fem import (
+    SOLVE_RESIDUAL_TOL,
     FaceDensity,
     assemble_weighted_stiffness,
     clement_boundary_interpolation,
@@ -143,6 +148,73 @@ def test_solve_spd_dirichlet(cube2):
     )
     # harmonic extension of an affine trace is the affine function
     np.testing.assert_allclose(u, cube2.nodes[:, 0] + 2.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("constraint", ["none", "zero-mean", "zero-dirichlet", "dirichlet"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
+def test_solve_spd_constraints_and_residual(cube2, constraint, seed, scale):
+    rng = np.random.default_rng(seed)
+    op = assemble_mass(cube2) if constraint == "none" else assemble_stiffness(cube2)
+    rhs = scale * rng.normal(size=cube2.n_nodes)
+    nodes = cube2.boundary().boundary_nodes
+    values = np.zeros(nodes.size)
+    kwargs = {}
+    if constraint == "dirichlet":
+        values = scale * rng.normal(size=nodes.size)
+        kwargs = {"dirichlet_nodes": nodes, "dirichlet_values": values}
+    x = solve_spd(op, rhs, constraint=constraint, **kwargs)
+    b = rhs - rhs.mean() if constraint == "zero-mean" else rhs
+    free = np.ones(cube2.n_nodes, dtype=bool)
+    if constraint in ("zero-dirichlet", "dirichlet"):
+        free[nodes] = False
+        assert np.array_equal(x[nodes], values)
+    residual = b - op.matrix @ x
+    b_free = b[free] - op.matrix[free][:, ~free] @ x[~free]
+    assert np.linalg.norm(residual[free]) <= SOLVE_RESIDUAL_TOL * np.linalg.norm(b_free)
+    if constraint == "zero-mean":
+        w = cube2.hat_integrals
+        assert abs(w @ x) <= 1e-12 * np.abs(w * x).sum()
+
+
+def test_one_operator_per_mesh(sphere1, sphere_ws, pair_ws):
+    stiffness = assemble_stiffness(sphere1)
+    mass = assemble_mass(sphere1)
+    assert assemble_stiffness(sphere1) is stiffness
+    assert assemble_mass(sphere1) is mass
+    llg = make_llg_workspace(sphere1)
+    assert llg.stiffness is sphere_ws.stiffness is pair_ws.stiffness1 is stiffness
+    assert llg.mass is sphere_ws.mass is mass
+
+
+def test_solve_spd_factors_once_per_node_set(monkeypatch):
+    from multimag import fem
+
+    mesh = kuhn_cube(2)
+    calls = []
+    splu = fem.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", counting_splu)
+    K = assemble_stiffness(mesh)
+    bnodes = mesh.boundary().boundary_nodes
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        solve_spd(K, rng.normal(size=mesh.n_nodes), constraint="zero-mean")
+    assert len(calls) == 1
+    for _ in range(2):
+        solve_spd(K, rng.normal(size=mesh.n_nodes), constraint="zero-dirichlet")
+        solve_spd(
+            K,
+            np.zeros(mesh.n_nodes),
+            constraint="dirichlet",
+            dirichlet_nodes=bnodes,
+            dirichlet_values=rng.normal(size=bnodes.size),
+        )
+    assert len(calls) == 2
 
 
 def test_solve_spd_rejects_unknown_constraint(cube2):

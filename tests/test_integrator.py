@@ -242,6 +242,22 @@ def test_run_defect_accounting(cube1):
     np.testing.assert_allclose(traj.defect_allowance, expect, rtol=1e-12)
 
 
+def test_run_evaluates_each_contribution_once_per_state(sphere1, sphere_ws, monkeypatch):
+    from multimag import CubicContribution, StrayfieldContribution
+
+    calls = {}
+    for cls in (CubicContribution, StrayfieldContribution):
+        def counting(self, m, zeta=None, time_index=0, _evaluate=cls.evaluate):
+            calls[self.name] = calls.get(self.name, 0) + 1
+            return _evaluate(self, m, zeta=zeta, time_index=time_index)
+
+        monkeypatch.setattr(cls, "evaluate", counting)
+    contribs = [CubicContribution(K1=1.0, K2=0.0, scale=0.5), StrayfieldContribution(sphere_ws)]
+    traj = run(small_setup(sphere1, 3, k=0.01, contributions=contribs))
+    assert len(traj.records) == 4
+    assert calls == {"cubic": 4, "strayfield": 4}
+
+
 def test_run_aborts_with_partial_trajectory(cube1):
     # the contribution blows up when first evaluated at a step-3 state,
     # which happens inside step 2 (each step evaluates pi at its new state
