@@ -26,6 +26,12 @@ double layer are exactly zero.
 
 Galerkin matrices use the 7-point triangle rule for the outer (test)
 integral and the closed forms for the inner one.
+
+Potentials at arbitrary points (``eval_single_layer``,
+``eval_double_layer``) take one density or a matrix whose columns are
+densities, so a fixed point set can be turned into a dense transfer matrix
+by evaluating the identity.  Assembly and evaluation both walk the points in
+batches of BATCH_POINTS, which keeps their memory O(BATCH_POINTS * F).
 """
 
 from __future__ import annotations
@@ -41,6 +47,11 @@ from .mesh import SurfaceMesh
 # Points closer to a panel plane (or edge line) than this, relative to the
 # panel diameter, are treated as lying on it (principal value).
 _PLANE_TOL = 1e-12
+
+# Evaluation points per panel_integrals call.  Each call builds several
+# (points, faces, 3) temporaries, so this bounds the working memory of
+# assemble_bem and eval_* at O(BATCH_POINTS * F) whatever the point count.
+BATCH_POINTS = 512
 
 
 @dataclass
@@ -106,7 +117,10 @@ def panel_integrals(
 
     on_plane = np.abs(zeta) <= _PLANE_TOL * geo.diameters[None, :]
 
-    omega = _solid_angle(points, v)
+    # vertex offsets and distances, shared by the solid angle and the edges
+    rel = v[None, :, :, :] - points[:, None, None, :]  # (P, F, 3, 3)
+    dist = np.linalg.norm(rel, axis=3)  # (P, F, 3)
+    omega = _solid_angle(rel, dist)
     omega[on_plane] = 0.0
 
     single = -zeta * omega
@@ -120,8 +134,8 @@ def panel_integrals(
         d = np.einsum("pfd,fd->pf", rel_a, m)
         la = np.einsum("pfd,fd->pf", rel_a, t)
         lb = la + np.linalg.norm(b - a, axis=1)[None, :]
-        ra = np.linalg.norm(points[:, None, :] - a[None, :, :], axis=2)
-        rb = np.linalg.norm(points[:, None, :] - b[None, :, :], axis=2)
+        ra = dist[:, :, k]
+        rb = dist[:, :, (k + 1) % 3]
         h2 = d * d + zeta * zeta
         on_line = h2 <= (_PLANE_TOL * geo.diameters[None, :]) ** 2
         # Two algebraically equal forms of the segment integral of 1/R; pick
@@ -143,17 +157,17 @@ def panel_integrals(
     return single, omega, double_p1
 
 
-def _solid_angle(points: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _solid_angle(rel: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """Signed solid angle of each triangle seen from each point, (P, F).
 
     Positive when the point lies on the side the face normal points into.
+
+    Args:
+        rel: (P, F, 3, 3) offsets from each point to each face's vertices.
+        dist: (P, F, 3) their lengths.
     """
-    r0 = v[None, :, 0, :] - points[:, None, :]
-    r1 = v[None, :, 1, :] - points[:, None, :]
-    r2 = v[None, :, 2, :] - points[:, None, :]
-    n0 = np.linalg.norm(r0, axis=2)
-    n1 = np.linalg.norm(r1, axis=2)
-    n2 = np.linalg.norm(r2, axis=2)
+    r0, r1, r2 = rel[:, :, 0, :], rel[:, :, 1, :], rel[:, :, 2, :]
+    n0, n1, n2 = dist[:, :, 0], dist[:, :, 1], dist[:, :, 2]
     det = np.einsum("pfd,pfd->pf", r0, np.cross(r1, r2))
     denom = (
         n0 * n1 * n2
@@ -169,9 +183,9 @@ def solid_angles(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
 
     Equals -4 pi at points inside the surface and 0 outside.
     """
-    geo = panel_geometry(surface)
     points = np.asarray(points, dtype=np.float64)
-    return _solid_angle(points, geo.vertices).sum(axis=1)
+    rel = surface.vertex_coords[None, :, :, :] - points[:, None, None, :]
+    return _solid_angle(rel, np.linalg.norm(rel, axis=3)).sum(axis=1)
 
 
 @dataclass
@@ -204,15 +218,14 @@ class BemOperatorSet:
         return float(np.abs(rows).max())
 
 
-def assemble_bem(
-    surface: SurfaceMesh, *, batch_size: int = 4096, quad_degree: int = 5
-) -> BemOperatorSet:
+def assemble_bem(surface: SurfaceMesh, *, quad_degree: int = 5) -> BemOperatorSet:
     """Assemble the Galerkin single and double layer matrices.
 
     Outer integrals use a triangle rule of the requested degree (5, the
     7-point default, or 2), inner integrals the closed forms; the single
     layer matrix is symmetrized afterwards since the two panels are treated
-    asymmetrically by that pairing.
+    asymmetrically by that pairing.  Test faces are walked in batches of at
+    most BATCH_POINTS quadrature points.
     """
     quad_bary, quad_w = face_quadrature_rule(quad_degree)
     geo = panel_geometry(surface)
@@ -224,7 +237,7 @@ def assemble_bem(
     quad_pts = np.einsum("qk,fkd->fqd", quad_bary, surface.vertex_coords)
     col_idx = surface.local_face_indices  # (F, 3)
 
-    faces_per_batch = max(1, batch_size // len(quad_w))
+    faces_per_batch = max(1, BATCH_POINTS // len(quad_w))
     for start in range(0, f_count, faces_per_batch):
         stop = min(start + faces_per_batch, f_count)
         pts = quad_pts[start:stop].reshape(-1, 3)
@@ -252,16 +265,35 @@ def assemble_bem(
     )
 
 
+def _density_columns(density: np.ndarray, rows: int, what: str) -> np.ndarray:
+    """View a (rows,) or (rows, k) density as (rows, k); other shapes raise."""
+    density = np.asarray(density, dtype=np.float64)
+    if density.ndim not in (1, 2) or density.shape[0] != rows:
+        raise ValueError(f"expected ({rows},) or ({rows}, k) {what}, got {density.shape}")
+    return density.reshape(rows, -1)
+
+
 def eval_single_layer(
     surface: SurfaceMesh, face_density: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
-    """Single layer potential of a P0 density at arbitrary points, (P,)."""
-    face_density = np.asarray(face_density, dtype=np.float64)
-    if face_density.shape != (surface.n_faces,):
-        raise ValueError(f"expected ({surface.n_faces},) density, got {face_density.shape}")
+    """Single layer potential of a P0 density at arbitrary points.
+
+    Args:
+        face_density: (F,) density, or (F, k) for k densities at once.
+        points: (P, 3) evaluation points, walked in batches of BATCH_POINTS.
+
+    Returns:
+        (P,) potential, or (P, k) with column j the potential of density j.
+    """
+    density = _density_columns(face_density, surface.n_faces, "density")
     geo = panel_geometry(surface)
-    single, _, _ = panel_integrals(geo, points)
-    return (single @ face_density) / (4.0 * np.pi)
+    points = np.asarray(points, dtype=np.float64)
+    out = np.empty((points.shape[0], density.shape[1]))
+    for start in range(0, points.shape[0], BATCH_POINTS):
+        single, _, _ = panel_integrals(geo, points[start : start + BATCH_POINTS])
+        out[start : start + BATCH_POINTS] = single @ density
+    out /= 4.0 * np.pi
+    return out.reshape(points.shape[:1] + np.shape(face_density)[1:])
 
 
 def eval_double_layer(
@@ -271,13 +303,19 @@ def eval_double_layer(
 
     Args:
         boundary_values: (Nb,) nodal values in ``surface.boundary_nodes``
-            local ordering.
+            local ordering, or (Nb, k) for k fields at once.
+        points: (P, 3) evaluation points, walked in batches of BATCH_POINTS.
+
+    Returns:
+        (P,) potential, or (P, k) with column j the potential of field j.
     """
-    boundary_values = np.asarray(boundary_values, dtype=np.float64)
-    nb = surface.boundary_nodes.size
-    if boundary_values.shape != (nb,):
-        raise ValueError(f"expected ({nb},) boundary values, got {boundary_values.shape}")
+    values = _density_columns(boundary_values, surface.boundary_nodes.size, "boundary values")
     geo = panel_geometry(surface)
-    _, _, double_p1 = panel_integrals(geo, points)
-    per_face = boundary_values[surface.local_face_indices]  # (F, 3)
-    return np.einsum("pfi,fi->p", double_p1, per_face) / (4.0 * np.pi)
+    points = np.asarray(points, dtype=np.float64)
+    per_face = values[surface.local_face_indices].reshape(-1, values.shape[1])  # (3F, k)
+    out = np.empty((points.shape[0], values.shape[1]))
+    for start in range(0, points.shape[0], BATCH_POINTS):
+        _, _, double_p1 = panel_integrals(geo, points[start : start + BATCH_POINTS])
+        out[start : start + BATCH_POINTS] = double_p1.reshape(len(double_p1), -1) @ per_face
+    out /= 4.0 * np.pi
+    return out.reshape(points.shape[:1] + np.shape(boundary_values)[1:])

@@ -3,9 +3,9 @@
 Subcommands:
 
 * ``simulate <config>``: run a time integration from an INI config and
-  write snapshots + energies.csv to the configured output directory.  If a
-  step fails, the partial trajectory is still flushed before exiting
-  nonzero.
+  write snapshots + energies.csv to the configured output directory.  An
+  invalid config exits 2 with the reason on stderr.  If a step fails, the
+  partial trajectory is still flushed before exiting 1.
 * ``check-mesh <mesh>``: structural validation plus the stiffness-matrix
   angle condition (exit 0 valid and satisfied, 1 valid but violated,
   2 invalid).
@@ -68,8 +68,12 @@ def _simulate(config_path: str) -> int:
     from .diagnostics import write_trajectory, write_vtk
     from .integrator import run
 
-    cfg = load_config(config_path)
-    setup = build_run_setup(cfg)
+    try:
+        cfg = load_config(config_path)
+        setup = build_run_setup(cfg)
+    except (OSError, ValueError) as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 2
     print(f"mesh: {setup.mesh.n_nodes} nodes, {setup.mesh.n_tets} tets")
     print(
         f"run: theta={cfg.theta} k={cfg.k} n_steps={cfg.n_steps} "

@@ -239,6 +239,11 @@ def load_config(path: str) -> SimulationConfig:
                 get("applied_field", "amplitude", required=True), "applied field amplitude"
             )
             applied_omega = float(get("applied_field", "omega", "0.0"))
+    if "multiscale" in terms and applied_kind == "none":
+        # the environment field pi(m, f) is driven by the applied field f
+        raise ValueError(
+            "multiscale term requires an [applied_field] section of kind constant or sinusoidal"
+        )
 
     solver_tol = float(get("solver", "tol", "1e-10")) if parser.has_section("solver") else 1e-10
     if not solver_tol > 0.0:

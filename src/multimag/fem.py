@@ -179,6 +179,12 @@ def assemble_stiffness(mesh: TetMesh) -> SparseOperator:
 def assemble_weighted_stiffness(mesh: TetMesh, weights: np.ndarray) -> SparseOperator:
     """Stiffness with a positive piecewise-constant coefficient.
 
+    The result has the sparsity pattern of ``assemble_stiffness(mesh)``.
+    Its CSR data is linear in the weights, so a sparse map from the
+    per-tet weights to that data is built once per mesh and each call is
+    one sparse matvec; no element blocks are recomputed and no entries
+    re-sorted.
+
     Args:
         weights: (M,) per-tet coefficient w_T; entries must be positive.
     """
@@ -187,9 +193,37 @@ def assemble_weighted_stiffness(mesh: TetMesh, weights: np.ndarray) -> SparseOpe
         raise ValueError(f"expected ({mesh.n_tets},) weights, got {weights.shape}")
     if np.any(weights <= 0.0) or not np.isfinite(weights).all():
         raise ValueError("element weights must be positive and finite")
+    if "fem.weighted_stiffness" not in mesh._cache:
+        mesh._cache["fem.weighted_stiffness"] = _weights_to_stiffness_data(mesh)
+    pattern, weight_map = mesh._cache["fem.weighted_stiffness"]
+    matrix = sparse.csr_matrix(
+        (weight_map @ weights, pattern.indices.copy(), pattern.indptr.copy()),
+        shape=pattern.shape,
+    )
+    return SparseOperator(matrix=matrix, mesh=mesh)
+
+
+def _weights_to_stiffness_data(mesh: TetMesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """The stiffness pattern and the (nnz, M) map from tet weights to its data.
+
+    Entry p of the weighted stiffness data is the sum over tets T touching
+    that node pair of w_T |T| <grad eta_i, grad eta_j>_T.
+    """
+    pattern = assemble_stiffness(mesh).matrix
+    if not pattern.has_sorted_indices:
+        pattern = pattern.sorted_indices()
     g = mesh.hat_gradients
-    data = np.einsum("mid,mjd->mij", g, g) * (mesh.volumes * weights)[:, None, None]
-    return _scatter(mesh, data)
+    local = np.einsum("mid,mjd->mij", g, g) * mesh.volumes[:, None, None]
+    rows = np.repeat(mesh.tets, 4, axis=1).ravel()
+    cols = np.tile(mesh.tets, (1, 4)).ravel()
+    n = mesh.n_nodes
+    pattern_rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    positions = np.searchsorted(pattern_rows * n + pattern.indices, rows * n + cols)
+    tets = np.repeat(np.arange(mesh.n_tets), 16)
+    weight_map = sparse.csr_matrix(
+        (local.ravel(), (positions, tets)), shape=(pattern.nnz, mesh.n_tets)
+    )
+    return pattern, weight_map
 
 
 def _scatter(mesh: TetMesh, element_blocks: np.ndarray) -> SparseOperator:
@@ -366,25 +400,28 @@ def clement_boundary_interpolation(surface: SurfaceMesh, g) -> np.ndarray:
     node) / (total area of those faces).  Accepts either a point-evaluable
     callable (integrated with the fixed triangle rule) or an (F,) array of
     precomputed per-face integrals of g, which is the form in which boundary
-    integral operators deliver their output.
+    integral operators deliver their output.  An (F, k) array interpolates k
+    functions at once, column by column.
 
     Values are convex combinations of face averages: constants are
     reproduced exactly and the output range is contained in the range of g.
 
     Returns:
-        (Nb,) nodal values ordered like ``surface.boundary_nodes``.
+        (Nb,) nodal values ordered like ``surface.boundary_nodes``, or
+        (Nb, k) for (F, k) input.
     """
     if callable(g):
         face_integrals = integrate_faces(surface, g)
     else:
         face_integrals = np.asarray(g, dtype=np.float64)
-        if face_integrals.shape != (surface.n_faces,):
+        if face_integrals.ndim not in (1, 2) or face_integrals.shape[0] != surface.n_faces:
             raise ValueError(
-                f"expected ({surface.n_faces},) face integrals, got {face_integrals.shape}"
+                f"expected ({surface.n_faces},) or ({surface.n_faces}, k) face integrals, "
+                f"got {face_integrals.shape}"
             )
-    acc = np.zeros(surface.boundary_nodes.size)
-    np.add.at(acc, surface.local_face_indices.ravel(), np.repeat(face_integrals, 3))
-    return acc / surface.node_patch_areas
+    acc = np.zeros((surface.boundary_nodes.size,) + face_integrals.shape[1:])
+    np.add.at(acc, surface.local_face_indices.ravel(), np.repeat(face_integrals, 3, axis=0))
+    return acc / surface.node_patch_areas.reshape((-1,) + (1,) * (acc.ndim - 1))
 
 
 def assemble_boundary_mass(surface: SurfaceMesh) -> sparse.csr_matrix:

@@ -14,6 +14,12 @@ computed by the pipeline
   5. u2 on Omega_1:     interior Dirichlet extension of the representation
                         formula -V2 phi + K2 (u - u1 - u_app)
 
+The geometry is fixed, so the boundary data of steps 2 and 5 are fixed
+linear maps of the Gamma_1 trace and of (phi, w) on Gamma_2.  Each is built
+once, on first use, as a dense matrix on the MultiscaleWorkspace (the layer
+potential of every unit density at the target face quadrature points, face
+integrals, Clement averages) and then applied as a matrix-vector product.
+
 The coupling system for the total potential u in Omega_2 and the exterior
 normal derivative phi on Gamma_2 reads, with g(t) = t + chi(t) t,
 
@@ -42,10 +48,11 @@ refreezes the weights chi(|grad u|) and re-solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
 from .bem import (
     BemOperatorSet,
@@ -193,6 +200,7 @@ class CouplingWorkspace:
     bem: BemOperatorSet
     s_vec: np.ndarray = field(default=None, repr=False)  # stabilization vector
     p_lu: tuple = field(default=None, repr=False)  # LU of the chi==0 matrix
+    flux_cho: tuple = field(default=None, repr=False)  # Cholesky of the flux normal matrix
 
     def __post_init__(self) -> None:
         if self.s_vec is None:
@@ -206,6 +214,10 @@ class CouplingWorkspace:
             self.s_vec = np.concatenate([s_u, s_phi])
         if self.p_lu is None:
             self.p_lu = lu_factor(self._dense_matrix(np.ones(self.mesh.n_tets)))
+        if self.flux_cho is None:
+            mb = self.bem.boundary_mass
+            normal_matrix = (mb.T @ sparse.diags(1.0 / self.surface.areas) @ mb).toarray()
+            self.flux_cho = cho_factor(normal_matrix)
 
     @property
     def n_u(self) -> int:
@@ -279,13 +291,9 @@ def conormal_flux(ws: CouplingWorkspace, u_values: np.ndarray) -> FaceDensity:
     substituting u back into the coupled system leaves no residual; the
     elementwise normal derivative would leave an O(h) one.
     """
-    bnodes = ws.surface.boundary_nodes
-    residual = (ws.stiffness.matrix @ u_values)[bnodes]
-    mb = ws.bem.boundary_mass  # (F, Nb)
-    inv_area = sparse.diags(1.0 / ws.surface.areas)
-    normal_matrix = (mb.T @ inv_area @ mb).toarray()
-    y = np.linalg.solve(normal_matrix, residual)
-    return FaceDensity(ws.surface, inv_area @ (mb @ y))
+    residual = (ws.stiffness.matrix @ u_values)[ws.surface.boundary_nodes]
+    y = cho_solve(ws.flux_cho, residual)
+    return FaceDensity(ws.surface, (ws.bem.boundary_mass @ y) / ws.surface.areas)
 
 
 def solve_coupling(
@@ -366,7 +374,12 @@ def _pack_state(ws, x, res, iterations, history) -> CouplingState:
 
 @dataclass
 class MultiscaleWorkspace:
-    """Assembled state of the full two-domain pipeline."""
+    """Assembled state of the full two-domain pipeline.
+
+    The cross-gap transfers are dense matrices built on first use and kept
+    here; building them costs about one pipeline evaluation's worth of
+    panel integrals, applying them a few matrix-vector products.
+    """
 
     mesh1: TetMesh
     surface1: SurfaceMesh
@@ -375,6 +388,45 @@ class MultiscaleWorkspace:
 
     def __post_init__(self) -> None:
         _check_separated(self.surface1, self.coupling.surface)
+
+    @cached_property
+    def transfer_12(self) -> np.ndarray:
+        """(Nb2, Nb1) map from a Gamma_1 trace to the Gamma_2 boundary values
+        of its double layer potential (pipeline step 2)."""
+        s1 = self.surface1
+        return _boundary_transfer(
+            eval_double_layer, s1, s1.boundary_nodes.size, self.coupling.surface
+        )
+
+    @cached_property
+    def transfer_21(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Nb1, F2) and (Nb1, Nb2) maps from phi and from a Gamma_2 trace to
+        the Gamma_1 boundary values of their single and double layer
+        potentials (pipeline step 5)."""
+        s2 = self.coupling.surface
+        return (
+            _boundary_transfer(eval_single_layer, s2, s2.n_faces, self.surface1),
+            _boundary_transfer(eval_double_layer, s2, s2.boundary_nodes.size, self.surface1),
+        )
+
+
+def _boundary_transfer(
+    potential, source: SurfaceMesh, n_densities: int, target: SurfaceMesh
+) -> np.ndarray:
+    """Dense map from a density on ``source`` to target boundary values.
+
+    ``potential`` is a layer potential evaluator of ``source``; it is
+    evaluated for every unit density at the target face quadrature points
+    (the integrals are regular since the domains are separated), integrated
+    per face and interpolated onto the target nodes by Clement averages.
+
+    Returns:
+        (Nb_target, n_densities) matrix.
+    """
+    points, weights = face_quadrature(target)
+    vals = potential(source, np.eye(n_densities), points.reshape(-1, 3))
+    face_integrals = np.einsum("fq,fqk->fk", weights, vals.reshape(weights.shape + (-1,)))
+    return clement_boundary_interpolation(target, face_integrals)
 
 
 def _check_separated(s1: SurfaceMesh, s2: SurfaceMesh) -> None:
@@ -408,17 +460,12 @@ def transfer_u1_to_omega2(
 ) -> NodalScalarField:
     """Interior Dirichlet extension of the Gamma_1 double layer of trace(u11).
 
-    The potential is evaluated at the Gamma_2 face quadrature points (the
-    integrals are regular since the domains are separated), interpolated
-    onto Gamma_2 nodes by area-weighted face averages, and extended into
-    Omega_2 harmonically.
+    The Gamma_2 boundary values are the face-averaged potential at the
+    Gamma_2 nodes, applied through ``mws.transfer_12``; they are extended
+    into Omega_2 harmonically.
     """
     cws = mws.coupling
-    trace1 = u11_values[mws.surface1.boundary_nodes]
-    points, weights = face_quadrature(cws.surface)
-    vals = eval_double_layer(mws.surface1, trace1, points.reshape(-1, 3))
-    face_integrals = np.einsum("fq,fq->f", weights, vals.reshape(weights.shape))
-    boundary_vals = clement_boundary_interpolation(cws.surface, face_integrals)
+    boundary_vals = mws.transfer_12 @ u11_values[mws.surface1.boundary_nodes]
     u1 = solve_spd(
         cws.stiffness,
         np.zeros(cws.mesh.n_nodes),
@@ -467,13 +514,8 @@ def multiscale_field(
         )
         stage = "representation formula transfer to Omega_1"
         w = state.u.values - u1.values - uapp.values
-        points, weights = face_quadrature(mws.surface1)
-        flat = points.reshape(-1, 3)
-        vals = -eval_single_layer(cws.surface, state.phi.values, flat) + eval_double_layer(
-            cws.surface, w[cws.surface.boundary_nodes], flat
-        )
-        face_integrals = np.einsum("fq,fq->f", weights, vals.reshape(weights.shape))
-        boundary_vals = clement_boundary_interpolation(mws.surface1, face_integrals)
+        single_21, double_21 = mws.transfer_21
+        boundary_vals = double_21 @ w[cws.surface.boundary_nodes] - single_21 @ state.phi.values
         stage = "interior extension of u2 on Omega_1"
         u2 = solve_spd(
             mws.stiffness1,

@@ -204,3 +204,65 @@ def test_eval_density_shape_validation(sphere1):
         eval_single_layer(surf, np.ones(3), pts)
     with pytest.raises(ValueError, match="boundary values"):
         eval_double_layer(surf, np.ones(3), pts)
+    with pytest.raises(ValueError, match="density"):
+        eval_single_layer(surf, np.ones((surf.n_faces, 2, 2)), pts)
+    with pytest.raises(ValueError, match="boundary values"):
+        eval_double_layer(surf, np.ones((3, surf.boundary_nodes.size)), pts)
+
+
+def test_eval_matrix_density_matches_columns(sphere1):
+    surf = sphere1.boundary()
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(40, 3)) * 2.0
+    phis = rng.normal(size=(surf.n_faces, 4))
+    us = rng.normal(size=(surf.boundary_nodes.size, 3))
+    single = eval_single_layer(surf, phis, pts)
+    double = eval_double_layer(surf, us, pts)
+    assert single.shape == (40, 4) and double.shape == (40, 3)
+    for j in range(phis.shape[1]):
+        col = eval_single_layer(surf, phis[:, j], pts)
+        np.testing.assert_allclose(single[:, j], col, rtol=1e-12, atol=1e-14 * np.abs(col).max())
+    for j in range(us.shape[1]):
+        col = eval_double_layer(surf, us[:, j], pts)
+        np.testing.assert_allclose(double[:, j], col, rtol=1e-12, atol=1e-14 * np.abs(col).max())
+
+
+def test_eval_walks_points_in_batches(sphere1, monkeypatch):
+    from multimag import bem
+
+    surf = sphere1.boundary()
+    batch = 16
+    monkeypatch.setattr(bem, "BATCH_POINTS", batch)
+    rng = np.random.default_rng(12)
+    pts = rng.normal(size=(3 * batch + 5, 3)) * 2.0
+    phi = rng.normal(size=surf.n_faces)
+    u = rng.normal(size=surf.boundary_nodes.size)
+    sizes = []
+    panel_integrals = bem.panel_integrals
+
+    def recording(geo, points):
+        sizes.append(len(points))
+        return panel_integrals(geo, points)
+
+    monkeypatch.setattr(bem, "panel_integrals", recording)
+    whole_single = eval_single_layer(surf, phi, pts)
+    whole_double = eval_double_layer(surf, u, pts)
+    assert sizes == [batch, batch, batch, 5] * 2
+    chunks = [pts[i : i + batch] for i in range(0, len(pts), batch)]
+    np.testing.assert_array_equal(
+        whole_single, np.concatenate([eval_single_layer(surf, phi, c) for c in chunks])
+    )
+    np.testing.assert_array_equal(
+        whole_double, np.concatenate([eval_double_layer(surf, u, c) for c in chunks])
+    )
+
+
+def test_assemble_bem_independent_of_batch_size(sphere1, monkeypatch):
+    from multimag import bem
+
+    surf = sphere1.boundary()
+    reference = assemble_bem(surf)
+    monkeypatch.setattr(bem, "BATCH_POINTS", 64)
+    small = assemble_bem(surf)
+    np.testing.assert_array_equal(small.single_layer, reference.single_layer)
+    np.testing.assert_array_equal(small.double_layer, reference.double_layer)

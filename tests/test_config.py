@@ -217,6 +217,20 @@ def test_multiscale_law_validation(tmp_path, cube_file, law_block, match):
         load_config(write_config(tmp_path, body))
 
 
+MULTISCALE_WITHOUT_FIELD = MINIMAL.replace(
+    "omega1 = cube.mesh", "omega1 = cube.mesh\nomega2 = cube.mesh"
+).replace(
+    "[output]", "[contributions]\nterms = multiscale\n\n[multiscale]\nlaw = zero\n\n[output]"
+)
+
+
+@pytest.mark.parametrize("applied", ["", "[applied_field]\nkind = none\n\n"])
+def test_multiscale_requires_applied_field(tmp_path, cube_file, applied):
+    body = MULTISCALE_WITHOUT_FIELD.replace("[output]", applied + "[output]")
+    with pytest.raises(ValueError, match=r"multiscale term requires an \[applied_field\]"):
+        load_config(write_config(tmp_path, body))
+
+
 def test_material_and_constants_are_exclusive(tmp_path, cube_file):
     both = MINIMAL.replace(
         "[run]",
@@ -339,7 +353,8 @@ def test_build_run_setup_multiscale(tmp_path):
     body = MINIMAL.replace("omega1 = cube.mesh", "omega1 = near.mesh\nomega2 = far.mesh")
     body = body.replace(
         "[output]",
-        "[contributions]\nterms = multiscale\n\n[multiscale]\nlaw = linear\nparams = 2.0\n\n[output]",
+        "[contributions]\nterms = multiscale\n\n[multiscale]\nlaw = linear\nparams = 2.0\n\n"
+        "[applied_field]\nkind = constant\namplitude = 0 0 1\n\n[output]",
     )
     setup = build_run_setup(load_config(write_config(tmp_path, body)))
     (contrib,) = setup.contributions
@@ -465,6 +480,29 @@ def test_cli_simulate_flushes_partial_trajectory(tmp_path, cube1, capsys):
     assert "partial trajectory flushed" in captured.out
     assert (tmp_path / "out" / "snapshot_00000000.dat").exists()
     assert (tmp_path / "out" / "energies.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        (MULTISCALE_WITHOUT_FIELD, "[applied_field]"),
+        (MINIMAL.replace("k = 1e-4", "k = 1e-4\ntheta = 2"), "theta must lie in [0, 1]"),
+    ],
+)
+def test_cli_simulate_rejects_invalid_config(tmp_path, cube_file, capsys, body, reason):
+    assert main(["simulate", write_config(tmp_path, body)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid config: ")
+    assert reason in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_reports_missing_files(tmp_path, capsys):
+    assert main(["simulate", str(tmp_path / "absent.ini")]) == 2
+    assert "invalid config: config file not found" in capsys.readouterr().err
+    # a config naming a mesh that is not there
+    assert main(["simulate", write_config(tmp_path, MINIMAL)]) == 2
+    assert capsys.readouterr().err.startswith("invalid config: ")
 
 
 def fabricated_records(totals):

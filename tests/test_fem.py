@@ -109,6 +109,32 @@ def test_weighted_stiffness(cube2):
     )
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    low=st.floats(1e-6, 1.0),
+    spread=st.floats(1.0, 1e6),
+)
+def test_weighted_stiffness_matches_elementwise_assembly(cube2, seed, low, spread):
+    from multimag.fem import _scatter
+
+    w = np.random.default_rng(seed).uniform(low, low * spread, size=cube2.n_tets)
+    g = cube2.hat_gradients
+    blocks = np.einsum("mid,mjd->mij", g, g) * (cube2.volumes * w)[:, None, None]
+    expect = _scatter(cube2, blocks).matrix
+    got = assemble_weighted_stiffness(cube2, w).matrix
+    assert got.shape == expect.shape
+    diff = abs(got - expect).max()
+    assert diff <= 1e-14 * abs(expect).max()
+    for bad in (-w, np.where(np.arange(cube2.n_tets) == seed % cube2.n_tets, 0.0, w)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            assemble_weighted_stiffness(cube2, bad)
+    with pytest.raises(ValueError, match="positive and finite"):
+        assemble_weighted_stiffness(cube2, np.where(w == w.max(), np.inf, w))
+    with pytest.raises(ValueError, match="weights"):
+        assemble_weighted_stiffness(cube2, w[:-1])
+
+
 def test_divergence_load_matches_stiffness_identity(sphere1):
     # <m, grad v> = <grad(m . x), grad v> for constant m
     m = np.array([0.4, -0.3, 0.8])
@@ -317,6 +343,19 @@ def test_clement_accepts_precomputed_face_integrals(sphere1):
     np.testing.assert_allclose(via_integrals, direct, rtol=1e-14)
     with pytest.raises(ValueError, match="face integrals"):
         clement_boundary_interpolation(surf, np.zeros(surf.n_faces + 1))
+
+
+def test_clement_interpolates_columns(sphere1):
+    surf = sphere1.boundary()
+    columns = np.random.default_rng(5).normal(size=(surf.n_faces, 3))
+    together = clement_boundary_interpolation(surf, columns)
+    assert together.shape == (surf.boundary_nodes.size, 3)
+    for j in range(3):
+        np.testing.assert_array_equal(
+            together[:, j], clement_boundary_interpolation(surf, columns[:, j])
+        )
+    with pytest.raises(ValueError, match="face integrals"):
+        clement_boundary_interpolation(surf, np.zeros((surf.n_faces, 2, 2)))
 
 
 def test_boundary_mass_entries(cube1):

@@ -276,3 +276,51 @@ def test_pipeline_stage_error_is_labeled(pair_ws, sphere1):
     law = material_law("tanh", 1.0, 1.0)
     with pytest.raises(RuntimeError, match="failed at stage: coupling solve"):
         multiscale_field(pair_ws, m, [0.0, 0.0, 1.0], law, max_iter=2)
+
+
+def test_transfer_matrices_match_pointwise_evaluation(pair_ws):
+    from multimag.bem import eval_double_layer, eval_single_layer
+    from multimag.fem import clement_boundary_interpolation, face_quadrature
+
+    s1, s2 = pair_ws.surface1, pair_ws.coupling.surface
+
+    def pointwise(potential, source, density, target):
+        points, weights = face_quadrature(target)
+        vals = potential(source, density, points.reshape(-1, 3)).reshape(weights.shape)
+        return clement_boundary_interpolation(target, (weights * vals).sum(axis=1))
+
+    rng = np.random.default_rng(21)
+    t12 = pair_ws.transfer_12
+    single_21, double_21 = pair_ws.transfer_21
+    assert t12.shape == (s2.boundary_nodes.size, s1.boundary_nodes.size)
+    assert single_21.shape == (s1.boundary_nodes.size, s2.n_faces)
+    assert double_21.shape == (s1.boundary_nodes.size, s2.boundary_nodes.size)
+    for _ in range(3):
+        trace1 = rng.normal(size=s1.boundary_nodes.size)
+        phi = rng.normal(size=s2.n_faces)
+        trace2 = rng.normal(size=s2.boundary_nodes.size)
+        for matrix, expect in (
+            (t12 @ trace1, pointwise(eval_double_layer, s1, trace1, s2)),
+            (single_21 @ phi, pointwise(eval_single_layer, s2, phi, s1)),
+            (double_21 @ trace2, pointwise(eval_double_layer, s2, trace2, s1)),
+        ):
+            assert np.linalg.norm(matrix - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def test_transfers_are_built_once(pair_ws, sphere1, monkeypatch):
+    from multimag import bem
+
+    m = NodalVectorField(sphere1, np.tile([0.0, 0.0, 1.0], (sphere1.n_nodes, 1)))
+    law = material_law("tanh", 1.0, 1.0)
+    first = multiscale_field(pair_ws, m, [0.0, 0.0, 1.0], law)
+    calls = []
+    panel_integrals = bem.panel_integrals
+
+    def counting(*args):
+        calls.append(1)
+        return panel_integrals(*args)
+
+    monkeypatch.setattr(bem, "panel_integrals", counting)
+    second = multiscale_field(pair_ws, m, [0.0, 0.0, 1.0], law)
+    assert calls == []
+    np.testing.assert_array_equal(second.values, first.values)
