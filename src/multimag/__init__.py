@@ -52,6 +52,7 @@ from .integrator import (
     TangentFrame,
     Trajectory,
     build_tangent_frame,
+    evaluate_contributions,
     llg_step,
     make_llg_workspace,
     run,
@@ -120,6 +121,7 @@ __all__ = [
     "energy",
     "eval_double_layer",
     "eval_single_layer",
+    "evaluate_contributions",
     "fk_strayfield",
     "gcr_strayfield",
     "icosphere_volume",

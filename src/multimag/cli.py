@@ -159,7 +159,7 @@ def _energy_report(directory: str) -> int:
     bad_total = 0
     for r in records:
         parts = r.e_exch + r.e_int + r.e_zeeman
-        if abs(parts - r.e_total) > 1e-12 * max(1.0, abs(r.e_total)):
+        if not abs(parts - r.e_total) <= 1e-12 * max(1.0, abs(r.e_total)):
             bad_total += 1
     if bad_total:
         print(f"FAIL: {bad_total} records whose parts do not recombine to the total")

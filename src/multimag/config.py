@@ -90,7 +90,10 @@ def _vector3(text: str, where: str) -> np.ndarray:
     parts = text.split()
     if len(parts) != 3:
         raise ValueError(f"{where} must be three space-separated numbers, got {text!r}")
-    return np.array([float(p) for p in parts])
+    values = np.array([float(p) for p in parts])
+    if not np.isfinite(values).all():
+        raise ValueError(f"{where} must be finite, got {text!r}")
+    return values
 
 
 def load_config(path: str) -> SimulationConfig:

@@ -160,10 +160,10 @@ def check_energy_decay(records, *, include_defect_allowance: bool = True) -> Dec
             "energy decay defect allowance c*k*sum|v|^2 = %.6e (c = %g)", allowance, coefficient
         )
     excesses = [r.e_total + r.dissipation_sum - e0 for r in records]
-    max_excess = max(excesses)
+    max_excess = np.max(excesses)
     first = None
     for r, excess in zip(records, excesses):
-        if excess > slack:
+        if not excess <= slack:  # a NaN energy is a violation
             first = r.step
             break
     return DecayReport(

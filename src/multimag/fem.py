@@ -210,20 +210,27 @@ def _weights_to_stiffness_data(mesh: TetMesh) -> tuple[sparse.csr_matrix, sparse
     that node pair of w_T |T| <grad eta_i, grad eta_j>_T.
     """
     pattern = assemble_stiffness(mesh).matrix
-    if not pattern.has_sorted_indices:
-        pattern = pattern.sorted_indices()
     g = mesh.hat_gradients
     local = np.einsum("mid,mjd->mij", g, g) * mesh.volumes[:, None, None]
-    rows = np.repeat(mesh.tets, 4, axis=1).ravel()
-    cols = np.tile(mesh.tets, (1, 4)).ravel()
-    n = mesh.n_nodes
-    pattern_rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    positions = np.searchsorted(pattern_rows * n + pattern.indices, rows * n + cols)
     tets = np.repeat(np.arange(mesh.n_tets), 16)
     weight_map = sparse.csr_matrix(
-        (local.ravel(), (positions, tets)), shape=(pattern.nnz, mesh.n_tets)
+        (local.ravel(), (pattern_positions(mesh).ravel(), tets)), shape=(pattern.nnz, mesh.n_tets)
     )
     return pattern, weight_map
+
+
+def pattern_positions(mesh: TetMesh) -> np.ndarray:
+    """(M, 4, 4) position of each tet's node pair in the shared P1 pattern.
+
+    Entry [T, i, j] indexes the CSR data of ``assemble_stiffness(mesh)``
+    and of ``assemble_mass(mesh)`` (the same canonical pattern, as both
+    come from ``_scatter``) at row ``tets[T, i]``, column ``tets[T, j]``.
+    """
+    pattern = assemble_stiffness(mesh).matrix
+    n = mesh.n_nodes
+    keys = np.repeat(np.arange(n), np.diff(pattern.indptr)) * n + pattern.indices
+    tets = mesh.tets
+    return np.searchsorted(keys, tets[:, :, None] * n + tets[:, None, :])
 
 
 def _scatter(mesh: TetMesh, element_blocks: np.ndarray) -> SparseOperator:
@@ -352,9 +359,7 @@ def face_quadrature(surface: SurfaceMesh, degree: int = 5) -> tuple[np.ndarray, 
         points (F, Q, 3) and weights (F, Q); weights include face areas, so
         summing ``w * g(points)`` integrates g over the surface.
     """
-    if degree not in _TRI_RULES:
-        raise ValueError(f"no triangle rule of degree {degree}; available: 2, 5")
-    bary, ref_weights = _TRI_RULES[degree]
+    bary, ref_weights = face_quadrature_rule(degree)
     v = surface.vertex_coords
     points = np.einsum("qk,fkd->fqd", bary, v)
     weights = surface.areas[:, None] * ref_weights[None, :]

@@ -15,24 +15,32 @@ Tangency makes |m + k v|^2 = 1 + k^2 |v|^2 >= 1 at every node, so the
 update is always well defined, and the nodal increments satisfy
 |m_next - m| <= k |v| and |m_next - m - k v| <= (k^2/2) |v|^2.
 
-The cross term <m x v, psi> is assembled exactly (the integrand is a cubic
-polynomial per element); its matrix is skew-symmetric, so the system's
-symmetric part is alpha M + C_exch k theta K, positive definite for any
-k > 0 - the basis of the scheme's unconditional stability for theta >= 1/2.
-The nonsymmetric reduced system is solved with diagonally preconditioned
-BiCGStab.
+The reduced 2N x 2N system is assembled in the frame coefficients, one 2x2
+block per entry (i, j) of the mesh's shared P1 pattern.  The cross term
+<m x v, psi> is exact (a cubic integrand per element) and its blocks are
+skew, so the symmetric part is the frame reduction of
+alpha M + C_exch k theta K, positive definite for any k > 0 - the basis of
+the scheme's unconditional stability for theta >= 1/2.  The nonsymmetric
+system is solved with diagonally preconditioned BiCGStab.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .fem import NodalVectorField, SparseOperator, assemble_mass, assemble_stiffness
+from .fem import (
+    NodalVectorField,
+    SparseOperator,
+    assemble_mass,
+    assemble_stiffness,
+    l2_inner,
+    pattern_positions,
+)
 from .fields import FieldContribution, NondimConstants, sample_applied_field
 from .mesh import TetMesh
 
@@ -59,7 +67,7 @@ class MagnetizationState:
     def __post_init__(self) -> None:
         norms = self.m.nodewise_norms()
         worst = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
-        if worst > 1e-12:
+        if not worst <= 1e-12:
             raise ValueError(f"magnetization not unit-modulus: max deviation {worst:.3e}")
 
 
@@ -73,10 +81,10 @@ class TangentFrame:
     def __post_init__(self) -> None:
         for name, t in (("t1", self.t1), ("t2", self.t2)):
             err = float(np.abs(np.linalg.norm(t, axis=1) - 1.0).max())
-            if err > 1e-12:
+            if not err <= 1e-12:
                 raise ValueError(f"frame vector {name} not unit: {err:.3e}")
         cross = float(np.abs(np.einsum("nd,nd->n", self.t1, self.t2)).max())
-        if cross > 1e-12:
+        if not cross <= 1e-12:
             raise ValueError(f"frame vectors not orthogonal: {cross:.3e}")
 
 
@@ -99,76 +107,81 @@ def build_tangent_frame(state: MagnetizationState) -> TangentFrame:
         float(np.abs(np.einsum("nd,nd->n", t1, m)).max()),
         float(np.abs(np.einsum("nd,nd->n", t2, m)).max()),
     )
-    if ortho > 1e-12:
+    if not ortho <= 1e-12:
         raise RuntimeError(f"tangent frame not orthogonal to m: {ortho:.3e}")
     return frame
 
 
 @dataclass
 class LlgWorkspace:
-    """Per-mesh assembled state reused across time steps."""
+    """Per-mesh operators reused across time steps.
+
+    The reduced velocity system has one 2x2 block per entry p = (i, j) of
+    the P1 pattern that ``mass`` and ``stiffness`` share.  ``cross_map`` is
+    the fixed (nnz, N) map from nodal m to w_p = sum_T |T| sum_k c_ijk m_k;
+    ``rows`` holds the row node i of each entry.
+    """
 
     mesh: TetMesh
     mass: SparseOperator
     stiffness: SparseOperator
-    mass3: sparse.csr_matrix
-    stiffness3: sparse.csr_matrix
-    _cross_rows: np.ndarray = field(default=None, repr=False)
-    _cross_cols: np.ndarray = field(default=None, repr=False)
-    _frame_rows: np.ndarray = field(default=None, repr=False)
-    _frame_cols: np.ndarray = field(default=None, repr=False)
+    cross_map: sparse.csr_matrix
+    rows: np.ndarray
 
-    def __post_init__(self) -> None:
-        tets = self.mesh.tets
-        n = self.mesh.n_nodes
-        if self._cross_rows is None:
-            # index pattern of the (M,4,4,3,3) cross-term blocks in 3N x 3N
-            rows = 3 * tets[:, :, None, None, None] + np.arange(3)[None, None, None, :, None]
-            cols = 3 * tets[:, None, :, None, None] + np.arange(3)[None, None, None, None, :]
-            shape = (self.mesh.n_tets, 4, 4, 3, 3)
-            self._cross_rows = np.broadcast_to(rows, shape).ravel()
-            self._cross_cols = np.broadcast_to(cols, shape).ravel()
-        if self._frame_rows is None:
-            node = np.arange(n)
-            self._frame_rows = np.repeat(3 * node, 6) + np.tile([0, 1, 2, 0, 1, 2], n)
-            self._frame_cols = np.repeat(2 * node, 6) + np.tile([0, 0, 0, 1, 1, 1], n)
+    def frame_matrix(self, frame: TangentFrame) -> np.ndarray:
+        """(N, 2, 3) nodal frames: [n, a] is t_a(n)."""
+        return np.stack((frame.t1, frame.t2), axis=1)
 
-    def cross_matrix(self, m_values: np.ndarray) -> sparse.csr_matrix:
-        """Exact Galerkin matrix of v -> <m x v, .> in the 3N nodal basis."""
-        mk = m_values[self.mesh.tets]  # (M, 4, 3)
-        skew = np.zeros((self.mesh.n_tets, 4, 3, 3))
-        skew[:, :, 0, 1] = -mk[:, :, 2]
-        skew[:, :, 0, 2] = mk[:, :, 1]
-        skew[:, :, 1, 0] = mk[:, :, 2]
-        skew[:, :, 1, 2] = -mk[:, :, 0]
-        skew[:, :, 2, 0] = -mk[:, :, 1]
-        skew[:, :, 2, 1] = mk[:, :, 0]
-        blocks = np.einsum("ijk,m,mkab->mijab", _CROSS_TENSOR, self.mesh.volumes, skew)
-        n3 = 3 * self.mesh.n_nodes
-        return sparse.coo_matrix(
-            (blocks.ravel(), (self._cross_rows, self._cross_cols)), shape=(n3, n3)
-        ).tocsr()
+    def cross_matrix(self, m_values: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """(nnz, 2, 2) reduced blocks of v -> <m x v, .> on the P1 pattern.
 
-    def frame_matrix(self, frame: TangentFrame) -> sparse.csr_matrix:
-        """(3N, 2N) basis matrix whose columns are the nodal frame vectors."""
-        n = self.mesh.n_nodes
-        data = np.concatenate([frame.t1, frame.t2], axis=1).ravel()
-        return sparse.coo_matrix(
-            (data, (self._frame_rows, self._frame_cols)), shape=(3 * n, 2 * n)
-        ).tocsr()
+        Entry [p, a, b] of block p = (i, j) is w_p . (t_b(j) x t_a(i)).
+        Swapping the factors of a cross product negates it exactly, so the
+        assembled matrix is exactly skew.
+        """
+        w = (self.cross_map @ m_values).T
+        ti, tj = t.T[:, :, self.rows], t.T[:, :, self.stiffness.matrix.indices]
+        blocks = np.empty((self.rows.size, 2, 2))
+        for a, b in np.ndindex(2, 2):
+            u, v = tj[:, b], ti[:, a]  # written out: np.cross costs more than it computes here
+            u_x_v = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+            blocks[:, a, b] = _dot(w, u_x_v)
+        return blocks
+
+    def velocity_matrix(
+        self, m_values: np.ndarray, t: np.ndarray, mass_coeff: float, stiffness_coeff: float
+    ) -> sparse.csr_matrix:
+        """Reduced 2N x 2N matrix; row 2i + a tests with t_a(i), column 2j + b
+        is the coefficient of t_b(j).  Block (i, j) is the cross block plus
+        (mass_coeff M_ij + stiffness_coeff K_ij) <t_a(i), t_b(j)>.
+        """
+        pattern = self.stiffness.matrix
+        sym = mass_coeff * self.mass.matrix.data + stiffness_coeff * pattern.data
+        ti, tj = t.T[:, :, self.rows], t.T[:, :, pattern.indices]
+        blocks = self.cross_matrix(m_values, t)
+        for a, b in np.ndindex(2, 2):
+            blocks[:, a, b] += sym * _dot(ti[:, a], tj[:, b])
+        n2 = 2 * self.mesh.n_nodes
+        # CSR matvecs run about twice as fast as 2x2-block ones in the Krylov loop
+        return sparse.bsr_matrix((blocks, pattern.indices, pattern.indptr), shape=(n2, n2)).tocsr()
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product over the leading axis of length 3 (vector components)."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def make_llg_workspace(mesh: TetMesh) -> LlgWorkspace:
-    mass = assemble_mass(mesh)
     stiffness = assemble_stiffness(mesh)
-    eye3 = sparse.identity(3, format="csr")
-    return LlgWorkspace(
-        mesh=mesh,
-        mass=mass,
-        stiffness=stiffness,
-        mass3=sparse.kron(mass.matrix, eye3).tocsr(),
-        stiffness3=sparse.kron(stiffness.matrix, eye3).tocsr(),
+    pattern = stiffness.matrix
+    positions = np.broadcast_to(pattern_positions(mesh)[..., None], (mesh.n_tets, 4, 4, 4))
+    nodes = np.broadcast_to(mesh.tets[:, None, None, :], positions.shape)
+    weights = mesh.volumes[:, None, None, None] * _CROSS_TENSOR
+    cross_map = sparse.csr_matrix(
+        (weights.ravel(), (positions.ravel(), nodes.ravel())), shape=(pattern.nnz, mesh.n_nodes)
     )
+    rows = np.repeat(np.arange(mesh.n_nodes), np.diff(pattern.indptr))
+    return LlgWorkspace(mesh, assemble_mass(mesh), stiffness, cross_map, rows)
 
 
 def evaluate_contributions(
@@ -197,21 +210,23 @@ def evaluate_contributions(
 def llg_step(
     ws: LlgWorkspace,
     state: MagnetizationState,
-    contributions: list[FieldContribution],
+    pi_field: NodalVectorField,
     f_field: NodalVectorField | None,
     constants: NondimConstants,
     theta: float,
     k: float,
     *,
-    pi_field: NodalVectorField | None = None,
     solver_tol: float = 1e-10,
 ) -> tuple[NodalVectorField, MagnetizationState]:
     """One tangent-plane step: solve for v, renormalize nodewise.
 
+    The reduced 2N system (``LlgWorkspace.velocity_matrix``) has one 2x2
+    block per entry (i, j) of the P1 pattern, with mass coefficient alpha
+    and stiffness coefficient C_exch k theta; its rhs at node i is
+    t(i)^T (-C_exch K m - M (pi - f))_i, and v = c_1 t_1 + c_2 t_2.
+
     Args:
-        pi_field: optionally a precomputed pi(m, zeta) for this state (the
-            contributions are evaluated here otherwise, with zeta bound to
-            the applied field).
+        pi_field: pi(m, zeta) for this state (``evaluate_contributions``).
         solver_tol: relative tolerance of the velocity solve.
 
     Returns:
@@ -222,30 +237,20 @@ def llg_step(
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     if not k > 0.0:
         raise ValueError(f"time step must be positive, got {k}")
-    mesh = ws.mesh
-    m_vec = state.m.values.ravel()
-
-    if pi_field is None:
-        pi_field, _ = evaluate_contributions(contributions, state.m, f_field, state.step)
     if not np.isfinite(pi_field.values).all():
         raise RuntimeError("field contribution produced non-finite values")
-
-    rhs_nodal = -(constants.c_exch * (ws.stiffness3 @ m_vec)) - ws.mass3 @ pi_field.values.ravel()
+    mesh = ws.mesh
+    mass, stiffness = ws.mass.matrix, ws.stiffness.matrix
+    rhs_nodal = -(constants.c_exch * (stiffness @ state.m.values)) - mass @ pi_field.values
     if f_field is not None:
-        rhs_nodal += ws.mass3 @ f_field.values.ravel()
+        rhs_nodal += mass @ f_field.values
 
-    frame = build_tangent_frame(state)
-    q = ws.frame_matrix(frame)
-    a_full = (
-        constants.alpha * ws.mass3
-        + (constants.c_exch * k * theta) * ws.stiffness3
-        + ws.cross_matrix(state.m.values)
-    )
-    a_red = (q.T @ a_full @ q).tocsr()
-    b_red = q.T @ rhs_nodal
+    t = ws.frame_matrix(build_tangent_frame(state))
+    a_red = ws.velocity_matrix(state.m.values, t, constants.alpha, constants.c_exch * k * theta)
+    b_red = np.einsum("nad,nd->na", t, rhs_nodal).ravel()
 
     c = _solve_velocity(a_red, b_red, solver_tol)
-    v = NodalVectorField(mesh, (q @ c).reshape(-1, 3))
+    v = NodalVectorField(mesh, np.einsum("na,nad->nd", c.reshape(-1, 2), t))
 
     m_new = state.m.values + k * v.values
     norms = np.linalg.norm(m_new, axis=1)
@@ -254,13 +259,14 @@ def llg_step(
         m=NodalVectorField(mesh, m_new), step=state.step + 1, time=state.time + k
     )
 
-    # floor at unit-vector rounding noise: delta is a difference of O(1) vectors
+    # floor at unit-vector rounding noise: delta is a difference of O(1) vectors;
+    # "not <=" so that NaN fails
     delta = np.linalg.norm(next_state.m.values - state.m.values, axis=1)
     kv = k * np.linalg.norm(v.values, axis=1)
-    if np.any(delta > kv * (1.0 + 1e-9) + 1e-13):
+    if not np.all(delta <= kv * (1.0 + 1e-9) + 1e-13):
         raise RuntimeError("nodal increment bound |m+ - m| <= k|v| violated")
     second = np.linalg.norm(next_state.m.values - state.m.values - k * v.values, axis=1)
-    if np.any(second > 0.5 * kv**2 * (1.0 + 1e-9) + 1e-13):
+    if not np.all(second <= 0.5 * kv**2 * (1.0 + 1e-9) + 1e-13):
         raise RuntimeError("nodal increment bound |m+ - m - kv| <= k^2|v|^2/2 violated")
     return v, next_state
 
@@ -282,7 +288,7 @@ def _solve_velocity(a: sparse.csr_matrix, b: np.ndarray, tol: float) -> np.ndarr
         if np.linalg.norm(b - a @ x2) < np.linalg.norm(b - a @ x):
             x, info = x2, info2
     residual = np.linalg.norm(b - a @ x)
-    if residual > tol * norm_b * 10.0:
+    if not residual <= tol * norm_b * 10.0:
         raise RuntimeError(
             f"velocity solve did not converge: rel residual {residual / norm_b:.3e} "
             f"(info={info})"
@@ -387,18 +393,9 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
                 pi_current.values - f_current.values
             )
             defect_sup = max(defect_sup, float(np.linalg.norm(lower_order, axis=1).max()))
-            v, state = llg_step(
-                ws,
-                state,
-                setup.contributions,
-                f_current,
-                setup.constants,
-                setup.theta,
-                setup.k,
-                pi_field=pi_current,
-                solver_tol=setup.solver_tol,
-            )
-            velocity_sq_sum += _l2_sq(ws, v.values)
+            v, state = llg_step(ws, state, pi_current, f_current, setup.constants, setup.theta,
+                                setup.k, solver_tol=setup.solver_tol)
+            velocity_sq_sum += l2_inner(ws.mass, v.values, v.values)
             dissipation = setup.constants.alpha * setup.k * velocity_sq_sum
             f_next = sample_f(state.time)
             pi_current, outputs = evaluate_contributions(
@@ -433,6 +430,3 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
         )
     return traj
 
-
-def _l2_sq(ws: LlgWorkspace, values: np.ndarray) -> float:
-    return float(np.einsum("nd,nd->", values, (ws.mass.matrix @ values)))

@@ -12,6 +12,7 @@ import importlib
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -34,6 +35,43 @@ def test_method_sites_resolve(tracer):
     for module_name, cls_name, attr, _ in tracer.METHOD_SITES:
         cls = importlib.import_module(module_name).__dict__[cls_name]
         assert callable(cls.__dict__.get(attr)), f"{module_name}.{cls_name}.{attr}"
+
+
+def test_integrator_method_sites_run_once_per_step(tracer, monkeypatch):
+    # a step that bypassed a wrapped method would leave its span at zero
+    from multimag import (
+        MagnetizationState,
+        NodalVectorField,
+        NondimConstants,
+        evaluate_contributions,
+        kuhn_cube,
+        llg_step,
+        make_llg_workspace,
+    )
+
+    calls = {}
+    for module_name, cls_name, attr, _ in tracer.METHOD_SITES:
+        if module_name != "multimag.integrator":
+            continue
+        cls = importlib.import_module(module_name).__dict__[cls_name]
+
+        def counting(*args, _method=cls.__dict__[attr], _attr=attr, **kwargs):
+            calls[_attr] = calls.get(_attr, 0) + 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, counting)
+        calls[attr] = 0
+    assert set(calls) == {"cross_matrix", "frame_matrix"}
+
+    mesh = kuhn_cube(1)
+    state = MagnetizationState(
+        m=NodalVectorField(mesh, np.tile([0.0, 0.0, 1.0], (mesh.n_nodes, 1))), step=0, time=0.0
+    )
+    f = NodalVectorField(mesh, np.tile([0.3, 0.0, 0.5], (mesh.n_nodes, 1)))
+    pi, _ = evaluate_contributions([], state.m, f, 0)
+    constants = NondimConstants(c_exch=1.0, c_ani=1.0, alpha=1.0, t_final=1.0)
+    llg_step(make_llg_workspace(mesh), state, pi, f, constants, 1.0, 1e-3)
+    assert calls == {"cross_matrix": 1, "frame_matrix": 1}
 
 
 def test_solver_sites_resolve(tracer):

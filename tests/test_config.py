@@ -195,6 +195,21 @@ def test_rejects_bad_values(tmp_path, cube_file, old, new, match):
 
 
 @pytest.mark.parametrize(
+    "old, new, match",
+    [
+        ("initial_vector = 0 0 1", "initial_vector = nan 0 1", "initial_vector must be finite"),
+        ("[output]", "[applied_field]\nkind = constant\namplitude = nan 0 0.5\n\n[output]",
+         "applied field amplitude must be finite"),
+        ("[output]", "[contributions]\nterms = uniaxial\n\n[uniaxial]\naxis = 0 inf 1\n\n[output]",
+         "uniaxial axis must be finite"),
+    ],
+)
+def test_rejects_nonfinite_vectors(tmp_path, cube_file, old, new, match):
+    with pytest.raises(ValueError, match=match):
+        load_config(write_config(tmp_path, MINIMAL.replace(old, new)))
+
+
+@pytest.mark.parametrize(
     "law_block, match",
     [
         ("law = linear\nparams = 1 2", r"law 'linear' takes 1 parameters, got 2"),
@@ -519,6 +534,12 @@ def test_cli_energy_report_detects_growth(tmp_path, capsys):
     write_energies_csv(str(tmp_path / "energies.csv"), fabricated_records([1.0, 0.9, 1.1]))
     assert main(["energy-report", str(tmp_path)]) == 1
     assert "first violation at step 2" in capsys.readouterr().out
+
+
+def test_cli_energy_report_fails_on_nan_table(tmp_path, capsys):
+    write_energies_csv(str(tmp_path / "energies.csv"), fabricated_records([float("nan")] * 3))
+    assert main(["energy-report", str(tmp_path)]) == 1
+    assert "do not recombine" in capsys.readouterr().out
 
 
 def test_cli_energy_report_detects_bad_totals(tmp_path, capsys):

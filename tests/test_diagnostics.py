@@ -186,6 +186,16 @@ def test_decay_defect_allowance_paths():
     assert not check_energy_decay(traj, include_defect_allowance=False).passed
 
 
+def test_decay_fails_on_nan_energies():
+    report = check_energy_decay([record(0, 1.0), record(1, float("nan")), record(2, 0.5)])
+    assert not report.passed
+    assert report.first_violation == 1
+    assert np.isnan(report.max_excess)
+    report = check_energy_decay([record(i, float("nan")) for i in range(3)])
+    assert not report.passed
+    assert report.first_violation == 0
+
+
 def test_decay_requires_records():
     with pytest.raises(ValueError, match="no energy records"):
         check_energy_decay([])

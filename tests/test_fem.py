@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from multimag import (
     NodalScalarField,
     NodalVectorField,
+    TetMesh,
     assemble_boundary_mass,
     assemble_mass,
     assemble_stiffness,
@@ -36,6 +37,7 @@ from multimag.fem import (
     l2_norm,
     l2_projection_faces,
     normal_derivative,
+    pattern_positions,
     trace_values,
 )
 
@@ -106,6 +108,28 @@ def test_weighted_stiffness(cube2):
         assemble_weighted_stiffness(cube2, 2.0 * w).matrix.toarray(),
         2.0 * Kw.toarray(),
         rtol=1e-14,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_pattern_positions_index_their_node_pairs(n, data):
+    # renumber the nodes, reorder the tets and their vertices of a cube mesh
+    base = kuhn_cube(n)
+    node_perm = np.array(data.draw(st.permutations(range(base.n_nodes))))
+    tet_perm = np.array(data.draw(st.permutations(range(base.n_tets))))
+    vertex_perm = np.array(data.draw(st.permutations(range(4))))
+    nodes = np.empty_like(base.nodes)
+    nodes[node_perm] = base.nodes
+    mesh = TetMesh(nodes, node_perm[base.tets][tet_perm][:, vertex_perm])
+    positions = pattern_positions(mesh)
+    pattern = assemble_stiffness(mesh).matrix
+    rows = np.repeat(np.arange(mesh.n_nodes), np.diff(pattern.indptr))
+    shape = (mesh.n_tets, 4, 4)
+    assert positions.shape == shape
+    np.testing.assert_array_equal(rows[positions], np.broadcast_to(mesh.tets[:, :, None], shape))
+    np.testing.assert_array_equal(
+        pattern.indices[positions], np.broadcast_to(mesh.tets[:, None, :], shape)
     )
 
 
@@ -211,6 +235,9 @@ def test_one_operator_per_mesh(sphere1, sphere_ws, pair_ws):
     llg = make_llg_workspace(sphere1)
     assert llg.stiffness is sphere_ws.stiffness is pair_ws.stiffness1 is stiffness
     assert llg.mass is sphere_ws.mass is mass
+    # the velocity system puts mass and stiffness data on one pattern
+    np.testing.assert_array_equal(mass.matrix.indptr, stiffness.matrix.indptr)
+    np.testing.assert_array_equal(mass.matrix.indices, stiffness.matrix.indices)
 
 
 def test_solve_spd_factors_once_per_node_set(monkeypatch):

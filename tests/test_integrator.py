@@ -10,7 +10,7 @@ import logging
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.sparse import kron
+from scipy.sparse import bsr_matrix, coo_matrix, identity, kron
 
 from multimag import (
     MagnetizationState,
@@ -24,9 +24,10 @@ from multimag import (
     llg_step,
     make_llg_workspace,
     reference_tet,
+    evaluate_contributions,
     run,
 )
-from multimag.fem import assemble_mass, h1_seminorm_sq
+from multimag.fem import assemble_mass, assemble_stiffness, h1_seminorm_sq
 from multimag.fields import FieldContribution
 from multimag.integrator import _CROSS_TENSOR
 
@@ -54,30 +55,86 @@ def test_cross_tensor_frozen_cubic_integrals():
                 np.testing.assert_allclose(vol * _CROSS_TENSOR[i, j, k], exact, rtol=1e-15)
 
 
-def test_cross_matrix_is_exactly_skew(cube2):
-    ws = make_llg_workspace(cube2)
-    m = random_unit_field(cube2, 3)
-    C = ws.cross_matrix(m)
-    # skew up to duplicate-entry summation order in the sparse assembly
-    assert abs(C + C.T).max() < 1e-15
+def frame_triple_product(mesh, m, mass_coeff, stiffness_coeff):
+    """q^T A q with A = mass_coeff M3 + stiffness_coeff K3 + C in the 3N nodal
+    basis (M3, K3 by kron, C from per-tet 3x3 blocks) and q the (3N, 2N)
+    matrix of nodal frame columns."""
+    n = mesh.n_nodes
+    eye3 = identity(3, format="csr")
+    a_full = mass_coeff * kron(assemble_mass(mesh).matrix, eye3) + stiffness_coeff * kron(
+        assemble_stiffness(mesh).matrix, eye3
+    )
+    tets = mesh.tets
+    rows = 3 * tets[:, :, None, None, None] + np.arange(3)[None, None, None, :, None]
+    cols = 3 * tets[:, None, :, None, None] + np.arange(3)[None, None, None, None, :]
+    shape = (mesh.n_tets, 4, 4, 3, 3)
+    skew = np.zeros((mesh.n_tets, 4, 3, 3))
+    mk = m[tets]
+    skew[:, :, 0, 1], skew[:, :, 0, 2] = -mk[:, :, 2], mk[:, :, 1]
+    skew[:, :, 1, 0], skew[:, :, 1, 2] = mk[:, :, 2], -mk[:, :, 0]
+    skew[:, :, 2, 0], skew[:, :, 2, 1] = -mk[:, :, 1], mk[:, :, 0]
+    blocks = np.einsum("ijk,m,mkab->mijab", _CROSS_TENSOR, mesh.volumes, skew)
+    rows, cols = np.broadcast_to(rows, shape).ravel(), np.broadcast_to(cols, shape).ravel()
+    a_full = a_full + coo_matrix((blocks.ravel(), (rows, cols)), shape=(3 * n, 3 * n))
+    frame = build_tangent_frame(unit_state(mesh, m))
+    node = np.arange(n)
+    q = coo_matrix(
+        (
+            np.concatenate([frame.t1, frame.t2], axis=1).ravel(),
+            (
+                np.repeat(3 * node, 6) + np.tile([0, 1, 2, 0, 1, 2], n),
+                np.repeat(2 * node, 6) + np.tile([0, 0, 0, 1, 1, 1], n),
+            ),
+        ),
+        shape=(3 * n, 2 * n),
+    ).tocsr()
+    return (q.T @ a_full @ q).toarray()
 
 
-def test_cross_matrix_uniform_m_is_kron(cube2):
+def frames(ws, m):
+    return ws.frame_matrix(build_tangent_frame(unit_state(ws.mesh, m)))
+
+
+@pytest.mark.parametrize("mesh_name", ["cube2", "sphere2"])
+def test_velocity_matrix_matches_frame_triple_product(mesh_name, request):
+    mesh = request.getfixturevalue(mesh_name)
+    ws = make_llg_workspace(mesh)
+    for seed, (alpha, c_exch, k, theta) in enumerate(
+        [(1.0, 1.0, 1e-3, 1.0), (0.02, 3.0, 0.1, 0.5), (0.5, 0.1, 2.0, 0.75)]
+    ):
+        m = random_unit_field(mesh, 200 + seed)
+        a_red = ws.velocity_matrix(m, frames(ws, m), alpha, c_exch * k * theta).toarray()
+        expect = frame_triple_product(mesh, m, alpha, c_exch * k * theta)
+        assert np.abs(a_red - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
+def cross_blocks(ws, m):
+    n2 = 2 * ws.mesh.n_nodes
+    pattern = ws.stiffness.matrix
+    blocks = ws.cross_matrix(m, frames(ws, m))
+    return bsr_matrix((blocks, pattern.indices, pattern.indptr), shape=(n2, n2))
+
+
+@pytest.mark.parametrize("mesh_name", ["cube2", "sphere2"])
+def test_cross_blocks_are_exactly_skew(mesh_name, request):
+    mesh = request.getfixturevalue(mesh_name)
+    c = cross_blocks(make_llg_workspace(mesh), random_unit_field(mesh, 3))
+    assert abs(c + c.T).max() == 0.0
+
+
+def test_cross_blocks_uniform_m_are_mass_weighted(cube2):
+    # for uniform m, w_ij = M_ij m, so block (i, j) is M_ij m . (t_b(j) x t_a(i))
     ws = make_llg_workspace(cube2)
     m = np.array([0.3, -0.8, 0.52])
     m /= np.linalg.norm(m)
-    C = ws.cross_matrix(np.tile(m, (cube2.n_nodes, 1)))
-    skew = np.array([[0, -m[2], m[1]], [m[2], 0, -m[0]], [-m[1], m[0], 0]])
-    expect = kron(assemble_mass(cube2).matrix, skew).toarray()
-    np.testing.assert_allclose(C.toarray(), expect, atol=1e-15)
-
-
-def test_workspace_vector_matrices(cube2):
-    ws = make_llg_workspace(cube2)
-    M = assemble_mass(cube2).matrix
-    np.testing.assert_allclose(
-        ws.mass3.toarray(), kron(M, np.eye(3)).toarray(), atol=1e-15
-    )
+    values = np.tile(m, (cube2.n_nodes, 1))
+    t = frames(ws, values)
+    pattern = ws.stiffness.matrix
+    rows = np.repeat(np.arange(cube2.n_nodes), np.diff(pattern.indptr))
+    ti, tj = t[rows], t[pattern.indices]
+    tj_x_ti = np.cross(tj[:, :, None], ti[:, None])  # [p, b, a] = t_b(j) x t_a(i)
+    expect = np.einsum("p,d,pbad->pab", ws.mass.matrix.data, m, tj_x_ti)
+    np.testing.assert_allclose(ws.cross_matrix(values, t), expect, atol=1e-15)
 
 
 def test_frame_canonical_example(cube2):
@@ -118,6 +175,8 @@ def test_frame_validation(cube2):
 def test_state_validation(cube2):
     with pytest.raises(ValueError, match="unit"):
         unit_state(cube2, [0.0, 0.0, 2.0])
+    with pytest.raises(ValueError, match="unit"):
+        unit_state(cube2, [np.nan, np.nan, np.nan])
 
 
 def test_velocity_closed_form_uniform_state(cube2):
@@ -129,7 +188,8 @@ def test_velocity_closed_form_uniform_state(cube2):
     state = unit_state(cube2, m)
     ws = make_llg_workspace(cube2)
     f_field = NodalVectorField(cube2, np.tile(f, (cube2.n_nodes, 1)))
-    v, _ = llg_step(ws, state, [], f_field, consts, theta=1.0, k=1e-3)
+    pi, _ = evaluate_contributions([], state.m, f_field, 0)
+    v, _ = llg_step(ws, state, pi, f_field, consts, theta=1.0, k=1e-3)
     f_perp = f - (f @ m) * m
     expect = (alpha * f_perp - np.cross(m, f)) / (1.0 + alpha**2)
     np.testing.assert_allclose(v.values, np.tile(expect, (cube2.n_nodes, 1)), atol=1e-12)
@@ -140,7 +200,8 @@ def test_velocity_is_tangent(cube2):
     state = unit_state(cube2, random_unit_field(cube2, 42))
     f_field = NodalVectorField(cube2, np.tile([0.2, 0.0, 0.5], (cube2.n_nodes, 1)))
     contribs = [UniaxialContribution(axis=np.array([0.0, 0.0, 1.0]), scale=0.5)]
-    v, _ = llg_step(ws, state, contribs, f_field, CONSTANTS, theta=1.0, k=1e-2)
+    pi, _ = evaluate_contributions(contribs, state.m, f_field, 0)
+    v, _ = llg_step(ws, state, pi, f_field, CONSTANTS, theta=1.0, k=1e-2)
     np.testing.assert_allclose((v.values * state.m.values).sum(axis=1), 0.0, atol=1e-12)
 
 
@@ -149,7 +210,8 @@ def test_renormalization_update_and_nodal_bounds(cube2):
     state = unit_state(cube2, random_unit_field(cube2, 43))
     f_field = NodalVectorField(cube2, np.tile([0.0, 0.3, 0.4], (cube2.n_nodes, 1)))
     k = 5e-2
-    v, nxt = llg_step(ws, state, [], f_field, CONSTANTS, theta=1.0, k=k)
+    pi, _ = evaluate_contributions([], state.m, f_field, 0)
+    v, nxt = llg_step(ws, state, pi, f_field, CONSTANTS, theta=1.0, k=k)
     raw = state.m.values + k * v.values
     np.testing.assert_allclose(nxt.m.values, raw / np.linalg.norm(raw, axis=1, keepdims=True), atol=1e-15)
     np.testing.assert_allclose(np.linalg.norm(nxt.m.values, axis=1), 1.0, atol=1e-12)
@@ -165,7 +227,8 @@ def test_renormalization_update_and_nodal_bounds(cube2):
 def test_zero_drive_gives_zero_velocity(cube2):
     ws = make_llg_workspace(cube2)
     state = unit_state(cube2, [0.0, 0.0, 1.0])
-    v, nxt = llg_step(ws, state, [], None, CONSTANTS, theta=1.0, k=1e-3)
+    pi, _ = evaluate_contributions([], state.m, None, 0)
+    v, nxt = llg_step(ws, state, pi, None, CONSTANTS, theta=1.0, k=1e-3)
     assert np.abs(v.values).max() == 0.0
     np.testing.assert_array_equal(nxt.m.values, state.m.values)
 
@@ -173,10 +236,11 @@ def test_zero_drive_gives_zero_velocity(cube2):
 def test_step_parameter_validation(cube2):
     ws = make_llg_workspace(cube2)
     state = unit_state(cube2, [0.0, 0.0, 1.0])
+    pi, _ = evaluate_contributions([], state.m, None, 0)
     with pytest.raises(ValueError, match="theta"):
-        llg_step(ws, state, [], None, CONSTANTS, theta=1.5, k=1e-3)
+        llg_step(ws, state, pi, None, CONSTANTS, theta=1.5, k=1e-3)
     with pytest.raises(ValueError, match="time step must be positive"):
-        llg_step(ws, state, [], None, CONSTANTS, theta=1.0, k=0.0)
+        llg_step(ws, state, pi, None, CONSTANTS, theta=1.0, k=0.0)
 
 
 class ExplodingContribution(FieldContribution):
@@ -193,10 +257,17 @@ class ExplodingContribution(FieldContribution):
 
 
 def test_nonfinite_contribution_is_named(cube2):
-    ws = make_llg_workspace(cube2)
     state = unit_state(cube2, [0.0, 0.0, 1.0])
     with pytest.raises(RuntimeError, match="'exploding' produced non-finite values"):
-        llg_step(ws, state, [ExplodingContribution()], None, CONSTANTS, theta=1.0, k=1e-3)
+        evaluate_contributions([ExplodingContribution()], state.m, None, 0)
+
+
+def test_llg_step_rejects_nonfinite_pi(cube2):
+    ws = make_llg_workspace(cube2)
+    state = unit_state(cube2, [0.0, 0.0, 1.0])
+    pi = NodalVectorField(cube2, np.full((cube2.n_nodes, 3), np.nan))
+    with pytest.raises(RuntimeError, match="non-finite"):
+        llg_step(ws, state, pi, None, CONSTANTS, theta=1.0, k=1e-3)
 
 
 def small_setup(mesh, n_steps, *, theta=1.0, k=0.05, seed=7, contributions=(), f=None):
@@ -268,6 +339,16 @@ def test_run_aborts_with_partial_trajectory(cube1):
     partial = err.value.partial_trajectory
     assert len(partial.states) == 3  # initial plus two completed steps
     assert len(partial.records) == 3
+
+
+def test_run_rejects_nonfinite_inputs(cube1):
+    # every guard compares as "not x <= bound", which a NaN fails
+    with pytest.raises(RuntimeError, match="run aborted at step 0"):
+        run(small_setup(cube1, 2, f=np.array([np.nan, 0.0, 0.5])))
+    setup = small_setup(cube1, 2)
+    setup.m0 = np.full_like(setup.m0, np.nan)
+    with pytest.raises(ValueError, match="not unit-modulus"):
+        run(setup)
 
 
 def test_run_warns_on_denormalized_m0(cube1, caplog):
