@@ -20,9 +20,25 @@ P_e for the segment integral of 1/R along edge e:
 where Omega is the solid angle of T seen from x, signed positive on the +nu
 side (Van Oosterom-Strackee), and g_i the in-plane gradient of the hat
 lam_i.  Both right-hand sides vanish termwise as zeta -> 0 except for the
-jump carried by Omega, so taking Omega = 0 when x lies in the panel plane
-yields the principal value automatically; self-panel Galerkin entries of the
+jump carried by Omega, so taking Omega = 0 and zeta = 0 when x lies in the
+panel plane yields the principal value; self-panel Galerkin entries of the
 double layer are exactly zero.
+
+The edge tangents t_e, edge normals m_e and hat gradients g_i lie in the
+panel plane, so every per-pair quantity is an affine function of x, and each
+comes from one (P, 3) @ (3, F) matmul plus a per-face constant:
+
+    zeta = x.nu - v_0.nu,   d_e = a_e.m_e - x.m_e,   l_e = a_e.t_e - x.t_e,
+    lam_i(x_par) = 1 + x.g_i - v_i.g_i
+
+(l_e is the signed distance along t_e from the projection of x to the edge's
+start a_e = v_e).  With r_k = v_k - x, the vertex distances follow as
+|r_e| = sqrt(d_e^2 + l_e^2 + zeta^2), the Van Oosterom-Strackee numerator
+r_0.(r_1 x r_2) is -2 |T| zeta, and the pairwise products come from the law
+of cosines, r_k.r_k+1 = (|r_k|^2 + |r_k+1|^2 - |e_k|^2) / 2.  So the kernel
+only ever forms (points, faces) planes, besides its (points, faces, 3) hat
+output.  Coordinates are taken relative to the surface's mean vertex, so
+their rounding scales with the body's size, not with its distance from 0.
 
 Galerkin matrices use the 7-point triangle rule for the outer (test)
 integral and the closed forms for the inner one.
@@ -48,26 +64,35 @@ from .mesh import SurfaceMesh
 # panel diameter, are treated as lying on it (principal value).
 _PLANE_TOL = 1e-12
 
-# Evaluation points per panel_integrals call.  Each call builds several
-# (points, faces, 3) temporaries, so this bounds the working memory of
+# Evaluation points per panel_integrals call.  Each call builds a few dozen
+# (points, faces) temporaries, so this bounds the working memory of
 # assemble_bem and eval_* at O(BATCH_POINTS * F) whatever the point count.
 BATCH_POINTS = 512
 
 
 @dataclass
 class PanelGeometry:
-    """Per-face quantities the closed-form integrals need, precomputed."""
+    """Per-face quantities the closed-form integrals need, precomputed.
+
+    ``(x - origin) @ frame[j] + offset[j]`` is, at each face, coordinate j
+    of the point x: j = 0 is zeta, 1..3 are d_e, 4..6 are l_e and 7..8 are
+    lam_0, lam_1 at x_par (see the module docstring).  Per-face vectors are
+    stored face-last, so each (k, ...) slice is contiguous.
+    """
 
     vertices: np.ndarray  # (F, 3, 3)
-    normals: np.ndarray  # (F, 3)
-    tangents: np.ndarray  # (F, 3, 3) unit edge directions, cyclic
-    edge_normals: np.ndarray  # (F, 3, 3) outward in-plane edge normals
-    hat_gradients: np.ndarray  # (F, 3, 3) in-plane gradients of the hats
+    origin: np.ndarray  # (3,) mean face vertex, subtracted from every point
+    frame: np.ndarray  # (9, 3, F) coordinate directions
+    offset: np.ndarray  # (9, F) coordinate constants
+    hat_edge: np.ndarray  # (3, 3, F) g_i . m_e, indexed [i, e, f]
+    edge_lengths: np.ndarray  # (3, F) |e_k| = |v_k+1 - v_k|
+    areas: np.ndarray  # (F,)
     diameters: np.ndarray  # (F,)
 
 
 def panel_geometry(surface: SurfaceMesh) -> PanelGeometry:
-    v = surface.vertex_coords
+    origin = surface.vertex_coords.reshape(-1, 3).mean(axis=0)
+    v = surface.vertex_coords - origin
     n = surface.normals
     edges = np.roll(v, -1, axis=1) - v
     lengths = np.linalg.norm(edges, axis=2)
@@ -80,20 +105,83 @@ def panel_geometry(surface: SurfaceMesh) -> PanelGeometry:
     for i in range(3):
         opp = (i + 1) % 3
         g[:, i, :] = -m[:, opp, :] * (lengths[:, opp] / (2.0 * areas))[:, None]
+    # rows: zeta, d_e, l_e, lam_0, lam_1, each direction . (x - anchor)
+    directions = np.concatenate([n[:, None], -m, -t, g[:, :2]], axis=1)  # (F, 9, 3)
+    anchors = np.concatenate([v[:, :1], v, v, v[:, :2]], axis=1)  # (F, 9, 3)
+    offset = -np.einsum("fjd,fjd->jf", directions, anchors)
+    offset[7:] += 1.0
     return PanelGeometry(
-        vertices=v,
-        normals=n,
-        tangents=t,
-        edge_normals=m,
-        hat_gradients=g,
+        vertices=surface.vertex_coords,
+        origin=origin,
+        frame=np.ascontiguousarray(directions.transpose(1, 2, 0)),
+        offset=offset,
+        hat_edge=np.einsum("fid,fed->ief", g, m),
+        edge_lengths=np.ascontiguousarray(lengths.T),
+        areas=areas,
         diameters=lengths.max(axis=1),
     )
+
+
+def _coordinates(geo: PanelGeometry, points: np.ndarray, rows: range) -> list[np.ndarray]:
+    """The (P, F) planes of the ``geo.frame`` coordinates in ``rows``."""
+    x = np.asarray(points, dtype=np.float64) - geo.origin
+    out = []
+    for j in rows:
+        plane = x @ geo.frame[j]
+        plane += geo.offset[j]
+        out.append(plane)
+    return out
+
+
+def _vertex_distances(
+    geo: PanelGeometry, zeta: np.ndarray, d: list[np.ndarray], l: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Edge-line and vertex distances from the plane coordinates.
+
+    Returns three lists of (P, F) planes, one entry per edge k starting at
+    vertex k: whether the point lies on edge line k (d_k^2 + zeta^2 within
+    _PLANE_TOL), |r_k|^2 = d_k^2 + zeta^2 + l_k^2, and |r_k|.
+    """
+    zeta_sq = zeta * zeta
+    line_tol_sq = (_PLANE_TOL * geo.diameters) ** 2
+    on_line, vertex_sq = [], []
+    for dk, lk in zip(d, l):
+        line_sq = dk * dk + zeta_sq
+        on_line.append(line_sq <= line_tol_sq)
+        vertex_sq.append(line_sq + lk * lk)
+    return on_line, vertex_sq, [np.sqrt(sq) for sq in vertex_sq]
+
+
+def _solid_angle(
+    geo: PanelGeometry, zeta: np.ndarray, vertex_sq: list[np.ndarray], dist: list[np.ndarray]
+) -> np.ndarray:
+    """Signed solid angle of each triangle seen from each point, (P, F).
+
+    Positive when the point lies on the side the face normal points into.
+    Van Oosterom-Strackee, Omega = -2 atan2(det, denom), with both arguments
+    doubled (which leaves atan2 unchanged): 2 det = -4 |T| zeta, and
+    2 r_k.r_k+1 = |r_k|^2 + |r_k+1|^2 - |e_k|^2 by the law of cosines.
+    """
+    denom = 2.0 * dist[0] * dist[1] * dist[2]
+    for k in range(3):
+        # |r_k| (2 r_k+1 . r_k+2)
+        i, j = (k + 1) % 3, (k + 2) % 3
+        denom += dist[k] * (vertex_sq[i] + vertex_sq[j] - geo.edge_lengths[i] ** 2)
+    return -2.0 * np.arctan2((-4.0 * geo.areas) * zeta, denom)
 
 
 def panel_integrals(
     geo: PanelGeometry, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form single and double layer panel integrals, unscaled.
+
+    Every per-pair quantity is a (P, F) plane: zeta, d_e, l_e and the hats
+    at x_par from one matmul each, the vertex distances from (d_e, l_e,
+    zeta), the solid angle from det = -2 |T| zeta and the law of cosines.
+    Pairs within _PLANE_TOL of the panel plane get zeta = Omega = 0 (the
+    principal value, so their double_p1 is exactly 0), and pairs within it
+    of an edge line drop that edge's log term, whose factors d_e and zeta
+    vanish there.
 
     Args:
         geo: precomputed panel geometry for F faces.
@@ -105,77 +193,49 @@ def panel_integrals(
         layer integral), and the three hat-density double layer integrals.
         No 1/(4 pi) factor is applied.
     """
-    points = np.asarray(points, dtype=np.float64)
-    v = geo.vertices
-    n = geo.normals
-    P = points.shape[0]
-    F = v.shape[0]
+    planes = _coordinates(geo, points, range(7))
+    zeta, d, l = planes[0], planes[1:4], planes[4:7]
+    del planes
+    on_plane = np.abs(zeta) <= _PLANE_TOL * geo.diameters
+    zeta[on_plane] = 0.0
 
-    rel0 = points[:, None, :] - v[None, :, 0, :]  # (P, F, 3)
-    zeta = np.einsum("pfd,fd->pf", rel0, n)
-    xpar = points[:, None, :] - zeta[:, :, None] * n[None, :, :]
-
-    on_plane = np.abs(zeta) <= _PLANE_TOL * geo.diameters[None, :]
-
-    # vertex offsets and distances, shared by the solid angle and the edges
-    rel = v[None, :, :, :] - points[:, None, None, :]  # (P, F, 3, 3)
-    dist = np.linalg.norm(rel, axis=3)  # (P, F, 3)
-    omega = _solid_angle(rel, dist)
+    on_line, vertex_sq, dist = _vertex_distances(geo, zeta, d, l)
+    omega = _solid_angle(geo, zeta, vertex_sq, dist)
     omega[on_plane] = 0.0
+    del vertex_sq
 
     single = -zeta * omega
-    edge_term = np.zeros((P, F, 3))  # sum_e (g_i . m_e) P_e per hat i
+    pe = []  # segment integrals of 1/R along each edge
     for k in range(3):
-        a = v[:, k, :]
-        b = v[:, (k + 1) % 3, :]
-        t = geo.tangents[:, k, :]
-        m = geo.edge_normals[:, k, :]
-        rel_a = a[None, :, :] - xpar
-        d = np.einsum("pfd,fd->pf", rel_a, m)
-        la = np.einsum("pfd,fd->pf", rel_a, t)
-        lb = la + np.linalg.norm(b - a, axis=1)[None, :]
-        ra = dist[:, :, k]
-        rb = dist[:, :, (k + 1) % 3]
-        h2 = d * d + zeta * zeta
-        on_line = h2 <= (_PLANE_TOL * geo.diameters[None, :]) ** 2
-        # Two algebraically equal forms of the segment integral of 1/R; pick
-        # the one whose log argument stays away from 0.
-        pos = la + lb > 0.0
-        num = np.where(pos, rb + lb, ra - la)
-        den = np.where(pos, ra + la, rb - lb)
-        den = np.where(on_line, 1.0, den)
-        num = np.where(on_line, 1.0, num)
-        pe = np.log(num / den)
-        single += d * pe
-        gm = np.einsum("fid,fd->fi", geo.hat_gradients, m)  # (F, 3)
-        edge_term += pe[:, :, None] * gm[None, :, :]
+        la = l[k]
+        lb = la + geo.edge_lengths[k]
+        # Two algebraically equal forms of the segment integral of 1/R,
+        # log((rb + lb) / (ra + la)) = log((ra - la) / (rb - lb)); pick the
+        # one whose log argument stays away from 0, as s log(num / den).
+        s = np.where(la + lb > 0.0, 1.0, -1.0)
+        num = s * lb + dist[(k + 1) % 3]
+        den = s * la + dist[k]
+        num[on_line[k]] = 1.0
+        den[on_line[k]] = 1.0
+        num /= den
+        pk = np.log(num, out=num)
+        pk *= s
+        single += d[k] * pk
+        pe.append(pk)
+    del d, l, dist
 
-    lam0 = 1.0 + np.einsum("pfd,fd->pf", xpar - v[None, :, 0, :], geo.hat_gradients[:, 0, :])
-    lam1 = np.einsum("pfd,fd->pf", xpar - v[None, :, 1, :], geo.hat_gradients[:, 1, :]) + 1.0
-    lam_par = np.stack([lam0, lam1, 1.0 - lam0 - lam1], axis=2)
-    double_p1 = lam_par * omega[:, :, None] - zeta[:, :, None] * edge_term
+    double_p1 = np.empty(zeta.shape + (3,))
+    lam = _coordinates(geo, points, range(7, 9))
+    lam.append(1.0 - lam[0] - lam[1])
+    for i in range(3):
+        c = geo.hat_edge[i]  # g_i . m_e
+        edge_term = pe[0] * c[0] + pe[1] * c[1] + pe[2] * c[2]
+        edge_term *= zeta
+        hat = lam[i]
+        hat *= omega
+        hat -= edge_term
+        double_p1[:, :, i] = hat
     return single, omega, double_p1
-
-
-def _solid_angle(rel: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Signed solid angle of each triangle seen from each point, (P, F).
-
-    Positive when the point lies on the side the face normal points into.
-
-    Args:
-        rel: (P, F, 3, 3) offsets from each point to each face's vertices.
-        dist: (P, F, 3) their lengths.
-    """
-    r0, r1, r2 = rel[:, :, 0, :], rel[:, :, 1, :], rel[:, :, 2, :]
-    n0, n1, n2 = dist[:, :, 0], dist[:, :, 1], dist[:, :, 2]
-    det = np.einsum("pfd,pfd->pf", r0, np.cross(r1, r2))
-    denom = (
-        n0 * n1 * n2
-        + n0 * np.einsum("pfd,pfd->pf", r1, r2)
-        + n1 * np.einsum("pfd,pfd->pf", r2, r0)
-        + n2 * np.einsum("pfd,pfd->pf", r0, r1)
-    )
-    return -2.0 * np.arctan2(det, denom)
 
 
 def solid_angles(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
@@ -183,9 +243,11 @@ def solid_angles(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
 
     Equals -4 pi at points inside the surface and 0 outside.
     """
-    points = np.asarray(points, dtype=np.float64)
-    rel = surface.vertex_coords[None, :, :, :] - points[:, None, None, :]
-    return _solid_angle(rel, np.linalg.norm(rel, axis=3)).sum(axis=1)
+    geo = panel_geometry(surface)
+    planes = _coordinates(geo, points, range(7))
+    zeta = planes[0]
+    _, vertex_sq, dist = _vertex_distances(geo, zeta, planes[1:4], planes[4:7])
+    return _solid_angle(geo, zeta, vertex_sq, dist).sum(axis=1)
 
 
 @dataclass

@@ -12,7 +12,7 @@ Subcommands:
 * ``strayfield-test <mesh> <method>``: uniform-magnetization sphere
   oracle; the mean stray field of m = e_z must be m/3 within 10%.
 * ``energy-report <dir>``: re-verify the energy table written by a run
-  (parts recombine; dissipation inequality holds).
+  (values finite; parts recombine; dissipation inequality holds).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -156,6 +157,10 @@ def _energy_report(directory: str) -> int:
     path = f"{directory}/energies.csv"
     records = read_energies_csv(path)
     print(f"{len(records)} records, steps {records[0].step}..{records[-1].step}")
+    nonfinite = sum(not np.isfinite(astuple(r)).all() for r in records)
+    if nonfinite:
+        print(f"FAIL: {nonfinite} records with non-finite values")
+        return 1
     bad_total = 0
     for r in records:
         parts = r.e_exch + r.e_int + r.e_zeeman

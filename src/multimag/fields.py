@@ -143,9 +143,14 @@ def sample_applied_field(f, mesh: TetMesh, t: float) -> NodalVectorField:
     Args:
         f: callable ``f(t, points)`` with points (N, 3), returning (N, 3)
             values or a single broadcastable 3-vector.
+
+    Raises:
+        ValueError: if any sampled value is not finite.
     """
     values = np.asarray(f(t, mesh.nodes), dtype=np.float64)
     values = np.broadcast_to(values, (mesh.n_nodes, 3)).copy()
+    if not np.isfinite(values).all():
+        raise ValueError(f"applied field is not finite at t = {t:.6g}")
     return NodalVectorField(mesh, values)
 
 

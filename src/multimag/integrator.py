@@ -338,7 +338,9 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
 
     Energy records are produced for the initial state and after every step;
     a failure at step i raises with the step index and the partial
-    trajectory attached to the exception as ``partial_trajectory``.
+    trajectory attached to the exception as ``partial_trajectory``.  A
+    non-finite applied field at t = 0 raises the same way as step 0, with
+    no trajectory attached.
 
     Args:
         on_step: optional callback ``on_step(trajectory, state)`` invoked
@@ -370,7 +372,10 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
             return None
         return sample_applied_field(setup.applied_field, setup.mesh, t)
 
-    f0 = sample_f(0.0)
+    try:
+        f0 = sample_f(0.0)
+    except ValueError as exc:
+        raise RuntimeError(f"run aborted at step 0: {exc}") from exc
     pi0, outputs0 = evaluate_contributions(setup.contributions, state.m, f0, 0)
     traj = Trajectory(
         states=[state],

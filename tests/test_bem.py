@@ -7,6 +7,8 @@ classical potential theory on the sphere and cube.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multimag import (
     assemble_bem,
@@ -17,6 +19,7 @@ from multimag import (
     solid_angles,
 )
 from multimag.bem import panel_geometry, panel_integrals
+from multimag.fem import face_quadrature_rule
 
 
 def brute_panel(x, v, level=7):
@@ -50,6 +53,149 @@ def brute_panel(x, v, level=7):
     lam = np.column_stack([1.0 - bc12.sum(axis=1), bc12])
     double_p1 = (areas * (d @ n) / R**3) @ lam
     return single, omega, double_p1
+
+
+def reference_panel_integrals(surface, points):
+    """The tensor form of the closed-form panel integrals, kept as a reference.
+
+    Forms every point-to-vertex offset as a (P, F, 3, 3) array and takes the
+    Van Oosterom-Strackee determinant and dot products from it directly.
+    Same conventions and plane/line rules as ``panel_integrals``, except
+    that on-plane pairs keep their rounded zeta, so self-panel hat values
+    come out near 1e-15 rather than exactly 0.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    v = surface.vertex_coords
+    n = surface.normals
+    edges = np.roll(v, -1, axis=1) - v
+    lengths = np.linalg.norm(edges, axis=2)
+    tangents = edges / lengths[:, :, None]
+    edge_normals = np.cross(tangents, n[:, None, :])
+    grads = np.empty_like(tangents)
+    for i in range(3):
+        opp = (i + 1) % 3
+        grads[:, i, :] = -edge_normals[:, opp, :] * (
+            lengths[:, opp] / (2.0 * surface.areas)
+        )[:, None]
+    tol = 1e-12 * lengths.max(axis=1)[None, :]
+    P, F = points.shape[0], v.shape[0]
+
+    rel0 = points[:, None, :] - v[None, :, 0, :]
+    zeta = np.einsum("pfd,fd->pf", rel0, n)
+    xpar = points[:, None, :] - zeta[:, :, None] * n[None, :, :]
+    on_plane = np.abs(zeta) <= tol
+
+    rel = v[None, :, :, :] - points[:, None, None, :]  # (P, F, 3, 3)
+    dist = np.linalg.norm(rel, axis=3)
+    r0, r1, r2 = rel[:, :, 0, :], rel[:, :, 1, :], rel[:, :, 2, :]
+    n0, n1, n2 = dist[:, :, 0], dist[:, :, 1], dist[:, :, 2]
+    det = np.einsum("pfd,pfd->pf", r0, np.cross(r1, r2))
+    denom = (
+        n0 * n1 * n2
+        + n0 * np.einsum("pfd,pfd->pf", r1, r2)
+        + n1 * np.einsum("pfd,pfd->pf", r2, r0)
+        + n2 * np.einsum("pfd,pfd->pf", r0, r1)
+    )
+    omega = -2.0 * np.arctan2(det, denom)
+    omega[on_plane] = 0.0
+
+    single = -zeta * omega
+    edge_term = np.zeros((P, F, 3))
+    for k in range(3):
+        a = v[:, k, :]
+        m = edge_normals[:, k, :]
+        rel_a = a[None, :, :] - xpar
+        d = np.einsum("pfd,fd->pf", rel_a, m)
+        la = np.einsum("pfd,fd->pf", rel_a, tangents[:, k, :])
+        lb = la + lengths[None, :, k]
+        ra = dist[:, :, k]
+        rb = dist[:, :, (k + 1) % 3]
+        on_line = d * d + zeta * zeta <= tol**2
+        pos = la + lb > 0.0
+        num = np.where(on_line, 1.0, np.where(pos, rb + lb, ra - la))
+        den = np.where(on_line, 1.0, np.where(pos, ra + la, rb - lb))
+        pe = np.log(num / den)
+        single += d * pe
+        edge_term += pe[:, :, None] * np.einsum("fid,fd->fi", grads, m)[None, :, :]
+
+    lam0 = 1.0 + np.einsum("pfd,fd->pf", xpar - v[None, :, 0, :], grads[:, 0, :])
+    lam1 = 1.0 + np.einsum("pfd,fd->pf", xpar - v[None, :, 1, :], grads[:, 1, :])
+    lam_par = np.stack([lam0, lam1, 1.0 - lam0 - lam1], axis=2)
+    double_p1 = lam_par * omega[:, :, None] - zeta[:, :, None] * edge_term
+    return single, omega, double_p1
+
+
+def quadrature_points(surface, faces):
+    """(len(faces) * 7, 3) points of the degree-5 rule on the given faces."""
+    bary, _ = face_quadrature_rule(5)
+    return np.einsum("qk,fkd->fqd", bary, surface.vertex_coords[faces]).reshape(-1, 3)
+
+
+@pytest.mark.parametrize(
+    "level, n_radial, center",
+    [(2, 2, (0.0, 0.0, 0.0)), (2, 2, (3.0, 0.0, 0.0)), (3, 4, (0.0, 0.0, 0.0))],
+)
+def test_panel_integrals_match_tensor_reference(level, n_radial, center):
+    surf = icosphere_volume(level, n_radial=n_radial, center=center).boundary()
+    geo = panel_geometry(surf)
+    rng = np.random.default_rng(level)
+    gap = np.linalg.norm(surf.centroids - surf.centroids[0], axis=1)
+    patch = np.argsort(gap)[:30]  # face 0 and its neighbours: own and near pairs
+    nodes = surf.nodes[surf.boundary_nodes]
+    sets = {
+        "quadrature": quadrature_points(surf, patch),
+        "vertices": nodes[rng.choice(len(nodes), size=min(len(nodes), 150), replace=False)],
+        "far": np.asarray(center) + 3.0 * rng.normal(size=(60, 3)),
+    }
+    for name, pts in sets.items():
+        for new, ref in zip(panel_integrals(geo, pts), reference_panel_integrals(surf, pts)):
+            assert np.abs(new - ref).max() <= 1e-11 * np.abs(ref).max(), name
+
+
+@pytest.mark.parametrize("level, n_radial", [(2, 2), (3, 4)])
+def test_self_panel_double_layer_is_exactly_zero(level, n_radial):
+    surf = icosphere_volume(level, n_radial=n_radial).boundary()
+    faces = np.arange(0, surf.n_faces, surf.n_faces // 320)
+    pts = quadrature_points(surf, faces)
+    _, omega, double_p1 = panel_integrals(panel_geometry(surf), pts)
+    own = np.repeat(faces, len(pts) // len(faces))
+    rows = np.arange(len(pts))
+    assert np.all(omega[rows, own] == 0.0)
+    assert np.all(double_p1[rows, own] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coords=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    face=st.integers(0, 79),
+    project=st.booleans(),
+)
+def test_panel_integrals_property(sphere1, coords, face, project):
+    surf = sphere1.boundary()
+    x = np.array(coords)
+    if project:  # onto the plane of ``face``, possibly outside the triangle
+        n = surf.normals[face]
+        x = x - ((x - surf.vertex_coords[face, 0]) @ n) * n
+    single, omega, double_p1 = panel_integrals(panel_geometry(surf), x[None])
+    if project:
+        assert omega[0, face] == 0.0
+        assert np.all(double_p1[0, face] == 0.0)
+    np.testing.assert_allclose(double_p1.sum(axis=2), omega, rtol=0.0, atol=1e-12)
+    for new, ref in zip((single, omega, double_p1), reference_panel_integrals(surf, x[None])):
+        assert np.abs(new - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_assemble_bem_matches_tensor_reference(sphere2, monkeypatch):
+    from multimag import bem
+
+    surf = sphere2.boundary()
+    new = assemble_bem(surf)
+    monkeypatch.setattr(
+        bem, "panel_integrals", lambda geo, pts: reference_panel_integrals(surf, pts)
+    )
+    ref = assemble_bem(surf)
+    for a, b in ((new.single_layer, ref.single_layer), (new.double_layer, ref.double_layer)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_panel_integrals_match_brute_force(cube1):

@@ -539,7 +539,7 @@ def test_cli_energy_report_detects_growth(tmp_path, capsys):
 def test_cli_energy_report_fails_on_nan_table(tmp_path, capsys):
     write_energies_csv(str(tmp_path / "energies.csv"), fabricated_records([float("nan")] * 3))
     assert main(["energy-report", str(tmp_path)]) == 1
-    assert "do not recombine" in capsys.readouterr().out
+    assert "FAIL: 3 records with non-finite values" in capsys.readouterr().out
 
 
 def test_cli_energy_report_detects_bad_totals(tmp_path, capsys):

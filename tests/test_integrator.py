@@ -351,6 +351,17 @@ def test_run_rejects_nonfinite_inputs(cube1):
         run(setup)
 
 
+def test_run_names_nonfinite_applied_field(cube1):
+    # the sampled field is rejected before it reaches the velocity solve
+    with pytest.raises(RuntimeError, match="step 0: applied field is not finite at t = 0") as err:
+        run(small_setup(cube1, 2, f=np.array([np.nan, 0.0, 0.5])))
+    assert "velocity solve" not in str(err.value)
+    setup = small_setup(cube1, 4, k=0.05)
+    setup.applied_field = lambda t, points: np.array([0.0, 0.0, np.inf if t > 0.07 else 0.5])
+    with pytest.raises(RuntimeError, match="step 1: applied field is not finite at t = 0.1"):
+        run(setup)
+
+
 def test_run_warns_on_denormalized_m0(cube1, caplog):
     setup = small_setup(cube1, 1)
     setup = RunSetup(
