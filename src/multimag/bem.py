@@ -64,6 +64,11 @@ from .mesh import SurfaceMesh
 # panel diameter, are treated as lying on it (principal value).
 _PLANE_TOL = 1e-12
 
+# Pairs closer than this to an edge line, relative to the panel diameter,
+# are checked for cancellation in that edge's log term.  Farther out, the
+# plain form's relative error stays below 2 (l / dist)^2 eps < 2e4 eps.
+_NEAR_LINE = 1e-2
+
 # Evaluation points per panel_integrals call.  Each call builds a few dozen
 # (points, faces) temporaries, so this bounds the working memory of
 # assemble_bem and eval_* at O(BATCH_POINTS * F) whatever the point count.
@@ -139,17 +144,18 @@ def _vertex_distances(
     """Edge-line and vertex distances from the plane coordinates.
 
     Returns three lists of (P, F) planes, one entry per edge k starting at
-    vertex k: whether the point lies on edge line k (d_k^2 + zeta^2 within
-    _PLANE_TOL), |r_k|^2 = d_k^2 + zeta^2 + l_k^2, and |r_k|.
+    vertex k: whether the point lies within _NEAR_LINE of edge line k
+    (d_k^2 + zeta^2 against the panel diameter), |r_k|^2 = d_k^2 + zeta^2
+    + l_k^2, and |r_k|.
     """
     zeta_sq = zeta * zeta
-    line_tol_sq = (_PLANE_TOL * geo.diameters) ** 2
-    on_line, vertex_sq = [], []
+    near_sq = (_NEAR_LINE * geo.diameters) ** 2
+    near_line, vertex_sq = [], []
     for dk, lk in zip(d, l):
         line_sq = dk * dk + zeta_sq
-        on_line.append(line_sq <= line_tol_sq)
+        near_line.append(line_sq < near_sq)
         vertex_sq.append(line_sq + lk * lk)
-    return on_line, vertex_sq, [np.sqrt(sq) for sq in vertex_sq]
+    return near_line, vertex_sq, [np.sqrt(sq) for sq in vertex_sq]
 
 
 def _solid_angle(
@@ -181,7 +187,10 @@ def panel_integrals(
     Pairs within _PLANE_TOL of the panel plane get zeta = Omega = 0 (the
     principal value, so their double_p1 is exactly 0), and pairs within it
     of an edge line drop that edge's log term, whose factors d_e and zeta
-    vanish there.
+    vanish there.  Just outside that tolerance, the distance-plus-offset
+    factor r + s l of the log argument cancels for points above the edge
+    segment; where it does, it is taken as (d_e^2 + zeta^2) / (r - s l),
+    so the result stays finite and accurate.
 
     Args:
         geo: precomputed panel geometry for F faces.
@@ -199,10 +208,11 @@ def panel_integrals(
     on_plane = np.abs(zeta) <= _PLANE_TOL * geo.diameters
     zeta[on_plane] = 0.0
 
-    on_line, vertex_sq, dist = _vertex_distances(geo, zeta, d, l)
+    near_line, vertex_sq, dist = _vertex_distances(geo, zeta, d, l)
     omega = _solid_angle(geo, zeta, vertex_sq, dist)
     omega[on_plane] = 0.0
     del vertex_sq
+    line_tol_sq = (_PLANE_TOL * geo.diameters) ** 2
 
     single = -zeta * omega
     pe = []  # segment integrals of 1/R along each edge
@@ -215,8 +225,21 @@ def panel_integrals(
         s = np.where(la + lb > 0.0, 1.0, -1.0)
         num = s * lb + dist[(k + 1) % 3]
         den = s * la + dist[k]
-        num[on_line[k]] = 1.0
-        den[on_line[k]] = 1.0
+        # Close to the edge line, r + s l cancels where s l < 0 (den for
+        # s = 1, num for s = -1).  Where it keeps less than half of r, it
+        # takes the rationalised form (r^2 - l^2) / (r - s l), that is
+        # (d^2 + zeta^2) / (2 r - (r + s l)).  On the line the log term's
+        # factors vanish, and num = den = 1 drops it.
+        near = np.flatnonzero(near_line[k])  # usually empty; flat is the fast scan
+        if near.size:
+            sq = np.take(d[k], near) ** 2 + np.take(zeta, near) ** 2
+            on_line = sq <= np.take(line_tol_sq, near % zeta.shape[1])
+            for q, r in ((num, dist[(k + 1) % 3]), (den, dist[k])):
+                qn, rn = np.take(q, near), np.take(r, near)
+                cancels = qn < 0.5 * rn
+                qn[cancels] = sq[cancels] / (2.0 * rn[cancels] - qn[cancels])
+                qn[on_line] = 1.0
+                np.put(q, near, qn)
         num /= den
         pk = np.log(num, out=num)
         pk *= s

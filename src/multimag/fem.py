@@ -10,9 +10,13 @@ only where point evaluations of user callables are integrated:
 * tetrahedra use a fixed 4-point rule, exact to degree 2.
 
 The mass and stiffness matrices of a mesh are assembled once and shared by
-every caller.  Linear solves eliminate the constrained nodes and use a
-sparse LU factorization of the free block, built once per operator and set
-of constrained nodes; every solution is checked against the relative
+every caller, and so is every other fixed linear map a time step applies:
+the divergence load (N x 3N), the volume-weighted nodal lift of the
+elementwise gradient (3N x N) and the Clement boundary interpolation
+(Nb x F) are each built once per mesh or surface as a CSR matrix and then
+applied as one matvec.  Linear solves eliminate the constrained nodes and
+use a sparse LU factorization of the free block, built once per operator
+and set of constrained nodes; every solution is checked against the relative
 residual bound SOLVE_RESIDUAL_TOL and raises instead of returning a bad
 solution.
 """
@@ -245,12 +249,54 @@ def _scatter(mesh: TetMesh, element_blocks: np.ndarray) -> SparseOperator:
 
 def divergence_load(mesh: TetMesh, m_values: np.ndarray) -> np.ndarray:
     """Load vector b_i = <m, grad eta_i> for a nodal vector field m (exact)."""
-    m_values = np.asarray(m_values, dtype=np.float64)
-    cell_mean = m_values[mesh.tets].mean(axis=1) * mesh.volumes[:, None]
-    contrib = np.einsum("mkd,md->mk", mesh.hat_gradients, cell_mean)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.tets.ravel(), contrib.ravel())
-    return out
+    if "fem.divergence" not in mesh._cache:
+        mesh._cache["fem.divergence"] = _divergence_matrix(mesh)
+    return mesh._cache["fem.divergence"] @ np.asarray(m_values, dtype=np.float64).reshape(-1)
+
+
+def _divergence_matrix(mesh: TetMesh) -> sparse.csr_matrix:
+    """(N, 3N) map from node-major m to b, composed as G^T W A.
+
+    A (3M x 3N) averages m over each tet's vertices (its exact tet mean, as
+    m is linear), W weights row 3T + d by |T| and G^T tests against the hat
+    gradients.
+    """
+    rows = np.repeat(np.arange(3 * mesh.n_tets), 4)
+    cols = 3 * np.repeat(mesh.tets, 3, axis=0) + np.tile(np.arange(3), mesh.n_tets)[:, None]
+    weighted_mean = sparse.csr_matrix(
+        (np.repeat(0.25 * mesh.volumes, 12), (rows, cols.ravel())),
+        shape=(3 * mesh.n_tets, 3 * mesh.n_nodes),
+    )
+    return (mesh.gradient_matrix.T @ weighted_mean).tocsr()
+
+
+def lifted_gradient(mesh: TetMesh, values: np.ndarray) -> np.ndarray:
+    """Elementwise gradient of a nodal scalar field, lifted to the nodes.
+
+    Node value = sum_T |T| grad(u)_T / sum_T |T| over the tets T containing
+    the node, so affine fields keep their exact gradient.
+
+    Returns:
+        (N, 3) nodal gradient.
+    """
+    if "fem.lifted_gradient" not in mesh._cache:
+        mesh._cache["fem.lifted_gradient"] = _lifted_gradient_matrix(mesh)
+    return (mesh._cache["fem.lifted_gradient"] @ values).reshape(-1, 3)
+
+
+def _lifted_gradient_matrix(mesh: TetMesh) -> sparse.csr_matrix:
+    """(3N, N) map composed as L G: the (3M, N) gradient, then the (3N, 3M)
+    lift whose row 3n + d weights component d on each tet T at node n by
+    |T| / patch(n)."""
+    shape = (mesh.n_tets, 4, 3)  # [T, corner, d]
+    rows = 3 * mesh.tets[:, :, None] + np.arange(3)
+    cols = np.broadcast_to(3 * np.arange(mesh.n_tets)[:, None, None] + np.arange(3), shape)
+    weights = mesh.volumes[:, None] / mesh.node_patch_volumes[mesh.tets]
+    lift = sparse.csr_matrix(
+        (np.broadcast_to(weights[:, :, None], shape).ravel(), (rows.ravel(), cols.ravel())),
+        shape=(3 * mesh.n_nodes, 3 * mesh.n_tets),
+    )
+    return (lift @ mesh.gradient_matrix).tocsr()
 
 
 # Relative residual bound ||b - A x|| <= SOLVE_RESIDUAL_TOL ||b|| that every
@@ -424,9 +470,23 @@ def clement_boundary_interpolation(surface: SurfaceMesh, g) -> np.ndarray:
                 f"expected ({surface.n_faces},) or ({surface.n_faces}, k) face integrals, "
                 f"got {face_integrals.shape}"
             )
-    acc = np.zeros((surface.boundary_nodes.size,) + face_integrals.shape[1:])
-    np.add.at(acc, surface.local_face_indices.ravel(), np.repeat(face_integrals, 3, axis=0))
-    return acc / surface.node_patch_areas.reshape((-1,) + (1,) * (acc.ndim - 1))
+    return clement_matrix(surface) @ face_integrals
+
+
+def clement_matrix(surface: SurfaceMesh) -> sparse.csr_matrix:
+    """(Nb, F) Clement map from per-face integrals to boundary nodal values.
+
+    Entry (n, f) is 1 / (patch area of node n) for the three nodes of face
+    f.  Built once per surface.
+    """
+    if "fem.clement" not in surface._cache:
+        rows = surface.local_face_indices.ravel()
+        cols = np.repeat(np.arange(surface.n_faces), 3)
+        surface._cache["fem.clement"] = sparse.csr_matrix(
+            (1.0 / surface.node_patch_areas[rows], (rows, cols)),
+            shape=(surface.boundary_nodes.size, surface.n_faces),
+        )
+    return surface._cache["fem.clement"]
 
 
 def assemble_boundary_mass(surface: SurfaceMesh) -> sparse.csr_matrix:

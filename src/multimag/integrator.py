@@ -21,7 +21,8 @@ block per entry (i, j) of the mesh's shared P1 pattern.  The cross term
 skew, so the symmetric part is the frame reduction of
 alpha M + C_exch k theta K, positive definite for any k > 0 - the basis of
 the scheme's unconditional stability for theta >= 1/2.  The nonsymmetric
-system is solved with diagonally preconditioned BiCGStab.
+system is solved with BiCGStab, preconditioned by the inverses of the 2x2
+nodal diagonal blocks (block Jacobi), with restarted GMRES as the fallback.
 """
 
 from __future__ import annotations
@@ -249,8 +250,13 @@ def llg_step(
     a_red = ws.velocity_matrix(state.m.values, t, constants.alpha, constants.c_exch * k * theta)
     b_red = np.einsum("nad,nd->na", t, rhs_nodal).ravel()
 
-    c = _solve_velocity(a_red, b_red, solver_tol)
-    v = NodalVectorField(mesh, np.einsum("na,nad->nd", c.reshape(-1, 2), t))
+    solve = _solve_velocity(a_red, b_red, solver_tol)
+    logger.debug(
+        "step %d velocity solve: %d BiCGStab iterations, GMRES fallback %s, "
+        "relative residual %.3e",
+        state.step, solve.bicgstab_iterations, solve.gmres_fired, solve.residual,
+    )
+    v = NodalVectorField(mesh, np.einsum("na,nad->nd", solve.x.reshape(-1, 2), t))
 
     m_new = state.m.values + k * v.values
     norms = np.linalg.norm(m_new, axis=1)
@@ -271,20 +277,63 @@ def llg_step(
     return v, next_state
 
 
-def _solve_velocity(a: sparse.csr_matrix, b: np.ndarray, tol: float) -> np.ndarray:
+@dataclass
+class VelocitySolve:
+    """Outcome of one reduced velocity solve."""
+
+    x: np.ndarray  # (2N,) frame coefficients
+    bicgstab_iterations: int
+    gmres_fired: bool
+    residual: float  # final ||b - A x|| / ||b||
+
+
+def block_jacobi(a: sparse.csr_matrix) -> sparse.csr_matrix:
+    """Inverses of the 2x2 nodal diagonal blocks of the reduced matrix.
+
+    Block n covers rows and columns 2n, 2n + 1.  It is [[d, s], [-s, d]]
+    up to rounding: the symmetric part contributes (alpha M_nn +
+    C_exch k theta K_nn) <t_a(n), t_b(n)> with M_nn > 0, the cross part is
+    skew.  So its determinant d^2 + s^2 is positive and every block inverts.
+
+    Returns:
+        the block-diagonal inverse as a CSR matrix.
+    """
+    diag = a.diagonal()
+    d0, d1 = diag[0::2], diag[1::2]
+    upper, lower = a.diagonal(1)[0::2], a.diagonal(-1)[0::2]
+    det = d0 * d1 - upper * lower
+    inverse = np.stack((d1, -upper, -lower, d0), axis=1) / det[:, None]
+    # rows 2n and 2n + 1 each hold columns 2n, 2n + 1
+    cols = np.arange(a.shape[0]).reshape(-1, 2).repeat(2, axis=0).ravel()
+    indptr = np.arange(0, 2 * a.shape[0] + 1, 2)
+    return sparse.csr_matrix((inverse.ravel(), cols, indptr), shape=a.shape)
+
+
+def _solve_velocity(a: sparse.csr_matrix, b: np.ndarray, tol: float) -> VelocitySolve:
     """Transpose-free Krylov solve of the reduced velocity system.
 
-    BiCGStab first; its short recurrence can break down when the skew part
-    dominates (large k), in which case restarted GMRES finishes the job at
-    the same tolerance.
+    Block-Jacobi preconditioned BiCGStab first; its short recurrence can
+    break down when the skew part dominates (large k), in which case
+    restarted GMRES finishes the job at the same tolerance.
     """
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
-        return np.zeros_like(b)
-    precond = sparse.diags(1.0 / a.diagonal())
-    x, info = spla.bicgstab(a, b, M=precond, rtol=tol, atol=0.0, maxiter=10 * b.size)
-    if info != 0:
-        x2, info2 = spla.gmres(a, b, M=precond, rtol=tol, atol=0.0, restart=200, maxiter=50)
+        return VelocitySolve(np.zeros_like(b), 0, False, 0.0)
+    precond = block_jacobi(a)
+    iterations = 0
+
+    def count(xk):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = spla.bicgstab(
+        a, b, M=precond, rtol=tol, atol=0.0, maxiter=10 * b.size, callback=count
+    )
+    gmres_fired = info != 0
+    if gmres_fired:
+        x2, info2 = spla.gmres(
+            a, b, M=precond, rtol=tol, atol=0.0, restart=200, maxiter=50, callback_type="pr_norm"
+        )
         if np.linalg.norm(b - a @ x2) < np.linalg.norm(b - a @ x):
             x, info = x2, info2
     residual = np.linalg.norm(b - a @ x)
@@ -293,7 +342,7 @@ def _solve_velocity(a: sparse.csr_matrix, b: np.ndarray, tol: float) -> np.ndarr
             f"velocity solve did not converge: rel residual {residual / norm_b:.3e} "
             f"(info={info})"
         )
-    return x
+    return VelocitySolve(x, iterations, gmres_fired, float(residual / norm_b))
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 A ``TetMesh`` is a conforming P1 tetrahedral mesh given by node coordinates
 and 0-based connectivity.  All derived geometry (volumes, shape-function
-gradients, boundary extraction) is computed vectorized and cached on the
-instance.  ``SurfaceMesh`` is the oriented boundary triangulation with
+gradients, boundary extraction, and the fixed (3M, N) sparse map from
+nodal values to per-tet gradients) is computed vectorized and cached on
+the instance.  ``SurfaceMesh`` is the oriented boundary triangulation with
 outward unit normals and links back to the parent tetrahedra, which the
 boundary-element operators and flux evaluations need.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 # Faces of a positively oriented tet (a,b,c,d), ordered so the triangle
 # normals point out of the cell.
@@ -222,6 +224,22 @@ class TetMesh:
             self._cache["boundary"] = boundary_faces(self)
         return self._cache["boundary"]
 
+    @property
+    def gradient_matrix(self) -> sparse.csr_matrix:
+        """(3M, N) map from nodal values to per-tet gradients, built once.
+
+        Row 3T + d holds the d-th components of the four hat gradients of
+        tet T at the columns of its nodes.
+        """
+        if "gradient_matrix" not in self._cache:
+            rows = np.repeat(np.arange(3 * self.n_tets), 4)
+            cols = np.repeat(self.tets, 3, axis=0).ravel()
+            data = self.hat_gradients.transpose(0, 2, 1).ravel()
+            self._cache["gradient_matrix"] = sparse.csr_matrix(
+                (data, (rows, cols)), shape=(3 * self.n_tets, self.n_nodes)
+            )
+        return self._cache["gradient_matrix"]
+
     def element_gradient(self, values: np.ndarray) -> np.ndarray:
         """Piecewise-constant gradient of a nodal scalar field.
 
@@ -231,28 +249,7 @@ class TetMesh:
         Returns:
             (M, 3) gradient per tet.
         """
-        return np.einsum("mk,mkd->md", values[self.tets], self.hat_gradients)
-
-    def lift_element_field(self, cell_values: np.ndarray) -> np.ndarray:
-        """Volume-weighted average of a per-tet field onto the nodes.
-
-        Args:
-            cell_values: (M,) or (M, d) per-tet values.
-
-        Returns:
-            (N,) or (N, d) nodal values, node value = sum_T |T| q_T / sum_T |T|
-            over the tets T containing the node.
-        """
-        cell_values = np.asarray(cell_values, dtype=np.float64)
-        squeeze = cell_values.ndim == 1
-        if squeeze:
-            cell_values = cell_values[:, None]
-        acc = np.zeros((self.n_nodes, cell_values.shape[1]))
-        weighted = cell_values * self.volumes[:, None]
-        for corner in range(4):
-            np.add.at(acc, self.tets[:, corner], weighted)
-        acc /= self.node_patch_volumes[:, None]
-        return acc[:, 0] if squeeze else acc
+        return (self.gradient_matrix @ values).reshape(-1, 3)
 
 
 def load_mesh(path) -> TetMesh:

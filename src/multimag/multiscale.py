@@ -71,6 +71,7 @@ from .fem import (
     clement_boundary_interpolation,
     divergence_load,
     face_quadrature,
+    lifted_gradient,
     solve_spd,
 )
 from .fields import FieldContribution
@@ -526,9 +527,7 @@ def multiscale_field(
         )
     except Exception as exc:
         raise RuntimeError(f"multiscale pipeline failed at stage: {stage}") from exc
-    return NodalVectorField(
-        mws.mesh1, mws.mesh1.lift_element_field(mws.mesh1.element_gradient(u2))
-    )
+    return NodalVectorField(mws.mesh1, lifted_gradient(mws.mesh1, u2))
 
 
 @dataclass

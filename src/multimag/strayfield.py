@@ -16,10 +16,14 @@ produced by a boundary integral operator:
   phi = P0(m.nu) - du11/dnu, again via Galerkin face integrals plus
   boundary interpolation.
 
+The boundary step of each method is a fixed linear map, built once per
+workspace as a dense matrix: C (K - 1/2 Mb) from the trace of u11 (fk,
+Nb x Nb) and C V from phi (gcr, Nb x F), with C the Clement matrix.
+
 The returned field is the elementwise gradient of u11 + u12 lifted to nodes
-by volume-weighted averaging, so it lives in the same nodal space the time
-integrator consumes.  For a uniformly magnetized sphere the exact operator
-gives grad(u1) = m/3.
+by volume-weighted averaging (one fixed sparse map), so it lives in the
+same nodal space the time integrator consumes.  For a uniformly magnetized
+sphere the exact operator gives grad(u1) = m/3.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from .fem import (
     SparseOperator,
     assemble_mass,
     assemble_stiffness,
-    clement_boundary_interpolation,
+    clement_matrix,
     divergence_load,
+    lifted_gradient,
     normal_derivative,
     solve_spd,
 )
@@ -50,7 +55,13 @@ def _mesh_fingerprint(mesh: TetMesh) -> tuple:
 
 @dataclass
 class StrayfieldWorkspace:
-    """Per-mesh assembled state shared by repeated stray-field evaluations."""
+    """Per-mesh assembled state shared by repeated stray-field evaluations.
+
+    ``boundary_map`` is the method's fixed map to the Dirichlet data of u12:
+    C (K - 1/2 Mb) applied to the trace of u11 (fk, Nb x Nb), or C V applied
+    to the face density phi (gcr, Nb x F).  It is rebuilt with the workspace,
+    so ``dataclasses.replace(ws, method=...)`` gets the right one.
+    """
 
     mesh: TetMesh
     surface: SurfaceMesh
@@ -59,10 +70,17 @@ class StrayfieldWorkspace:
     bem: BemOperatorSet
     method: str = "fk"
     _fingerprint: tuple = field(default=(), repr=False, compare=False)
+    boundary_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.method not in ("fk", "gcr"):
             raise ValueError(f"unknown stray-field method {self.method!r}")
+        clement = clement_matrix(self.surface)
+        if self.method == "fk":
+            self.boundary_map = clement @ self.bem.double_layer
+            self.boundary_map -= 0.5 * (clement @ self.bem.boundary_mass).toarray()
+        else:
+            self.boundary_map = clement @ self.bem.single_layer
         if not self._fingerprint:
             self._fingerprint = _mesh_fingerprint(self.mesh)
 
@@ -89,7 +107,7 @@ def make_strayfield_workspace(
 
 
 def _lifted_gradient(mesh: TetMesh, values: np.ndarray) -> NodalVectorField:
-    return NodalVectorField(mesh, mesh.lift_element_field(mesh.element_gradient(values)))
+    return NodalVectorField(mesh, lifted_gradient(mesh, values))
 
 
 def fk_strayfield(ws: StrayfieldWorkspace, m: NodalVectorField) -> NodalVectorField:
@@ -97,9 +115,7 @@ def fk_strayfield(ws: StrayfieldWorkspace, m: NodalVectorField) -> NodalVectorFi
     ws.verify()
     rhs = divergence_load(ws.mesh, m.values)
     u11 = solve_spd(ws.stiffness, rhs, constraint="zero-mean")
-    trace = u11[ws.surface.boundary_nodes]
-    face_integrals = ws.bem.double_layer @ trace - 0.5 * (ws.bem.boundary_mass @ trace)
-    dirichlet = clement_boundary_interpolation(ws.surface, face_integrals)
+    dirichlet = ws.boundary_map @ u11[ws.surface.boundary_nodes]
     u12 = solve_spd(
         ws.stiffness,
         np.zeros(ws.mesh.n_nodes),
@@ -127,8 +143,7 @@ def gcr_strayfield(ws: StrayfieldWorkspace, m: NodalVectorField) -> NodalVectorF
     u11 = solve_spd(ws.stiffness, rhs, constraint="zero-dirichlet")
     flux = normal_derivative(NodalScalarField(ws.mesh, u11), ws.surface)
     phi = p0_normal_trace(ws.surface, m.values) - flux.values
-    face_integrals = ws.bem.single_layer @ phi
-    dirichlet = clement_boundary_interpolation(ws.surface, face_integrals)
+    dirichlet = ws.boundary_map @ phi
     u12 = solve_spd(
         ws.stiffness,
         np.zeros(ws.mesh.n_nodes),

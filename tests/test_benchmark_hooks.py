@@ -78,3 +78,44 @@ def test_solver_sites_resolve(tracer):
     for module_name, solver, _, _ in tracer.SOLVER_SITES:
         spla = importlib.import_module(module_name).__dict__["spla"]
         assert callable(getattr(spla, solver, None)), f"{module_name}.spla.{solver}"
+
+
+def test_tracer_counts_the_iterations_the_velocity_solve_reports(tracer, monkeypatch):
+    # the program's own iteration callback and the tracer's chained one
+    # must count the same BiCGStab iterations
+    from multimag import (
+        MagnetizationState,
+        NodalVectorField,
+        NondimConstants,
+        kuhn_cube,
+        llg_step,
+        make_llg_workspace,
+    )
+    from multimag import integrator
+
+    reports = []
+    solve = integrator._solve_velocity
+
+    def recording(*args):
+        reports.append(solve(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(integrator, "_solve_velocity", recording)
+    mesh = kuhn_cube(2)
+    rng = np.random.default_rng(7)
+    m = np.tile([0.0, 0.0, 1.0], (mesh.n_nodes, 1)) + 0.3 * rng.normal(size=(mesh.n_nodes, 3))
+    m /= np.linalg.norm(m, axis=1, keepdims=True)
+    state = MagnetizationState(m=NodalVectorField(mesh, m), step=0, time=0.0)
+    f = NodalVectorField(mesh, np.tile([0.3, 0.0, 0.5], (mesh.n_nodes, 1)))
+    constants = NondimConstants(c_exch=1.0, c_ani=1.0, alpha=1.0, t_final=1.0)
+    ws = make_llg_workspace(mesh)
+
+    traced = tracer.Tracer("velocity-solve-counter")
+    traced.install()
+    try:
+        llg_step(ws, state, NodalVectorField(mesh, np.zeros_like(m)), f, constants, 1.0, 1e-3)
+    finally:
+        traced.uninstall()
+    assert len(reports) == 1 and reports[0].bicgstab_iterations > 0
+    assert traced.counter("integrator.bicgstab_iters") == reports[0].bicgstab_iterations
+    assert traced.counter("integrator.gmres_iters") == 0

@@ -34,6 +34,7 @@ from multimag.fem import (
     integrate_faces,
     integrate_volume,
     l2_inner,
+    lifted_gradient,
     l2_norm,
     l2_projection_faces,
     normal_derivative,
@@ -165,6 +166,70 @@ def test_divergence_load_matches_stiffness_identity(sphere1):
     b = divergence_load(sphere1, np.tile(m, (sphere1.n_nodes, 1)))
     K = assemble_stiffness(sphere1).matrix
     np.testing.assert_allclose(b, K @ (sphere1.nodes @ m), atol=1e-13)
+
+
+def test_lifted_gradient_exact_on_affine(sphere1):
+    a = np.array([0.3, -1.2, 0.7])
+    grad = lifted_gradient(sphere1, sphere1.nodes @ a + 2.0)
+    np.testing.assert_allclose(grad, np.tile(a, (sphere1.n_nodes, 1)), rtol=0.0, atol=1e-13)
+
+
+# The scatter forms the fixed CSR maps replaced, kept here as their reference.
+def scatter_divergence_load(mesh, m_values):
+    cell_mean = m_values[mesh.tets].mean(axis=1) * mesh.volumes[:, None]
+    contrib = np.einsum("mkd,md->mk", mesh.hat_gradients, cell_mean)
+    out = np.zeros(mesh.n_nodes)
+    np.add.at(out, mesh.tets.ravel(), contrib.ravel())
+    return out
+
+
+def scatter_element_gradient(mesh, values):
+    return np.einsum("mk,mkd->md", values[mesh.tets], mesh.hat_gradients)
+
+
+def scatter_lift(mesh, cell_values):
+    acc = np.zeros((mesh.n_nodes, cell_values.shape[1]))
+    weighted = cell_values * mesh.volumes[:, None]
+    for corner in range(4):
+        np.add.at(acc, mesh.tets[:, corner], weighted)
+    return acc / mesh.node_patch_volumes[:, None]
+
+
+def scatter_clement(surface, face_integrals):
+    acc = np.zeros((surface.boundary_nodes.size,) + face_integrals.shape[1:])
+    np.add.at(acc, surface.local_face_indices.ravel(), np.repeat(face_integrals, 3, axis=0))
+    return acc / surface.node_patch_areas.reshape((-1,) + (1,) * (acc.ndim - 1))
+
+
+def renumbered_cube(n, rng):
+    """kuhn_cube(n) with its nodes and its tets in random order."""
+    mesh = kuhn_cube(n)
+    new_id = rng.permutation(mesh.n_nodes)
+    nodes = np.empty_like(mesh.nodes)
+    nodes[new_id] = mesh.nodes
+    return TetMesh(nodes, new_id[mesh.tets][rng.permutation(mesh.n_tets)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
+def test_fixed_maps_match_scatter_forms(n, seed, k):
+    rng = np.random.default_rng(seed)
+    mesh = renumbered_cube(n, rng)
+    surf = mesh.boundary()
+    m = rng.normal(size=(mesh.n_nodes, 3))
+    u = rng.normal(size=mesh.n_nodes)
+    faces_1 = rng.normal(size=surf.n_faces)
+    faces_k = rng.normal(size=(surf.n_faces, k))
+    pairs = [
+        (divergence_load(mesh, m), scatter_divergence_load(mesh, m)),
+        (mesh.element_gradient(u), scatter_element_gradient(mesh, u)),
+        (lifted_gradient(mesh, u), scatter_lift(mesh, scatter_element_gradient(mesh, u))),
+        (clement_boundary_interpolation(surf, faces_1), scatter_clement(surf, faces_1)),
+        (clement_boundary_interpolation(surf, faces_k), scatter_clement(surf, faces_k)),
+    ]
+    for new, ref in pairs:
+        assert new.shape == ref.shape
+        assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_solve_spd_plain(cube2):

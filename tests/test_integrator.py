@@ -10,7 +10,8 @@ import logging
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.sparse import bsr_matrix, coo_matrix, identity, kron
+from scipy.sparse import bsr_matrix, coo_matrix, diags, identity, kron
+from scipy.sparse import linalg as spla
 
 from multimag import (
     MagnetizationState,
@@ -20,6 +21,7 @@ from multimag import (
     TangentFrame,
     UniaxialContribution,
     build_tangent_frame,
+    icosphere_volume,
     kuhn_cube,
     llg_step,
     make_llg_workspace,
@@ -29,7 +31,8 @@ from multimag import (
 )
 from multimag.fem import assemble_mass, assemble_stiffness, h1_seminorm_sq
 from multimag.fields import FieldContribution
-from multimag.integrator import _CROSS_TENSOR
+from multimag import integrator
+from multimag.integrator import _CROSS_TENSOR, block_jacobi
 
 from conftest import random_unit_field
 
@@ -231,6 +234,65 @@ def test_zero_drive_gives_zero_velocity(cube2):
     v, nxt = llg_step(ws, state, pi, None, CONSTANTS, theta=1.0, k=1e-3)
     assert np.abs(v.values).max() == 0.0
     np.testing.assert_array_equal(nxt.m.values, state.m.values)
+
+
+def reduced_system(mesh, seed, k=1e-3):
+    """The reduced velocity system of an exchange-only step from noisy m."""
+    rng = np.random.default_rng(seed)
+    m = np.tile([0.0, 0.0, 1.0], (mesh.n_nodes, 1)) + 0.3 * rng.normal(size=(mesh.n_nodes, 3))
+    m /= np.linalg.norm(m, axis=1, keepdims=True)
+    ws = make_llg_workspace(mesh)
+    t = ws.frame_matrix(build_tangent_frame(unit_state(mesh, m)))
+    a = ws.velocity_matrix(m, t, CONSTANTS.alpha, CONSTANTS.c_exch * k)
+    b = np.einsum("nad,nd->na", t, -CONSTANTS.c_exch * (ws.stiffness.matrix @ m)).ravel()
+    return a, b
+
+
+def nodal_blocks(matrix):
+    """(N, 2, 2) diagonal blocks of a reduced 2N x 2N matrix."""
+    n = matrix.shape[0] // 2
+    dense = matrix.toarray().reshape(n, 2, n, 2)
+    return dense[np.arange(n), :, np.arange(n), :]
+
+
+def test_block_jacobi_inverts_nodal_blocks_and_cuts_iterations():
+    mesh = icosphere_volume(2, n_radial=2)
+    a, b = reduced_system(mesh, seed=4)
+    precond = block_jacobi(a)
+    assert precond.nnz == 4 * mesh.n_nodes  # block diagonal
+    products = np.einsum("nab,nbc->nac", nodal_blocks(precond), nodal_blocks(a))
+    assert np.abs(products - np.eye(2)).max() <= 1e-13
+
+    def iterations(m):
+        count = []
+        x, info = spla.bicgstab(a, b, M=m, rtol=1e-10, atol=0.0, callback=count.append)
+        assert info == 0
+        return len(count)
+
+    scalar_jacobi = diags(1.0 / a.diagonal())
+    assert iterations(precond) <= iterations(scalar_jacobi)
+
+
+def test_velocity_solve_reports_gmres_fallback(cube2, monkeypatch, caplog):
+    a, b = reduced_system(cube2, seed=2)
+    solve = integrator._solve_velocity(a, b, 1e-10)
+    assert solve.bicgstab_iterations > 0 and not solve.gmres_fired
+    assert solve.residual <= 1e-9
+
+    monkeypatch.setattr(integrator.spla, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 1))
+    solve = integrator._solve_velocity(a, b, 1e-10)
+    assert solve.gmres_fired and solve.bicgstab_iterations == 0
+    assert solve.residual <= 1e-9
+    assert np.linalg.norm(b - a @ solve.x) <= 1e-9 * np.linalg.norm(b)
+    state = unit_state(cube2, random_unit_field(cube2, 2))
+    pi = NodalVectorField(cube2, np.zeros((cube2.n_nodes, 3)))
+    with caplog.at_level(logging.DEBUG, logger="multimag"):
+        llg_step(make_llg_workspace(cube2), state, pi, None, CONSTANTS, 1.0, 1e-3)
+    assert "GMRES fallback True" in caplog.text
+
+    monkeypatch.setattr(integrator.spla, "gmres", lambda a, b, **kw: (np.zeros_like(b), 1))
+    with pytest.raises(RuntimeError, match="velocity solve did not converge"):
+        integrator._solve_velocity(a, b, 1e-10)
 
 
 def test_step_parameter_validation(cube2):

@@ -118,12 +118,6 @@ def test_node_patch_volumes(cube2):
     assert (cube2.node_patch_volumes > 0).all()
 
 
-def test_lift_element_field_constant(cube2):
-    cell = np.tile([1.0, 2.0, 3.0], (cube2.n_tets, 1))
-    nodal = cube2.lift_element_field(cell)
-    np.testing.assert_allclose(nodal, np.tile([1.0, 2.0, 3.0], (cube2.n_nodes, 1)), rtol=1e-13)
-
-
 def test_cube_boundary_geometry(cube1):
     surf = cube1.boundary()
     np.testing.assert_allclose(surf.areas.sum(), 6.0, rtol=1e-13)
