@@ -310,7 +310,9 @@ def assemble_bem(surface: SurfaceMesh, *, quad_degree: int = 5) -> BemOperatorSe
     7-point default, or 2), inner integrals the closed forms; the single
     layer matrix is symmetrized afterwards since the two panels are treated
     asymmetrically by that pairing.  Test faces are walked in batches of at
-    most BATCH_POINTS quadrature points.
+    most BATCH_POINTS quadrature points; each batch's double layer rows
+    reach their node columns through one product with a (3F, Nb) incidence
+    matrix built once per call.
     """
     quad_bary, quad_w = face_quadrature_rule(quad_degree)
     geo = panel_geometry(surface)
@@ -320,7 +322,12 @@ def assemble_bem(surface: SurfaceMesh, *, quad_degree: int = 5) -> BemOperatorSe
     k_mat = np.zeros((f_count, nb))
 
     quad_pts = np.einsum("qk,fkd->fqd", quad_bary, surface.vertex_coords)
-    col_idx = surface.local_face_indices  # (F, 3)
+    # (3F, Nb) incidence: row 3f + i holds a 1 in the column of face f's
+    # vertex i, so it sums each batch's per-face hat rows into node columns
+    scatter = sparse.csr_matrix(
+        (np.ones(3 * f_count), (np.arange(3 * f_count), surface.local_face_indices.ravel())),
+        shape=(3 * f_count, nb),
+    )
 
     faces_per_batch = max(1, BATCH_POINTS // len(quad_w))
     for start in range(0, f_count, faces_per_batch):
@@ -336,8 +343,7 @@ def assemble_bem(surface: SurfaceMesh, *, quad_degree: int = 5) -> BemOperatorSe
         k_rows = np.einsum(
             "bqfi,bq->bfi", double_p1.reshape(nf, nq, f_count, 3), w.reshape(nf, nq)
         )
-        for local in range(3):
-            np.add.at(k_mat[start:stop], (slice(None), col_idx[:, local]), k_rows[:, :, local])
+        k_mat[start:stop] = k_rows.reshape(nf, -1) @ scatter
 
     v_mat *= 1.0 / (4.0 * np.pi)
     k_mat *= 1.0 / (4.0 * np.pi)

@@ -12,13 +12,13 @@ only where point evaluations of user callables are integrated:
 The mass and stiffness matrices of a mesh are assembled once and shared by
 every caller, and so is every other fixed linear map a time step applies:
 the divergence load (N x 3N), the volume-weighted nodal lift of the
-elementwise gradient (3N x N) and the Clement boundary interpolation
-(Nb x F) are each built once per mesh or surface as a CSR matrix and then
-applied as one matvec.  Linear solves eliminate the constrained nodes and
-use a sparse LU factorization of the free block, built once per operator
-and set of constrained nodes; every solution is checked against the relative
-residual bound SOLVE_RESIDUAL_TOL and raises instead of returning a bad
-solution.
+elementwise gradient (3N x N), the Clement boundary interpolation (Nb x F)
+and the outward normal derivative (F x N) are each built once per mesh or
+surface as a CSR matrix and then applied as one matvec.  Linear solves
+eliminate the constrained nodes and use a sparse LU factorization of the
+free block, built once per operator and set of constrained nodes; every
+solution is checked against the relative residual bound SOLVE_RESIDUAL_TOL
+and raises instead of returning a bad solution.
 """
 
 from __future__ import annotations
@@ -509,10 +509,19 @@ def normal_derivative(u: NodalScalarField, surface: SurfaceMesh) -> FaceDensity:
     """Elementwise outward normal derivative of a P1 field on the boundary.
 
     Each face takes the (constant) gradient of its parent tet dotted with
-    the outward unit normal.
+    the outward unit normal.  That is a fixed (F, N) map, built once per
+    surface: row f holds the parent tet's four hat gradients dotted with
+    the normal of f, at the columns of the tet's nodes.
     """
-    grad = u.gradient()[surface.parent_tets]
-    return FaceDensity(surface, np.einsum("fd,fd->f", grad, surface.normals))
+    if "fem.normal_derivative" not in surface._cache:
+        mesh, parents = u.mesh, surface.parent_tets
+        data = np.einsum("fid,fd->fi", mesh.hat_gradients[parents], surface.normals)
+        rows = np.repeat(np.arange(surface.n_faces), 4)
+        surface._cache["fem.normal_derivative"] = sparse.csr_matrix(
+            (data.ravel(), (rows, mesh.tets[parents].ravel())),
+            shape=(surface.n_faces, mesh.n_nodes),
+        )
+    return FaceDensity(surface, surface._cache["fem.normal_derivative"] @ u.values)
 
 
 def trace_values(values: np.ndarray, surface: SurfaceMesh) -> np.ndarray:

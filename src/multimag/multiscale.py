@@ -19,6 +19,9 @@ linear maps of the Gamma_1 trace and of (phi, w) on Gamma_2.  Each is built
 once, on first use, as a dense matrix on the MultiscaleWorkspace (the layer
 potential of every unit density at the target face quadrature points, face
 integrals, Clement averages) and then applied as a matrix-vector product.
+Step 3 depends on f alone: the CouplingWorkspace keeps the last u_app with a
+copy of its f and solves again only when f changes bitwise, so a constant
+applied field costs one solve per workspace.
 
 The coupling system for the total potential u in Omega_2 and the exterior
 normal derivative phi on Gamma_2 reads, with g(t) = t + chi(t) t,
@@ -42,11 +45,20 @@ stabilized operator is strongly monotone when gamma > 1/4, which is
 enforced at solver entry.  The nonlinear solve is a damped Zarantonello
 iteration x <- x - delta P^-1 (A(x) - b) with delta = gamma / lip^2 and P
 the chi == 0 stabilized matrix, or optionally a Kacanov iteration that
-refreezes the weights chi(|grad u|) and re-solves.
+refreezes the weights chi(|grad u|) and re-solves.  Both converge from any
+start x0 (Aurada, Feischl, Fuehrer, Karkulik, Melenk & Praetorius, Comput.
+Mech. 51, 2013).  A MultiscaleContribution therefore starts each solve from
+the previous converged state it keeps in ``last_state``, and from x = 0 at
+time index 0, so every run starts from the same point and reruns repeat
+exactly.  The iteration applies A through the gradient map G of the mesh,
+G^T ((1 + chi(|Gu|)) |T| Gu), and assembles no matrix.  Linear laws are one
+direct solve with an LU factored once per chi and kept on the workspace
+(for chi == 0 it is the LU of P).
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -76,6 +88,8 @@ from .fem import (
 )
 from .fields import FieldContribution
 from .mesh import SurfaceMesh, TetMesh
+
+logger = logging.getLogger("multimag")
 
 
 @dataclass(frozen=True)
@@ -181,6 +195,11 @@ class CouplingState:
     iterations: int
     residual_history: list
 
+    @property
+    def x(self) -> np.ndarray:
+        """The solution vector (u, phi), a start point for the next solve."""
+        return np.concatenate([self.u.values, self.phi.values])
+
 
 @dataclass
 class CouplingData:
@@ -202,6 +221,9 @@ class CouplingWorkspace:
     s_vec: np.ndarray = field(default=None, repr=False)  # stabilization vector
     p_lu: tuple = field(default=None, repr=False)  # LU of the chi==0 matrix
     flux_cho: tuple = field(default=None, repr=False)  # Cholesky of the flux normal matrix
+    gradient_t: sparse.csr_matrix = field(default=None, init=False, repr=False)  # (N, 3M) G^T
+    _linear_lus: dict = field(default_factory=dict, init=False, repr=False)  # chi -> LU
+    _uapp: tuple = field(default=None, init=False, repr=False)  # (f bytes, u_app)
 
     def __post_init__(self) -> None:
         if self.s_vec is None:
@@ -219,6 +241,7 @@ class CouplingWorkspace:
             mb = self.bem.boundary_mass
             normal_matrix = (mb.T @ sparse.diags(1.0 / self.surface.areas) @ mb).toarray()
             self.flux_cho = cho_factor(normal_matrix)
+        self.gradient_t = self.mesh.gradient_matrix.T.tocsr()
 
     @property
     def n_u(self) -> int:
@@ -240,14 +263,42 @@ class CouplingWorkspace:
         A[n2:, n2:] += self.bem.single_layer
         return A + np.outer(self.s_vec, self.s_vec)
 
+    def linear_lu(self, law: MaterialLaw) -> tuple:
+        """LU of the coupling matrix of a linear law, factored once per chi.
+
+        chi == 0 gives the matrix P, whose LU ``p_lu`` already holds.
+        """
+        chi = law.params[0] if law.kind == "linear" else 0.0
+        if chi == 0.0:
+            return self.p_lu
+        if chi not in self._linear_lus:
+            weights = np.full(self.mesh.n_tets, 1.0 + chi)
+            self._linear_lus[chi] = lu_factor(self._dense_matrix(weights))
+        return self._linear_lus[chi]
+
+    def uapp(self, f_values: np.ndarray) -> NodalScalarField:
+        """:func:`solve_uapp` of f, solved again only when f changes bitwise.
+
+        u_app is a function of f alone, so the last result is kept with a
+        copy of its f and returned while f stays the same.
+        """
+        key = np.ascontiguousarray(f_values, dtype=np.float64).tobytes()
+        if self._uapp is None or self._uapp[0] != key:
+            self._uapp = (key, solve_uapp(self, f_values))
+        return self._uapp[1]
+
     def apply(self, law: MaterialLaw, x: np.ndarray) -> np.ndarray:
-        """Stabilized nonlinear operator A(x)."""
+        """Stabilized nonlinear operator A(x).
+
+        The weighted stiffness acts as G^T ((1 + chi(|Gu|)) |T| Gu), with G
+        the (3M, N) gradient map of the mesh, so nothing is assembled.
+        """
         u = x[: self.n_u]
         phi = x[self.n_u :]
-        weights = 1.0 + law.chi(np.linalg.norm(self.mesh.element_gradient(u), axis=1))
-        k_w = assemble_weighted_stiffness(self.mesh, weights)
+        grad = (self.mesh.gradient_matrix @ u).reshape(-1, 3)
+        weights = (1.0 + law.chi(np.linalg.norm(grad, axis=1))) * self.mesh.volumes
         out = np.empty_like(x)
-        out[: self.n_u] = k_w.matrix @ u
+        out[: self.n_u] = self.gradient_t @ (weights[:, None] * grad).ravel()
         bnodes = self.surface.boundary_nodes
         out[: self.n_u][bnodes] -= self.bem.boundary_mass.T @ phi
         out[self.n_u :] = self.bem.single_layer @ phi + (
@@ -305,14 +356,22 @@ def solve_coupling(
     scheme: str = "zarantonello",
     tol_nl: float = 1e-8,
     max_iter: int = 200,
+    x0: np.ndarray | None = None,
 ) -> CouplingState:
     """Solve the stabilized coupling system for (u, phi).
 
-    Linear laws are solved directly in one step.  Nonlinear laws iterate
-    (Zarantonello or Kacanov) until the preconditioned residual
-    ||P^-1 (A(x) - b)||_2 falls below ``tol_nl`` relative to ||P^-1 b||_2;
-    the residual history must decrease strictly monotonically, and the
-    iteration cap aborts with the history attached.
+    Linear laws are solved directly in one step, with the LU of
+    :meth:`CouplingWorkspace.linear_lu`.  Nonlinear laws iterate
+    (Zarantonello or Kacanov) from ``x0`` (zero when None; linear laws
+    ignore it) until the preconditioned residual ||P^-1 (A(x) - b)||_2
+    falls below ``tol_nl`` relative to ||P^-1 b||_2; the residual history
+    must decrease strictly monotonically, and the iteration cap aborts with
+    the history attached.  The scheme, the start, the iterations and the
+    final residual are logged at DEBUG.
+
+    Args:
+        x0: (N2 + F,) start vector (u, phi), such as the ``x`` of an
+            earlier :class:`CouplingState` on this workspace.
     """
     if not law.gamma > 0.25:
         raise ValueError(
@@ -324,18 +383,18 @@ def solve_coupling(
     b = ws.rhs(data)
     norm_pb = np.linalg.norm(lu_solve(ws.p_lu, b))
 
-    def rel_residual(x: np.ndarray) -> float:
-        r = ws.apply(law, x) - b
-        z = np.linalg.norm(lu_solve(ws.p_lu, r))
-        return z / norm_pb if norm_pb > 0.0 else z
-
     if law.is_linear:
-        weights = np.full(ws.mesh.n_tets, 1.0 + (law.params[0] if law.kind == "linear" else 0.0))
-        x = np.linalg.solve(ws._dense_matrix(weights), b)
-        res = rel_residual(x)
-        return _pack_state(ws, x, res, 1, [res])
+        x = lu_solve(ws.linear_lu(law), b)
+        z = np.linalg.norm(lu_solve(ws.p_lu, ws.apply(law, x) - b))
+        res = z / norm_pb if norm_pb > 0.0 else z
+        return _pack_state(ws, x, res, 1, [res], "direct LU", "cold")
 
-    x = np.zeros(ws.n_u + ws.n_phi)
+    if x0 is None:
+        x, start = np.zeros(ws.n_u + ws.n_phi), "cold"
+    else:
+        x, start = np.array(x0, dtype=np.float64), "warm"
+        if x.shape != (ws.n_u + ws.n_phi,):
+            raise ValueError(f"expected ({ws.n_u + ws.n_phi},) start vector, got {x.shape}")
     history: list[float] = []
     delta = law.gamma / law.lip**2
     for iteration in range(1, max_iter + 1):
@@ -349,7 +408,7 @@ def solve_coupling(
             )
         history.append(res)
         if res <= tol_nl:
-            return _pack_state(ws, x, res, iteration, history)
+            return _pack_state(ws, x, res, iteration, history, scheme, start)
         if scheme == "zarantonello":
             x = x - delta * z
         else:
@@ -363,7 +422,11 @@ def solve_coupling(
     )
 
 
-def _pack_state(ws, x, res, iterations, history) -> CouplingState:
+def _pack_state(ws, x, res, iterations, history, scheme, start) -> CouplingState:
+    logger.debug(
+        "coupling solve (%s, %s start): %d iterations, relative residual %.3e",
+        scheme, start, iterations, res,
+    )
     return CouplingState(
         phi=FaceDensity(ws.surface, x[ws.n_u :]),
         u=NodalScalarField(ws.mesh, x[: ws.n_u]),
@@ -490,10 +553,27 @@ def multiscale_field(
     """Environment contribution pi(m, f) = grad(u2) on Omega_1.
 
     Runs the full pipeline: u11 on Omega_1, transfer to Omega_2, auxiliary
-    potential, stabilized coupling solve, and the representation-formula
-    transfer back to Omega_1.  Stage failures are re-raised with the stage
-    named.
+    potential, stabilized coupling solve (from x = 0), and the
+    representation-formula transfer back to Omega_1.  Stage failures are
+    re-raised with the stage named.
     """
+    return _pipeline(
+        mws, m, f_values, law, scheme=scheme, tol_nl=tol_nl, max_iter=max_iter
+    )[0]
+
+
+def _pipeline(
+    mws: MultiscaleWorkspace,
+    m: NodalVectorField,
+    f_values: np.ndarray,
+    law: MaterialLaw,
+    *,
+    scheme: str,
+    tol_nl: float,
+    max_iter: int,
+    x0: np.ndarray | None = None,
+) -> tuple[NodalVectorField, CouplingState]:
+    """pi(m, f) and the converged coupling state; the solve starts at x0."""
     cws = mws.coupling
     f_values = np.broadcast_to(np.asarray(f_values, dtype=np.float64), (cws.mesh.n_nodes, 3))
 
@@ -504,14 +584,14 @@ def multiscale_field(
         stage = "transfer of u1 onto Omega_2"
         u1 = transfer_u1_to_omega2(mws, u11)
         stage = "auxiliary potential u_app"
-        uapp = solve_uapp(cws, f_values)
+        uapp = cws.uapp(f_values)
         stage = "conormal flux of u1"
         lam = conormal_flux(cws, u1.values)
         stage = "coupling solve"
         trace = (u1.values + uapp.values)[cws.surface.boundary_nodes]
         data = CouplingData(flux=lam.values, f=f_values, gamma_trace=trace)
         state = solve_coupling(
-            cws, data, law, scheme=scheme, tol_nl=tol_nl, max_iter=max_iter
+            cws, data, law, scheme=scheme, tol_nl=tol_nl, max_iter=max_iter, x0=x0
         )
         stage = "representation formula transfer to Omega_1"
         w = state.u.values - u1.values - uapp.values
@@ -527,12 +607,17 @@ def multiscale_field(
         )
     except Exception as exc:
         raise RuntimeError(f"multiscale pipeline failed at stage: {stage}") from exc
-    return NodalVectorField(mws.mesh1, lifted_gradient(mws.mesh1, u2))
+    return NodalVectorField(mws.mesh1, lifted_gradient(mws.mesh1, u2)), state
 
 
 @dataclass
 class MultiscaleContribution(FieldContribution):
-    """Environment field as an effective-field term; zeta carries f."""
+    """Environment field as an effective-field term; zeta carries f.
+
+    ``last_state`` is the converged coupling state of the latest
+    evaluation.  The next evaluation starts its solve there, except at time
+    index 0, which starts from x = 0 so that each run starts the same way.
+    """
 
     workspace: MultiscaleWorkspace
     law: MaterialLaw
@@ -541,12 +626,14 @@ class MultiscaleContribution(FieldContribution):
     max_iter: int = 200
     name: str = "multiscale"
     linear_self_adjoint: bool = False
+    last_state: CouplingState | None = field(default=None, init=False, repr=False)
 
     def evaluate(self, m, zeta=None, time_index=0):
         if zeta is None:
             raise ValueError("multiscale contribution needs the applied field as zeta")
         f_values = zeta.values if isinstance(zeta, NodalVectorField) else np.asarray(zeta)
-        return multiscale_field(
+        x0 = self.last_state.x if time_index > 0 and self.last_state is not None else None
+        pi, self.last_state = _pipeline(
             self.workspace,
             m,
             f_values,
@@ -554,4 +641,6 @@ class MultiscaleContribution(FieldContribution):
             scheme=self.scheme,
             tol_nl=self.tol_nl,
             max_iter=self.max_iter,
+            x0=x0,
         )
+        return pi

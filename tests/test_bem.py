@@ -234,6 +234,41 @@ def test_assemble_bem_matches_tensor_reference(sphere2, monkeypatch):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
+def add_at_assemble_bem(surface):
+    """V and K as assembled with per-column np.add.at scatters of K rows."""
+    from multimag.bem import BATCH_POINTS
+
+    quad_bary, quad_w = face_quadrature_rule(5)
+    geo = panel_geometry(surface)
+    f_count, nq = surface.n_faces, len(quad_w)
+    v_mat = np.zeros((f_count, f_count))
+    k_mat = np.zeros((f_count, surface.boundary_nodes.size))
+    quad_pts = np.einsum("qk,fkd->fqd", quad_bary, surface.vertex_coords)
+    col_idx = surface.local_face_indices
+    step = max(1, BATCH_POINTS // nq)
+    for start in range(0, f_count, step):
+        stop = min(start + step, f_count)
+        nf = stop - start
+        single, _, double_p1 = panel_integrals(geo, quad_pts[start:stop].reshape(-1, 3))
+        w = surface.areas[start:stop, None] * quad_w[None, :]
+        v_mat[start:stop] = np.einsum("bqf,bq->bf", single.reshape(nf, nq, f_count), w)
+        k_rows = np.einsum("bqfi,bq->bfi", double_p1.reshape(nf, nq, f_count, 3), w)
+        for local in range(3):
+            np.add.at(k_mat[start:stop], (slice(None), col_idx[:, local]), k_rows[:, :, local])
+    v_mat *= 1.0 / (4.0 * np.pi)
+    k_mat *= 1.0 / (4.0 * np.pi)
+    return 0.5 * (v_mat + v_mat.T), k_mat
+
+
+@pytest.mark.parametrize("level, n_radial", [(1, 2), (3, 4)])
+def test_assemble_bem_scatter_matches_add_at(level, n_radial):
+    surf = icosphere_volume(level, n_radial=n_radial).boundary()
+    ops = assemble_bem(surf)
+    v_ref, k_ref = add_at_assemble_bem(surf)
+    np.testing.assert_array_equal(ops.single_layer, v_ref)
+    assert np.abs(ops.double_layer - k_ref).max() <= 1e-14 * np.abs(k_ref).max()
+
+
 def test_panel_integrals_match_brute_force(cube1):
     surf = cube1.boundary()
     geo = panel_geometry(surf)

@@ -232,6 +232,19 @@ def test_fixed_maps_match_scatter_forms(n, seed, k):
         assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_normal_derivative_map_matches_einsum_form(n, seed):
+    rng = np.random.default_rng(seed)
+    mesh = renumbered_cube(n, rng)
+    surf = mesh.boundary()
+    u = NodalScalarField(mesh, rng.normal(size=mesh.n_nodes))
+    ref = np.einsum("fd,fd->f", u.gradient()[surf.parent_tets], surf.normals)
+    new = normal_derivative(u, surf).values
+    assert new.shape == ref.shape
+    assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_solve_spd_plain(cube2):
     M = assemble_mass(cube2)
     rng = np.random.default_rng(1)

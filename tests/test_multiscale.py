@@ -1,5 +1,7 @@
 """Material laws, the stabilized FEM-BEM coupling, and the two-domain pipeline."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from multimag.multiscale import (
     solve_uapp,
     transfer_u1_to_omega2,
 )
+
+from conftest import random_unit_field
 
 
 @pytest.fixture(scope="module")
@@ -324,3 +328,178 @@ def test_transfers_are_built_once(pair_ws, sphere1, monkeypatch):
     second = multiscale_field(pair_ws, m, [0.0, 0.0, 1.0], law)
     assert calls == []
     np.testing.assert_array_equal(second.values, first.values)
+
+
+def _state_x(state):
+    return np.concatenate([state.u.values, state.phi.values])
+
+
+def test_warm_start_from_converged_state_returns_at_once(pair_ws, sphere1):
+    law = material_law("tanh", 1.0, 1.0)
+    data = coupling_data_for(pair_ws, random_unit_field(sphere1, 3), [0.0, 0.0, 1.0])
+    cold = solve_coupling(pair_ws.coupling, data, law)
+    again = solve_coupling(pair_ws.coupling, data, law, x0=cold.x)
+    assert again.iterations == 1
+    assert again.residual == cold.residual
+    np.testing.assert_array_equal(_state_x(again), _state_x(cold))
+
+
+@pytest.mark.parametrize("scheme", ["zarantonello", "kacanov"])
+def test_warm_start_from_previous_state_takes_fewer_iterations(pair_ws, sphere1, scheme):
+    # two nearby magnetizations, as in consecutive time steps
+    law = material_law("tanh", 1.0, 1.0)
+    m_prev = random_unit_field(sphere1, 4)
+    m_next = m_prev + 0.05 * random_unit_field(sphere1, 5)
+    m_next /= np.linalg.norm(m_next, axis=1, keepdims=True)
+    f = [0.0, 0.0, 1.0]
+    cws = pair_ws.coupling
+    prev = solve_coupling(cws, coupling_data_for(pair_ws, m_prev, f), law, scheme=scheme)
+    data = coupling_data_for(pair_ws, m_next, f)
+    cold = solve_coupling(cws, data, law, scheme=scheme)
+    warm = solve_coupling(cws, data, law, scheme=scheme, x0=prev.x)
+    assert warm.iterations < cold.iterations
+    assert warm.residual <= 1e-8
+    assert (np.diff(warm.residual_history) < 0.0).all()
+    x_cold = _state_x(cold)
+    assert np.linalg.norm(_state_x(warm) - x_cold) <= 1e-6 * np.linalg.norm(x_cold)
+
+
+def test_warm_start_rejects_wrong_shape(pair_ws):
+    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="start vector"):
+        solve_coupling(pair_ws.coupling, data, material_law("tanh", 1.0, 1.0), x0=np.zeros(3))
+
+
+def test_coupling_solve_logs_scheme_start_and_iterations(pair_ws, sphere1, caplog):
+    law = material_law("tanh", 1.0, 1.0)
+    data = coupling_data_for(pair_ws, random_unit_field(sphere1, 6), [0.0, 0.0, 1.0])
+    with caplog.at_level(logging.DEBUG, logger="multimag"):
+        cold = solve_coupling(pair_ws.coupling, data, law)
+        solve_coupling(pair_ws.coupling, data, law, x0=cold.x)
+        solve_coupling(pair_ws.coupling, data, material_law("linear", 2.0))
+    messages = [r.getMessage() for r in caplog.records if "coupling solve" in r.getMessage()]
+    assert messages == [
+        f"coupling solve (zarantonello, cold start): {cold.iterations} iterations, "
+        f"relative residual {cold.residual:.3e}",
+        f"coupling solve (zarantonello, warm start): 1 iterations, "
+        f"relative residual {cold.residual:.3e}",
+        messages[2],
+    ]
+    assert messages[2].startswith("coupling solve (direct LU, cold start): 1 iterations")
+
+
+def test_linear_law_lu_is_factored_once(pair_ws, monkeypatch):
+    from multimag import multiscale
+
+    cws = pair_ws.coupling
+    calls = []
+    factor = multiscale.lu_factor
+
+    def counting(a):
+        calls.append(1)
+        return factor(a)
+
+    monkeypatch.setattr(multiscale, "lu_factor", counting)
+    law = material_law("linear", 3.5)  # a chi no other test factors
+    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    first = solve_coupling(cws, data, law)
+    second = solve_coupling(cws, data, law)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(_state_x(second), _state_x(first))
+    b = cws.rhs(data)
+    expect = np.linalg.solve(cws._dense_matrix(np.full(cws.mesh.n_tets, 4.5)), b)
+    assert np.linalg.norm(_state_x(first) - expect) <= 1e-12 * np.linalg.norm(expect)
+    # chi == 0 is the preconditioner itself
+    assert cws.linear_lu(material_law("zero")) is cws.p_lu
+    assert cws.linear_lu(material_law("linear", 0.0)) is cws.p_lu
+    assert len(calls) == 1
+
+
+def assembled_apply(ws, law, x):
+    """A(x) with the weighted stiffness assembled as a matrix."""
+    from multimag.fem import assemble_weighted_stiffness
+
+    u, phi = x[: ws.n_u], x[ws.n_u :]
+    weights = 1.0 + law.chi(np.linalg.norm(ws.mesh.element_gradient(u), axis=1))
+    bnodes = ws.surface.boundary_nodes
+    out = np.empty_like(x)
+    out[: ws.n_u] = assemble_weighted_stiffness(ws.mesh, weights).matrix @ u
+    out[: ws.n_u][bnodes] -= ws.bem.boundary_mass.T @ phi
+    out[ws.n_u :] = ws.bem.single_layer @ phi + (
+        0.5 * (ws.bem.boundary_mass @ u[bnodes]) - ws.bem.double_layer @ u[bnodes]
+    )
+    return out + ws.s_vec * (ws.s_vec @ x)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [material_law("tanh", 1.0, 1.0), material_law("rational", 2.0, 0.5, 1.0, 0.5)],
+    ids=["tanh", "rational"],
+)
+def test_gradient_form_apply_matches_assembled_form(cube_cws, law):
+    rng = np.random.default_rng(29)
+    for scale in (0.1, 1.0, 10.0):  # |grad u| across the range where chi bends
+        x = scale * rng.normal(size=cube_cws.n_u + cube_cws.n_phi)
+        ref = assembled_apply(cube_cws, law, x)
+        got = cube_cws.apply(law, x)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def multiscale_run_setup(pair_ws, sphere1, f):
+    from multimag import NondimConstants, RunSetup
+
+    contrib = MultiscaleContribution(workspace=pair_ws, law=material_law("tanh", 1.0, 1.0))
+    return RunSetup(
+        mesh=sphere1,
+        m0=random_unit_field(sphere1, 7),
+        constants=NondimConstants(c_exch=1.0, c_ani=1.0, alpha=1.0, t_final=1.0),
+        contributions=[contrib],
+        applied_field=lambda t, points: np.asarray(f),
+        k=1e-3,
+        n_steps=3,
+    )
+
+
+def test_reruns_start_cold_and_repeat_exactly(pair_ws, sphere1, monkeypatch):
+    from multimag import multiscale, run
+
+    starts = []
+    solve = multiscale.solve_coupling
+
+    def recording(*args, x0=None, **kwargs):
+        starts.append("cold" if x0 is None else "warm")
+        return solve(*args, x0=x0, **kwargs)
+
+    monkeypatch.setattr(multiscale, "solve_coupling", recording)
+    setup = multiscale_run_setup(pair_ws, sphere1, [0.2, -0.1, 0.8])
+    first = run(setup)
+    second = run(setup)
+    # each run starts from x = 0 at time index 0, then from the last state
+    assert starts == ["cold", "warm", "warm", "warm"] * 2
+    assert [repr(r) for r in second.records] == [repr(r) for r in first.records]
+    for a, b in zip(first.states, second.states):
+        assert a.m.values.tobytes() == b.m.values.tobytes()
+
+
+def test_uapp_is_solved_once_per_applied_field(pair_ws, sphere1, monkeypatch):
+    from multimag import multiscale, run
+
+    calls = []
+    solve = multiscale.solve_uapp
+
+    def counting(ws, f_values):
+        calls.append(np.array(f_values))
+        return solve(ws, f_values)
+
+    monkeypatch.setattr(multiscale, "solve_uapp", counting)
+    f = [0.1, 0.3, 0.6]  # a field no other test applies
+    setup = multiscale_run_setup(pair_ws, sphere1, f)
+    run(setup)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.broadcast_to(f, calls[0].shape))
+    (contrib,) = setup.contributions
+    m = NodalVectorField(sphere1, random_unit_field(sphere1, 8))
+    contrib.evaluate(m, zeta=np.array(f), time_index=4)
+    assert len(calls) == 1
+    contrib.evaluate(m, zeta=np.array([0.1, 0.3, 0.6 + 1e-12]), time_index=5)
+    assert len(calls) == 2
