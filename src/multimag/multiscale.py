@@ -52,8 +52,7 @@ the previous converged state it keeps in ``last_state``, and from x = 0 at
 time index 0, so every run starts from the same point and reruns repeat
 exactly.  The iteration applies A through the gradient map G of the mesh,
 G^T ((1 + chi(|Gu|)) |T| Gu), and assembles no matrix.  Linear laws are one
-direct solve with an LU factored once per chi and kept on the workspace
-(for chi == 0 it is the LU of P).
+direct solve; for chi == 0 the matrix is P and its LU is reused.
 """
 
 from __future__ import annotations
@@ -222,7 +221,6 @@ class CouplingWorkspace:
     p_lu: tuple = field(default=None, repr=False)  # LU of the chi==0 matrix
     flux_cho: tuple = field(default=None, repr=False)  # Cholesky of the flux normal matrix
     gradient_t: sparse.csr_matrix = field(default=None, init=False, repr=False)  # (N, 3M) G^T
-    _linear_lus: dict = field(default_factory=dict, init=False, repr=False)  # chi -> LU
     _uapp: tuple = field(default=None, init=False, repr=False)  # (f bytes, u_app)
 
     def __post_init__(self) -> None:
@@ -262,19 +260,6 @@ class CouplingWorkspace:
         A[n2:, bnodes] += 0.5 * mb - self.bem.double_layer
         A[n2:, n2:] += self.bem.single_layer
         return A + np.outer(self.s_vec, self.s_vec)
-
-    def linear_lu(self, law: MaterialLaw) -> tuple:
-        """LU of the coupling matrix of a linear law, factored once per chi.
-
-        chi == 0 gives the matrix P, whose LU ``p_lu`` already holds.
-        """
-        chi = law.params[0] if law.kind == "linear" else 0.0
-        if chi == 0.0:
-            return self.p_lu
-        if chi not in self._linear_lus:
-            weights = np.full(self.mesh.n_tets, 1.0 + chi)
-            self._linear_lus[chi] = lu_factor(self._dense_matrix(weights))
-        return self._linear_lus[chi]
 
     def uapp(self, f_values: np.ndarray) -> NodalScalarField:
         """:func:`solve_uapp` of f, solved again only when f changes bitwise.
@@ -360,8 +345,8 @@ def solve_coupling(
 ) -> CouplingState:
     """Solve the stabilized coupling system for (u, phi).
 
-    Linear laws are solved directly in one step, with the LU of
-    :meth:`CouplingWorkspace.linear_lu`.  Nonlinear laws iterate
+    Linear laws are solved directly in one step; for chi == 0 the matrix
+    is P, so its LU ``p_lu`` is reused.  Nonlinear laws iterate
     (Zarantonello or Kacanov) from ``x0`` (zero when None; linear laws
     ignore it) until the preconditioned residual ||P^-1 (A(x) - b)||_2
     falls below ``tol_nl`` relative to ||P^-1 b||_2; the residual history
@@ -384,10 +369,14 @@ def solve_coupling(
     norm_pb = np.linalg.norm(lu_solve(ws.p_lu, b))
 
     if law.is_linear:
-        x = lu_solve(ws.linear_lu(law), b)
+        chi = law.params[0] if law.kind == "linear" else 0.0
+        if chi == 0.0:
+            x = lu_solve(ws.p_lu, b)
+        else:
+            x = np.linalg.solve(ws._dense_matrix(np.full(ws.mesh.n_tets, 1.0 + chi)), b)
         z = np.linalg.norm(lu_solve(ws.p_lu, ws.apply(law, x) - b))
         res = z / norm_pb if norm_pb > 0.0 else z
-        return _pack_state(ws, x, res, 1, [res], "direct LU", "cold")
+        return _pack_state(ws, x, res, 1, [res], "direct", "cold")
 
     if x0 is None:
         x, start = np.zeros(ws.n_u + ws.n_phi), "cold"

@@ -330,10 +330,6 @@ def test_transfers_are_built_once(pair_ws, sphere1, monkeypatch):
     np.testing.assert_array_equal(second.values, first.values)
 
 
-def _state_x(state):
-    return np.concatenate([state.u.values, state.phi.values])
-
-
 def test_warm_start_from_converged_state_returns_at_once(pair_ws, sphere1):
     law = material_law("tanh", 1.0, 1.0)
     data = coupling_data_for(pair_ws, random_unit_field(sphere1, 3), [0.0, 0.0, 1.0])
@@ -341,7 +337,7 @@ def test_warm_start_from_converged_state_returns_at_once(pair_ws, sphere1):
     again = solve_coupling(pair_ws.coupling, data, law, x0=cold.x)
     assert again.iterations == 1
     assert again.residual == cold.residual
-    np.testing.assert_array_equal(_state_x(again), _state_x(cold))
+    np.testing.assert_array_equal(again.x, cold.x)
 
 
 @pytest.mark.parametrize("scheme", ["zarantonello", "kacanov"])
@@ -360,8 +356,8 @@ def test_warm_start_from_previous_state_takes_fewer_iterations(pair_ws, sphere1,
     assert warm.iterations < cold.iterations
     assert warm.residual <= 1e-8
     assert (np.diff(warm.residual_history) < 0.0).all()
-    x_cold = _state_x(cold)
-    assert np.linalg.norm(_state_x(warm) - x_cold) <= 1e-6 * np.linalg.norm(x_cold)
+    x_cold = cold.x
+    assert np.linalg.norm(warm.x - x_cold) <= 1e-6 * np.linalg.norm(x_cold)
 
 
 def test_warm_start_rejects_wrong_shape(pair_ws):
@@ -385,34 +381,31 @@ def test_coupling_solve_logs_scheme_start_and_iterations(pair_ws, sphere1, caplo
         f"relative residual {cold.residual:.3e}",
         messages[2],
     ]
-    assert messages[2].startswith("coupling solve (direct LU, cold start): 1 iterations")
+    assert messages[2].startswith("coupling solve (direct, cold start): 1 iterations")
 
 
-def test_linear_law_lu_is_factored_once(pair_ws, monkeypatch):
-    from multimag import multiscale
-
+def test_linear_law_solutions_match_dense_solve(pair_ws, monkeypatch):
     cws = pair_ws.coupling
-    calls = []
-    factor = multiscale.lu_factor
-
-    def counting(a):
-        calls.append(1)
-        return factor(a)
-
-    monkeypatch.setattr(multiscale, "lu_factor", counting)
-    law = material_law("linear", 3.5)  # a chi no other test factors
     data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
-    first = solve_coupling(cws, data, law)
-    second = solve_coupling(cws, data, law)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(_state_x(second), _state_x(first))
     b = cws.rhs(data)
-    expect = np.linalg.solve(cws._dense_matrix(np.full(cws.mesh.n_tets, 4.5)), b)
-    assert np.linalg.norm(_state_x(first) - expect) <= 1e-12 * np.linalg.norm(expect)
-    # chi == 0 is the preconditioner itself
-    assert cws.linear_lu(material_law("zero")) is cws.p_lu
-    assert cws.linear_lu(material_law("linear", 0.0)) is cws.p_lu
-    assert len(calls) == 1
+    dense = cws._dense_matrix
+    built = []
+
+    def counting(weights):
+        built.append(weights[0])
+        return dense(weights)
+
+    monkeypatch.setattr(cws, "_dense_matrix", counting)
+    for law, weight in [
+        (material_law("zero"), 1.0),
+        (material_law("linear", 0.0), 1.0),
+        (material_law("linear", 3.5), 4.5),
+    ]:
+        state = solve_coupling(cws, data, law)
+        expect = np.linalg.solve(dense(np.full(cws.mesh.n_tets, weight)), b)
+        assert np.linalg.norm(state.x - expect) <= 1e-12 * np.linalg.norm(expect)
+    # chi == 0 is the preconditioner P itself, so only chi > 0 builds a matrix
+    assert built == [4.5]
 
 
 def assembled_apply(ws, law, x):
@@ -492,7 +485,8 @@ def test_uapp_is_solved_once_per_applied_field(pair_ws, sphere1, monkeypatch):
         return solve(ws, f_values)
 
     monkeypatch.setattr(multiscale, "solve_uapp", counting)
-    f = [0.1, 0.3, 0.6]  # a field no other test applies
+    monkeypatch.setattr(pair_ws.coupling, "_uapp", None)
+    f = [0.1, 0.3, 0.6]
     setup = multiscale_run_setup(pair_ws, sphere1, f)
     run(setup)
     assert len(calls) == 1
