@@ -46,12 +46,22 @@ integral and the closed forms for the inner one.
 Potentials at arbitrary points (``eval_single_layer``,
 ``eval_double_layer``) take one density or a matrix whose columns are
 densities, so a fixed point set can be turned into a dense transfer matrix
-by evaluating the identity.  Assembly and evaluation both walk the points in
-batches of BATCH_POINTS, which keeps their memory O(BATCH_POINTS * F).
+by evaluating the identity.
+
+Assembly, evaluation and ``solid_angles`` walk the points in batches of
+about BATCH_PAIRS (point, panel) pairs, so a batch's (P, F) planes fit in
+one core's L2 cache and the working memory is O(BATCH_PAIRS) per worker
+whatever the point count.  The batches are swept on a thread pool with one
+worker per usable CPU (numpy releases the GIL inside the plane
+arithmetic).  Each batch writes only its own rows of the output and nothing
+is reduced across batches, so the results are bit-identical whatever the
+worker count or the order in which batches finish.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +79,47 @@ _PLANE_TOL = 1e-12
 # plain form's relative error stays below 2 (l / dist)^2 eps < 2e4 eps.
 _NEAR_LINE = 1e-2
 
-# Evaluation points per panel_integrals call.  Each call builds a few dozen
-# (points, faces) temporaries, so this bounds the working memory of
-# assemble_bem and eval_* at O(BATCH_POINTS * F) whatever the point count.
-BATCH_POINTS = 512
+# (point, panel) pairs per panel_integrals call: a batch takes
+# max(1, BATCH_PAIRS // F) points.  Each call builds a few dozen (points,
+# faces) temporaries; at 2**16 pairs each is 0.5 MiB, so the live ones stay
+# in a core's L2 cache instead of streaming through memory.
+BATCH_PAIRS = 2**16
+
+
+def _batch_points(n_faces: int) -> int:
+    """Evaluation points per batch against ``n_faces`` panels."""
+    return max(1, BATCH_PAIRS // n_faces)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep(batch, count: int, size: int) -> None:
+    """Call ``batch(start, stop)`` on consecutive ranges of ``count`` items.
+
+    Ranges hold ``size`` items (the last may hold fewer) and run on a
+    thread pool of min(usable CPUs, ranges) workers, or in a plain loop with
+    one.  ``batch`` must write only its own rows of a preallocated output,
+    so the result does not depend on the worker count or on the order in
+    which ranges finish.  An exception raised in any range propagates.
+    """
+    starts = range(0, count, size)
+
+    def run(start: int) -> None:
+        batch(start, min(start + size, count))
+
+    workers = min(_usable_cpus(), len(starts))
+    if workers <= 1:
+        for start in starts:
+            run(start)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in pool.map(run, starts):  # reads every result, so errors raise here
+            pass
 
 
 @dataclass
@@ -267,10 +314,17 @@ def solid_angles(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
     Equals -4 pi at points inside the surface and 0 outside.
     """
     geo = panel_geometry(surface)
-    planes = _coordinates(geo, points, range(7))
-    zeta = planes[0]
-    _, vertex_sq, dist = _vertex_distances(geo, zeta, planes[1:4], planes[4:7])
-    return _solid_angle(geo, zeta, vertex_sq, dist).sum(axis=1)
+    points = np.asarray(points, dtype=np.float64)
+    out = np.empty(points.shape[0])
+
+    def batch(start: int, stop: int) -> None:
+        planes = _coordinates(geo, points[start:stop], range(7))
+        zeta = planes[0]
+        _, vertex_sq, dist = _vertex_distances(geo, zeta, planes[1:4], planes[4:7])
+        out[start:stop] = _solid_angle(geo, zeta, vertex_sq, dist).sum(axis=1)
+
+    _sweep(batch, points.shape[0], _batch_points(surface.n_faces))
+    return out
 
 
 @dataclass
@@ -309,10 +363,10 @@ def assemble_bem(surface: SurfaceMesh, *, quad_degree: int = 5) -> BemOperatorSe
     Outer integrals use a triangle rule of the requested degree (5, the
     7-point default, or 2), inner integrals the closed forms; the single
     layer matrix is symmetrized afterwards since the two panels are treated
-    asymmetrically by that pairing.  Test faces are walked in batches of at
-    most BATCH_POINTS quadrature points; each batch's double layer rows
-    reach their node columns through one product with a (3F, Nb) incidence
-    matrix built once per call.
+    asymmetrically by that pairing.  Test faces are swept in batches of at
+    most BATCH_PAIRS // F quadrature points (one face at least); each
+    batch's double layer rows reach their node columns through one product
+    with a (3F, Nb) incidence matrix built once per call.
     """
     quad_bary, quad_w = face_quadrature_rule(quad_degree)
     geo = panel_geometry(surface)
@@ -329,21 +383,17 @@ def assemble_bem(surface: SurfaceMesh, *, quad_degree: int = 5) -> BemOperatorSe
         shape=(3 * f_count, nb),
     )
 
-    faces_per_batch = max(1, BATCH_POINTS // len(quad_w))
-    for start in range(0, f_count, faces_per_batch):
-        stop = min(start + faces_per_batch, f_count)
-        pts = quad_pts[start:stop].reshape(-1, 3)
-        single, _, double_p1 = panel_integrals(geo, pts)
-        nq = len(quad_w)
+    nq = len(quad_w)
+
+    def batch(start: int, stop: int) -> None:
+        single, _, double_p1 = panel_integrals(geo, quad_pts[start:stop].reshape(-1, 3))
         nf = stop - start
-        w = (surface.areas[start:stop, None] * quad_w[None, :]).reshape(-1)
-        v_mat[start:stop] = np.einsum(
-            "bqf,bq->bf", single.reshape(nf, nq, f_count), w.reshape(nf, nq)
-        )
-        k_rows = np.einsum(
-            "bqfi,bq->bfi", double_p1.reshape(nf, nq, f_count, 3), w.reshape(nf, nq)
-        )
+        w = surface.areas[start:stop, None] * quad_w[None, :]
+        v_mat[start:stop] = np.einsum("bqf,bq->bf", single.reshape(nf, nq, f_count), w)
+        k_rows = np.einsum("bqfi,bq->bfi", double_p1.reshape(nf, nq, f_count, 3), w)
         k_mat[start:stop] = k_rows.reshape(nf, -1) @ scatter
+
+    _sweep(batch, f_count, max(1, _batch_points(f_count) // nq))
 
     v_mat *= 1.0 / (4.0 * np.pi)
     k_mat *= 1.0 / (4.0 * np.pi)
@@ -371,7 +421,8 @@ def eval_single_layer(
 
     Args:
         face_density: (F,) density, or (F, k) for k densities at once.
-        points: (P, 3) evaluation points, walked in batches of BATCH_POINTS.
+        points: (P, 3) evaluation points, swept in batches of
+            BATCH_PAIRS // F.
 
     Returns:
         (P,) potential, or (P, k) with column j the potential of density j.
@@ -380,9 +431,12 @@ def eval_single_layer(
     geo = panel_geometry(surface)
     points = np.asarray(points, dtype=np.float64)
     out = np.empty((points.shape[0], density.shape[1]))
-    for start in range(0, points.shape[0], BATCH_POINTS):
-        single, _, _ = panel_integrals(geo, points[start : start + BATCH_POINTS])
-        out[start : start + BATCH_POINTS] = single @ density
+
+    def batch(start: int, stop: int) -> None:
+        single, _, _ = panel_integrals(geo, points[start:stop])
+        out[start:stop] = single @ density
+
+    _sweep(batch, points.shape[0], _batch_points(surface.n_faces))
     out /= 4.0 * np.pi
     return out.reshape(points.shape[:1] + np.shape(face_density)[1:])
 
@@ -395,7 +449,8 @@ def eval_double_layer(
     Args:
         boundary_values: (Nb,) nodal values in ``surface.boundary_nodes``
             local ordering, or (Nb, k) for k fields at once.
-        points: (P, 3) evaluation points, walked in batches of BATCH_POINTS.
+        points: (P, 3) evaluation points, swept in batches of
+            BATCH_PAIRS // F.
 
     Returns:
         (P,) potential, or (P, k) with column j the potential of field j.
@@ -405,8 +460,11 @@ def eval_double_layer(
     points = np.asarray(points, dtype=np.float64)
     per_face = values[surface.local_face_indices].reshape(-1, values.shape[1])  # (3F, k)
     out = np.empty((points.shape[0], values.shape[1]))
-    for start in range(0, points.shape[0], BATCH_POINTS):
-        _, _, double_p1 = panel_integrals(geo, points[start : start + BATCH_POINTS])
-        out[start : start + BATCH_POINTS] = double_p1.reshape(len(double_p1), -1) @ per_face
+
+    def batch(start: int, stop: int) -> None:
+        _, _, double_p1 = panel_integrals(geo, points[start:stop])
+        out[start:stop] = double_p1.reshape(stop - start, -1) @ per_face
+
+    _sweep(batch, points.shape[0], _batch_points(surface.n_faces))
     out /= 4.0 * np.pi
     return out.reshape(points.shape[:1] + np.shape(boundary_values)[1:])

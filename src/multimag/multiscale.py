@@ -488,11 +488,13 @@ def _check_separated(s1: SurfaceMesh, s2: SurfaceMesh) -> None:
     inside_1 = solid_angles(s2, s1.nodes[s1.boundary_nodes])
     if np.any(inside_2 < -2.0 * np.pi) or np.any(inside_1 < -2.0 * np.pi):
         raise ValueError("domains overlap: boundary nodes of one body lie inside the other")
+    # imported here: scipy.spatial adds ~8 MiB resident to every run that
+    # imports multimag, while only multiscale set-up needs it
+    from scipy.spatial import cKDTree
+
     d1 = s1.nodes[s1.boundary_nodes]
     d2 = s2.nodes[s2.boundary_nodes]
-    gap = np.sqrt(
-        ((d1[:, None, :] - d2[None, :, :]) ** 2).sum(axis=2).min()
-    )
+    gap = cKDTree(d2).query(d1)[0].min()
     if not gap > 0.0:
         raise ValueError("domains touch: boundary node distance is zero")
 

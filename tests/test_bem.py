@@ -5,6 +5,13 @@ subdivision + centroid rule), and the operator-level identities against
 classical potential theory on the sphere and cube.
 """
 
+import itertools
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +25,15 @@ from multimag import (
     kuhn_cube,
     solid_angles,
 )
-from multimag.bem import _PLANE_TOL, panel_geometry, panel_integrals
+from multimag.bem import (
+    _PLANE_TOL,
+    _batch_points,
+    _coordinates,
+    _solid_angle,
+    _vertex_distances,
+    panel_geometry,
+    panel_integrals,
+)
 from multimag.fem import face_quadrature_rule
 
 
@@ -235,9 +250,7 @@ def test_assemble_bem_matches_tensor_reference(sphere2, monkeypatch):
 
 
 def add_at_assemble_bem(surface):
-    """V and K as assembled with per-column np.add.at scatters of K rows."""
-    from multimag.bem import BATCH_POINTS
-
+    """V and K as assembled serially, with per-column np.add.at scatters of K rows."""
     quad_bary, quad_w = face_quadrature_rule(5)
     geo = panel_geometry(surface)
     f_count, nq = surface.n_faces, len(quad_w)
@@ -245,7 +258,7 @@ def add_at_assemble_bem(surface):
     k_mat = np.zeros((f_count, surface.boundary_nodes.size))
     quad_pts = np.einsum("qk,fkd->fqd", quad_bary, surface.vertex_coords)
     col_idx = surface.local_face_indices
-    step = max(1, BATCH_POINTS // nq)
+    step = max(1, _batch_points(f_count) // nq)
     for start in range(0, f_count, step):
         stop = min(start + step, f_count)
         nf = stop - start
@@ -449,7 +462,7 @@ def test_eval_walks_points_in_batches(sphere1, monkeypatch):
 
     surf = sphere1.boundary()
     batch = 16
-    monkeypatch.setattr(bem, "BATCH_POINTS", batch)
+    monkeypatch.setattr(bem, "BATCH_PAIRS", batch * surf.n_faces)
     rng = np.random.default_rng(12)
     pts = rng.normal(size=(3 * batch + 5, 3)) * 2.0
     phi = rng.normal(size=surf.n_faces)
@@ -464,7 +477,8 @@ def test_eval_walks_points_in_batches(sphere1, monkeypatch):
     monkeypatch.setattr(bem, "panel_integrals", recording)
     whole_single = eval_single_layer(surf, phi, pts)
     whole_double = eval_double_layer(surf, u, pts)
-    assert sizes == [batch, batch, batch, 5] * 2
+    # batches may finish in any order on the worker pool
+    assert sorted(sizes) == sorted([batch, batch, batch, 5] * 2)
     chunks = [pts[i : i + batch] for i in range(0, len(pts), batch)]
     np.testing.assert_array_equal(
         whole_single, np.concatenate([eval_single_layer(surf, phi, c) for c in chunks])
@@ -479,7 +493,119 @@ def test_assemble_bem_independent_of_batch_size(sphere1, monkeypatch):
 
     surf = sphere1.boundary()
     reference = assemble_bem(surf)
-    monkeypatch.setattr(bem, "BATCH_POINTS", 64)
-    small = assemble_bem(surf)
-    np.testing.assert_array_equal(small.single_layer, reference.single_layer)
-    np.testing.assert_array_equal(small.double_layer, reference.double_layer)
+    for points_per_batch in (1, 64):  # one face per batch, then nine
+        monkeypatch.setattr(bem, "BATCH_PAIRS", points_per_batch * surf.n_faces)
+        small = assemble_bem(surf)
+        np.testing.assert_array_equal(small.single_layer, reference.single_layer)
+        np.testing.assert_array_equal(small.double_layer, reference.double_layer)
+
+
+def test_solid_angles_match_unbatched_form(sphere1, monkeypatch):
+    from multimag import bem
+
+    surf = sphere1.boundary()
+    geo = panel_geometry(surf)
+    pts = np.random.default_rng(13).normal(size=(70, 3)) * 1.5
+    planes = _coordinates(geo, pts, range(7))
+    _, vertex_sq, dist = _vertex_distances(geo, planes[0], planes[1:4], planes[4:7])
+    whole = _solid_angle(geo, planes[0], vertex_sq, dist).sum(axis=1)
+    monkeypatch.setattr(bem, "BATCH_PAIRS", 16 * surf.n_faces)
+    monkeypatch.setattr(bem, "_usable_cpus", lambda: 3)
+    np.testing.assert_array_equal(solid_angles(surf, pts), whole)
+
+
+def bem_results(surface, pts, rng):
+    """Every batched BEM output, for comparisons across worker counts."""
+    ops = assemble_bem(surface)
+    phi = rng.normal(size=(surface.n_faces, 3))
+    u = rng.normal(size=(surface.boundary_nodes.size, 2))
+    return [
+        ops.single_layer,
+        ops.double_layer,
+        eval_single_layer(surface, phi[:, 0], pts),
+        eval_single_layer(surface, phi, pts),
+        eval_double_layer(surface, u[:, 0], pts),
+        eval_double_layer(surface, u, pts),
+        solid_angles(surface, pts),
+    ]
+
+
+@pytest.mark.parametrize("workers", [2, 3, 64])
+def test_bem_results_independent_of_worker_count(sphere1, monkeypatch, workers):
+    # 16-point batches: 40 in assemble_bem (2 faces each), 4 in each eval;
+    # 64 workers is more than the cores and more than the eval batches
+    from multimag import bem
+
+    surf = sphere1.boundary()
+    pts = np.random.default_rng(14).normal(size=(60, 3)) * 2.0
+    monkeypatch.setattr(bem, "BATCH_PAIRS", 16 * surf.n_faces)
+    monkeypatch.setattr(bem, "_usable_cpus", lambda: 1)
+    serial = bem_results(surf, pts, np.random.default_rng(15))
+    threads_before = threading.active_count()
+    monkeypatch.setattr(bem, "_usable_cpus", lambda: workers)
+    swept = bem_results(surf, pts, np.random.default_rng(15))
+    assert threading.active_count() == threads_before  # the pool is shut down
+    for a, b in zip(swept, serial):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_import_starts_no_thread():
+    import multimag
+
+    code = "import threading, multimag; assert threading.active_count() == 1"
+    package_root = os.path.dirname(os.path.dirname(multimag.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_error_in_one_batch_propagates(sphere1, monkeypatch, workers):
+    from multimag import bem
+
+    surf = sphere1.boundary()
+    pts = np.random.default_rng(16).normal(size=(60, 3)) * 2.0
+    monkeypatch.setattr(bem, "BATCH_PAIRS", 16 * surf.n_faces)
+    monkeypatch.setattr(bem, "_usable_cpus", lambda: workers)
+    panel_integrals = bem.panel_integrals
+    for call in (
+        lambda: assemble_bem(surf),
+        lambda: eval_single_layer(surf, np.ones(surf.n_faces), pts),
+        lambda: eval_double_layer(surf, np.ones((surf.boundary_nodes.size, 2)), pts),
+    ):
+        calls = itertools.count()
+
+        def failing(geo, points, calls=calls):
+            if next(calls) == 2:  # the third batch to start
+                raise RuntimeError("panel batch failed")
+            return panel_integrals(geo, points)
+
+        monkeypatch.setattr(bem, "panel_integrals", failing)
+        with pytest.raises(RuntimeError, match="panel batch failed"):
+            call()
+
+
+def test_sweep_stress_with_short_switch_interval(sphere1, monkeypatch):
+    # many single-point batches on more threads than cores, with the
+    # interpreter switching threads as often as it can: a lost or misplaced
+    # row write shows as a difference from the serial result
+    from multimag import bem
+
+    surf = sphere1.boundary()
+    pts = np.random.default_rng(17).normal(size=(96, 3)) * 2.0
+    phi = np.random.default_rng(18).normal(size=(surf.n_faces, 2))
+    monkeypatch.setattr(bem, "BATCH_PAIRS", surf.n_faces)
+    monkeypatch.setattr(bem, "_usable_cpus", lambda: 1)
+    serial = eval_single_layer(surf, phi, pts), solid_angles(surf, pts)
+    monkeypatch.setattr(bem, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 3.0
+        rounds = 0
+        while rounds < 20 and time.monotonic() < deadline:
+            np.testing.assert_array_equal(eval_single_layer(surf, phi, pts), serial[0])
+            np.testing.assert_array_equal(solid_angles(surf, pts), serial[1])
+            rounds += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert rounds >= 1

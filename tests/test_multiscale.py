@@ -19,6 +19,7 @@ from multimag import (
 from multimag.fem import divergence_load, solve_spd
 from multimag.multiscale import (
     CouplingData,
+    _check_separated,
     conormal_flux,
     solve_coupling,
     solve_uapp,
@@ -262,6 +263,13 @@ def test_overlapping_domains_rejected(sphere1):
     near = icosphere_volume(1, n_radial=2, center=(1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="overlap"):
         make_multiscale_workspace(sphere1, near)
+
+
+def test_touching_domains_rejected():
+    # the cubes share the face x = 1: no node lies inside the other body,
+    # but the boundary node gap is zero
+    with pytest.raises(ValueError, match="touch"):
+        _check_separated(kuhn_cube(1).boundary(), kuhn_cube(2, origin=(1.0, 0.0, 0.0)).boundary())
 
 
 def test_contribution_requires_zeta(pair_ws, sphere1):
