@@ -65,7 +65,6 @@ from .multiscale import (
     MultiscaleWorkspace,
     make_coupling_workspace,
     make_multiscale_workspace,
-    material_g,
     material_law,
     multiscale_field,
     solve_coupling,
@@ -134,7 +133,6 @@ __all__ = [
     "make_llg_workspace",
     "make_multiscale_workspace",
     "make_strayfield_workspace",
-    "material_g",
     "material_law",
     "multiscale_field",
     "read_energies_csv",

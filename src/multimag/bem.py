@@ -40,8 +40,8 @@ only ever forms (points, faces) planes, besides its (points, faces, 3) hat
 output.  Coordinates are taken relative to the surface's mean vertex, so
 their rounding scales with the body's size, not with its distance from 0.
 
-Galerkin matrices use the 7-point triangle rule for the outer (test)
-integral and the closed forms for the inner one.
+Galerkin matrices use the 7-point, degree-5 triangle rule of ``fem`` for
+the outer (test) integral and the closed forms for the inner one.
 
 Potentials at arbitrary points (``eval_single_layer``,
 ``eval_double_layer``) take one density or a matrix whose columns are
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fem import assemble_boundary_mass, face_quadrature_rule
+from .fem import TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS, assemble_boundary_mass
 from .mesh import SurfaceMesh
 
 # Points closer to a panel plane (or edge line) than this, relative to the
@@ -357,25 +357,24 @@ class BemOperatorSet:
         return float(np.abs(rows).max())
 
 
-def assemble_bem(surface: SurfaceMesh, *, quad_degree: int = 5) -> BemOperatorSet:
+def assemble_bem(surface: SurfaceMesh) -> BemOperatorSet:
     """Assemble the Galerkin single and double layer matrices.
 
-    Outer integrals use a triangle rule of the requested degree (5, the
-    7-point default, or 2), inner integrals the closed forms; the single
-    layer matrix is symmetrized afterwards since the two panels are treated
-    asymmetrically by that pairing.  Test faces are swept in batches of at
-    most BATCH_PAIRS // F quadrature points (one face at least); each
-    batch's double layer rows reach their node columns through one product
-    with a (3F, Nb) incidence matrix built once per call.
+    Outer integrals use the 7-point triangle rule, inner integrals the
+    closed forms; the single layer matrix is symmetrized afterwards since
+    the two panels are treated asymmetrically by that pairing.  Test faces
+    are swept in batches of at most BATCH_PAIRS // F quadrature points (one
+    face at least); each batch's double layer rows reach their node columns
+    through one product with a (3F, Nb) incidence matrix built once per
+    call.
     """
-    quad_bary, quad_w = face_quadrature_rule(quad_degree)
     geo = panel_geometry(surface)
     f_count = surface.n_faces
     nb = surface.boundary_nodes.size
     v_mat = np.zeros((f_count, f_count))
     k_mat = np.zeros((f_count, nb))
 
-    quad_pts = np.einsum("qk,fkd->fqd", quad_bary, surface.vertex_coords)
+    quad_pts = np.einsum("qk,fkd->fqd", TRI_QUAD_POINTS, surface.vertex_coords)
     # (3F, Nb) incidence: row 3f + i holds a 1 in the column of face f's
     # vertex i, so it sums each batch's per-face hat rows into node columns
     scatter = sparse.csr_matrix(
@@ -383,12 +382,12 @@ def assemble_bem(surface: SurfaceMesh, *, quad_degree: int = 5) -> BemOperatorSe
         shape=(3 * f_count, nb),
     )
 
-    nq = len(quad_w)
+    nq = len(TRI_QUAD_WEIGHTS)
 
     def batch(start: int, stop: int) -> None:
         single, _, double_p1 = panel_integrals(geo, quad_pts[start:stop].reshape(-1, 3))
         nf = stop - start
-        w = surface.areas[start:stop, None] * quad_w[None, :]
+        w = surface.areas[start:stop, None] * TRI_QUAD_WEIGHTS[None, :]
         v_mat[start:stop] = np.einsum("bqf,bq->bf", single.reshape(nf, nq, f_count), w)
         k_rows = np.einsum("bqfi,bq->bfi", double_p1.reshape(nf, nq, f_count, 3), w)
         k_mat[start:stop] = k_rows.reshape(nf, -1) @ scatter

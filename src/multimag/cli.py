@@ -131,12 +131,12 @@ def _check_mesh(mesh_path: str) -> int:
 def _strayfield_test(mesh_path: str, method: str) -> int:
     from .fem import NodalVectorField
     from .mesh import load_mesh
-    from .strayfield import fk_strayfield, gcr_strayfield, make_strayfield_workspace
+    from .strayfield import StrayfieldContribution, make_strayfield_workspace
 
     mesh = load_mesh(mesh_path)
     ws = make_strayfield_workspace(mesh, method)
     m = NodalVectorField(mesh, np.tile([0.0, 0.0, 1.0], (mesh.n_nodes, 1)))
-    pi = fk_strayfield(ws, m) if method == "fk" else gcr_strayfield(ws, m)
+    pi = StrayfieldContribution(workspace=ws).evaluate(m)
     mean = pi.integral_mean()
     expected = np.array([0.0, 0.0, 1.0 / 3.0])
     err = np.linalg.norm(mean - expected) / np.linalg.norm(expected)

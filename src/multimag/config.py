@@ -44,7 +44,7 @@ _KNOWN_KEYS = {
     "strayfield": {"method"},
     "multiscale": {"law", "params", "scheme", "tol", "max_iter"},
     "applied_field": {"kind", "amplitude", "omega"},
-    "solver": {"tol", "bem_quadrature_degree"},
+    "solver": {"tol"},
     "output": {"directory", "cadence", "vtk"},
 }
 
@@ -70,7 +70,7 @@ class SimulationConfig:
     uniaxial_axis: np.ndarray | None
     cubic_k1: float
     cubic_k2: float
-    strayfield_method: str
+    strayfield_method: str | None  # "fk" | "gcr"; None without the term
     multiscale_law: str
     multiscale_params: tuple
     multiscale_scheme: str
@@ -80,7 +80,6 @@ class SimulationConfig:
     applied_amplitude: np.ndarray | None
     applied_omega: float
     solver_tol: float
-    bem_quad_degree: int
     output_dir: str
     cadence: int
     vtk: bool
@@ -194,13 +193,11 @@ def load_config(path: str) -> SimulationConfig:
         if cubic_k1 < 0.0 or cubic_k2 < 0.0:
             raise ValueError(f"cubic k1 and k2 must be nonnegative, got {cubic_k1}, {cubic_k2}")
 
-    strayfield_method = "none"
+    strayfield_method = None
     if "strayfield" in terms:
         strayfield_method = get("strayfield", "method", "fk")
-        if strayfield_method not in ("fk", "gcr", "none"):
-            raise ValueError(
-                f"strayfield method must be fk, gcr, or none, got {strayfield_method!r}"
-            )
+        if strayfield_method not in ("fk", "gcr"):
+            raise ValueError(f"strayfield method must be fk or gcr, got {strayfield_method!r}")
 
     multiscale_law = "zero"
     multiscale_params: tuple = ()
@@ -251,11 +248,6 @@ def load_config(path: str) -> SimulationConfig:
     solver_tol = float(get("solver", "tol", "1e-10")) if parser.has_section("solver") else 1e-10
     if not solver_tol > 0.0:
         raise ValueError(f"solver tol must be positive, got {solver_tol}")
-    bem_quad_degree = (
-        int(get("solver", "bem_quadrature_degree", "5")) if parser.has_section("solver") else 5
-    )
-    if bem_quad_degree not in (2, 5):
-        raise ValueError(f"bem_quadrature_degree must be 2 or 5, got {bem_quad_degree}")
 
     if not parser.has_section("output"):
         raise ValueError("missing required section [output]")
@@ -291,7 +283,6 @@ def load_config(path: str) -> SimulationConfig:
         applied_amplitude=applied_amplitude,
         applied_omega=applied_omega,
         solver_tol=solver_tol,
-        bem_quad_degree=bem_quad_degree,
         output_dir=output_dir,
         cadence=cadence,
         vtk=vtk_text == "true",
@@ -315,15 +306,11 @@ def build_run_setup(cfg: SimulationConfig) -> RunSetup:
                 CubicContribution(K1=cfg.cubic_k1, K2=cfg.cubic_k2, scale=cfg.constants.c_ani)
             )
         elif term == "strayfield":
-            if cfg.strayfield_method == "none":
-                continue
-            ws = make_strayfield_workspace(
-                mesh1, cfg.strayfield_method, quad_degree=cfg.bem_quad_degree
-            )
+            ws = make_strayfield_workspace(mesh1, cfg.strayfield_method)
             contributions.append(StrayfieldContribution(workspace=ws))
         elif term == "multiscale":
             mesh2 = load_mesh(cfg.mesh_omega2)
-            mws = make_multiscale_workspace(mesh1, mesh2, quad_degree=cfg.bem_quad_degree)
+            mws = make_multiscale_workspace(mesh1, mesh2)
             law = material_law(cfg.multiscale_law, *cfg.multiscale_params)
             contributions.append(
                 MultiscaleContribution(

@@ -2,12 +2,9 @@
 
 Everything here is first-order Lagrange on tetrahedra (volume) and the
 induced P1/P0 spaces on the boundary triangulation.  Element matrices are
-assembled with closed-form integrals (exact for P1), so quadrature enters
-only where point evaluations of user callables are integrated:
-
-* triangles use a 7-point rule exact to degree 5 by default (a 3-point
-  degree-2 rule is selectable where a degree parameter is exposed);
-* tetrahedra use a fixed 4-point rule, exact to degree 2.
+assembled with closed-form integrals (exact for P1); the one quadrature rule
+is the 7-point triangle rule exact to degree 5, which the boundary element
+code uses for its outer (test) integrals and the cross-gap transfers.
 
 The mass and stiffness matrices of a mesh are assembled once and shared by
 every caller, and so is every other fixed linear map a time step applies:
@@ -57,30 +54,6 @@ TRI_QUAD_WEIGHTS = np.array(
         (155.0 + _SQRT15) / 1200.0,
     ]
 )
-
-# 3-point degree-2 triangle rule (edge midpoints).
-TRI_QUAD_DEGREE2_POINTS = np.array(
-    [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
-)
-TRI_QUAD_DEGREE2_WEIGHTS = np.full(3, 1.0 / 3.0)
-
-_TRI_RULES = {
-    2: (TRI_QUAD_DEGREE2_POINTS, TRI_QUAD_DEGREE2_WEIGHTS),
-    5: (TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS),
-}
-
-# 4-point degree-2 tetrahedron rule (barycentric, weights sum to 1).
-_TA = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
-_TB = (5.0 - np.sqrt(5.0)) / 20.0
-TET_QUAD_POINTS = np.array(
-    [
-        [_TA, _TB, _TB, _TB],
-        [_TB, _TA, _TB, _TB],
-        [_TB, _TB, _TA, _TB],
-        [_TB, _TB, _TB, _TA],
-    ]
-)
-TET_QUAD_WEIGHTS = np.full(4, 0.25)
 
 
 @dataclass
@@ -308,7 +281,7 @@ def solve_spd(
     op: SparseOperator,
     rhs: np.ndarray,
     *,
-    constraint: str = "none",
+    constraint: str,
     dirichlet_nodes: np.ndarray | None = None,
     dirichlet_values: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -322,15 +295,12 @@ def solve_spd(
         op: assembled operator (stiffness or mass family).
         rhs: (N,) load vector.
         constraint: one of
-            ``"none"`` - plain SPD solve (no constrained nodes);
             ``"zero-mean"`` - stiffness-type singular system; the rhs is
                 projected onto the compatible subspace (component sum
                 removed), node 0 is pinned to zero, and the solution is
                 shifted to zero hat-weighted integral mean;
-            ``"zero-dirichlet"`` - homogeneous Dirichlet on all boundary nodes;
-            ``"dirichlet"`` - inhomogeneous data on ``dirichlet_nodes``.
-        dirichlet_nodes / dirichlet_values: constrained node ids and values
-            (``"dirichlet"`` only; ``"zero-dirichlet"`` derives both).
+            ``"dirichlet"`` - data ``dirichlet_values`` on ``dirichlet_nodes``
+                (an empty node set is the plain SPD solve).
 
     Returns:
         (N,) solution; constraints hold exactly (Dirichlet rows are set, the
@@ -340,26 +310,18 @@ def solve_spd(
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (op.shape[0],):
         raise ValueError(f"rhs shape {rhs.shape} does not match operator {op.shape}")
-    values = None
-    if constraint == "none":
-        nodes = []
-    elif constraint == "zero-mean":
+    if constraint == "zero-mean":
         rhs = rhs - rhs.mean()
-        nodes = [0]
-    elif constraint == "zero-dirichlet":
-        nodes = op.mesh.boundary().boundary_nodes
+        nodes, values = np.zeros(1, dtype=np.int64), np.zeros(1)
     elif constraint == "dirichlet":
         if dirichlet_nodes is None or dirichlet_values is None:
             raise ValueError("dirichlet constraint requires nodes and values")
-        nodes = dirichlet_nodes
+        nodes = np.asarray(dirichlet_nodes, dtype=np.int64)
         values = np.asarray(dirichlet_values, dtype=np.float64)
-        if np.shape(nodes) != values.shape:
+        if nodes.shape != values.shape:
             raise ValueError("dirichlet nodes/values shape mismatch")
     else:
         raise ValueError(f"unknown constraint {constraint!r}")
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if values is None:
-        values = np.zeros(nodes.size)
 
     key = nodes.tobytes()
     if key not in op._cache:
@@ -387,72 +349,26 @@ def solve_spd(
     return x
 
 
-def face_quadrature_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Barycentric points and reference weights of a triangle rule."""
-    if degree not in _TRI_RULES:
-        raise ValueError(f"no triangle rule of degree {degree}; available: 2, 5")
-    return _TRI_RULES[degree]
-
-
-def face_quadrature(surface: SurfaceMesh, degree: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """Physical quadrature points and weights of a triangle rule, per face.
-
-    Args:
-        degree: polynomial exactness of the rule, 5 (7 points, default) or
-            2 (3 points).
+def face_quadrature(surface: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Physical points and weights of the 7-point triangle rule, per face.
 
     Returns:
-        points (F, Q, 3) and weights (F, Q); weights include face areas, so
+        points (F, 7, 3) and weights (F, 7); weights include face areas, so
         summing ``w * g(points)`` integrates g over the surface.
     """
-    bary, ref_weights = face_quadrature_rule(degree)
-    v = surface.vertex_coords
-    points = np.einsum("qk,fkd->fqd", bary, v)
-    weights = surface.areas[:, None] * ref_weights[None, :]
+    points = np.einsum("qk,fkd->fqd", TRI_QUAD_POINTS, surface.vertex_coords)
+    weights = surface.areas[:, None] * TRI_QUAD_WEIGHTS[None, :]
     return points, weights
 
 
-def integrate_faces(surface: SurfaceMesh, g) -> np.ndarray:
-    """Per-face integrals of a point-evaluable function (triangle rule).
-
-    Args:
-        g: callable mapping (P, 3) points to (P,) values.
-
-    Returns:
-        (F,) array of integrals over each face.
-    """
-    points, weights = face_quadrature(surface)
-    vals = np.asarray(g(points.reshape(-1, 3)), dtype=np.float64).reshape(points.shape[:2])
-    return np.einsum("fq,fq->f", weights, vals)
-
-
-def integrate_volume(mesh: TetMesh, g) -> float:
-    """Integral of a point-evaluable function over the mesh (tet rule)."""
-    p = mesh.nodes[mesh.tets]
-    points = np.einsum("qk,mkd->mqd", TET_QUAD_POINTS, p)
-    vals = np.asarray(g(points.reshape(-1, 3)), dtype=np.float64).reshape(points.shape[:2])
-    return float(np.einsum("m,q,mq->", mesh.volumes, TET_QUAD_WEIGHTS, vals))
-
-
-def l2_projection_faces(surface: SurfaceMesh, g) -> FaceDensity:
-    """Facewise L2 projection of a point-evaluable function onto P0.
-
-    The projection onto constants is the face average (integral / area),
-    computed with the fixed triangle rule; exact for polynomials to degree 5,
-    in particular an affine g projects to its centroid values.
-    """
-    return FaceDensity(surface, integrate_faces(surface, g) / surface.areas)
-
-
-def clement_boundary_interpolation(surface: SurfaceMesh, g) -> np.ndarray:
+def clement_boundary_interpolation(surface: SurfaceMesh, face_integrals: np.ndarray) -> np.ndarray:
     """Area-weighted face-average interpolation onto boundary nodes.
 
     Node value = (sum of the integrals of g over the faces touching the
-    node) / (total area of those faces).  Accepts either a point-evaluable
-    callable (integrated with the fixed triangle rule) or an (F,) array of
-    precomputed per-face integrals of g, which is the form in which boundary
-    integral operators deliver their output.  An (F, k) array interpolates k
-    functions at once, column by column.
+    node) / (total area of those faces), from the (F,) per-face integrals
+    of g, the form in which boundary integral operators deliver their
+    output.  An (F, k) array interpolates k functions at once, column by
+    column.
 
     Values are convex combinations of face averages: constants are
     reproduced exactly and the output range is contained in the range of g.
@@ -461,15 +377,12 @@ def clement_boundary_interpolation(surface: SurfaceMesh, g) -> np.ndarray:
         (Nb,) nodal values ordered like ``surface.boundary_nodes``, or
         (Nb, k) for (F, k) input.
     """
-    if callable(g):
-        face_integrals = integrate_faces(surface, g)
-    else:
-        face_integrals = np.asarray(g, dtype=np.float64)
-        if face_integrals.ndim not in (1, 2) or face_integrals.shape[0] != surface.n_faces:
-            raise ValueError(
-                f"expected ({surface.n_faces},) or ({surface.n_faces}, k) face integrals, "
-                f"got {face_integrals.shape}"
-            )
+    face_integrals = np.asarray(face_integrals, dtype=np.float64)
+    if face_integrals.ndim not in (1, 2) or face_integrals.shape[0] != surface.n_faces:
+        raise ValueError(
+            f"expected ({surface.n_faces},) or ({surface.n_faces}, k) face integrals, "
+            f"got {face_integrals.shape}"
+        )
     return clement_matrix(surface) @ face_integrals
 
 
@@ -522,11 +435,6 @@ def normal_derivative(u: NodalScalarField, surface: SurfaceMesh) -> FaceDensity:
             shape=(surface.n_faces, mesh.n_nodes),
         )
     return FaceDensity(surface, surface._cache["fem.normal_derivative"] @ u.values)
-
-
-def trace_values(values: np.ndarray, surface: SurfaceMesh) -> np.ndarray:
-    """Restrict nodal values to the boundary nodes (local ordering)."""
-    return np.asarray(values)[surface.boundary_nodes]
 
 
 def l2_inner(mass: SparseOperator, a: np.ndarray, b: np.ndarray) -> float:

@@ -45,7 +45,10 @@ stabilized operator is strongly monotone when gamma > 1/4, which is
 enforced at solver entry.  The nonlinear solve is a damped Zarantonello
 iteration x <- x - delta P^-1 (A(x) - b) with delta = gamma / lip^2 and P
 the chi == 0 stabilized matrix, or optionally a Kacanov iteration that
-refreezes the weights chi(|grad u|) and re-solves.  Both converge from any
+refreezes the weights chi(|grad u|) and re-solves.  Kacanov is for laws
+whose lip/gamma makes Zarantonello's step gamma/lip^2 too short: for tanh
+3 1 on two 85-node spheres Zarantonello needs ~300 iterations, past its
+default cap of 200, and Kacanov 9.  Both converge from any
 start x0 (Aurada, Feischl, Fuehrer, Karkulik, Melenk & Praetorius, Comput.
 Mech. 51, 2013).  A MultiscaleContribution therefore starts each solve from
 the previous converged state it keeps in ``last_state``, and from x = 0 at
@@ -177,13 +180,6 @@ def _numeric_dg(law: MaterialLaw, ts: np.ndarray) -> np.ndarray:
     return (law.g(ts + h) - law.g(np.maximum(ts - h, 0.0))) / (h + np.minimum(ts, h))
 
 
-def material_g(law: MaterialLaw, t: float) -> float:
-    """g(t) = t + chi(t) t for a nonnegative scalar t."""
-    if t < 0.0:
-        raise ValueError(f"g is defined for nonnegative arguments, got {t}")
-    return float(law.g(t))
-
-
 @dataclass
 class CouplingState:
     """Result of one coupling solve."""
@@ -217,28 +213,22 @@ class CouplingWorkspace:
     surface: SurfaceMesh
     stiffness: SparseOperator
     bem: BemOperatorSet
-    s_vec: np.ndarray = field(default=None, repr=False)  # stabilization vector
-    p_lu: tuple = field(default=None, repr=False)  # LU of the chi==0 matrix
-    flux_cho: tuple = field(default=None, repr=False)  # Cholesky of the flux normal matrix
+    s_vec: np.ndarray = field(init=False, repr=False)  # stabilization vector
+    p_lu: tuple = field(init=False, repr=False)  # LU of the chi==0 matrix
+    flux_cho: tuple = field(init=False, repr=False)  # Cholesky of the flux normal matrix
     gradient_t: sparse.csr_matrix = field(default=None, init=False, repr=False)  # (N, 3M) G^T
     _uapp: tuple = field(default=None, init=False, repr=False)  # (f bytes, u_app)
 
     def __post_init__(self) -> None:
-        if self.s_vec is None:
-            n2 = self.mesh.n_nodes
-            nb = self.surface.boundary_nodes.size
-            ones = np.ones(self.surface.n_faces)
-            s_u_local = 0.5 * (self.bem.boundary_mass.T @ ones) - self.bem.double_layer.T @ ones
-            s_u = np.zeros(n2)
-            s_u[self.surface.boundary_nodes] = s_u_local
-            s_phi = self.bem.single_layer.T @ ones
-            self.s_vec = np.concatenate([s_u, s_phi])
-        if self.p_lu is None:
-            self.p_lu = lu_factor(self._dense_matrix(np.ones(self.mesh.n_tets)))
-        if self.flux_cho is None:
-            mb = self.bem.boundary_mass
-            normal_matrix = (mb.T @ sparse.diags(1.0 / self.surface.areas) @ mb).toarray()
-            self.flux_cho = cho_factor(normal_matrix)
+        ones = np.ones(self.surface.n_faces)
+        s_u = np.zeros(self.mesh.n_nodes)
+        s_u[self.surface.boundary_nodes] = (
+            0.5 * (self.bem.boundary_mass.T @ ones) - self.bem.double_layer.T @ ones
+        )
+        self.s_vec = np.concatenate([s_u, self.bem.single_layer.T @ ones])
+        self.p_lu = lu_factor(self._dense_matrix(np.ones(self.mesh.n_tets)))
+        mb = self.bem.boundary_mass
+        self.flux_cho = cho_factor((mb.T @ sparse.diags(1.0 / self.surface.areas) @ mb).toarray())
         self.gradient_t = self.mesh.gradient_matrix.T.tocsr()
 
     @property
@@ -303,13 +293,13 @@ class CouplingWorkspace:
         return b + self.s_vec * b[n2:].sum()
 
 
-def make_coupling_workspace(mesh: TetMesh, *, quad_degree: int = 5) -> CouplingWorkspace:
+def make_coupling_workspace(mesh: TetMesh) -> CouplingWorkspace:
     surface = mesh.boundary()
     return CouplingWorkspace(
         mesh=mesh,
         surface=surface,
         stiffness=assemble_stiffness(mesh),
-        bem=assemble_bem(surface, quad_degree=quad_degree),
+        bem=assemble_bem(surface),
     )
 
 
@@ -499,14 +489,12 @@ def _check_separated(s1: SurfaceMesh, s2: SurfaceMesh) -> None:
         raise ValueError("domains touch: boundary node distance is zero")
 
 
-def make_multiscale_workspace(
-    mesh1: TetMesh, mesh2: TetMesh, *, quad_degree: int = 5
-) -> MultiscaleWorkspace:
+def make_multiscale_workspace(mesh1: TetMesh, mesh2: TetMesh) -> MultiscaleWorkspace:
     return MultiscaleWorkspace(
         mesh1=mesh1,
         surface1=mesh1.boundary(),
         stiffness1=assemble_stiffness(mesh1),
-        coupling=make_coupling_workspace(mesh2, quad_degree=quad_degree),
+        coupling=make_coupling_workspace(mesh2),
     )
 
 
@@ -605,6 +593,8 @@ def _pipeline(
 class MultiscaleContribution(FieldContribution):
     """Environment field as an effective-field term; zeta carries f.
 
+    zeta is the applied field sampled at Omega_1's nodes, so it must be
+    spatially uniform; its single value is taken on Omega_2 as well.
     ``last_state`` is the converged coupling state of the latest
     evaluation.  The next evaluation starts its solve there, except at time
     index 0, which starts from x = 0 so that each run starts the same way.
@@ -622,12 +612,19 @@ class MultiscaleContribution(FieldContribution):
     def evaluate(self, m, zeta=None, time_index=0):
         if zeta is None:
             raise ValueError("multiscale contribution needs the applied field as zeta")
-        f_values = zeta.values if isinstance(zeta, NodalVectorField) else np.asarray(zeta)
+        f_values = np.reshape(zeta.values if isinstance(zeta, NodalVectorField) else zeta, (-1, 3))
+        # zeta is sampled at Omega_1's nodes; only a uniform field is known
+        # on Omega_2 as well
+        if not (f_values == f_values[0]).all():
+            raise ValueError(
+                "multiscale contribution needs a spatially uniform applied field: "
+                "zeta is sampled on Omega_1's nodes, not on Omega_2's"
+            )
         x0 = self.last_state.x if time_index > 0 and self.last_state is not None else None
         pi, self.last_state = _pipeline(
             self.workspace,
             m,
-            f_values,
+            f_values[0],
             self.law,
             scheme=self.scheme,
             tol_nl=self.tol_nl,

@@ -92,16 +92,14 @@ class StrayfieldWorkspace:
             raise RuntimeError("workspace operators do not belong to the stored mesh")
 
 
-def make_strayfield_workspace(
-    mesh: TetMesh, method: str = "fk", *, quad_degree: int = 5
-) -> StrayfieldWorkspace:
+def make_strayfield_workspace(mesh: TetMesh, method: str = "fk") -> StrayfieldWorkspace:
     surface = mesh.boundary()
     return StrayfieldWorkspace(
         mesh=mesh,
         surface=surface,
         stiffness=assemble_stiffness(mesh),
         mass=assemble_mass(mesh),
-        bem=assemble_bem(surface, quad_degree=quad_degree),
+        bem=assemble_bem(surface),
         method=method,
     )
 
@@ -140,7 +138,13 @@ def gcr_strayfield(ws: StrayfieldWorkspace, m: NodalVectorField) -> NodalVectorF
     """Garcia-Cervera-Roma stray-field evaluation, pi(m) = grad(u11 + u12)."""
     ws.verify()
     rhs = divergence_load(ws.mesh, m.values)
-    u11 = solve_spd(ws.stiffness, rhs, constraint="zero-dirichlet")
+    u11 = solve_spd(
+        ws.stiffness,
+        rhs,
+        constraint="dirichlet",
+        dirichlet_nodes=ws.surface.boundary_nodes,
+        dirichlet_values=np.zeros(ws.surface.boundary_nodes.size),
+    )
     flux = normal_derivative(NodalScalarField(ws.mesh, u11), ws.surface)
     phi = p0_normal_trace(ws.surface, m.values) - flux.values
     dirichlet = ws.boundary_map @ phi

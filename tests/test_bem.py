@@ -34,7 +34,7 @@ from multimag.bem import (
     panel_geometry,
     panel_integrals,
 )
-from multimag.fem import face_quadrature_rule
+from multimag.fem import TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS
 
 
 def brute_panel(x, v, level=7):
@@ -150,8 +150,7 @@ def edge_distance(surface, x):
 
 def quadrature_points(surface, faces):
     """(len(faces) * 7, 3) points of the degree-5 rule on the given faces."""
-    bary, _ = face_quadrature_rule(5)
-    return np.einsum("qk,fkd->fqd", bary, surface.vertex_coords[faces]).reshape(-1, 3)
+    return np.einsum("qk,fkd->fqd", TRI_QUAD_POINTS, surface.vertex_coords[faces]).reshape(-1, 3)
 
 
 @pytest.mark.parametrize(
@@ -251,7 +250,7 @@ def test_assemble_bem_matches_tensor_reference(sphere2, monkeypatch):
 
 def add_at_assemble_bem(surface):
     """V and K as assembled serially, with per-column np.add.at scatters of K rows."""
-    quad_bary, quad_w = face_quadrature_rule(5)
+    quad_bary, quad_w = TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS
     geo = panel_geometry(surface)
     f_count, nq = surface.n_faces, len(quad_w)
     v_mat = np.zeros((f_count, f_count))
@@ -404,27 +403,6 @@ def test_shell_potential_refines_monotonically():
         errs.append(np.abs(u - 1.0).max())
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.02
-
-
-def test_quadrature_degree_two_option(sphere1):
-    surf = sphere1.boundary()
-    b2 = assemble_bem(surf, quad_degree=2)
-    b5 = assemble_bem(surf)
-    np.testing.assert_array_equal(b2.single_layer, b2.single_layer.T)
-    # midpoint outer nodes sit on neighbor edges, so the cheap rule is
-    # noticeably less accurate but must stay usable
-    assert b2.gauss_residual() < 5e-2
-    scale = np.abs(b5.single_layer).max()
-    assert np.abs(b2.single_layer - b5.single_layer).max() < 0.5 * scale
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        phi = rng.normal(size=surf.n_faces)
-        assert phi @ (b2.single_layer @ phi) > 0.0
-
-
-def test_assemble_bem_rejects_unknown_degree(sphere1):
-    with pytest.raises(ValueError, match="available: 2, 5"):
-        assemble_bem(sphere1.boundary(), quad_degree=4)
 
 
 def test_eval_density_shape_validation(sphere1):

@@ -59,10 +59,9 @@ def test_minimal_config_defaults(tmp_path, cube_file):
     assert cfg.initial_kind == "uniform"
     np.testing.assert_array_equal(cfg.initial_vector, [0.0, 0.0, 1.0])
     assert cfg.terms == ()
-    assert cfg.strayfield_method == "none"
+    assert cfg.strayfield_method is None
     assert cfg.applied_kind == "none"
     assert cfg.solver_tol == 1e-10
-    assert cfg.bem_quad_degree == 5
     assert cfg.output_dir.endswith("out")
     assert cfg.cadence == 10
     assert cfg.vtk is False
@@ -114,7 +113,6 @@ omega = 3.0
 
 [solver]
 tol = 1e-9
-bem_quadrature_degree = 2
 
 [output]
 directory = results
@@ -139,7 +137,6 @@ def test_full_config_parses(tmp_path, cube_file):
     np.testing.assert_array_equal(cfg.applied_amplitude, [0.0, 0.1, 0.0])
     assert cfg.applied_omega == 3.0
     assert cfg.solver_tol == 1e-9
-    assert cfg.bem_quad_degree == 2
     assert cfg.cadence == 5
     assert cfg.vtk is True
 
@@ -166,7 +163,6 @@ def test_material_section_converts_to_reduced_units(tmp_path, cube_file):
         ("directory = out", "directory = out\ncadence = 0",
          "cadence must be a positive integer"),
         ("directory = out", "directory = out\nvtk = maybe", "vtk must be true or false"),
-        ("[output]", "[solver]\nbem_quadrature_degree = 3\n\n[output]", "must be 2 or 5"),
         ("[output]", "[contributions]\nterms = gravity\n\n[output]",
          "unknown contribution term 'gravity'"),
         ("[output]",
@@ -177,7 +173,7 @@ def test_material_section_converts_to_reduced_units(tmp_path, cube_file):
         ("[output]", "[contributions]\nterms = uniaxial\n\n[uniaxial]\naxis = 0 1\n\n[output]",
          "three space-separated numbers"),
         ("[output]", "[contributions]\nterms = strayfield\n\n[strayfield]\nmethod = magic\n\n[output]",
-         "strayfield method must be fk, gcr, or none"),
+         "strayfield method must be fk or gcr"),
         ("[output]", "[applied_field]\nkind = pulse\n\n[output]", "applied field kind must be"),
         ("[output]", "[contributions]\nterms = multiscale\n\n[multiscale]\nlaw = linear\nparams = 2\n\n[output]",
          "requires mesh omega2"),
@@ -337,12 +333,13 @@ def test_build_run_setup_wires_contributions(tmp_path, cube_file):
     np.testing.assert_allclose(field, np.tile([0.0, 0.0, 0.25], (8, 1)))
 
 
-def test_build_run_setup_strayfield_none_is_dropped(tmp_path, cube_file):
+def test_strayfield_method_none_is_rejected(tmp_path, cube_file):
+    # leave ``strayfield`` out of ``terms`` to run without the stray field
     body = MINIMAL.replace(
         "[output]", "[contributions]\nterms = strayfield\n\n[strayfield]\nmethod = none\n\n[output]"
     )
-    setup = build_run_setup(load_config(write_config(tmp_path, body)))
-    assert setup.contributions == []
+    with pytest.raises(ValueError, match="strayfield method must be fk or gcr, got 'none'"):
+        load_config(write_config(tmp_path, body))
 
 
 def test_build_run_setup_snapshot_initial(tmp_path, cube_file, cube1):

@@ -206,7 +206,8 @@ def test_snapshot_roundtrip_bitwise(tmp_path):
     values = rng.normal(size=(17, 3)) * np.pi
     path = tmp_path / "state.dat"
     write_snapshot(path, values)
-    assert open(path).readline() == "nodal-field 3 17\n"
+    with open(path) as fh:
+        assert fh.readline() == "nodal-field 3 17\n"
     again = read_snapshot(path)
     np.testing.assert_array_equal(again, values)
 
@@ -244,7 +245,8 @@ def test_energies_csv_roundtrip(tmp_path):
     records = [record(i, 1.0 / (i + 1.0), diss=np.sqrt(i)) for i in range(4)]
     path = tmp_path / "energies.csv"
     write_energies_csv(path, records)
-    header = open(path).readline().strip()
+    with open(path) as fh:
+        header = fh.readline().strip()
     assert header == ",".join(CSV_COLUMNS)
     again = read_energies_csv(path)
     assert again == records
@@ -302,7 +304,7 @@ def test_trajectory_snapshots_reload(tmp_path, cube1):
 def test_write_vtk_structure(tmp_path, cube1):
     path = tmp_path / "m.vtk"
     write_vtk(path, cube1, np.tile([0.0, 0.0, 1.0], (cube1.n_nodes, 1)), name="mag")
-    lines = open(path).read().splitlines()
+    lines = path.read_text().splitlines()
     assert lines[0] == "# vtk DataFile Version 3.0"
     assert "ASCII" in lines
     assert f"POINTS {cube1.n_nodes} double" in lines

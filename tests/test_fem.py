@@ -24,22 +24,16 @@ from multimag import (
 )
 from multimag.fem import (
     SOLVE_RESIDUAL_TOL,
-    FaceDensity,
     assemble_weighted_stiffness,
     clement_boundary_interpolation,
     divergence_load,
     face_quadrature,
-    face_quadrature_rule,
     h1_seminorm_sq,
-    integrate_faces,
-    integrate_volume,
     l2_inner,
     lifted_gradient,
     l2_norm,
-    l2_projection_faces,
     normal_derivative,
     pattern_positions,
-    trace_values,
 )
 
 REF_MASS = np.array(
@@ -246,10 +240,14 @@ def test_normal_derivative_map_matches_einsum_form(n, seed):
 
 
 def test_solve_spd_plain(cube2):
+    # a Dirichlet solve with no constrained nodes is the plain SPD solve
     M = assemble_mass(cube2)
     rng = np.random.default_rng(1)
     x = rng.normal(size=cube2.n_nodes)
-    u = solve_spd(M, M.matrix @ x)
+    none = np.zeros(0, dtype=np.int64)
+    u = solve_spd(
+        M, M.matrix @ x, constraint="dirichlet", dirichlet_nodes=none, dirichlet_values=np.zeros(0)
+    )
     np.testing.assert_allclose(u, x, rtol=1e-8, atol=1e-9)
 
 
@@ -278,12 +276,12 @@ def test_solve_spd_dirichlet(cube2):
     np.testing.assert_allclose(u, cube2.nodes[:, 0] + 2.0, atol=1e-8)
 
 
-@pytest.mark.parametrize("constraint", ["none", "zero-mean", "zero-dirichlet", "dirichlet"])
+@pytest.mark.parametrize("constraint", ["zero-mean", "dirichlet"])
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
 def test_solve_spd_constraints_and_residual(cube2, constraint, seed, scale):
     rng = np.random.default_rng(seed)
-    op = assemble_mass(cube2) if constraint == "none" else assemble_stiffness(cube2)
+    op = assemble_stiffness(cube2)
     rhs = scale * rng.normal(size=cube2.n_nodes)
     nodes = cube2.boundary().boundary_nodes
     values = np.zeros(nodes.size)
@@ -294,7 +292,7 @@ def test_solve_spd_constraints_and_residual(cube2, constraint, seed, scale):
     x = solve_spd(op, rhs, constraint=constraint, **kwargs)
     b = rhs - rhs.mean() if constraint == "zero-mean" else rhs
     free = np.ones(cube2.n_nodes, dtype=bool)
-    if constraint in ("zero-dirichlet", "dirichlet"):
+    if constraint == "dirichlet":
         free[nodes] = False
         assert np.array_equal(x[nodes], values)
     residual = b - op.matrix @ x
@@ -337,7 +335,14 @@ def test_solve_spd_factors_once_per_node_set(monkeypatch):
         solve_spd(K, rng.normal(size=mesh.n_nodes), constraint="zero-mean")
     assert len(calls) == 1
     for _ in range(2):
-        solve_spd(K, rng.normal(size=mesh.n_nodes), constraint="zero-dirichlet")
+        # gcr's homogeneous solve and its harmonic extension share one factor
+        solve_spd(
+            K,
+            rng.normal(size=mesh.n_nodes),
+            constraint="dirichlet",
+            dirichlet_nodes=bnodes,
+            dirichlet_values=np.zeros(bnodes.size),
+        )
         solve_spd(
             K,
             np.zeros(mesh.n_nodes),
@@ -349,8 +354,11 @@ def test_solve_spd_factors_once_per_node_set(monkeypatch):
 
 
 def test_solve_spd_rejects_unknown_constraint(cube2):
-    with pytest.raises(ValueError):
-        solve_spd(assemble_mass(cube2), np.zeros(cube2.n_nodes), constraint="pin")
+    for constraint in ("pin", "none"):
+        with pytest.raises(ValueError, match="unknown constraint"):
+            solve_spd(assemble_mass(cube2), np.zeros(cube2.n_nodes), constraint=constraint)
+    with pytest.raises(TypeError, match="constraint"):
+        solve_spd(assemble_mass(cube2), np.zeros(cube2.n_nodes))
 
 
 # integral of x^a y^b over the triangle (0,0)-(1,0)-(0,1), symbolic values
@@ -365,66 +373,48 @@ TRI_MONOMIALS = [
 ]
 
 
-@pytest.mark.parametrize("degree,max_total", [(2, 2), (5, 5)])
-def test_face_quadrature_rule_exactness(degree, max_total):
-    bary, weights = face_quadrature_rule(degree)
-    assert weights.sum() == pytest.approx(1.0, rel=1e-14)
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    pts = bary @ verts
+def test_face_quadrature_exactness(ref_tet):
+    surf = ref_tet.boundary()
+    points, weights = face_quadrature(surf)
+    (face,) = np.flatnonzero(np.abs(surf.normals[:, 2]) > 0.9)  # the face on z = 0
+    assert weights[face].sum() == pytest.approx(0.5, rel=1e-14)
+    pts = points[face]
     for a, b, exact in TRI_MONOMIALS:
-        if a + b > max_total:
-            continue
-        approx = 0.5 * (weights * pts[:, 0] ** a * pts[:, 1] ** b).sum()
+        approx = (weights[face] * pts[:, 0] ** a * pts[:, 1] ** b).sum()
         np.testing.assert_allclose(approx, exact, rtol=1e-13)
-
-
-def test_face_quadrature_rule_rejects_other_degrees():
-    with pytest.raises(ValueError, match="available: 2, 5"):
-        face_quadrature_rule(3)
 
 
 def test_face_quadrature_weights_include_areas(cube1):
     surf = cube1.boundary()
     points, weights = face_quadrature(surf)
     np.testing.assert_allclose(weights.sum(), surf.areas.sum(), rtol=1e-13)
+    np.testing.assert_allclose(weights.sum(axis=1), surf.areas, rtol=1e-13)
     assert points.shape == (surf.n_faces, 7, 3)
-    points2, weights2 = face_quadrature(surf, degree=2)
-    assert points2.shape == (surf.n_faces, 3, 3)
-    np.testing.assert_allclose(weights2.sum(axis=1), surf.areas, rtol=1e-13)
+
+
+def face_integrals(surface, g):
+    """(F,) integrals of a point-evaluable g over each face, 7-point rule."""
+    points, weights = face_quadrature(surface)
+    return (weights * g(points.reshape(-1, 3)).reshape(weights.shape)).sum(axis=1)
 
 
 def test_integrate_faces_affine(cube1):
     surf = cube1.boundary()
-    vals = integrate_faces(surf, lambda p: p[:, 2])
+    vals = face_integrals(surf, lambda p: p[:, 2])
     # z integrated over the cube surface: top contributes 1, sides 1/2 each
     np.testing.assert_allclose(vals.sum(), 1.0 + 4 * 0.5, rtol=1e-13)
 
 
-def test_integrate_volume(cube2):
-    np.testing.assert_allclose(integrate_volume(cube2, lambda p: np.ones(len(p))), 1.0, rtol=1e-13)
-    np.testing.assert_allclose(
-        integrate_volume(cube2, lambda p: p[:, 0] * p[:, 1]), 0.25, rtol=1e-13
-    )
-
-
-def test_l2_projection_faces_affine_hits_centroids(sphere1):
-    surf = sphere1.boundary()
-    a = np.array([1.0, 2.0, -0.5])
-    proj = l2_projection_faces(surf, lambda p: p @ a)
-    assert isinstance(proj, FaceDensity)
-    np.testing.assert_allclose(proj.values, surf.centroids @ a, rtol=1e-12)
-
-
 def test_clement_reproduces_constants(sphere1):
     surf = sphere1.boundary()
-    vals = clement_boundary_interpolation(surf, lambda p: np.full(len(p), 3.25))
+    vals = clement_boundary_interpolation(surf, 3.25 * surf.areas)
     np.testing.assert_allclose(vals, 3.25, rtol=1e-13)
 
 
 def test_clement_range_containment(sphere1):
     surf = sphere1.boundary()
     g = lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1] ** 2
-    vals = clement_boundary_interpolation(surf, g)
+    vals = clement_boundary_interpolation(surf, face_integrals(surf, g))
     points, _ = face_quadrature(surf)
     sampled = g(points.reshape(-1, 3))
     assert vals.min() >= sampled.min() - 1e-12
@@ -435,17 +425,15 @@ def test_clement_cube_corner_value(cube1):
     # patch average of z at the corner (0,0,0): frozen from direct
     # evaluation of the area-weighted face-average formula
     surf = cube1.boundary()
-    vals = clement_boundary_interpolation(surf, lambda p: p[:, 2])
+    vals = clement_boundary_interpolation(surf, face_integrals(surf, lambda p: p[:, 2]))
     corner = np.where((np.abs(cube1.nodes[surf.boundary_nodes]) < 1e-12).all(axis=1))[0]
     np.testing.assert_allclose(vals[corner], 1.0 / 3.0, rtol=1e-12)
 
 
 def test_clement_accepts_precomputed_face_integrals(sphere1):
     surf = sphere1.boundary()
-    g = lambda p: p[:, 0] ** 2
-    direct = clement_boundary_interpolation(surf, g)
-    via_integrals = clement_boundary_interpolation(surf, integrate_faces(surf, g))
-    np.testing.assert_allclose(via_integrals, direct, rtol=1e-14)
+    vals = clement_boundary_interpolation(surf, face_integrals(surf, lambda p: p[:, 0] ** 2))
+    assert vals.shape == (surf.boundary_nodes.size,)
     with pytest.raises(ValueError, match="face integrals"):
         clement_boundary_interpolation(surf, np.zeros(surf.n_faces + 1))
 
@@ -482,12 +470,6 @@ def test_normal_derivative_affine(cube2):
     surf = cube2.boundary()
     dn = normal_derivative(u, surf)
     np.testing.assert_allclose(dn.values, surf.normals @ a, atol=1e-12)
-
-
-def test_trace_values(sphere1):
-    surf = sphere1.boundary()
-    vals = np.arange(sphere1.n_nodes, dtype=float)
-    np.testing.assert_array_equal(trace_values(vals, surf), surf.boundary_nodes.astype(float))
 
 
 def test_l2_inner_norms(cube2):

@@ -150,7 +150,8 @@ def test_mesh_file_roundtrip(tmp_path, sphere1):
     again = load_mesh(path)
     np.testing.assert_array_equal(again.nodes, sphere1.nodes)
     np.testing.assert_array_equal(again.tets, sphere1.tets)
-    assert open(path).readline() == "# unit ball\n"
+    with open(path) as fh:
+        assert fh.readline() == "# unit ball\n"
 
 
 @pytest.mark.parametrize(

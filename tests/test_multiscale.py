@@ -12,7 +12,6 @@ from multimag import (
     kuhn_cube,
     make_coupling_workspace,
     make_multiscale_workspace,
-    material_g,
     material_law,
     multiscale_field,
 )
@@ -98,14 +97,6 @@ def test_law_validation():
         material_law("tanh", 1.0)  # wrong arity
     with pytest.raises(ValueError):
         material_law("rational", 1.0, 2.0)
-
-
-def test_material_g():
-    law = material_law("tanh", 1.0, 2.0)
-    np.testing.assert_allclose(material_g(law, 3.0), 3.0 + np.tanh(6.0), rtol=1e-14)
-    assert material_g(law, 0.0) == 0.0
-    with pytest.raises(ValueError, match="nonnegative"):
-        material_g(law, -1.0)
 
 
 @pytest.mark.parametrize(
@@ -243,6 +234,16 @@ def test_kacanov_converges_faster(pair_ws):
     assert kac.iterations < zar.iterations
 
 
+def test_kacanov_converges_where_zarantonello_step_is_too_short(pair_ws):
+    # tanh 3 1: lip/gamma = 4, so Zarantonello's step gamma/lip^2 is 1/16
+    law = material_law("tanh", 3.0, 1.0)
+    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    with pytest.raises(RuntimeError, match="did not reach"):
+        solve_coupling(pair_ws.coupling, data, law, scheme="zarantonello", max_iter=200)
+    kac = solve_coupling(pair_ws.coupling, data, law, scheme="kacanov", max_iter=200)
+    assert kac.residual <= 1e-8
+
+
 def test_transfer_of_constant_potential_vanishes(pair_ws):
     # the double layer of a constant trace is zero outside Omega_1
     u1 = transfer_u1_to_omega2(pair_ws, np.full(pair_ws.mesh1.n_nodes, 3.0))
@@ -281,6 +282,31 @@ def test_contribution_requires_zeta(pair_ws, sphere1):
     out = contrib.evaluate(m, zeta=zeta)
     expect = multiscale_field(pair_ws, m, zeta.values, contrib.law)
     np.testing.assert_allclose(out.values, expect.values, rtol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def unequal_pair(sphere1):
+    """Omega_1 with 85 nodes, Omega_2 with 325: node arrays that do not broadcast."""
+    far = icosphere_volume(2, n_radial=2, center=(3.0, 0.0, 0.0))
+    return make_multiscale_workspace(sphere1, far)
+
+
+def test_uniform_applied_field_on_bodies_of_different_size(unequal_pair, sphere1):
+    assert (unequal_pair.mesh1.n_nodes, unequal_pair.coupling.mesh.n_nodes) == (85, 325)
+    law = material_law("linear", 2.0)
+    m = NodalVectorField(sphere1, random_unit_field(sphere1, 9))
+    f = np.array([0.1, -0.2, 1.0])
+    zeta = NodalVectorField(sphere1, np.tile(f, (sphere1.n_nodes, 1)))
+    out = MultiscaleContribution(workspace=unequal_pair, law=law).evaluate(m, zeta=zeta)
+    np.testing.assert_array_equal(out.values, multiscale_field(unequal_pair, m, f, law).values)
+
+
+def test_nonuniform_applied_field_is_rejected(unequal_pair, sphere1):
+    contrib = MultiscaleContribution(workspace=unequal_pair, law=material_law("linear", 2.0))
+    m = NodalVectorField(sphere1, random_unit_field(sphere1, 9))
+    zeta = NodalVectorField(sphere1, sphere1.nodes.copy())
+    with pytest.raises(ValueError, match="multiscale contribution needs a spatially uniform"):
+        contrib.evaluate(m, zeta=zeta)
 
 
 def test_pipeline_stage_error_is_labeled(pair_ws, sphere1):
