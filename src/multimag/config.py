@@ -11,6 +11,7 @@ units in a ``[constants]`` section; exactly one of the two must appear.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -95,6 +96,16 @@ def _vector3(text: str, where: str) -> np.ndarray:
     return values
 
 
+def _finite_float(text: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{where} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, got {text!r}")
+    return value
+
+
 def load_config(path: str) -> SimulationConfig:
     """Parse and validate an INI run configuration."""
     if not os.path.exists(path):
@@ -116,6 +127,10 @@ def load_config(path: str) -> SimulationConfig:
             raise ValueError(f"missing required key {key!r} in section [{section}]")
         return default
 
+    def get_float(section: str, key: str, default: str | None = None,
+                  required: bool = False) -> float:
+        return _finite_float(get(section, key, default, required), f"[{section}] {key}")
+
     if not parser.has_section("mesh"):
         raise ValueError("missing required section [mesh]")
     mesh_omega1 = get("mesh", "omega1", required=True)
@@ -131,27 +146,27 @@ def load_config(path: str) -> SimulationConfig:
         raise ValueError("exactly one of [material] or [constants] must be present")
     if has_material:
         constants = compute_constants(
-            A=float(get("material", "exchange_a", required=True)),
-            K=float(get("material", "anisotropy_k", required=True)),
-            M_s=float(get("material", "saturation_ms", required=True)),
-            alpha=float(get("material", "alpha", required=True)),
-            L_char=float(get("material", "length_scale", required=True)),
-            T_physical=float(get("material", "time_horizon", required=True)),
+            A=get_float("material", "exchange_a", required=True),
+            K=get_float("material", "anisotropy_k", required=True),
+            M_s=get_float("material", "saturation_ms", required=True),
+            alpha=get_float("material", "alpha", required=True),
+            L_char=get_float("material", "length_scale", required=True),
+            T_physical=get_float("material", "time_horizon", required=True),
         )
     else:
         constants = NondimConstants(
-            c_exch=float(get("constants", "c_exch", required=True)),
-            c_ani=float(get("constants", "c_ani", required=True)),
-            alpha=float(get("constants", "alpha", required=True)),
-            t_final=float(get("constants", "t_final", required=True)),
+            c_exch=get_float("constants", "c_exch", required=True),
+            c_ani=get_float("constants", "c_ani", required=True),
+            alpha=get_float("constants", "alpha", required=True),
+            t_final=get_float("constants", "t_final", required=True),
         )
 
     if not parser.has_section("run"):
         raise ValueError("missing required section [run]")
-    theta = float(get("run", "theta", "1.0"))
+    theta = get_float("run", "theta", "1.0")
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    k = float(get("run", "k", required=True))
+    k = get_float("run", "k", required=True)
     if not k > 0.0:
         raise ValueError(f"time step k must be positive, got {k}")
     n_steps = int(get("run", "n_steps", required=True))
@@ -188,8 +203,8 @@ def load_config(path: str) -> SimulationConfig:
 
     cubic_k1 = cubic_k2 = 0.0
     if "cubic" in terms:
-        cubic_k1 = float(get("cubic", "k1", required=True))
-        cubic_k2 = float(get("cubic", "k2", "0.0"))
+        cubic_k1 = get_float("cubic", "k1", required=True)
+        cubic_k2 = get_float("cubic", "k2", "0.0")
         if cubic_k1 < 0.0 or cubic_k2 < 0.0:
             raise ValueError(f"cubic k1 and k2 must be nonnegative, got {cubic_k1}, {cubic_k2}")
 
@@ -211,7 +226,9 @@ def load_config(path: str) -> SimulationConfig:
         if multiscale_law not in _LAW_PARAM_COUNT:
             raise ValueError(f"unknown material law {multiscale_law!r}")
         params_text = get("multiscale", "params", "")
-        multiscale_params = tuple(float(p) for p in params_text.split())
+        multiscale_params = tuple(
+            _finite_float(p, "[multiscale] params") for p in params_text.split()
+        )
         expected = _LAW_PARAM_COUNT[multiscale_law]
         if len(multiscale_params) != expected:
             raise ValueError(
@@ -220,7 +237,7 @@ def load_config(path: str) -> SimulationConfig:
         multiscale_scheme = get("multiscale", "scheme", "zarantonello")
         if multiscale_scheme not in ("zarantonello", "kacanov"):
             raise ValueError(f"unknown nonlinear scheme {multiscale_scheme!r}")
-        multiscale_tol = float(get("multiscale", "tol", "1e-8"))
+        multiscale_tol = get_float("multiscale", "tol", "1e-8")
         multiscale_max_iter = int(get("multiscale", "max_iter", "200"))
         if not multiscale_tol > 0.0:
             raise ValueError(f"multiscale tol must be positive, got {multiscale_tol}")
@@ -238,14 +255,14 @@ def load_config(path: str) -> SimulationConfig:
             applied_amplitude = _vector3(
                 get("applied_field", "amplitude", required=True), "applied field amplitude"
             )
-            applied_omega = float(get("applied_field", "omega", "0.0"))
+            applied_omega = get_float("applied_field", "omega", "0.0")
     if "multiscale" in terms and applied_kind == "none":
         # the environment field pi(m, f) is driven by the applied field f
         raise ValueError(
             "multiscale term requires an [applied_field] section of kind constant or sinusoidal"
         )
 
-    solver_tol = float(get("solver", "tol", "1e-10")) if parser.has_section("solver") else 1e-10
+    solver_tol = get_float("solver", "tol", "1e-10") if parser.has_section("solver") else 1e-10
     if not solver_tol > 0.0:
         raise ValueError(f"solver tol must be positive, got {solver_tol}")
 

@@ -23,6 +23,14 @@ alpha M + C_exch k theta K, positive definite for any k > 0 - the basis of
 the scheme's unconditional stability for theta >= 1/2.  The nonsymmetric
 system is solved with BiCGStab, preconditioned by the inverses of the 2x2
 nodal diagonal blocks (block Jacobi), with restarted GMRES as the fallback.
+
+The CSR structure of the reduced matrix depends on the mesh alone, so
+``make_llg_workspace`` lays it out once, with the data position of every
+block entry and of every nodal diagonal block.  A step gathers the frames
+at both ends of each pattern entry into contiguous planes, computes the
+block entries plane by plane, and writes them straight into the CSR data;
+the preconditioner is inverted from the diagonal block entries onto a
+fixed block-diagonal pattern.
 """
 
 from __future__ import annotations
@@ -115,12 +123,20 @@ def build_tangent_frame(state: MagnetizationState) -> TangentFrame:
 
 @dataclass
 class LlgWorkspace:
-    """Per-mesh operators reused across time steps.
+    """Per-mesh operators and the fixed layout of the reduced velocity system.
 
     The reduced velocity system has one 2x2 block per entry p = (i, j) of
     the P1 pattern that ``mass`` and ``stiffness`` share.  ``cross_map`` is
     the fixed (nnz, N) map from nodal m to w_p = sum_T |T| sum_k c_ijk m_k;
-    ``rows`` holds the row node i of each entry.
+    ``rows`` and ``cols`` hold the nodes i and j of each entry.
+
+    The 2N x 2N CSR structure follows from the pattern alone, so it is laid
+    out once: ``slots[a, b, p]`` is the position of entry [a, b] of block p
+    in the data of ``reduced``, and ``diagonal_slots[a, b, n]`` that of the
+    nodal diagonal block n.  ``jacobi`` is the block-diagonal matrix of
+    the preconditioner.  Each step only refills the data of these two
+    matrices, so the matrices the workspace hands out are overwritten by
+    its next call.  The mesh is read-only, so the layout cannot go stale.
     """
 
     mesh: TetMesh
@@ -128,26 +144,38 @@ class LlgWorkspace:
     stiffness: SparseOperator
     cross_map: sparse.csr_matrix
     rows: np.ndarray
+    cols: np.ndarray
+    slots: np.ndarray
+    diagonal_slots: np.ndarray
+    reduced: sparse.csr_matrix
+    jacobi: sparse.csr_matrix
 
     def frame_matrix(self, frame: TangentFrame) -> np.ndarray:
         """(N, 2, 3) nodal frames: [n, a] is t_a(n)."""
         return np.stack((frame.t1, frame.t2), axis=1)
 
-    def cross_matrix(self, m_values: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """(nnz, 2, 2) reduced blocks of v -> <m x v, .> on the P1 pattern.
+    def pattern_frames(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The frames at both ends of every pattern entry p = (i, j).
 
-        Entry [p, a, b] of block p = (i, j) is w_p . (t_b(j) x t_a(i)).
-        Swapping the factors of a cross product negates it exactly, so the
-        assembled matrix is exactly skew.
+        Returns:
+            (ti, tj), C-contiguous (3, 2, nnz) planes: ti[d, a, p] is
+            component d of t_a(i) and tj[d, b, p] that of t_b(j).
         """
-        w = (self.cross_map @ m_values).T
-        ti, tj = t.T[:, :, self.rows], t.T[:, :, self.stiffness.matrix.indices]
-        blocks = np.empty((self.rows.size, 2, 2))
-        for a, b in np.ndindex(2, 2):
-            u, v = tj[:, b], ti[:, a]  # written out: np.cross costs more than it computes here
-            u_x_v = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-            blocks[:, a, b] = _dot(w, u_x_v)
-        return blocks
+        planes = np.ascontiguousarray(t.transpose(2, 1, 0))
+        return np.take(planes, self.rows, axis=2), np.take(planes, self.cols, axis=2)
+
+    def cross_matrix(self, m_values: np.ndarray, ti: np.ndarray, tj: np.ndarray) -> np.ndarray:
+        """(2, 2, nnz) reduced blocks of v -> <m x v, .> on the P1 pattern.
+
+        Entry [a, b, p] of block p = (i, j) is w_p . (t_b(j) x t_a(i)), from
+        the ``pattern_frames`` planes.  Swapping the factors of a cross
+        product negates it exactly, so the assembled matrix is exactly skew.
+        """
+        w = np.ascontiguousarray((self.cross_map @ m_values).T)[:, None, None]
+        u, v = tj[:, None], ti[:, :, None]  # [d, a, b, p]
+        # written out: np.cross costs more than it computes here
+        u_x_v = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        return _dot(w, u_x_v)
 
     def velocity_matrix(
         self, m_values: np.ndarray, t: np.ndarray, mass_coeff: float, stiffness_coeff: float
@@ -155,16 +183,40 @@ class LlgWorkspace:
         """Reduced 2N x 2N matrix; row 2i + a tests with t_a(i), column 2j + b
         is the coefficient of t_b(j).  Block (i, j) is the cross block plus
         (mass_coeff M_ij + stiffness_coeff K_ij) <t_a(i), t_b(j)>.
+
+        The blocks are written straight into the data of ``reduced`` through
+        ``slots``; that matrix is returned and is overwritten by the next call.
         """
-        pattern = self.stiffness.matrix
-        sym = mass_coeff * self.mass.matrix.data + stiffness_coeff * pattern.data
-        ti, tj = t.T[:, :, self.rows], t.T[:, :, pattern.indices]
-        blocks = self.cross_matrix(m_values, t)
-        for a, b in np.ndindex(2, 2):
-            blocks[:, a, b] += sym * _dot(ti[:, a], tj[:, b])
-        n2 = 2 * self.mesh.n_nodes
-        # CSR matvecs run about twice as fast as 2x2-block ones in the Krylov loop
-        return sparse.bsr_matrix((blocks, pattern.indices, pattern.indptr), shape=(n2, n2)).tocsr()
+        sym = mass_coeff * self.mass.matrix.data + stiffness_coeff * self.stiffness.matrix.data
+        ti, tj = self.pattern_frames(t)
+        blocks = self.cross_matrix(m_values, ti, tj)
+        blocks += sym * _dot(ti[:, :, None], tj[:, None])
+        self.reduced.data[self.slots] = blocks
+        return self.reduced
+
+    def block_jacobi(self, a: sparse.csr_matrix) -> sparse.csr_matrix:
+        """Inverses of the 2x2 nodal diagonal blocks of a reduced matrix.
+
+        Block n covers rows and columns 2n, 2n + 1 and is read from the data
+        of ``a`` (laid out as ``reduced``) at ``diagonal_slots``.  It is
+        [[d, s], [-s, d]] up to rounding: the symmetric part contributes
+        (alpha M_nn + C_exch k theta K_nn) <t_a(n), t_b(n)> with M_nn > 0,
+        the cross part is skew.  So its determinant d^2 + s^2 is positive
+        and every block inverts.
+
+        Returns:
+            ``jacobi`` holding the block-diagonal inverse; it is overwritten
+            by the next call.
+        """
+        block = a.data[self.diagonal_slots]
+        d0, upper, lower, d1 = block[0, 0], block[0, 1], block[1, 0], block[1, 1]
+        det = d0 * d1 - upper * lower
+        inverse = self.jacobi.data.reshape(-1, 2, 2)
+        inverse[:, 0, 0], inverse[:, 0, 1], inverse[:, 1, 0], inverse[:, 1, 1] = (
+            d1, -upper, -lower, d0
+        )
+        inverse /= det[:, None, None]
+        return self.jacobi
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -175,14 +227,38 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def make_llg_workspace(mesh: TetMesh) -> LlgWorkspace:
     stiffness = assemble_stiffness(mesh)
     pattern = stiffness.matrix
+    n, nnz = mesh.n_nodes, pattern.nnz
     positions = np.broadcast_to(pattern_positions(mesh)[..., None], (mesh.n_tets, 4, 4, 4))
     nodes = np.broadcast_to(mesh.tets[:, None, None, :], positions.shape)
     weights = mesh.volumes[:, None, None, None] * _CROSS_TENSOR
     cross_map = sparse.csr_matrix(
-        (weights.ravel(), (positions.ravel(), nodes.ravel())), shape=(pattern.nnz, mesh.n_nodes)
+        (weights.ravel(), (positions.ravel(), nodes.ravel())), shape=(nnz, n)
     )
-    rows = np.repeat(np.arange(mesh.n_nodes), np.diff(pattern.indptr))
-    return LlgWorkspace(mesh, assemble_mass(mesh), stiffness, cross_map, rows)
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    cols = pattern.indices.astype(np.intp)
+
+    # CSR matvecs run about twice as fast as 2x2-block ones in the Krylov loop.
+    # Row 2i + a holds columns 2j, 2j + 1 for each entry (i, j) of pattern row i, in order.
+    a, b = np.arange(2)[:, None, None], np.arange(2)[None, :, None]
+    indptr = np.concatenate(([0], np.cumsum(np.repeat(2 * np.diff(pattern.indptr), 2))))
+    slots = indptr[2 * rows + a] + 2 * (np.arange(nnz) - pattern.indptr[rows]) + b
+    indices = np.empty(4 * nnz, dtype=np.intp)
+    indices[slots] = 2 * cols + b
+    diagonal = np.flatnonzero(rows == cols)
+    if diagonal.size != n:
+        raise ValueError("every mesh node must belong to a tetrahedron")
+    n2 = 2 * n
+    reduced = sparse.csr_matrix((np.zeros(4 * nnz), indices, indptr), shape=(n2, n2))
+    # rows 2n and 2n + 1 each hold columns 2n, 2n + 1
+    jacobi = sparse.csr_matrix(
+        (np.zeros(2 * n2), np.arange(n2).reshape(-1, 2).repeat(2, axis=0).ravel(),
+         np.arange(0, 2 * n2 + 1, 2)),
+        shape=(n2, n2),
+    )
+    return LlgWorkspace(
+        mesh, assemble_mass(mesh), stiffness, cross_map, rows, cols, slots,
+        slots[:, :, diagonal], reduced, jacobi,
+    )
 
 
 def evaluate_contributions(
@@ -250,7 +326,7 @@ def llg_step(
     a_red = ws.velocity_matrix(state.m.values, t, constants.alpha, constants.c_exch * k * theta)
     b_red = np.einsum("nad,nd->na", t, rhs_nodal).ravel()
 
-    solve = _solve_velocity(a_red, b_red, solver_tol)
+    solve = _solve_velocity(a_red, ws.block_jacobi(a_red), b_red, solver_tol)
     logger.debug(
         "step %d velocity solve: %d BiCGStab iterations, GMRES fallback %s, "
         "relative residual %.3e",
@@ -287,39 +363,19 @@ class VelocitySolve:
     residual: float  # final ||b - A x|| / ||b||
 
 
-def block_jacobi(a: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Inverses of the 2x2 nodal diagonal blocks of the reduced matrix.
-
-    Block n covers rows and columns 2n, 2n + 1.  It is [[d, s], [-s, d]]
-    up to rounding: the symmetric part contributes (alpha M_nn +
-    C_exch k theta K_nn) <t_a(n), t_b(n)> with M_nn > 0, the cross part is
-    skew.  So its determinant d^2 + s^2 is positive and every block inverts.
-
-    Returns:
-        the block-diagonal inverse as a CSR matrix.
-    """
-    diag = a.diagonal()
-    d0, d1 = diag[0::2], diag[1::2]
-    upper, lower = a.diagonal(1)[0::2], a.diagonal(-1)[0::2]
-    det = d0 * d1 - upper * lower
-    inverse = np.stack((d1, -upper, -lower, d0), axis=1) / det[:, None]
-    # rows 2n and 2n + 1 each hold columns 2n, 2n + 1
-    cols = np.arange(a.shape[0]).reshape(-1, 2).repeat(2, axis=0).ravel()
-    indptr = np.arange(0, 2 * a.shape[0] + 1, 2)
-    return sparse.csr_matrix((inverse.ravel(), cols, indptr), shape=a.shape)
-
-
-def _solve_velocity(a: sparse.csr_matrix, b: np.ndarray, tol: float) -> VelocitySolve:
+def _solve_velocity(
+    a: sparse.csr_matrix, precond: sparse.csr_matrix, b: np.ndarray, tol: float
+) -> VelocitySolve:
     """Transpose-free Krylov solve of the reduced velocity system.
 
-    Block-Jacobi preconditioned BiCGStab first; its short recurrence can
-    break down when the skew part dominates (large k), in which case
-    restarted GMRES finishes the job at the same tolerance.
+    BiCGStab preconditioned by ``precond`` (``LlgWorkspace.block_jacobi``)
+    first; its short recurrence can break down when the skew part
+    dominates (large k), in which case restarted GMRES finishes the job at
+    the same tolerance.
     """
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return VelocitySolve(np.zeros_like(b), 0, False, 0.0)
-    precond = block_jacobi(a)
     iterations = 0
 
     def count(xk):
@@ -388,8 +444,9 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
     Energy records are produced for the initial state and after every step;
     a failure at step i raises with the step index and the partial
     trajectory attached to the exception as ``partial_trajectory``.  A
-    non-finite applied field at t = 0 raises the same way as step 0, with
-    no trajectory attached.
+    failure while evaluating the initial state (the applied field at t = 0,
+    a contribution or the energy) raises the same way as step 0, with no
+    trajectory attached.
 
     Args:
         on_step: optional callback ``on_step(trajectory, state)`` invoked
@@ -423,17 +480,12 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
 
     try:
         f0 = sample_f(0.0)
-    except ValueError as exc:
+        pi0, outputs0 = evaluate_contributions(setup.contributions, state.m, f0, 0)
+        record0 = energy(state, setup.contributions, f0, setup.constants, ws, outputs=outputs0,
+                         dissipation_sum=0.0)
+    except Exception as exc:
         raise RuntimeError(f"run aborted at step 0: {exc}") from exc
-    pi0, outputs0 = evaluate_contributions(setup.contributions, state.m, f0, 0)
-    traj = Trajectory(
-        states=[state],
-        velocities=[],
-        records=[
-            energy(state, setup.contributions, f0, setup.constants, ws, outputs=outputs0,
-                   dissipation_sum=0.0)
-        ],
-    )
+    traj = Trajectory(states=[state], velocities=[], records=[record0])
     if on_step is not None:
         on_step(traj, state)
 

@@ -130,6 +130,10 @@ class TetMesh:
     Attributes:
         nodes: (N, 3) float64 coordinates.
         tets: (M, 4) int64 connectivity, positively oriented.
+
+    Both are read-only copies of the arrays passed in, so the geometry and
+    operators cached for the mesh cannot go stale; edit a copy and build a
+    new mesh instead.
     """
 
     nodes: np.ndarray
@@ -137,8 +141,9 @@ class TetMesh:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
-        self.tets = np.ascontiguousarray(self.tets, dtype=np.int64)
+        # copies even when no conversion is needed: they are frozen below
+        self.nodes = np.array(self.nodes, dtype=np.float64, order="C")
+        self.tets = np.array(self.tets, dtype=np.int64, order="C")
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
             raise MeshFormatError("nodes must have shape (N, 3)")
         if self.tets.ndim != 2 or self.tets.shape[1] != 4:
@@ -150,7 +155,6 @@ class TetMesh:
         signed = self._signed_volumes(self.nodes, self.tets)
         flipped = signed < 0.0
         if flipped.any():
-            self.tets = self.tets.copy()
             self.tets[flipped, 2], self.tets[flipped, 3] = (
                 self.tets[flipped, 3].copy(),
                 self.tets[flipped, 2].copy(),
@@ -159,6 +163,8 @@ class TetMesh:
         if np.any(signed <= 0.0):
             bad = int(np.argmin(signed))
             raise MeshFormatError(f"tet {bad} is degenerate (zero volume)")
+        self.nodes.setflags(write=False)
+        self.tets.setflags(write=False)
         self._cache["volumes"] = signed
 
     @staticmethod

@@ -49,10 +49,6 @@ from .fields import FieldContribution
 from .mesh import SurfaceMesh, TetMesh
 
 
-def _mesh_fingerprint(mesh: TetMesh) -> tuple:
-    return (mesh.n_nodes, mesh.n_tets, float(mesh.nodes.sum()), float(mesh.volumes.sum()))
-
-
 @dataclass
 class StrayfieldWorkspace:
     """Per-mesh assembled state shared by repeated stray-field evaluations.
@@ -69,7 +65,6 @@ class StrayfieldWorkspace:
     mass: SparseOperator
     bem: BemOperatorSet
     method: str = "fk"
-    _fingerprint: tuple = field(default=(), repr=False, compare=False)
     boundary_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -81,13 +76,13 @@ class StrayfieldWorkspace:
             self.boundary_map -= 0.5 * (clement @ self.bem.boundary_mass).toarray()
         else:
             self.boundary_map = clement @ self.bem.single_layer
-        if not self._fingerprint:
-            self._fingerprint = _mesh_fingerprint(self.mesh)
 
     def verify(self) -> None:
-        """Check the assembled operators still describe the stored mesh."""
-        if _mesh_fingerprint(self.mesh) != self._fingerprint:
-            raise RuntimeError("workspace mesh changed after assembly")
+        """Check the assembled operators belong to the stored mesh.
+
+        The mesh itself cannot change after assembly: its arrays are
+        read-only.
+        """
         if self.stiffness.mesh is not self.mesh or self.bem.surface is not self.surface:
             raise RuntimeError("workspace operators do not belong to the stored mesh")
 

@@ -183,6 +183,12 @@ def test_material_section_converts_to_reduced_units(tmp_path, cube_file):
          "cubic k1 and k2 must be nonnegative"),
         ("[output]", "[contributions]\nterms = cubic\n\n[cubic]\nk1 = 1\nk2 = -0.5\n\n[output]",
          "cubic k1 and k2 must be nonnegative"),
+        ("[output]", "[contributions]\nterms = cubic\n\n[cubic]\nk1 = nan\n\n[output]",
+         r"\[cubic\] k1 must be finite, got 'nan'"),
+        ("k = 1e-4", "k = inf", r"\[run\] k must be finite, got 'inf'"),
+        ("[output]", "[applied_field]\nkind = constant\namplitude = 0 0 1\nomega = nan\n\n[output]",
+         r"\[applied_field\] omega must be finite, got 'nan'"),
+        ("c_exch = 1.0", "c_exch = inf", r"\[constants\] c_exch must be finite, got 'inf'"),
     ],
 )
 def test_rejects_bad_values(tmp_path, cube_file, old, new, match):

@@ -10,7 +10,7 @@ import logging
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.sparse import bsr_matrix, coo_matrix, diags, identity, kron
+from scipy.sparse import bsr_matrix, coo_matrix, csr_matrix, diags, identity, kron
 from scipy.sparse import linalg as spla
 
 from multimag import (
@@ -19,6 +19,7 @@ from multimag import (
     NondimConstants,
     RunSetup,
     TangentFrame,
+    TetMesh,
     UniaxialContribution,
     build_tangent_frame,
     icosphere_volume,
@@ -32,7 +33,7 @@ from multimag import (
 from multimag.fem import assemble_mass, assemble_stiffness, h1_seminorm_sq
 from multimag.fields import FieldContribution
 from multimag import integrator
-from multimag.integrator import _CROSS_TENSOR, block_jacobi
+from multimag.integrator import _CROSS_TENSOR, _dot
 
 from conftest import random_unit_field
 
@@ -98,23 +99,81 @@ def frames(ws, m):
     return ws.frame_matrix(build_tangent_frame(unit_state(ws.mesh, m)))
 
 
+# (alpha, C_exch, k, theta)
+STEP_PARAMETERS = [(1.0, 1.0, 1e-3, 1.0), (0.02, 3.0, 0.1, 0.5), (0.5, 0.1, 2.0, 0.75)]
+
+
 @pytest.mark.parametrize("mesh_name", ["cube2", "sphere2"])
 def test_velocity_matrix_matches_frame_triple_product(mesh_name, request):
     mesh = request.getfixturevalue(mesh_name)
     ws = make_llg_workspace(mesh)
-    for seed, (alpha, c_exch, k, theta) in enumerate(
-        [(1.0, 1.0, 1e-3, 1.0), (0.02, 3.0, 0.1, 0.5), (0.5, 0.1, 2.0, 0.75)]
-    ):
+    for seed, (alpha, c_exch, k, theta) in enumerate(STEP_PARAMETERS):
         m = random_unit_field(mesh, 200 + seed)
         a_red = ws.velocity_matrix(m, frames(ws, m), alpha, c_exch * k * theta).toarray()
         expect = frame_triple_product(mesh, m, alpha, c_exch * k * theta)
         assert np.abs(a_red - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
+def bsr_velocity_matrix(ws, m, t, mass_coeff, stiffness_coeff):
+    """The reduced matrix built block by block: strided (nnz, 2, 2) blocks,
+    then BSR converted to CSR."""
+    pattern = ws.stiffness.matrix
+    w = (ws.cross_map @ m).T
+    ti, tj = t.T[:, :, ws.rows], t.T[:, :, pattern.indices]
+    sym = mass_coeff * ws.mass.matrix.data + stiffness_coeff * pattern.data
+    blocks = np.empty((pattern.nnz, 2, 2))
+    for a, b in np.ndindex(2, 2):
+        u, v = tj[:, b], ti[:, a]
+        u_x_v = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        blocks[:, a, b] = _dot(w, u_x_v)
+        blocks[:, a, b] += sym * _dot(ti[:, a], tj[:, b])
+    n2 = 2 * ws.mesh.n_nodes
+    return bsr_matrix((blocks, pattern.indices, pattern.indptr), shape=(n2, n2)).tocsr()
+
+
+def diagonal_block_jacobi(a):
+    """Block-Jacobi inverse read from the matrix through a.diagonal(0/+-1)."""
+    diag = a.diagonal()
+    d0, d1 = diag[0::2], diag[1::2]
+    upper, lower = a.diagonal(1)[0::2], a.diagonal(-1)[0::2]
+    det = d0 * d1 - upper * lower
+    inverse = np.stack((d1, -upper, -lower, d0), axis=1) / det[:, None]
+    cols = np.arange(a.shape[0]).reshape(-1, 2).repeat(2, axis=0).ravel()
+    indptr = np.arange(0, 2 * a.shape[0] + 1, 2)
+    return csr_matrix((inverse.ravel(), cols, indptr), shape=a.shape)
+
+
+@pytest.mark.parametrize("mesh_name", ["cube2", "sphere2"])
+def test_fixed_layout_matches_block_assembly_bit_for_bit(mesh_name, request):
+    # the same arithmetic per entry, so the same bits: BiCGStab then takes
+    # the same iterates and the energy tables stay byte-identical
+    mesh = request.getfixturevalue(mesh_name)
+    ws = make_llg_workspace(mesh)
+    for seed, (alpha, c_exch, k, theta) in enumerate(STEP_PARAMETERS):
+        m = random_unit_field(mesh, 200 + seed)
+        t = frames(ws, m)
+        a = ws.velocity_matrix(m, t, alpha, c_exch * k * theta)
+        expect = bsr_velocity_matrix(ws, m, t, alpha, c_exch * k * theta)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, name), getattr(expect, name)), name
+        assert a.has_canonical_format  # computed from the arrays: sorted, no duplicates
+        precond, expect_precond = ws.block_jacobi(a), diagonal_block_jacobi(expect)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(precond, name), getattr(expect_precond, name)), name
+
+
+def test_workspace_rejects_node_outside_every_tet():
+    # such a node has no diagonal block, so its velocity is undetermined
+    nodes = np.vstack([reference_tet().nodes, [[2.0, 2.0, 2.0]]])
+    mesh = TetMesh(nodes, reference_tet().tets)
+    with pytest.raises(ValueError, match="every mesh node must belong to a tetrahedron"):
+        make_llg_workspace(mesh)
+
+
 def cross_blocks(ws, m):
     n2 = 2 * ws.mesh.n_nodes
     pattern = ws.stiffness.matrix
-    blocks = ws.cross_matrix(m, frames(ws, m))
+    blocks = ws.cross_matrix(m, *ws.pattern_frames(frames(ws, m))).transpose(2, 0, 1)
     return bsr_matrix((blocks, pattern.indices, pattern.indptr), shape=(n2, n2))
 
 
@@ -137,7 +196,8 @@ def test_cross_blocks_uniform_m_are_mass_weighted(cube2):
     ti, tj = t[rows], t[pattern.indices]
     tj_x_ti = np.cross(tj[:, :, None], ti[:, None])  # [p, b, a] = t_b(j) x t_a(i)
     expect = np.einsum("p,d,pbad->pab", ws.mass.matrix.data, m, tj_x_ti)
-    np.testing.assert_allclose(ws.cross_matrix(values, t), expect, atol=1e-15)
+    blocks = ws.cross_matrix(values, *ws.pattern_frames(t)).transpose(2, 0, 1)
+    np.testing.assert_allclose(blocks, expect, atol=1e-15)
 
 
 def test_frame_canonical_example(cube2):
@@ -245,7 +305,7 @@ def reduced_system(mesh, seed, k=1e-3):
     t = ws.frame_matrix(build_tangent_frame(unit_state(mesh, m)))
     a = ws.velocity_matrix(m, t, CONSTANTS.alpha, CONSTANTS.c_exch * k)
     b = np.einsum("nad,nd->na", t, -CONSTANTS.c_exch * (ws.stiffness.matrix @ m)).ravel()
-    return a, b
+    return ws, a, b
 
 
 def nodal_blocks(matrix):
@@ -257,8 +317,8 @@ def nodal_blocks(matrix):
 
 def test_block_jacobi_inverts_nodal_blocks_and_cuts_iterations():
     mesh = icosphere_volume(2, n_radial=2)
-    a, b = reduced_system(mesh, seed=4)
-    precond = block_jacobi(a)
+    ws, a, b = reduced_system(mesh, seed=4)
+    precond = ws.block_jacobi(a)
     assert precond.nnz == 4 * mesh.n_nodes  # block diagonal
     products = np.einsum("nab,nbc->nac", nodal_blocks(precond), nodal_blocks(a))
     assert np.abs(products - np.eye(2)).max() <= 1e-13
@@ -274,13 +334,14 @@ def test_block_jacobi_inverts_nodal_blocks_and_cuts_iterations():
 
 
 def test_velocity_solve_reports_gmres_fallback(cube2, monkeypatch, caplog):
-    a, b = reduced_system(cube2, seed=2)
-    solve = integrator._solve_velocity(a, b, 1e-10)
+    ws, a, b = reduced_system(cube2, seed=2)
+    precond = ws.block_jacobi(a)
+    solve = integrator._solve_velocity(a, precond, b, 1e-10)
     assert solve.bicgstab_iterations > 0 and not solve.gmres_fired
     assert solve.residual <= 1e-9
 
     monkeypatch.setattr(integrator.spla, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 1))
-    solve = integrator._solve_velocity(a, b, 1e-10)
+    solve = integrator._solve_velocity(a, precond, b, 1e-10)
     assert solve.gmres_fired and solve.bicgstab_iterations == 0
     assert solve.residual <= 1e-9
     assert np.linalg.norm(b - a @ solve.x) <= 1e-9 * np.linalg.norm(b)
@@ -292,7 +353,7 @@ def test_velocity_solve_reports_gmres_fallback(cube2, monkeypatch, caplog):
 
     monkeypatch.setattr(integrator.spla, "gmres", lambda a, b, **kw: (np.zeros_like(b), 1))
     with pytest.raises(RuntimeError, match="velocity solve did not converge"):
-        integrator._solve_velocity(a, b, 1e-10)
+        integrator._solve_velocity(a, precond, b, 1e-10)
 
 
 def test_step_parameter_validation(cube2):
@@ -401,6 +462,22 @@ def test_run_aborts_with_partial_trajectory(cube1):
     partial = err.value.partial_trajectory
     assert len(partial.states) == 3  # initial plus two completed steps
     assert len(partial.records) == 3
+
+
+class FailingContribution(FieldContribution):
+    name = "failing"
+
+    def evaluate(self, m, zeta=None, time_index=0):
+        raise ValueError(f"cannot evaluate at time index {time_index}")
+
+
+def test_run_wraps_step0_contribution_failure(cube1):
+    with pytest.raises(
+        RuntimeError, match="run aborted at step 0: cannot evaluate at time index 0"
+    ) as err:
+        run(small_setup(cube1, 2, contributions=[FailingContribution()]))
+    assert isinstance(err.value.__cause__, ValueError)
+    assert not hasattr(err.value, "partial_trajectory")
 
 
 def test_run_rejects_nonfinite_inputs(cube1):

@@ -37,6 +37,19 @@ def test_inverted_cells_are_reoriented():
     assert sorted(mesh.tets[0]) == [0, 1, 2, 3]
 
 
+def test_mesh_freezes_copies_not_the_callers_arrays():
+    nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    tets = np.array([[0, 1, 2, 3]], dtype=np.int64)  # nothing to convert, so only a copy helps
+    mesh = TetMesh(nodes, tets)
+    assert not mesh.nodes.flags.writeable and not mesh.tets.flags.writeable
+    assert nodes.flags.writeable and tets.flags.writeable
+    nodes[3, 2] = 2.0
+    tets[0] = [0, 2, 1, 3]
+    assert mesh.nodes[3, 2] == 1.0 and mesh.tets[0].tolist() == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.nodes[0, 0] = 0.5
+
+
 def test_degenerate_cell_rejected():
     nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 0]], dtype=float)
     with pytest.raises(MeshFormatError):

@@ -27,15 +27,14 @@ def test_workspace_verify(sphere_ws):
     sphere_ws.verify()
 
 
-def test_workspace_detects_mesh_mutation(sphere1):
+def test_workspace_mesh_rejects_in_place_edits(sphere1):
+    # the assembled operators would no longer describe an edited mesh
     ws = make_strayfield_workspace(sphere1, "fk")
-    saved = sphere1.nodes.copy()
-    try:
-        sphere1.nodes[0] += 0.25
-        with pytest.raises(RuntimeError, match="mesh changed"):
-            ws.verify()
-    finally:
-        sphere1.nodes[:] = saved
+    with pytest.raises(ValueError, match="read-only"):
+        ws.mesh.nodes[0] += 0.25
+    with pytest.raises(ValueError, match="read-only"):
+        ws.mesh.tets[0, :2] = ws.mesh.tets[0, 1::-1]
+    ws.verify()
 
 
 def test_rejects_unknown_method(sphere1):
