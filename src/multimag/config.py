@@ -90,10 +90,7 @@ def _vector3(text: str, where: str) -> np.ndarray:
     parts = text.split()
     if len(parts) != 3:
         raise ValueError(f"{where} must be three space-separated numbers, got {text!r}")
-    values = np.array([float(p) for p in parts])
-    if not np.isfinite(values).all():
-        raise ValueError(f"{where} must be finite, got {text!r}")
-    return values
+    return np.array([_finite_float(p, where) for p in parts])
 
 
 def _finite_float(text: str, where: str) -> float:
@@ -104,6 +101,13 @@ def _finite_float(text: str, where: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{where} must be finite, got {text!r}")
     return value
+
+
+def _int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where} must be an integer, got {text!r}") from None
 
 
 def load_config(path: str) -> SimulationConfig:
@@ -169,7 +173,7 @@ def load_config(path: str) -> SimulationConfig:
     k = get_float("run", "k", required=True)
     if not k > 0.0:
         raise ValueError(f"time step k must be positive, got {k}")
-    n_steps = int(get("run", "n_steps", required=True))
+    n_steps = _int(get("run", "n_steps", required=True), "[run] n_steps")
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
 
@@ -238,7 +242,7 @@ def load_config(path: str) -> SimulationConfig:
         if multiscale_scheme not in ("zarantonello", "kacanov"):
             raise ValueError(f"unknown nonlinear scheme {multiscale_scheme!r}")
         multiscale_tol = get_float("multiscale", "tol", "1e-8")
-        multiscale_max_iter = int(get("multiscale", "max_iter", "200"))
+        multiscale_max_iter = _int(get("multiscale", "max_iter", "200"), "[multiscale] max_iter")
         if not multiscale_tol > 0.0:
             raise ValueError(f"multiscale tol must be positive, got {multiscale_tol}")
         if multiscale_max_iter < 1:
@@ -269,7 +273,7 @@ def load_config(path: str) -> SimulationConfig:
     if not parser.has_section("output"):
         raise ValueError("missing required section [output]")
     output_dir = os.path.join(base, get("output", "directory", required=True))
-    cadence = int(get("output", "cadence", "10"))
+    cadence = _int(get("output", "cadence", "10"), "[output] cadence")
     if cadence < 1:
         raise ValueError(f"cadence must be a positive integer, got {cadence}")
     vtk_text = get("output", "vtk", "false").lower()

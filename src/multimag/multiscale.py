@@ -45,17 +45,19 @@ stabilized operator is strongly monotone when gamma > 1/4, which is
 enforced at solver entry.  The nonlinear solve is a damped Zarantonello
 iteration x <- x - delta P^-1 (A(x) - b) with delta = gamma / lip^2 and P
 the chi == 0 stabilized matrix, or optionally a Kacanov iteration that
-refreezes the weights chi(|grad u|) and re-solves.  Kacanov is for laws
-whose lip/gamma makes Zarantonello's step gamma/lip^2 too short: for tanh
-3 1 on two 85-node spheres Zarantonello needs ~300 iterations, past its
-default cap of 200, and Kacanov 9.  Both converge from any
-start x0 (Aurada, Feischl, Fuehrer, Karkulik, Melenk & Praetorius, Comput.
-Mech. 51, 2013).  A MultiscaleContribution therefore starts each solve from
-the previous converged state it keeps in ``last_state``, and from x = 0 at
-time index 0, so every run starts from the same point and reruns repeat
-exactly.  The iteration applies A through the gradient map G of the mesh,
-G^T ((1 + chi(|Gu|)) |T| Gu), and assembles no matrix.  Linear laws are one
-direct solve; for chi == 0 the matrix is P and its LU is reused.
+refreezes the weights w = 1 + chi(|grad u|) and solves A_w x = b.  Kacanov
+is for laws whose lip/gamma makes Zarantonello's step gamma/lip^2 too
+short: for tanh 3 1 on two 85-node spheres Zarantonello needs ~300
+iterations, past its default cap of 200, and Kacanov 9.  Both converge from
+any start x0 (Aurada, Feischl, Fuehrer, Karkulik, Melenk & Praetorius,
+Comput. Mech. 51, 2013).  A MultiscaleContribution therefore starts each
+solve from the previous converged state it keeps in ``last_state``, and
+from x = 0 at time index 0, so every run starts from the same point and
+reruns repeat exactly.  A has one form, ``CouplingWorkspace.apply``, which
+acts through the gradient map G of the mesh as G^T (w |T| Gu) and assembles
+no matrix.  P is the one dense matrix and its LU the one factorisation: a
+linear law is one solve of A_w x = b, as is each Kacanov step, by restarted
+GMRES on the matrix-free A_w preconditioned by P's LU.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.sparse import linalg as spla
 
 from .bem import (
     BemOperatorSet,
@@ -92,6 +95,11 @@ from .fields import FieldContribution
 from .mesh import SurfaceMesh, TetMesh
 
 logger = logging.getLogger("multimag")
+
+GMRES_TOL_FRACTION = 1e-2  # frozen-coefficient GMRES: rtol as a fraction of tol_nl,
+GMRES_RTOL_FLOOR = 1e-14  # but no lower, where roundoff stalls it,
+GMRES_RESTART = 50  # iterations between restarts,
+GMRES_CYCLES = 10  # and restart cycles before it counts as stopped short
 
 
 @dataclass(frozen=True)
@@ -226,8 +234,18 @@ class CouplingWorkspace:
             0.5 * (self.bem.boundary_mass.T @ ones) - self.bem.double_layer.T @ ones
         )
         self.s_vec = np.concatenate([s_u, self.bem.single_layer.T @ ones])
-        self.p_lu = lu_factor(self._dense_matrix(np.ones(self.mesh.n_tets)))
+        # P: its stiffness block is the weighted form at w = 1, whose entries
+        # differ from assemble_stiffness's by rounding; P fixes the iterates
+        n2, bnodes = self.n_u, self.surface.boundary_nodes
+        k = assemble_weighted_stiffness(self.mesh, np.ones(self.mesh.n_tets)).matrix
         mb = self.bem.boundary_mass
+        p = np.zeros((n2 + self.n_phi, n2 + self.n_phi))
+        p[:n2, :n2] = k.toarray()
+        p[bnodes, n2:] -= mb.T.toarray()
+        p[n2:, bnodes] += 0.5 * mb.toarray() - self.bem.double_layer
+        p[n2:, n2:] += self.bem.single_layer
+        p += np.outer(self.s_vec, self.s_vec)
+        self.p_lu = lu_factor(p)
         self.flux_cho = cho_factor((mb.T @ sparse.diags(1.0 / self.surface.areas) @ mb).toarray())
         self.gradient_t = self.mesh.gradient_matrix.T.tocsr()
 
@@ -238,18 +256,6 @@ class CouplingWorkspace:
     @property
     def n_phi(self) -> int:
         return self.surface.n_faces
-
-    def _dense_matrix(self, weights: np.ndarray) -> np.ndarray:
-        """Stabilized coupling matrix for frozen element weights."""
-        n2, f = self.n_u, self.n_phi
-        bnodes = self.surface.boundary_nodes
-        A = np.zeros((n2 + f, n2 + f))
-        A[:n2, :n2] = assemble_weighted_stiffness(self.mesh, weights).matrix.toarray()
-        mb = self.bem.boundary_mass.toarray()
-        A[bnodes, n2:] -= mb.T
-        A[n2:, bnodes] += 0.5 * mb - self.bem.double_layer
-        A[n2:, n2:] += self.bem.single_layer
-        return A + np.outer(self.s_vec, self.s_vec)
 
     def uapp(self, f_values: np.ndarray) -> NodalScalarField:
         """:func:`solve_uapp` of f, solved again only when f changes bitwise.
@@ -263,15 +269,20 @@ class CouplingWorkspace:
         return self._uapp[1]
 
     def apply(self, law: MaterialLaw, x: np.ndarray) -> np.ndarray:
-        """Stabilized nonlinear operator A(x).
+        """Stabilized nonlinear operator A(x) = A_w x, w = 1 + chi(|Gu|) taken at
+        x = (u, phi), with G the (3M, N) gradient map; nothing is assembled."""
+        grad = self._gradient(x)
+        return self._weighted(self._weights(law, grad), grad, x)
 
-        The weighted stiffness acts as G^T ((1 + chi(|Gu|)) |T| Gu), with G
-        the (3M, N) gradient map of the mesh, so nothing is assembled.
-        """
-        u = x[: self.n_u]
-        phi = x[self.n_u :]
-        grad = (self.mesh.gradient_matrix @ u).reshape(-1, 3)
-        weights = (1.0 + law.chi(np.linalg.norm(grad, axis=1))) * self.mesh.volumes
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        return (self.mesh.gradient_matrix @ x[: self.n_u]).reshape(-1, 3)
+
+    def _weights(self, law: MaterialLaw, grad: np.ndarray) -> np.ndarray:
+        return (1.0 + law.chi(np.linalg.norm(grad, axis=1))) * self.mesh.volumes
+
+    def _weighted(self, weights: np.ndarray, grad: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """G^T (weights grad) + BEM blocks + s s^T at x; weights include |T|."""
+        u, phi = x[: self.n_u], x[self.n_u :]
         out = np.empty_like(x)
         out[: self.n_u] = self.gradient_t @ (weights[:, None] * grad).ravel()
         bnodes = self.surface.boundary_nodes
@@ -335,14 +346,13 @@ def solve_coupling(
 ) -> CouplingState:
     """Solve the stabilized coupling system for (u, phi).
 
-    Linear laws are solved directly in one step; for chi == 0 the matrix
-    is P, so its LU ``p_lu`` is reused.  Nonlinear laws iterate
-    (Zarantonello or Kacanov) from ``x0`` (zero when None; linear laws
-    ignore it) until the preconditioned residual ||P^-1 (A(x) - b)||_2
-    falls below ``tol_nl`` relative to ||P^-1 b||_2; the residual history
-    must decrease strictly monotonically, and the iteration cap aborts with
-    the history attached.  The scheme, the start, the iterations and the
-    final residual are logged at DEBUG.
+    A linear law is one :func:`_frozen_solve`.  Nonlinear laws iterate
+    (Zarantonello or Kacanov, a frozen solve per step) from ``x0`` (zero when
+    None; linear laws ignore it) until the preconditioned residual
+    ||P^-1 (A(x) - b)||_2 falls below ``tol_nl`` relative to ||P^-1 b||_2;
+    the residual history must decrease strictly monotonically, and the
+    iteration cap aborts with the history attached.  The scheme, the start,
+    the iterations and the final residual are logged at DEBUG.
 
     Args:
         x0: (N2 + F,) start vector (u, phi), such as the ``x`` of an
@@ -356,17 +366,12 @@ def solve_coupling(
     if scheme not in ("zarantonello", "kacanov"):
         raise ValueError(f"unknown scheme {scheme!r}")
     b = ws.rhs(data)
-    norm_pb = np.linalg.norm(lu_solve(ws.p_lu, b))
+    scale = np.linalg.norm(lu_solve(ws.p_lu, b)) or 1.0  # ||P^-1 b||, 1 when b = 0
 
     if law.is_linear:
-        chi = law.params[0] if law.kind == "linear" else 0.0
-        if chi == 0.0:
-            x = lu_solve(ws.p_lu, b)
-        else:
-            x = np.linalg.solve(ws._dense_matrix(np.full(ws.mesh.n_tets, 1.0 + chi)), b)
-        z = np.linalg.norm(lu_solve(ws.p_lu, ws.apply(law, x) - b))
-        res = z / norm_pb if norm_pb > 0.0 else z
-        return _pack_state(ws, x, res, 1, [res], "direct", "cold")
+        x = _frozen_solve(ws, law, np.zeros(ws.n_u + ws.n_phi), b, tol_nl)
+        res = np.linalg.norm(lu_solve(ws.p_lu, ws.apply(law, x) - b)) / scale
+        return _pack_state(ws, x, res, 1, [res], "linear", "cold")
 
     if x0 is None:
         x, start = np.zeros(ws.n_u + ws.n_phi), "cold"
@@ -379,7 +384,7 @@ def solve_coupling(
     for iteration in range(1, max_iter + 1):
         r = ws.apply(law, x) - b
         z = lu_solve(ws.p_lu, r)
-        res = np.linalg.norm(z) / norm_pb if norm_pb > 0.0 else np.linalg.norm(z)
+        res = np.linalg.norm(z) / scale
         if history and res >= history[-1] and res > tol_nl:
             raise RuntimeError(
                 f"residual increased at iteration {iteration}: "
@@ -391,14 +396,27 @@ def solve_coupling(
         if scheme == "zarantonello":
             x = x - delta * z
         else:
-            weights = 1.0 + law.chi(
-                np.linalg.norm(ws.mesh.element_gradient(x[: ws.n_u]), axis=1)
-            )
-            x = np.linalg.solve(ws._dense_matrix(weights), b)
+            x = _frozen_solve(ws, law, x, b, tol_nl)
     raise RuntimeError(
         f"coupling solve did not reach tol {tol_nl:g} within {max_iter} iterations; "
         f"last residuals: {history[-5:]}"
     )
+
+
+def _frozen_solve(ws, law, x, b, tol_nl) -> np.ndarray:
+    """A_w^-1 b, w = 1 + chi(|grad u|) frozen at x, by GMRES from x on the
+    matrix-free A_w preconditioned by P's LU; RuntimeError if it stops short."""
+    weights = ws._weights(law, ws._gradient(x))
+    shape = (x.size, x.size)
+    a_w = spla.LinearOperator(shape, lambda y: ws._weighted(weights, ws._gradient(y), y),
+                              dtype=np.float64)
+    p_inv = spla.LinearOperator(shape, lambda r: lu_solve(ws.p_lu, r), dtype=np.float64)
+    rtol = max(GMRES_TOL_FRACTION * tol_nl, GMRES_RTOL_FLOOR)
+    y, info = spla.gmres(a_w, b, x0=x, rtol=rtol, restart=GMRES_RESTART,
+                         maxiter=GMRES_CYCLES, M=p_inv)
+    if info != 0:
+        raise RuntimeError(f"frozen-coefficient solve did not converge: GMRES info {info}")
+    return y
 
 
 def _pack_state(ws, x, res, iterations, history, scheme, start) -> CouplingState:
@@ -528,31 +546,15 @@ def multiscale_field(
     scheme: str = "zarantonello",
     tol_nl: float = 1e-8,
     max_iter: int = 200,
-) -> NodalVectorField:
+    x0: np.ndarray | None = None,
+) -> tuple[NodalVectorField, CouplingState]:
     """Environment contribution pi(m, f) = grad(u2) on Omega_1.
 
     Runs the full pipeline: u11 on Omega_1, transfer to Omega_2, auxiliary
-    potential, stabilized coupling solve (from x = 0), and the
-    representation-formula transfer back to Omega_1.  Stage failures are
-    re-raised with the stage named.
+    potential, stabilized coupling solve (from ``x0``, zero when None), and
+    the representation-formula transfer back to Omega_1.  Returns pi and the
+    converged coupling state; stage failures are re-raised with the stage named.
     """
-    return _pipeline(
-        mws, m, f_values, law, scheme=scheme, tol_nl=tol_nl, max_iter=max_iter
-    )[0]
-
-
-def _pipeline(
-    mws: MultiscaleWorkspace,
-    m: NodalVectorField,
-    f_values: np.ndarray,
-    law: MaterialLaw,
-    *,
-    scheme: str,
-    tol_nl: float,
-    max_iter: int,
-    x0: np.ndarray | None = None,
-) -> tuple[NodalVectorField, CouplingState]:
-    """pi(m, f) and the converged coupling state; the solve starts at x0."""
     cws = mws.coupling
     f_values = np.broadcast_to(np.asarray(f_values, dtype=np.float64), (cws.mesh.n_nodes, 3))
 
@@ -621,14 +623,8 @@ class MultiscaleContribution(FieldContribution):
                 "zeta is sampled on Omega_1's nodes, not on Omega_2's"
             )
         x0 = self.last_state.x if time_index > 0 and self.last_state is not None else None
-        pi, self.last_state = _pipeline(
-            self.workspace,
-            m,
-            f_values[0],
-            self.law,
-            scheme=self.scheme,
-            tol_nl=self.tol_nl,
-            max_iter=self.max_iter,
-            x0=x0,
+        pi, self.last_state = multiscale_field(
+            self.workspace, m, f_values[0], self.law,
+            scheme=self.scheme, tol_nl=self.tol_nl, max_iter=self.max_iter, x0=x0,
         )
         return pi

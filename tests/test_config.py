@@ -189,6 +189,13 @@ def test_material_section_converts_to_reduced_units(tmp_path, cube_file):
         ("[output]", "[applied_field]\nkind = constant\namplitude = 0 0 1\nomega = nan\n\n[output]",
          r"\[applied_field\] omega must be finite, got 'nan'"),
         ("c_exch = 1.0", "c_exch = inf", r"\[constants\] c_exch must be finite, got 'inf'"),
+        ("n_steps = 5", "n_steps = 2.5", r"\[run\] n_steps must be an integer, got '2.5'"),
+        ("n_steps = 5", "n_steps = 1e3", r"\[run\] n_steps must be an integer, got '1e3'"),
+        ("directory = out", "directory = out\ncadence = ten",
+         r"\[output\] cadence must be an integer, got 'ten'"),
+        ("initial_vector = 0 0 1", "initial_vector = 0 0 x", "initial_vector must be a number, got 'x'"),
+        ("[output]", "[contributions]\nterms = uniaxial\n\n[uniaxial]\naxis = 0 0 z\n\n[output]",
+         "uniaxial axis must be a number, got 'z'"),
     ],
 )
 def test_rejects_bad_values(tmp_path, cube_file, old, new, match):
@@ -223,6 +230,8 @@ def test_rejects_nonfinite_vectors(tmp_path, cube_file, old, new, match):
         ("law = tanh\nparams = 1 1\ntol = 0", "multiscale tol must be positive"),
         ("law = tanh\nparams = 1 1\ntol = -1e-8", "multiscale tol must be positive"),
         ("law = tanh\nparams = 1 1\nmax_iter = 0", "multiscale max_iter must be at least 1"),
+        ("law = tanh\nparams = 1 1\nmax_iter = 1.5",
+         r"\[multiscale\] max_iter must be an integer, got '1.5'"),
     ],
 )
 def test_multiscale_law_validation(tmp_path, cube_file, law_block, match):

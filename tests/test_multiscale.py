@@ -150,11 +150,41 @@ def test_stabilization_vector_structure(cube_cws):
     np.testing.assert_allclose(ws.s_vec[interior], 0.0, atol=0)
 
 
+def dense_frozen_matrix(ws, law, x):
+    """A_w as a dense matrix, the weights w = 1 + chi(|grad u|) frozen at x = (u, phi)."""
+    from multimag.fem import assemble_weighted_stiffness
+
+    n2, bnodes = ws.n_u, ws.surface.boundary_nodes
+    weights = 1.0 + law.chi(np.linalg.norm(ws.mesh.element_gradient(x[:n2]), axis=1))
+    a = np.zeros((x.size, x.size))
+    a[:n2, :n2] = assemble_weighted_stiffness(ws.mesh, weights).matrix.toarray()
+    mb = ws.bem.boundary_mass.toarray()
+    a[bnodes, n2:] -= mb.T
+    a[n2:, bnodes] += 0.5 * mb - ws.bem.double_layer
+    a[n2:, n2:] += ws.bem.single_layer
+    return a + np.outer(ws.s_vec, ws.s_vec)
+
+
+def count_weighted_assemblies(monkeypatch):
+    """Record each call of the weighted-stiffness assembly the coupling module makes."""
+    from multimag import multiscale
+
+    calls = []
+    assemble = multiscale.assemble_weighted_stiffness
+
+    def counting(*args):
+        calls.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(multiscale, "assemble_weighted_stiffness", counting)
+    return calls
+
+
 def test_apply_matches_dense_matrix_for_linear_law(cube_cws):
     law = material_law("linear", 1.5)
     rng = np.random.default_rng(23)
     x = rng.normal(size=cube_cws.n_u + cube_cws.n_phi)
-    dense = cube_cws._dense_matrix(np.full(cube_cws.mesh.n_tets, 2.5))
+    dense = dense_frozen_matrix(cube_cws, law, x)
     np.testing.assert_allclose(cube_cws.apply(law, x), dense @ x, rtol=1e-10, atol=1e-12)
 
 
@@ -255,7 +285,8 @@ def test_null_test_zero_law(pair_ws, sphere1):
     m_values = rng.normal(size=(sphere1.n_nodes, 3))
     m_values /= np.linalg.norm(m_values, axis=1, keepdims=True)
     f = np.array([0.3, -0.2, 0.9])
-    pi = multiscale_field(pair_ws, NodalVectorField(sphere1, m_values), f, material_law("zero"))
+    m = NodalVectorField(sphere1, m_values)
+    pi = multiscale_field(pair_ws, m, f, material_law("zero"))[0]
     scale = np.linalg.norm(f) + 1.0
     assert np.abs(pi.values).max() <= 1e-6 * scale
 
@@ -280,7 +311,7 @@ def test_contribution_requires_zeta(pair_ws, sphere1):
         contrib.evaluate(m)
     zeta = NodalVectorField(sphere1, np.tile([0.0, 0.0, 1.0], (sphere1.n_nodes, 1)))
     out = contrib.evaluate(m, zeta=zeta)
-    expect = multiscale_field(pair_ws, m, zeta.values, contrib.law)
+    expect = multiscale_field(pair_ws, m, zeta.values, contrib.law)[0]
     np.testing.assert_allclose(out.values, expect.values, rtol=1e-12)
 
 
@@ -298,7 +329,8 @@ def test_uniform_applied_field_on_bodies_of_different_size(unequal_pair, sphere1
     f = np.array([0.1, -0.2, 1.0])
     zeta = NodalVectorField(sphere1, np.tile(f, (sphere1.n_nodes, 1)))
     out = MultiscaleContribution(workspace=unequal_pair, law=law).evaluate(m, zeta=zeta)
-    np.testing.assert_array_equal(out.values, multiscale_field(unequal_pair, m, f, law).values)
+    expect = multiscale_field(unequal_pair, m, f, law)[0]
+    np.testing.assert_array_equal(out.values, expect.values)
 
 
 def test_nonuniform_applied_field_is_rejected(unequal_pair, sphere1):
@@ -350,7 +382,7 @@ def test_transfers_are_built_once(pair_ws, sphere1, monkeypatch):
 
     m = NodalVectorField(sphere1, np.tile([0.0, 0.0, 1.0], (sphere1.n_nodes, 1)))
     law = material_law("tanh", 1.0, 1.0)
-    first = multiscale_field(pair_ws, m, [0.0, 0.0, 1.0], law)
+    first = multiscale_field(pair_ws, m, [0.0, 0.0, 1.0], law)[0]
     calls = []
     panel_integrals = bem.panel_integrals
 
@@ -359,7 +391,7 @@ def test_transfers_are_built_once(pair_ws, sphere1, monkeypatch):
         return panel_integrals(*args)
 
     monkeypatch.setattr(bem, "panel_integrals", counting)
-    second = multiscale_field(pair_ws, m, [0.0, 0.0, 1.0], law)
+    second = multiscale_field(pair_ws, m, [0.0, 0.0, 1.0], law)[0]
     assert calls == []
     np.testing.assert_array_equal(second.values, first.values)
 
@@ -415,31 +447,63 @@ def test_coupling_solve_logs_scheme_start_and_iterations(pair_ws, sphere1, caplo
         f"relative residual {cold.residual:.3e}",
         messages[2],
     ]
-    assert messages[2].startswith("coupling solve (direct, cold start): 1 iterations")
+    assert messages[2].startswith("coupling solve (linear, cold start): 1 iterations")
 
 
 def test_linear_law_solutions_match_dense_solve(pair_ws, monkeypatch):
     cws = pair_ws.coupling
     data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
     b = cws.rhs(data)
-    dense = cws._dense_matrix
-    built = []
+    laws = [material_law("zero"), material_law("linear", 0.0), material_law("linear", 3.5)]
+    zero = np.zeros(cws.n_u + cws.n_phi)
+    expected = [np.linalg.solve(dense_frozen_matrix(cws, law, zero), b) for law in laws]
+    calls = count_weighted_assemblies(monkeypatch)
+    for law, expect in zip(laws, expected):
+        # a tol_nl far below roundoff still solves: GMRES's target has a floor
+        for tol_nl in (1e-8, 1e-16):
+            state = solve_coupling(cws, data, law, tol_nl=tol_nl)
+            assert np.linalg.norm(state.x - expect) <= 1e-10 * np.linalg.norm(expect)
+    # every solve runs on P's one LU and the matrix-free operator
+    assert calls == []
 
-    def counting(weights):
-        built.append(weights[0])
-        return dense(weights)
 
-    monkeypatch.setattr(cws, "_dense_matrix", counting)
-    for law, weight in [
-        (material_law("zero"), 1.0),
-        (material_law("linear", 0.0), 1.0),
-        (material_law("linear", 3.5), 4.5),
-    ]:
-        state = solve_coupling(cws, data, law)
-        expect = np.linalg.solve(dense(np.full(cws.mesh.n_tets, weight)), b)
-        assert np.linalg.norm(state.x - expect) <= 1e-12 * np.linalg.norm(expect)
-    # chi == 0 is the preconditioner P itself, so only chi > 0 builds a matrix
-    assert built == [4.5]
+@pytest.mark.parametrize(
+    "params, scheme",
+    [((1.0, 1.0), "zarantonello"), ((1.0, 1.0), "kacanov"), ((3.0, 1.0), "kacanov")],
+)
+def test_nonlinear_solutions_match_dense_solve(pair_ws, sphere1, monkeypatch, params, scheme):
+    law = material_law("tanh", *params)
+    cws = pair_ws.coupling
+    data = coupling_data_for(pair_ws, random_unit_field(sphere1, 11), [0.0, 0.0, 1.0])
+    # the discrete solution: Kacanov's iteration with dense solves, run
+    # far past its convergence
+    expect = np.zeros(cws.n_u + cws.n_phi)
+    for _ in range(30):
+        expect = np.linalg.solve(dense_frozen_matrix(cws, law, expect), cws.rhs(data))
+    calls = count_weighted_assemblies(monkeypatch)
+    state = solve_coupling(cws, data, law, scheme=scheme, tol_nl=1e-11, max_iter=200)
+    assert np.linalg.norm(state.x - expect) <= 1e-10 * np.linalg.norm(expect)
+    assert (np.diff(state.residual_history) < 0.0).all()
+    assert calls == []
+
+
+def test_frozen_coefficient_solve_that_stops_short_raises(pair_ws, sphere1, monkeypatch):
+    from multimag import multiscale
+
+    def stopped_short(a, b, x0=None, **kwargs):
+        return x0, 5
+
+    monkeypatch.setattr(multiscale.spla, "gmres", stopped_short)
+    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    for law, scheme in [(material_law("linear", 2.0), "zarantonello"),
+                        (material_law("tanh", 1.0, 1.0), "kacanov")]:
+        with pytest.raises(RuntimeError, match="frozen-coefficient solve did not converge"):
+            solve_coupling(pair_ws.coupling, data, law, scheme=scheme)
+    contrib = MultiscaleContribution(workspace=pair_ws, law=material_law("linear", 2.0))
+    m = NodalVectorField(sphere1, random_unit_field(sphere1, 12))
+    with pytest.raises(RuntimeError, match="failed at stage: coupling solve") as err:
+        contrib.evaluate(m, zeta=np.array([0.0, 0.0, 1.0]))
+    assert "frozen-coefficient solve" in str(err.value.__cause__)
 
 
 def assembled_apply(ws, law, x):
