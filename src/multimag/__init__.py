@@ -40,10 +40,8 @@ from .fields import (
     NondimConstants,
     UniaxialContribution,
     compute_constants,
-    cubic_anisotropy,
     make_applied_field,
     sample_applied_field,
-    uniaxial_anisotropy,
 )
 from .integrator import (
     LlgWorkspace,
@@ -69,7 +67,7 @@ from .multiscale import (
     multiscale_field,
     solve_coupling,
 )
-from .shapes import icosphere_volume, kuhn_cube, reference_tet, sliver_tet, two_tets
+from .shapes import icosphere_volume, reference_tet
 from .strayfield import (
     StrayfieldContribution,
     StrayfieldWorkspace,
@@ -116,7 +114,6 @@ __all__ = [
     "check_angle_condition",
     "check_energy_decay",
     "compute_constants",
-    "cubic_anisotropy",
     "energy",
     "eval_double_layer",
     "eval_single_layer",
@@ -124,7 +121,6 @@ __all__ = [
     "fk_strayfield",
     "gcr_strayfield",
     "icosphere_volume",
-    "kuhn_cube",
     "llg_step",
     "load_config",
     "load_mesh",
@@ -140,12 +136,9 @@ __all__ = [
     "reference_tet",
     "run",
     "sample_applied_field",
-    "sliver_tet",
     "solid_angles",
     "solve_coupling",
     "solve_spd",
-    "two_tets",
-    "uniaxial_anisotropy",
     "write_energies_csv",
     "write_mesh",
     "write_snapshot",

@@ -26,6 +26,7 @@ from .fields import (
 )
 from .integrator import RunSetup
 from .mesh import load_mesh
+from .multiscale import TOL_NL_FLOOR, material_law
 
 _KNOWN_KEYS = {
     "mesh": {"omega1", "omega2"},
@@ -50,8 +51,6 @@ _KNOWN_KEYS = {
 }
 
 _KNOWN_TERMS = ("uniaxial", "cubic", "strayfield", "multiscale")
-
-_LAW_PARAM_COUNT = {"zero": 0, "linear": 1, "tanh": 2, "rational": 4}
 
 
 @dataclass(frozen=True)
@@ -227,17 +226,11 @@ def load_config(path: str) -> SimulationConfig:
         if mesh_omega2 is None:
             raise ValueError("multiscale term requires mesh omega2")
         multiscale_law = get("multiscale", "law", required=True)
-        if multiscale_law not in _LAW_PARAM_COUNT:
-            raise ValueError(f"unknown material law {multiscale_law!r}")
         params_text = get("multiscale", "params", "")
         multiscale_params = tuple(
             _finite_float(p, "[multiscale] params") for p in params_text.split()
         )
-        expected = _LAW_PARAM_COUNT[multiscale_law]
-        if len(multiscale_params) != expected:
-            raise ValueError(
-                f"law {multiscale_law!r} takes {expected} parameters, got {len(multiscale_params)}"
-            )
+        law = material_law(multiscale_law, *multiscale_params)
         multiscale_scheme = get("multiscale", "scheme", "zarantonello")
         if multiscale_scheme not in ("zarantonello", "kacanov"):
             raise ValueError(f"unknown nonlinear scheme {multiscale_scheme!r}")
@@ -245,6 +238,11 @@ def load_config(path: str) -> SimulationConfig:
         multiscale_max_iter = _int(get("multiscale", "max_iter", "200"), "[multiscale] max_iter")
         if not multiscale_tol > 0.0:
             raise ValueError(f"multiscale tol must be positive, got {multiscale_tol}")
+        if not law.is_linear and multiscale_tol < TOL_NL_FLOOR:
+            raise ValueError(
+                f"[multiscale] tol = {multiscale_tol:g} is below the roundoff floor "
+                f"{TOL_NL_FLOOR:g} of the nonlinear coupling solve"
+            )
         if multiscale_max_iter < 1:
             raise ValueError(f"multiscale max_iter must be at least 1, got {multiscale_max_iter}")
 
@@ -312,7 +310,7 @@ def load_config(path: str) -> SimulationConfig:
 
 def build_run_setup(cfg: SimulationConfig) -> RunSetup:
     """Load meshes, build contributions, and assemble a RunSetup."""
-    from .multiscale import MultiscaleContribution, make_multiscale_workspace, material_law
+    from .multiscale import MultiscaleContribution, make_multiscale_workspace
     from .strayfield import StrayfieldContribution, make_strayfield_workspace
 
     mesh1 = load_mesh(cfg.mesh_omega1)

@@ -64,7 +64,7 @@ def energy(
     constants: NondimConstants,
     ws,
     *,
-    outputs=None,
+    outputs,
     dissipation_sum: float = 0.0,
 ) -> EnergyRecord:
     """Energy record for one magnetization state.
@@ -77,10 +77,9 @@ def energy(
         state: MagnetizationState (or any object with .m, .step, .time).
         ws: workspace carrying assembled ``mass`` and ``stiffness``
             operators for the state's mesh.
-        outputs: optionally the per-contribution values pi_i(m, zeta) of
-            this state, in contribution order (as ``evaluate_contributions``
-            returns them); the linear self-adjoint contributions are
-            evaluated here otherwise.
+        outputs: the per-contribution values pi_i(m, zeta) of this state,
+            in contribution order, as ``evaluate_contributions`` returns
+            them.
     """
     m = state.m
     mass = ws.mass
@@ -89,12 +88,8 @@ def energy(
 
     e_int = 0.0
     quadratic = np.zeros_like(m.values)
-    for i, contrib in enumerate(contributions):
+    for contrib, out in zip(contributions, outputs, strict=True):
         if contrib.linear_self_adjoint:
-            out = (
-                outputs[i] if outputs is not None
-                else contrib.evaluate(m, zeta=f_field, time_index=state.step)
-            )
             quadratic += out.values
         elif hasattr(contrib, "energy_density"):
             density = np.asarray(contrib.energy_density(m), dtype=np.float64)

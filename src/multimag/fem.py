@@ -68,14 +68,6 @@ class NodalScalarField:
         if self.values.shape != (self.mesh.n_nodes,):
             raise ValueError(f"expected shape ({self.mesh.n_nodes},), got {self.values.shape}")
 
-    def gradient(self) -> np.ndarray:
-        """(M, 3) piecewise-constant gradient."""
-        return self.mesh.element_gradient(self.values)
-
-    def integral_mean(self) -> float:
-        w = self.mesh.hat_integrals
-        return float(w @ self.values / w.sum())
-
 
 @dataclass
 class NodalVectorField:
@@ -111,9 +103,6 @@ class FaceDensity:
             raise ValueError(
                 f"expected shape ({self.surface.n_faces},), got {self.values.shape}"
             )
-
-    def integral(self) -> float:
-        return float(self.surface.areas @ self.values)
 
 
 @dataclass
@@ -361,36 +350,17 @@ def face_quadrature(surface: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
-def clement_boundary_interpolation(surface: SurfaceMesh, face_integrals: np.ndarray) -> np.ndarray:
-    """Area-weighted face-average interpolation onto boundary nodes.
-
-    Node value = (sum of the integrals of g over the faces touching the
-    node) / (total area of those faces), from the (F,) per-face integrals
-    of g, the form in which boundary integral operators deliver their
-    output.  An (F, k) array interpolates k functions at once, column by
-    column.
-
-    Values are convex combinations of face averages: constants are
-    reproduced exactly and the output range is contained in the range of g.
-
-    Returns:
-        (Nb,) nodal values ordered like ``surface.boundary_nodes``, or
-        (Nb, k) for (F, k) input.
-    """
-    face_integrals = np.asarray(face_integrals, dtype=np.float64)
-    if face_integrals.ndim not in (1, 2) or face_integrals.shape[0] != surface.n_faces:
-        raise ValueError(
-            f"expected ({surface.n_faces},) or ({surface.n_faces}, k) face integrals, "
-            f"got {face_integrals.shape}"
-        )
-    return clement_matrix(surface) @ face_integrals
-
-
 def clement_matrix(surface: SurfaceMesh) -> sparse.csr_matrix:
     """(Nb, F) Clement map from per-face integrals to boundary nodal values.
 
-    Entry (n, f) is 1 / (patch area of node n) for the three nodes of face
-    f.  Built once per surface.
+    Node value = (sum of the integrals of g over the faces touching the
+    node) / (total area of those faces), ordered like
+    ``surface.boundary_nodes``: entry (n, f) is 1 / (patch area of node n)
+    for the three nodes of face f.  Boundary integral operators deliver
+    their output as per-face integrals; applied to an (F, k) array the map
+    interpolates k functions at once.  Values are convex combinations of
+    face averages, so constants are reproduced exactly and the output range
+    lies in the range of g.  Built once per surface.
     """
     if "fem.clement" not in surface._cache:
         rows = surface.local_face_indices.ravel()
@@ -418,8 +388,8 @@ def assemble_boundary_mass(surface: SurfaceMesh) -> sparse.csr_matrix:
     ).tocsr()
 
 
-def normal_derivative(u: NodalScalarField, surface: SurfaceMesh) -> FaceDensity:
-    """Elementwise outward normal derivative of a P1 field on the boundary.
+def normal_derivative(mesh: TetMesh, surface: SurfaceMesh, values: np.ndarray) -> np.ndarray:
+    """(F,) elementwise outward normal derivative of a nodal field on the boundary.
 
     Each face takes the (constant) gradient of its parent tet dotted with
     the outward unit normal.  That is a fixed (F, N) map, built once per
@@ -427,14 +397,14 @@ def normal_derivative(u: NodalScalarField, surface: SurfaceMesh) -> FaceDensity:
     the normal of f, at the columns of the tet's nodes.
     """
     if "fem.normal_derivative" not in surface._cache:
-        mesh, parents = u.mesh, surface.parent_tets
+        parents = surface.parent_tets
         data = np.einsum("fid,fd->fi", mesh.hat_gradients[parents], surface.normals)
         rows = np.repeat(np.arange(surface.n_faces), 4)
         surface._cache["fem.normal_derivative"] = sparse.csr_matrix(
             (data.ravel(), (rows, mesh.tets[parents].ravel())),
             shape=(surface.n_faces, mesh.n_nodes),
         )
-    return FaceDensity(surface, surface._cache["fem.normal_derivative"] @ u.values)
+    return surface._cache["fem.normal_derivative"] @ values
 
 
 def l2_inner(mass: SparseOperator, a: np.ndarray, b: np.ndarray) -> float:

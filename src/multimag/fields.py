@@ -107,36 +107,6 @@ class FieldContribution:
         return l2_norm(mass, output.values) / (1.0 + grad)
 
 
-def uniaxial_anisotropy(m: NodalVectorField, easy_axis: np.ndarray) -> NodalVectorField:
-    """Pointwise uniaxial anisotropy operator -(m.e) e, unscaled.
-
-    The easy axis must be a unit vector; the caller applies its scaling
-    constant (c_ani in the reduced equations).
-    """
-    easy_axis = np.asarray(easy_axis, dtype=np.float64)
-    if easy_axis.shape != (3,) or abs(np.linalg.norm(easy_axis) - 1.0) > 1e-12:
-        raise ValueError("easy axis must be a unit 3-vector (|e| = 1 within 1e-12)")
-    proj = m.values @ easy_axis
-    return NodalVectorField(m.mesh, -proj[:, None] * easy_axis[None, :])
-
-
-def cubic_anisotropy(m: NodalVectorField, K1: float, K2: float) -> NodalVectorField:
-    """Pointwise gradient of the cubic density K1 (m1^2 m2^2 + m2^2 m3^2) + K2 m1^2 m2^2 m3^2.
-
-    Note the density couples coordinate pairs asymmetrically (there is no
-    m1^2 m3^2 term), so the operator is not invariant under exchanging the
-    first and third components.
-    """
-    if K1 < 0.0 or K2 < 0.0:
-        raise ValueError("cubic anisotropy constants must be nonnegative")
-    x1, x2, x3 = m.values[:, 0], m.values[:, 1], m.values[:, 2]
-    g = np.empty_like(m.values)
-    g[:, 0] = 2.0 * K1 * x1 * x2**2 + 2.0 * K2 * x1 * x2**2 * x3**2
-    g[:, 1] = 2.0 * K1 * x2 * (x1**2 + x3**2) + 2.0 * K2 * x2 * x1**2 * x3**2
-    g[:, 2] = 2.0 * K1 * x3 * x2**2 + 2.0 * K2 * x3 * x1**2 * x2**2
-    return NodalVectorField(m.mesh, g)
-
-
 def sample_applied_field(f, mesh: TetMesh, t: float) -> NodalVectorField:
     """Nodal interpolation of an applied field f(t, x) at one time level.
 
@@ -172,43 +142,57 @@ def make_applied_field(kind: str, amplitude, omega: float = 0.0):
 
 @dataclass
 class UniaxialContribution(FieldContribution):
-    """Scaled uniaxial anisotropy term scale * (-(m.e) e)."""
+    """Scaled uniaxial anisotropy term scale * (-(m.e) e); e is a unit vector."""
 
     axis: np.ndarray
     scale: float = 1.0
-    name: str = "uniaxial"
-    linear_self_adjoint: bool = True
+
+    name = "uniaxial"
+    linear_self_adjoint = True
 
     def __post_init__(self) -> None:
         self.axis = np.asarray(self.axis, dtype=np.float64)
-        if self.axis.shape != (3,) or abs(np.linalg.norm(self.axis) - 1.0) > 1e-12:
+        # "not <=" so that a NaN axis fails
+        if self.axis.shape != (3,) or not abs(np.linalg.norm(self.axis) - 1.0) <= 1e-12:
             raise ValueError("easy axis must be a unit 3-vector (|e| = 1 within 1e-12)")
 
     def evaluate(self, m, zeta=None, time_index=0):
-        out = uniaxial_anisotropy(m, self.axis)
+        proj = m.values @ self.axis
+        out = NodalVectorField(m.mesh, -proj[:, None] * self.axis[None, :])
         out.values *= self.scale
         return out
-
-    def energy_density(self, m) -> np.ndarray:
-        """Nodal values of the density -(scale/2) (m.e)^2."""
-        proj = m.values @ self.axis
-        return -0.5 * self.scale * proj**2
 
 
 @dataclass
 class CubicContribution(FieldContribution):
-    """Scaled cubic anisotropy term (nonlinear, hence no quadratic energy)."""
+    """Scaled gradient of the cubic density K1 (m1^2 m2^2 + m2^2 m3^2) + K2 m1^2 m2^2 m3^2.
+
+    The density couples coordinate pairs asymmetrically (there is no
+    m1^2 m3^2 term), so the operator is not invariant under exchanging the
+    first and third components.  It is nonlinear, so it enters the energy
+    through its pointwise density, not a quadratic form.
+    """
 
     K1: float
     K2: float
     scale: float = 1.0
-    name: str = "cubic"
-    linear_self_adjoint: bool = False
+
+    name = "cubic"
+    linear_self_adjoint = False
+
+    def __post_init__(self) -> None:
+        if not (self.K1 >= 0.0 and self.K2 >= 0.0):  # NaN fails too
+            raise ValueError("cubic anisotropy constants must be nonnegative")
 
     def evaluate(self, m, zeta=None, time_index=0):
-        out = cubic_anisotropy(m, self.K1, self.K2)
-        out.values *= self.scale
-        return out
+        K1, K2 = self.K1, self.K2
+        x1, x2, x3 = m.values[:, 0], m.values[:, 1], m.values[:, 2]
+        g = np.empty_like(m.values)
+        g[:, 0] = 2.0 * K1 * x1 * x2**2 + 2.0 * K2 * x1 * x2**2 * x3**2
+        g[:, 1] = 2.0 * K1 * x2 * (x1**2 + x3**2) + 2.0 * K2 * x2 * x1**2 * x3**2
+        g[:, 2] = 2.0 * K1 * x3 * x2**2 + 2.0 * K2 * x3 * x1**2 * x2**2
+        g *= self.scale
+        return NodalVectorField(m.mesh, g)
 
     def energy_density(self, m) -> np.ndarray:
         """Nodal values of scale * (K1 (m1^2 m2^2 + m2^2 m3^2) + K2 m1^2 m2^2 m3^2)."""

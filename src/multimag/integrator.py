@@ -471,26 +471,25 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
 
     ws = make_llg_workspace(setup.mesh)
     state = MagnetizationState(m=NodalVectorField(setup.mesh, m0), step=0, time=0.0)
-    dissipation = 0.0
 
-    def sample_f(t: float) -> NodalVectorField | None:
-        if setup.applied_field is None:
-            return None
-        return sample_applied_field(setup.applied_field, setup.mesh, t)
+    def evaluate_state(state: MagnetizationState, dissipation_sum: float):
+        """f, pi(m, f) and the energy record of one state."""
+        f = None
+        if setup.applied_field is not None:
+            f = sample_applied_field(setup.applied_field, setup.mesh, state.time)
+        pi, outputs = evaluate_contributions(setup.contributions, state.m, f, state.step)
+        record = energy(state, setup.contributions, f, setup.constants, ws, outputs=outputs,
+                        dissipation_sum=dissipation_sum)
+        return f, pi, record
 
     try:
-        f0 = sample_f(0.0)
-        pi0, outputs0 = evaluate_contributions(setup.contributions, state.m, f0, 0)
-        record0 = energy(state, setup.contributions, f0, setup.constants, ws, outputs=outputs0,
-                         dissipation_sum=0.0)
+        f_current, pi_current, record = evaluate_state(state, 0.0)
     except Exception as exc:
         raise RuntimeError(f"run aborted at step 0: {exc}") from exc
-    traj = Trajectory(states=[state], velocities=[], records=[record0])
+    traj = Trajectory(states=[state], velocities=[], records=[record])
     if on_step is not None:
         on_step(traj, state)
 
-    pi_current = pi0
-    f_current = f0
     defect_sup = 0.0
     velocity_sq_sum = 0.0
     for i in range(setup.n_steps):
@@ -503,20 +502,7 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
                                 setup.k, solver_tol=setup.solver_tol)
             velocity_sq_sum += l2_inner(ws.mass, v.values, v.values)
             dissipation = setup.constants.alpha * setup.k * velocity_sq_sum
-            f_next = sample_f(state.time)
-            pi_current, outputs = evaluate_contributions(
-                setup.contributions, state.m, f_next, state.step
-            )
-            f_current = f_next
-            record = energy(
-                state,
-                setup.contributions,
-                f_next,
-                setup.constants,
-                ws,
-                outputs=outputs,
-                dissipation_sum=dissipation,
-            )
+            f_current, pi_current, record = evaluate_state(state, dissipation)
         except Exception as exc:
             err = RuntimeError(f"run aborted at step {i}: {exc}")
             err.partial_trajectory = traj

@@ -34,7 +34,6 @@ import numpy as np
 
 from .bem import BemOperatorSet, assemble_bem
 from .fem import (
-    NodalScalarField,
     NodalVectorField,
     SparseOperator,
     assemble_mass,
@@ -99,24 +98,12 @@ def make_strayfield_workspace(mesh: TetMesh, method: str = "fk") -> StrayfieldWo
     )
 
 
-def _lifted_gradient(mesh: TetMesh, values: np.ndarray) -> NodalVectorField:
-    return NodalVectorField(mesh, lifted_gradient(mesh, values))
-
-
 def fk_strayfield(ws: StrayfieldWorkspace, m: NodalVectorField) -> NodalVectorField:
     """Fredkin-Koehler stray-field evaluation, pi(m) = grad(u11 + u12)."""
     ws.verify()
     rhs = divergence_load(ws.mesh, m.values)
     u11 = solve_spd(ws.stiffness, rhs, constraint="zero-mean")
-    dirichlet = ws.boundary_map @ u11[ws.surface.boundary_nodes]
-    u12 = solve_spd(
-        ws.stiffness,
-        np.zeros(ws.mesh.n_nodes),
-        constraint="dirichlet",
-        dirichlet_nodes=ws.surface.boundary_nodes,
-        dirichlet_values=dirichlet,
-    )
-    return _lifted_gradient(ws.mesh, u11 + u12)
+    return _add_u12_and_lift(ws, u11, ws.boundary_map @ u11[ws.surface.boundary_nodes])
 
 
 def p0_normal_trace(surface: SurfaceMesh, m_values: np.ndarray) -> np.ndarray:
@@ -140,9 +127,15 @@ def gcr_strayfield(ws: StrayfieldWorkspace, m: NodalVectorField) -> NodalVectorF
         dirichlet_nodes=ws.surface.boundary_nodes,
         dirichlet_values=np.zeros(ws.surface.boundary_nodes.size),
     )
-    flux = normal_derivative(NodalScalarField(ws.mesh, u11), ws.surface)
-    phi = p0_normal_trace(ws.surface, m.values) - flux.values
-    dirichlet = ws.boundary_map @ phi
+    phi = p0_normal_trace(ws.surface, m.values) - normal_derivative(ws.mesh, ws.surface, u11)
+    return _add_u12_and_lift(ws, u11, ws.boundary_map @ phi)
+
+
+def _add_u12_and_lift(
+    ws: StrayfieldWorkspace, u11: np.ndarray, dirichlet: np.ndarray
+) -> NodalVectorField:
+    """grad(u11 + u12) lifted to the nodes, u12 the harmonic extension of the
+    Dirichlet data ``dirichlet`` on the boundary nodes."""
     u12 = solve_spd(
         ws.stiffness,
         np.zeros(ws.mesh.n_nodes),
@@ -150,7 +143,7 @@ def gcr_strayfield(ws: StrayfieldWorkspace, m: NodalVectorField) -> NodalVectorF
         dirichlet_nodes=ws.surface.boundary_nodes,
         dirichlet_values=dirichlet,
     )
-    return _lifted_gradient(ws.mesh, u11 + u12)
+    return NodalVectorField(ws.mesh, lifted_gradient(ws.mesh, u11 + u12))
 
 
 @dataclass
@@ -160,8 +153,9 @@ class StrayfieldContribution(FieldContribution):
     interaction-energy bookkeeping)."""
 
     workspace: StrayfieldWorkspace
-    name: str = "strayfield"
-    linear_self_adjoint: bool = True
+
+    name = "strayfield"
+    linear_self_adjoint = True
 
     def evaluate(self, m, zeta=None, time_index=0):
         if self.workspace.method == "fk":

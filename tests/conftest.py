@@ -5,11 +5,12 @@ import pytest
 
 from multimag import (
     icosphere_volume,
-    kuhn_cube,
     make_multiscale_workspace,
     make_strayfield_workspace,
     reference_tet,
 )
+
+from meshes import kuhn_cube
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,6 @@ from multimag import (
     fk_strayfield,
     gcr_strayfield,
     icosphere_volume,
-    kuhn_cube,
     make_multiscale_workspace,
     make_strayfield_workspace,
     material_law,
@@ -46,6 +45,7 @@ from multimag.multiscale import (
 )
 
 from conftest import random_unit_field
+from meshes import kuhn_cube
 
 
 def coupling_data_for(pair, m_values, f):

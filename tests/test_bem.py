@@ -22,7 +22,6 @@ from multimag import (
     eval_double_layer,
     eval_single_layer,
     icosphere_volume,
-    kuhn_cube,
     solid_angles,
 )
 from multimag.bem import (
@@ -35,6 +34,8 @@ from multimag.bem import (
     panel_integrals,
 )
 from multimag.fem import TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS
+
+from meshes import kuhn_cube
 
 
 def brute_panel(x, v, level=7):

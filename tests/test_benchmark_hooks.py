@@ -39,12 +39,12 @@ def test_method_sites_resolve(tracer):
 
 def test_integrator_method_sites_run_once_per_step(tracer, monkeypatch):
     # a step that bypassed a wrapped method would leave its span at zero
+    from meshes import kuhn_cube
     from multimag import (
         MagnetizationState,
         NodalVectorField,
         NondimConstants,
         evaluate_contributions,
-        kuhn_cube,
         llg_step,
         make_llg_workspace,
     )
@@ -83,11 +83,11 @@ def test_solver_sites_resolve(tracer):
 def test_tracer_counts_the_iterations_the_velocity_solve_reports(tracer, monkeypatch):
     # the program's own iteration callback and the tracer's chained one
     # must count the same BiCGStab iterations
+    from meshes import kuhn_cube
     from multimag import (
         MagnetizationState,
         NodalVectorField,
         NondimConstants,
-        kuhn_cube,
         llg_step,
         make_llg_workspace,
     )

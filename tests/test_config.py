@@ -229,6 +229,8 @@ def test_rejects_nonfinite_vectors(tmp_path, cube_file, old, new, match):
         ("law = tanh\nparams = 1 1\nscheme = newton", "unknown nonlinear scheme 'newton'"),
         ("law = tanh\nparams = 1 1\ntol = 0", "multiscale tol must be positive"),
         ("law = tanh\nparams = 1 1\ntol = -1e-8", "multiscale tol must be positive"),
+        ("law = tanh\nparams = 1 1\ntol = 1e-15",
+         r"\[multiscale\] tol = 1e-15 is below the roundoff floor 1e-13"),
         ("law = tanh\nparams = 1 1\nmax_iter = 0", "multiscale max_iter must be at least 1"),
         ("law = tanh\nparams = 1 1\nmax_iter = 1.5",
          r"\[multiscale\] max_iter must be an integer, got '1.5'"),

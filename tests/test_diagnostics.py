@@ -1,9 +1,13 @@
 """Energy bookkeeping, the dissipation inequality, snapshots, CSV, VTK."""
 
 import logging
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multimag import (
     CubicContribution,
@@ -15,6 +19,7 @@ from multimag import (
     Trajectory,
     UniaxialContribution,
     check_energy_decay,
+    evaluate_contributions,
     make_llg_workspace,
     read_energies_csv,
     read_snapshot,
@@ -39,6 +44,12 @@ def make_state(mesh, values):
     return MagnetizationState(m=NodalVectorField(mesh, values), step=0, time=0.0)
 
 
+def energy_of(state, contributions, f, constants, ws, **kwargs):
+    """energy() with the contribution outputs of the state, as run() passes them."""
+    _, outputs = evaluate_contributions(contributions, state.m, f, state.step)
+    return energy(state, contributions, f, constants, ws, outputs=outputs, **kwargs)
+
+
 def record(step, e_total, diss=0.0):
     return EnergyRecord(
         step=step,
@@ -53,7 +64,7 @@ def record(step, e_total, diss=0.0):
 
 def test_energy_zero_for_uniform_undriven_state(cube2):
     ws = make_llg_workspace(cube2)
-    rec = energy(make_state(cube2, [0.0, 0.0, 1.0]), [], None, CONSTANTS, ws)
+    rec = energy_of(make_state(cube2, [0.0, 0.0, 1.0]), [], None, CONSTANTS, ws)
     assert rec.e_exch == rec.e_int == rec.e_zeeman == rec.e_total == 0.0
 
 
@@ -61,7 +72,7 @@ def test_energy_uniaxial_aligned(cube2):
     # E_int = -(scale/2) |Omega| for m parallel to the easy axis
     ws = make_llg_workspace(cube2)
     contrib = UniaxialContribution(axis=np.array([0.0, 0.0, 1.0]), scale=1.0)
-    rec = energy(make_state(cube2, [0.0, 0.0, 1.0]), [contrib], None, CONSTANTS, ws)
+    rec = energy_of(make_state(cube2, [0.0, 0.0, 1.0]), [contrib], None, CONSTANTS, ws)
     np.testing.assert_allclose(rec.e_int, -0.5, rtol=1e-12)
     np.testing.assert_allclose(rec.e_total, -0.5, rtol=1e-12)
 
@@ -69,7 +80,7 @@ def test_energy_uniaxial_aligned(cube2):
 def test_energy_zeeman(cube2):
     ws = make_llg_workspace(cube2)
     f = NodalVectorField(cube2, np.tile([0.2, 0.0, 0.4], (cube2.n_nodes, 1)))
-    rec = energy(make_state(cube2, [0.0, 0.0, 1.0]), [], f, CONSTANTS, ws)
+    rec = energy_of(make_state(cube2, [0.0, 0.0, 1.0]), [], f, CONSTANTS, ws)
     np.testing.assert_allclose(rec.e_zeeman, -0.4, rtol=1e-12)
 
 
@@ -79,7 +90,7 @@ def test_energy_exchange_term(cube2):
     ws = make_llg_workspace(cube2)
     consts = NondimConstants(c_exch=2.0, c_ani=1.0, alpha=1.0, t_final=1.0)
     state = make_state(cube2, random_unit_field(cube2, 12))
-    rec = energy(state, [], None, consts, ws)
+    rec = energy_of(state, [], None, consts, ws)
     expect = 0.5 * 2.0 * h1_seminorm_sq(ws.stiffness, state.m.values)
     np.testing.assert_allclose(rec.e_exch, expect, rtol=1e-12)
 
@@ -88,7 +99,7 @@ def test_energy_cubic_density_path(cube2):
     ws = make_llg_workspace(cube2)
     m = np.ones(3) / np.sqrt(3.0)
     contrib = CubicContribution(K1=9.0, K2=27.0, scale=1.0)
-    rec = energy(make_state(cube2, m), [contrib], None, CONSTANTS, ws)
+    rec = energy_of(make_state(cube2, m), [contrib], None, CONSTANTS, ws)
     # density = 9 (1/9 + 1/9) + 27/27 = 3, uniform over the unit cube
     np.testing.assert_allclose(rec.e_int, 3.0, rtol=1e-12)
 
@@ -98,8 +109,13 @@ def test_energy_mixed_contributions_sum(cube2):
     m = np.ones(3) / np.sqrt(3.0)
     uni = UniaxialContribution(axis=np.array([0.0, 0.0, 1.0]), scale=1.0)
     cub = CubicContribution(K1=9.0, K2=27.0, scale=1.0)
-    rec = energy(make_state(cube2, m), [uni, cub], None, CONSTANTS, ws)
+    rec = energy_of(make_state(cube2, m), [uni, cub], None, CONSTANTS, ws)
     np.testing.assert_allclose(rec.e_int, -0.5 / 3.0 + 3.0, rtol=1e-12)
+    # one output per contribution, in order
+    state = make_state(cube2, m)
+    _, outputs = evaluate_contributions([uni, cub], state.m, None, 0)
+    with pytest.raises(ValueError):
+        energy(state, [uni, cub], None, CONSTANTS, ws, outputs=outputs[:1])
 
 
 class OpaqueContribution(FieldContribution):
@@ -115,8 +131,8 @@ def test_energy_excludes_opaque_contribution_once(cube2, caplog):
     ws = make_llg_workspace(cube2)
     state = make_state(cube2, [0.0, 0.0, 1.0])
     with caplog.at_level(logging.INFO, logger="multimag"):
-        rec1 = energy(state, [OpaqueContribution()], None, CONSTANTS, ws)
-        rec2 = energy(state, [OpaqueContribution()], None, CONSTANTS, ws)
+        rec1 = energy_of(state, [OpaqueContribution()], None, CONSTANTS, ws)
+        rec2 = energy_of(state, [OpaqueContribution()], None, CONSTANTS, ws)
     assert rec1.e_int == rec2.e_int == 0.0
     mentions = [r for r in caplog.records if "opaque" in r.message]
     assert len(mentions) == 1  # the exclusion caveat is logged once
@@ -127,7 +143,7 @@ def test_energy_record_parts_recombine(cube2):
     f = NodalVectorField(cube2, np.tile([0.1, 0.2, 0.3], (cube2.n_nodes, 1)))
     uni = UniaxialContribution(axis=np.array([1.0, 0.0, 0.0]), scale=0.7)
     state = make_state(cube2, random_unit_field(cube2, 77))
-    rec = energy(state, [uni], f, CONSTANTS, ws, dissipation_sum=0.25)
+    rec = energy_of(state, [uni], f, CONSTANTS, ws, dissipation_sum=0.25)
     total = rec.e_exch + rec.e_int + rec.e_zeeman
     assert abs(rec.e_total - total) <= 1e-12 * max(1.0, abs(total))
     assert rec.dissipation_sum == 0.25
@@ -310,3 +326,38 @@ def test_write_vtk_structure(tmp_path, cube1):
     assert f"POINTS {cube1.n_nodes} double" in lines
     assert f"CELLS {cube1.n_tets} {5 * cube1.n_tets}" in lines
     assert "VECTORS mag double" in lines
+
+
+# every finite double, -0.0 and subnormals included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=arrays(np.float64, st.tuples(st.integers(1, 6), st.just(3)), elements=FINITE))
+@example(values=np.array([[-0.0, 5e-324, -2.2250738585072014e-308]]))
+def test_snapshot_round_trip_is_bitwise(tmp_path_factory, values):
+    path = str(tmp_path_factory.mktemp("snapshot") / "m.dat")
+    write_snapshot(path, values)
+    assert same_bits(read_snapshot(path), values)
+
+
+ENERGY_RECORDS = st.lists(
+    st.builds(EnergyRecord, st.integers(0, 2**53), FINITE, FINITE, FINITE, FINITE, FINITE, FINITE),
+    max_size=5,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(records=ENERGY_RECORDS)
+@example(records=[EnergyRecord(0, -0.0, 5e-324, -5e-324, 0.0, -0.0, 2.2250738585072014e-308)])
+def test_energies_csv_round_trip_is_exact(tmp_path_factory, records):
+    path = str(tmp_path_factory.mktemp("energies") / "energies.csv")
+    write_energies_csv(path, records)
+    back = read_energies_csv(path)
+    assert back == records
+    assert same_bits([astuple(r)[1:] for r in back], [astuple(r)[1:] for r in records])

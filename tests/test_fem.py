@@ -12,20 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multimag import (
-    NodalScalarField,
     NodalVectorField,
     TetMesh,
     assemble_boundary_mass,
     assemble_mass,
     assemble_stiffness,
-    kuhn_cube,
     make_llg_workspace,
     solve_spd,
 )
 from multimag.fem import (
     SOLVE_RESIDUAL_TOL,
     assemble_weighted_stiffness,
-    clement_boundary_interpolation,
+    clement_matrix,
     divergence_load,
     face_quadrature,
     h1_seminorm_sq,
@@ -35,6 +33,8 @@ from multimag.fem import (
     normal_derivative,
     pattern_positions,
 )
+
+from meshes import kuhn_cube
 
 REF_MASS = np.array(
     [
@@ -218,8 +218,8 @@ def test_fixed_maps_match_scatter_forms(n, seed, k):
         (divergence_load(mesh, m), scatter_divergence_load(mesh, m)),
         (mesh.element_gradient(u), scatter_element_gradient(mesh, u)),
         (lifted_gradient(mesh, u), scatter_lift(mesh, scatter_element_gradient(mesh, u))),
-        (clement_boundary_interpolation(surf, faces_1), scatter_clement(surf, faces_1)),
-        (clement_boundary_interpolation(surf, faces_k), scatter_clement(surf, faces_k)),
+        (clement_matrix(surf) @ faces_1, scatter_clement(surf, faces_1)),
+        (clement_matrix(surf) @ faces_k, scatter_clement(surf, faces_k)),
     ]
     for new, ref in pairs:
         assert new.shape == ref.shape
@@ -232,9 +232,9 @@ def test_normal_derivative_map_matches_einsum_form(n, seed):
     rng = np.random.default_rng(seed)
     mesh = renumbered_cube(n, rng)
     surf = mesh.boundary()
-    u = NodalScalarField(mesh, rng.normal(size=mesh.n_nodes))
-    ref = np.einsum("fd,fd->f", u.gradient()[surf.parent_tets], surf.normals)
-    new = normal_derivative(u, surf).values
+    u = rng.normal(size=mesh.n_nodes)
+    ref = np.einsum("fd,fd->f", scatter_element_gradient(mesh, u)[surf.parent_tets], surf.normals)
+    new = normal_derivative(mesh, surf, u)
     assert new.shape == ref.shape
     assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -407,14 +407,14 @@ def test_integrate_faces_affine(cube1):
 
 def test_clement_reproduces_constants(sphere1):
     surf = sphere1.boundary()
-    vals = clement_boundary_interpolation(surf, 3.25 * surf.areas)
+    vals = clement_matrix(surf) @ (3.25 * surf.areas)
     np.testing.assert_allclose(vals, 3.25, rtol=1e-13)
 
 
 def test_clement_range_containment(sphere1):
     surf = sphere1.boundary()
     g = lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1] ** 2
-    vals = clement_boundary_interpolation(surf, face_integrals(surf, g))
+    vals = clement_matrix(surf) @ face_integrals(surf, g)
     points, _ = face_quadrature(surf)
     sampled = g(points.reshape(-1, 3))
     assert vals.min() >= sampled.min() - 1e-12
@@ -425,30 +425,25 @@ def test_clement_cube_corner_value(cube1):
     # patch average of z at the corner (0,0,0): frozen from direct
     # evaluation of the area-weighted face-average formula
     surf = cube1.boundary()
-    vals = clement_boundary_interpolation(surf, face_integrals(surf, lambda p: p[:, 2]))
+    vals = clement_matrix(surf) @ face_integrals(surf, lambda p: p[:, 2])
     corner = np.where((np.abs(cube1.nodes[surf.boundary_nodes]) < 1e-12).all(axis=1))[0]
     np.testing.assert_allclose(vals[corner], 1.0 / 3.0, rtol=1e-12)
 
 
 def test_clement_accepts_precomputed_face_integrals(sphere1):
     surf = sphere1.boundary()
-    vals = clement_boundary_interpolation(surf, face_integrals(surf, lambda p: p[:, 0] ** 2))
+    assert clement_matrix(surf).shape == (surf.boundary_nodes.size, surf.n_faces)
+    vals = clement_matrix(surf) @ face_integrals(surf, lambda p: p[:, 0] ** 2)
     assert vals.shape == (surf.boundary_nodes.size,)
-    with pytest.raises(ValueError, match="face integrals"):
-        clement_boundary_interpolation(surf, np.zeros(surf.n_faces + 1))
 
 
 def test_clement_interpolates_columns(sphere1):
     surf = sphere1.boundary()
     columns = np.random.default_rng(5).normal(size=(surf.n_faces, 3))
-    together = clement_boundary_interpolation(surf, columns)
+    together = clement_matrix(surf) @ columns
     assert together.shape == (surf.boundary_nodes.size, 3)
     for j in range(3):
-        np.testing.assert_array_equal(
-            together[:, j], clement_boundary_interpolation(surf, columns[:, j])
-        )
-    with pytest.raises(ValueError, match="face integrals"):
-        clement_boundary_interpolation(surf, np.zeros((surf.n_faces, 2, 2)))
+        np.testing.assert_array_equal(together[:, j], clement_matrix(surf) @ columns[:, j])
 
 
 def test_boundary_mass_entries(cube1):
@@ -466,10 +461,9 @@ def test_boundary_mass_entries(cube1):
 
 def test_normal_derivative_affine(cube2):
     a = np.array([0.7, -0.2, 1.1])
-    u = NodalScalarField(cube2, cube2.nodes @ a)
     surf = cube2.boundary()
-    dn = normal_derivative(u, surf)
-    np.testing.assert_allclose(dn.values, surf.normals @ a, atol=1e-12)
+    dn = normal_derivative(cube2, surf, cube2.nodes @ a)
+    np.testing.assert_allclose(dn, surf.normals @ a, atol=1e-12)
 
 
 def test_l2_inner_norms(cube2):
@@ -489,8 +483,3 @@ def test_field_containers(cube2):
     np.testing.assert_allclose(vec.integral_mean(), [0.0, 0.0, 2.0], atol=1e-13)
     affine = NodalVectorField(cube2, cube2.nodes.copy())
     np.testing.assert_allclose(affine.integral_mean(), [0.5, 0.5, 0.5], rtol=1e-12)
-
-
-def test_scalar_field_gradient(cube2):
-    u = NodalScalarField(cube2, cube2.nodes @ np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(u.gradient(), np.tile([1.0, 2.0, 3.0], (cube2.n_tets, 1)), atol=1e-12)

@@ -23,7 +23,6 @@ from multimag import (
     UniaxialContribution,
     build_tangent_frame,
     icosphere_volume,
-    kuhn_cube,
     llg_step,
     make_llg_workspace,
     reference_tet,
@@ -36,6 +35,7 @@ from multimag import integrator
 from multimag.integrator import _CROSS_TENSOR, _dot
 
 from conftest import random_unit_field
+from meshes import kuhn_cube
 
 CONSTANTS = NondimConstants(c_exch=1.0, c_ani=1.0, alpha=1.0, t_final=1.0)
 

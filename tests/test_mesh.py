@@ -2,18 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multimag import (
     check_angle_condition,
     icosphere_volume,
-    kuhn_cube,
     load_mesh,
     reference_tet,
-    sliver_tet,
-    two_tets,
     write_mesh,
 )
 from multimag.mesh import MeshFormatError, TetMesh
+
+from meshes import kuhn_cube, sliver_tet, two_tets
 
 
 def test_reference_tet_geometry(ref_tet):
@@ -223,3 +225,27 @@ def test_angle_condition_icosphere(sphere1):
     assert not rep.satisfied
     assert rep.n_violations == 106
     assert rep.max_offdiagonal > 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    scale=st.floats(1e-3, 1e3),
+    sign=st.sampled_from([1.0, -1.0]),
+    extra=arrays(
+        np.float64,
+        st.tuples(st.integers(0, 5), st.just(3)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+)
+@example(scale=1.0, sign=-1.0, extra=np.array([[-0.0, 5e-324, -2.2250738585072014e-308]]))
+def test_mesh_round_trip_is_exact(tmp_path_factory, scale, sign, extra):
+    # a negative sign mirrors the cube (and writes -0.0); the constructor
+    # reorients its tets, so the written mesh is positively oriented.  The
+    # extra nodes belong to no tet and carry arbitrary finite coordinates.
+    cube = kuhn_cube(1)
+    mesh = TetMesh(np.vstack([sign * scale * cube.nodes, extra]), cube.tets)
+    path = str(tmp_path_factory.mktemp("mesh") / "m.mesh")
+    write_mesh(path, mesh)
+    back = load_mesh(path)
+    assert np.array_equal(back.nodes.view(np.int64), mesh.nodes.view(np.int64))
+    assert np.array_equal(back.tets, mesh.tets)

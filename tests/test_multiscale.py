@@ -1,5 +1,6 @@
 """Material laws, the stabilized FEM-BEM coupling, and the two-domain pipeline."""
 
+import ast
 import logging
 
 import numpy as np
@@ -9,14 +10,15 @@ from multimag import (
     MultiscaleContribution,
     NodalVectorField,
     icosphere_volume,
-    kuhn_cube,
     make_coupling_workspace,
     make_multiscale_workspace,
     material_law,
     multiscale_field,
 )
+from multimag import multiscale
 from multimag.fem import divergence_load, solve_spd
 from multimag.multiscale import (
+    TOL_NL_FLOOR,
     CouplingData,
     _check_separated,
     conormal_flux,
@@ -26,6 +28,7 @@ from multimag.multiscale import (
 )
 
 from conftest import random_unit_field
+from meshes import kuhn_cube
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +56,7 @@ def test_law_zero():
     assert law.is_linear
     np.testing.assert_allclose(law.chi([0.0, 1.0, 5.0]), 0.0, atol=0)
     np.testing.assert_allclose(law.g([0.0, 2.0]), [0.0, 2.0], atol=0)
-    with pytest.raises(ValueError, match="no parameters"):
+    with pytest.raises(ValueError, match=r"^law 'zero' takes 0 parameters, got 1$"):
         material_law("zero", 1.0)
 
 
@@ -91,12 +94,18 @@ def test_law_rational_rejects_nonmonotone():
 
 
 def test_law_validation():
-    with pytest.raises(ValueError, match="unknown material law"):
-        material_law("cubic", 1.0)
-    with pytest.raises(ValueError):
-        material_law("tanh", 1.0)  # wrong arity
-    with pytest.raises(ValueError):
-        material_law("rational", 1.0, 2.0)
+    for kind, params, message in (
+        ("cubic", (1.0,), "unknown material law 'cubic'"),
+        ("linear", (), "law 'linear' takes 1 parameters, got 0"),
+        ("tanh", (1.0,), "law 'tanh' takes 2 parameters, got 1"),
+        ("rational", (1.0, 2.0), "law 'rational' takes 4 parameters, got 2"),
+        ("zero", (0.5,), "law 'zero' takes 0 parameters, got 1"),
+        ("linear", (np.nan,), "linear susceptibility must be nonnegative"),
+        ("tanh", (1.0, np.nan), "tanh law requires positive c1, c2"),
+    ):
+        with pytest.raises(ValueError) as err:
+            material_law(kind, *params)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -255,6 +264,31 @@ def test_iteration_cap_reports_history(pair_ws):
     assert "last residuals" in str(err.value)
 
 
+def test_tol_below_roundoff_floor_is_rejected(pair_ws):
+    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    tanh = material_law("tanh", 1.0, 1.0)
+    for scheme in ("zarantonello", "kacanov"):
+        with pytest.raises(ValueError, match="below the roundoff floor 1e-13"):
+            solve_coupling(pair_ws.coupling, data, tanh, scheme=scheme, tol_nl=1e-15)
+        state = solve_coupling(pair_ws.coupling, data, tanh, scheme=scheme, tol_nl=TOL_NL_FLOOR,
+                               max_iter=500)
+        assert state.residual <= TOL_NL_FLOOR
+    # a linear law is one frozen solve, whose GMRES tolerance has a floor of its own
+    linear = solve_coupling(pair_ws.coupling, data, material_law("linear", 2.0), tol_nl=1e-15)
+    assert linear.iterations == 1
+
+
+def test_residual_increase_reports_plain_float_history(pair_ws, monkeypatch):
+    # below the roundoff floor the residual stalls, which reads as an increase
+    monkeypatch.setattr(multiscale, "TOL_NL_FLOOR", 0.0)
+    data = coupling_data_for(pair_ws, random_unit_field(pair_ws.mesh1, 0), [0.0, 0.0, 0.5])
+    with pytest.raises(RuntimeError, match="residual increased at iteration") as err:
+        solve_coupling(pair_ws.coupling, data, material_law("tanh", 1.0, 1.0),
+                       scheme="kacanov", tol_nl=1e-17)
+    history = ast.literal_eval(str(err.value).split("history: ")[1])
+    assert len(history) > 1 and all(type(h) is float for h in history)
+
+
 def test_kacanov_converges_faster(pair_ws):
     law = material_law("tanh", 1.0, 1.0)
     data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
@@ -350,14 +384,14 @@ def test_pipeline_stage_error_is_labeled(pair_ws, sphere1):
 
 def test_transfer_matrices_match_pointwise_evaluation(pair_ws):
     from multimag.bem import eval_double_layer, eval_single_layer
-    from multimag.fem import clement_boundary_interpolation, face_quadrature
+    from multimag.fem import clement_matrix, face_quadrature
 
     s1, s2 = pair_ws.surface1, pair_ws.coupling.surface
 
     def pointwise(potential, source, density, target):
         points, weights = face_quadrature(target)
         vals = potential(source, density, points.reshape(-1, 3)).reshape(weights.shape)
-        return clement_boundary_interpolation(target, (weights * vals).sum(axis=1))
+        return clement_matrix(target) @ (weights * vals).sum(axis=1)
 
     rng = np.random.default_rng(21)
     t12 = pair_ws.transfer_12
