@@ -14,27 +14,7 @@ histories for the tanh law.
 import numpy as np
 
 from multimag import icosphere_volume, make_multiscale_workspace, material_law
-from multimag.fem import divergence_load, solve_spd
-from multimag.multiscale import (
-    CouplingData,
-    conormal_flux,
-    solve_coupling,
-    solve_uapp,
-    transfer_u1_to_omega2,
-)
-
-
-def coupling_data(pair, m_values, f):
-    cws = pair.coupling
-    f_b = np.broadcast_to(np.asarray(f, dtype=np.float64), (cws.mesh.n_nodes, 3))
-    u11 = solve_spd(
-        pair.stiffness1, divergence_load(pair.mesh1, m_values), constraint="zero-mean"
-    )
-    u1 = transfer_u1_to_omega2(pair, u11)
-    uapp = solve_uapp(cws, f_b)
-    lam = conormal_flux(cws, u1.values)
-    trace = (u1.values + uapp.values)[cws.surface.boundary_nodes]
-    return CouplingData(flux=lam.values, f=f_b, gamma_trace=trace)
+from multimag.multiscale import coupling_data, solve_coupling
 
 
 def interior_mean_field(cws, state, center):

@@ -64,7 +64,6 @@ from .multiscale import (
     make_coupling_workspace,
     make_multiscale_workspace,
     material_law,
-    multiscale_field,
     solve_coupling,
 )
 from .shapes import icosphere_volume, reference_tet
@@ -130,7 +129,6 @@ __all__ = [
     "make_multiscale_workspace",
     "make_strayfield_workspace",
     "material_law",
-    "multiscale_field",
     "read_energies_csv",
     "read_snapshot",
     "reference_tet",

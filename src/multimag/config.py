@@ -92,6 +92,16 @@ def _vector3(text: str, where: str) -> np.ndarray:
     return np.array([_finite_float(p, where) for p in parts])
 
 
+def _nonzero_norm(vector: np.ndarray, where: str) -> float:
+    with np.errstate(over="ignore"):  # the squares overflow past ~1e154
+        norm = float(np.linalg.norm(vector))
+    if norm == 0.0:
+        raise ValueError(f"{where} must be nonzero")
+    if norm == math.inf:
+        raise ValueError(f"{where} is too large to normalise, got {vector.tolist()}")
+    return norm
+
+
 def _finite_float(text: str, where: str) -> float:
     try:
         value = float(text)
@@ -113,8 +123,12 @@ def load_config(path: str) -> SimulationConfig:
     """Parse and validate an INI run configuration."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read(path)
+    # flat INI: no %(name)s interpolation, so a '%' in a value is plain text
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:  # duplicate keys or sections, no section header
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
 
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
@@ -181,8 +195,7 @@ def load_config(path: str) -> SimulationConfig:
     initial_snapshot = None
     if initial_kind == "uniform":
         initial_vector = _vector3(get("run", "initial_vector", required=True), "initial_vector")
-        if np.linalg.norm(initial_vector) == 0.0:
-            raise ValueError("initial_vector must be nonzero")
+        _nonzero_norm(initial_vector, "initial_vector")
     elif initial_kind == "snapshot":
         initial_snapshot = os.path.join(base, get("run", "initial_snapshot", required=True))
     else:
@@ -199,10 +212,7 @@ def load_config(path: str) -> SimulationConfig:
     uniaxial_axis = None
     if "uniaxial" in terms:
         axis = _vector3(get("uniaxial", "axis", required=True), "uniaxial axis")
-        norm = np.linalg.norm(axis)
-        if norm == 0.0:
-            raise ValueError("uniaxial axis must be nonzero")
-        uniaxial_axis = axis / norm
+        uniaxial_axis = axis / _nonzero_norm(axis, "uniaxial axis")
 
     cubic_k1 = cubic_k2 = 0.0
     if "cubic" in terms:

@@ -184,7 +184,9 @@ def read_snapshot(path: str) -> np.ndarray:
         if len(header) != 3 or header[0] != "nodal-field" or header[1] != "3":
             raise ValueError(f"malformed snapshot header in {path}: {' '.join(header)!r}")
         n = int(header[2])
-        values = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        rows = [line for line in fh if line.strip()]
+    # loadtxt warns on no rows and returns (0, 1); an empty field is (0, 3)
+    values = np.loadtxt(rows, dtype=np.float64, ndmin=2) if rows else np.empty((0, 3))
     if values.shape != (n, 3):
         raise ValueError(f"snapshot {path} declares {n} nodes but carries {values.shape}")
     return values

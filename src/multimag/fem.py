@@ -136,20 +136,16 @@ def assemble_stiffness(mesh: TetMesh) -> SparseOperator:
     Assembled once per mesh; every call returns the same operator.
     """
     if "fem.stiffness" not in mesh._cache:
-        g = mesh.hat_gradients
-        data = np.einsum("mid,mjd->mij", g, g) * mesh.volumes[:, None, None]
-        mesh._cache["fem.stiffness"] = _scatter(mesh, data)
+        mesh._cache["fem.stiffness"] = _scatter(mesh, _stiffness_blocks(mesh))
     return mesh._cache["fem.stiffness"]
 
 
 def assemble_weighted_stiffness(mesh: TetMesh, weights: np.ndarray) -> SparseOperator:
     """Stiffness with a positive piecewise-constant coefficient.
 
-    The result has the sparsity pattern of ``assemble_stiffness(mesh)``.
-    Its CSR data is linear in the weights, so a sparse map from the
-    per-tet weights to that data is built once per mesh and each call is
-    one sparse matvec; no element blocks are recomputed and no entries
-    re-sorted.
+    The element blocks of ``assemble_stiffness`` scaled by w_T, scattered
+    the same way: the result has its sparsity pattern, and at w = 1 its
+    entries bit for bit.
 
     Args:
         weights: (M,) per-tet coefficient w_T; entries must be positive.
@@ -159,30 +155,13 @@ def assemble_weighted_stiffness(mesh: TetMesh, weights: np.ndarray) -> SparseOpe
         raise ValueError(f"expected ({mesh.n_tets},) weights, got {weights.shape}")
     if np.any(weights <= 0.0) or not np.isfinite(weights).all():
         raise ValueError("element weights must be positive and finite")
-    if "fem.weighted_stiffness" not in mesh._cache:
-        mesh._cache["fem.weighted_stiffness"] = _weights_to_stiffness_data(mesh)
-    pattern, weight_map = mesh._cache["fem.weighted_stiffness"]
-    matrix = sparse.csr_matrix(
-        (weight_map @ weights, pattern.indices.copy(), pattern.indptr.copy()),
-        shape=pattern.shape,
-    )
-    return SparseOperator(matrix=matrix, mesh=mesh)
+    return _scatter(mesh, _stiffness_blocks(mesh) * weights[:, None, None])
 
 
-def _weights_to_stiffness_data(mesh: TetMesh) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """The stiffness pattern and the (nnz, M) map from tet weights to its data.
-
-    Entry p of the weighted stiffness data is the sum over tets T touching
-    that node pair of w_T |T| <grad eta_i, grad eta_j>_T.
-    """
-    pattern = assemble_stiffness(mesh).matrix
+def _stiffness_blocks(mesh: TetMesh) -> np.ndarray:
+    """(M, 4, 4) element stiffness blocks |T| <grad eta_i, grad eta_j>_T."""
     g = mesh.hat_gradients
-    local = np.einsum("mid,mjd->mij", g, g) * mesh.volumes[:, None, None]
-    tets = np.repeat(np.arange(mesh.n_tets), 16)
-    weight_map = sparse.csr_matrix(
-        (local.ravel(), (pattern_positions(mesh).ravel(), tets)), shape=(pattern.nnz, mesh.n_tets)
-    )
-    return pattern, weight_map
+    return np.einsum("mid,mjd->mij", g, g) * mesh.volumes[:, None, None]
 
 
 def pattern_positions(mesh: TetMesh) -> np.ndarray:

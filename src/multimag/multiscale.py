@@ -21,7 +21,9 @@ potential of every unit density at the target face quadrature points, face
 integrals, Clement averages) and then applied as a matrix-vector product.
 Step 3 depends on f alone: the CouplingWorkspace keeps the last u_app with a
 copy of its f and solves again only when f changes bitwise, so a constant
-applied field costs one solve per workspace.
+applied field costs one solve per workspace.  ``coupling_data`` runs steps
+1-3 and stages the data of step 4; ``MultiscaleContribution.evaluate`` runs
+the whole pipeline.
 
 The coupling system for the total potential u in Omega_2 and the exterior
 normal derivative phi on Gamma_2 reads, with g(t) = t + chi(t) t,
@@ -63,6 +65,7 @@ GMRES on the matrix-free A_w preconditioned by P's LU.
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -201,7 +204,7 @@ def _numeric_dg(law: MaterialLaw, ts: np.ndarray) -> np.ndarray:
 class CouplingState:
     """Result of one coupling solve."""
 
-    phi: FaceDensity
+    phi: np.ndarray  # (F,) exterior normal derivative on Gamma_2
     u: NodalScalarField
     residual: float
     iterations: int
@@ -210,7 +213,7 @@ class CouplingState:
     @property
     def x(self) -> np.ndarray:
         """The solution vector (u, phi), a start point for the next solve."""
-        return np.concatenate([self.u.values, self.phi.values])
+        return np.concatenate([self.u.values, self.phi])
 
 
 @dataclass
@@ -243,8 +246,8 @@ class CouplingWorkspace:
             0.5 * (self.bem.boundary_mass.T @ ones) - self.bem.double_layer.T @ ones
         )
         self.s_vec = np.concatenate([s_u, self.bem.single_layer.T @ ones])
-        # P: its stiffness block is the weighted form at w = 1, whose entries
-        # differ from assemble_stiffness's by rounding; P fixes the iterates
+        # P, the chi == 0 matrix: its stiffness block, the weighted form at
+        # w = 1, is assemble_stiffness's bit for bit
         n2, bnodes = self.n_u, self.surface.boundary_nodes
         k = assemble_weighted_stiffness(self.mesh, np.ones(self.mesh.n_tets)).matrix
         mb = self.bem.boundary_mass
@@ -441,7 +444,7 @@ def _pack_state(ws, x, res, iterations, history, scheme, start) -> CouplingState
         scheme, start, iterations, res,
     )
     return CouplingState(
-        phi=FaceDensity(ws.surface, x[ws.n_u :]),
+        phi=x[ws.n_u :],
         u=NodalScalarField(ws.mesh, x[: ws.n_u]),
         residual=res,
         iterations=iterations,
@@ -553,58 +556,40 @@ def transfer_u1_to_omega2(
     return NodalScalarField(cws.mesh, u1)
 
 
-def multiscale_field(
-    mws: MultiscaleWorkspace,
-    m: NodalVectorField,
-    f_values: np.ndarray,
-    law: MaterialLaw,
-    *,
-    scheme: str = "zarantonello",
-    tol_nl: float = 1e-8,
-    max_iter: int = 200,
-    x0: np.ndarray | None = None,
-) -> tuple[NodalVectorField, CouplingState]:
-    """Environment contribution pi(m, f) = grad(u2) on Omega_1.
+@contextmanager
+def _stage(name: str):
+    """Re-raise a failure inside the block as a pipeline error naming ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"multiscale pipeline failed at stage: {name}") from exc
 
-    Runs the full pipeline: u11 on Omega_1, transfer to Omega_2, auxiliary
-    potential, stabilized coupling solve (from ``x0``, zero when None), and
-    the representation-formula transfer back to Omega_1.  Returns pi and the
-    converged coupling state; stage failures are re-raised with the stage named.
+
+def coupling_data(mws: MultiscaleWorkspace, m_values: np.ndarray, f) -> CouplingData:
+    """Right-hand-side data of the coupling solve for m on Omega_1 in the uniform field f.
+
+    Runs pipeline steps 1-3: u11 on Omega_1, its transfer u1 onto Omega_2
+    and the workspace's kept u_app of f; then the conormal flux of u1 and
+    the Gamma_2 trace of u1 + u_app.  Stage failures are re-raised with the
+    stage named.
+
+    Args:
+        m_values: (N1, 3) magnetization on Omega_1.
+        f: (3,) applied field, taken on every node of Omega_2.
     """
     cws = mws.coupling
-    f_values = np.broadcast_to(np.asarray(f_values, dtype=np.float64), (cws.mesh.n_nodes, 3))
-
-    stage = "interior potential u11 on Omega_1"
-    try:
-        rhs = divergence_load(mws.mesh1, m.values)
+    f_values = np.broadcast_to(np.asarray(f, dtype=np.float64), (cws.mesh.n_nodes, 3))
+    with _stage("interior potential u11 on Omega_1"):
+        rhs = divergence_load(mws.mesh1, m_values)
         u11 = solve_spd(mws.stiffness1, rhs, constraint="zero-mean")
-        stage = "transfer of u1 onto Omega_2"
-        u1 = transfer_u1_to_omega2(mws, u11)
-        stage = "auxiliary potential u_app"
-        uapp = cws.uapp(f_values)
-        stage = "conormal flux of u1"
-        lam = conormal_flux(cws, u1.values)
-        stage = "coupling solve"
-        trace = (u1.values + uapp.values)[cws.surface.boundary_nodes]
-        data = CouplingData(flux=lam.values, f=f_values, gamma_trace=trace)
-        state = solve_coupling(
-            cws, data, law, scheme=scheme, tol_nl=tol_nl, max_iter=max_iter, x0=x0
-        )
-        stage = "representation formula transfer to Omega_1"
-        w = state.u.values - u1.values - uapp.values
-        single_21, double_21 = mws.transfer_21
-        boundary_vals = double_21 @ w[cws.surface.boundary_nodes] - single_21 @ state.phi.values
-        stage = "interior extension of u2 on Omega_1"
-        u2 = solve_spd(
-            mws.stiffness1,
-            np.zeros(mws.mesh1.n_nodes),
-            constraint="dirichlet",
-            dirichlet_nodes=mws.surface1.boundary_nodes,
-            dirichlet_values=boundary_vals,
-        )
-    except Exception as exc:
-        raise RuntimeError(f"multiscale pipeline failed at stage: {stage}") from exc
-    return NodalVectorField(mws.mesh1, lifted_gradient(mws.mesh1, u2)), state
+    with _stage("transfer of u1 onto Omega_2"):
+        u1 = transfer_u1_to_omega2(mws, u11).values
+    with _stage("auxiliary potential u_app"):
+        uapp = cws.uapp(f_values).values
+    with _stage("conormal flux of u1"):
+        flux = conormal_flux(cws, u1).values
+    trace = (u1 + uapp)[cws.surface.boundary_nodes]
+    return CouplingData(flux=flux, f=f_values, gamma_trace=trace)
 
 
 @dataclass
@@ -640,8 +625,25 @@ class MultiscaleContribution(FieldContribution):
                 "zeta is sampled on Omega_1's nodes, not on Omega_2's"
             )
         x0 = self.last_state.x if time_index > 0 and self.last_state is not None else None
-        pi, self.last_state = multiscale_field(
-            self.workspace, m, f_values[0], self.law,
-            scheme=self.scheme, tol_nl=self.tol_nl, max_iter=self.max_iter, x0=x0,
-        )
-        return pi
+        mws, cws = self.workspace, self.workspace.coupling
+        data = coupling_data(mws, m.values, f_values[0])
+        with _stage("coupling solve"):
+            state = solve_coupling(
+                cws, data, self.law,
+                scheme=self.scheme, tol_nl=self.tol_nl, max_iter=self.max_iter, x0=x0,
+            )
+        with _stage("representation formula transfer to Omega_1"):
+            # -V2 phi + K2 w, with w = u - u1 - u_app on Gamma_2
+            w = state.u.values[cws.surface.boundary_nodes] - data.gamma_trace
+            single_21, double_21 = mws.transfer_21
+            boundary_vals = double_21 @ w - single_21 @ state.phi
+        with _stage("interior extension of u2 on Omega_1"):
+            u2 = solve_spd(
+                mws.stiffness1,
+                np.zeros(mws.mesh1.n_nodes),
+                constraint="dirichlet",
+                dirichlet_nodes=mws.surface1.boundary_nodes,
+                dirichlet_values=boundary_vals,
+            )
+        self.last_state = state
+        return NodalVectorField(mws.mesh1, lifted_gradient(mws.mesh1, u2))

@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from multimag import (
+    MultiscaleContribution,
     NodalVectorField,
     NondimConstants,
     RunSetup,
@@ -29,37 +30,16 @@ from multimag import (
     make_multiscale_workspace,
     make_strayfield_workspace,
     material_law,
-    multiscale_field,
     reference_tet,
     run,
     write_mesh,
 )
 from multimag.cli import main
-from multimag.fem import assemble_mass, divergence_load, l2_norm, solve_spd
-from multimag.multiscale import (
-    CouplingData,
-    conormal_flux,
-    solve_coupling,
-    solve_uapp,
-    transfer_u1_to_omega2,
-)
+from multimag.fem import assemble_mass, l2_norm
+from multimag.multiscale import coupling_data, solve_coupling
 
 from conftest import random_unit_field
 from meshes import kuhn_cube
-
-
-def coupling_data_for(pair, m_values, f):
-    """Stage the coupling right-hand side the way the full pipeline does."""
-    cws = pair.coupling
-    f_b = np.broadcast_to(np.asarray(f, dtype=np.float64), (cws.mesh.n_nodes, 3))
-    u11 = solve_spd(
-        pair.stiffness1, divergence_load(pair.mesh1, m_values), constraint="zero-mean"
-    )
-    u1 = transfer_u1_to_omega2(pair, u11)
-    uapp = solve_uapp(cws, f_b)
-    lam = conormal_flux(cws, u1.values)
-    trace = (u1.values + uapp.values)[cws.surface.boundary_nodes]
-    return CouplingData(flux=lam.values, f=f_b, gamma_trace=trace)
 
 
 def test_01_unit_constraint_and_tangency():
@@ -309,18 +289,18 @@ def test_07_multiscale_null_test(pair_ws, sphere1):
     # 1e-6 (||f|| + ||m||) for random data, and linear laws converge in
     # at most two nonlinear iterations
     mass1 = assemble_mass(sphere1)
-    zero = material_law("zero")
+    contrib = MultiscaleContribution(workspace=pair_ws, law=material_law("zero"))
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(seed)
         m = NodalVectorField(sphere1, random_unit_field(sphere1, seed))
         f = rng.normal(size=3)
-        pi = multiscale_field(pair_ws, m, f, zero)[0]
+        pi = contrib.evaluate(m, zeta=f)
         f_field = np.broadcast_to(f, (sphere1.n_nodes, 3))
         scale = l2_norm(mass1, np.ascontiguousarray(f_field)) + l2_norm(mass1, m.values)
         worst = max(worst, l2_norm(mass1, pi.values) / scale)
 
-    data = coupling_data_for(pair_ws, np.zeros((sphere1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, np.zeros((sphere1.n_nodes, 3)), [0.0, 0.0, 1.0])
     state = solve_coupling(pair_ws.coupling, data, material_law("linear", 2.0))
 
     print(
@@ -343,7 +323,7 @@ def test_08_magnetizable_sphere_interior_field(sphere1):
         omega2 = icosphere_volume(level, n_radial=n_radial, center=(3.0, 0.0, 0.0))
         pair = make_multiscale_workspace(sphere1, omega2)
         cws = pair.coupling
-        data = coupling_data_for(pair, np.zeros((sphere1.n_nodes, 3)), f)
+        data = coupling_data(pair, np.zeros((sphere1.n_nodes, 3)), f)
         state = solve_coupling(cws, data, law)
         grads = cws.mesh.element_gradient(state.u.values)
         cents = cws.mesh.nodes[cws.mesh.tets].mean(axis=1)
@@ -379,7 +359,7 @@ def test_09_nonlinear_solver_monotone_convergence(sphere1):
     pair = make_multiscale_workspace(sphere1, omega2)
     law = material_law("tanh", 1.0, 1.0)
     assert law.gamma == 1.0 and law.lip == 2.0
-    data = coupling_data_for(pair, random_unit_field(sphere1, 2), [0.0, 0.0, 1.0])
+    data = coupling_data(pair, random_unit_field(sphere1, 2), [0.0, 0.0, 1.0])
     state = solve_coupling(pair.coupling, data, law, scheme="zarantonello")
     hist = np.array(state.residual_history)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multimag import (
     EnergyRecord,
@@ -170,6 +172,8 @@ def test_material_section_converts_to_reduced_units(tmp_path, cube_file):
          "duplicate contribution terms"),
         ("[output]", "[contributions]\nterms = uniaxial\n\n[uniaxial]\naxis = 0 0 0\n\n[output]",
          "uniaxial axis must be nonzero"),
+        ("[output]", "[contributions]\nterms = uniaxial\n\n[uniaxial]\naxis = 1e300 0 0\n\n[output]",
+         "uniaxial axis is too large to normalise"),
         ("[output]", "[contributions]\nterms = uniaxial\n\n[uniaxial]\naxis = 0 1\n\n[output]",
          "three space-separated numbers"),
         ("[output]", "[contributions]\nterms = strayfield\n\n[strayfield]\nmethod = magic\n\n[output]",
@@ -283,6 +287,8 @@ def test_material_and_constants_are_exclusive(tmp_path, cube_file):
         ("k = 1e-4", "k = 1e-4\ntheta = 1.5", r"theta must lie in \[0, 1\]"),
         ("n_steps = 5", "n_steps = -2", "n_steps must be nonnegative"),
         ("initial_vector = 0 0 1", "initial_vector = 0 0 0", "initial_vector must be nonzero"),
+        ("initial_vector = 0 0 1", "initial_vector = 0 0 1e200",
+         "initial_vector is too large to normalise"),
         ("initial_vector = 0 0 1", "initial = spiral\ninitial_vector = 0 0 1",
          "initial must be 'uniform' or 'snapshot'"),
         ("k = 1e-4\n", "", "missing required key 'k'"),
@@ -516,6 +522,11 @@ def test_cli_simulate_flushes_partial_trajectory(tmp_path, cube1, capsys):
     [
         (MULTISCALE_WITHOUT_FIELD, "[applied_field]"),
         (MINIMAL.replace("k = 1e-4", "k = 1e-4\ntheta = 2"), "theta must lie in [0, 1]"),
+        (MINIMAL.replace("k = 1e-4", "k = 1e-4\nk = 2e-4"),
+         "option 'k' in section 'run' already exists"),
+        (MINIMAL + "\n[run]\ntheta = 0.5\n", "section 'run' already exists"),
+        ("k = 1e-4\n" + MINIMAL, "File contains no section headers"),
+        (MINIMAL.replace("k = 1e-4", "k = 1e-4%"), "[run] k must be a number, got '1e-4%'"),
     ],
 )
 def test_cli_simulate_rejects_invalid_config(tmp_path, cube_file, capsys, body, reason):
@@ -524,6 +535,48 @@ def test_cli_simulate_rejects_invalid_config(tmp_path, cube_file, capsys, body, 
     assert captured.err.startswith("invalid config: ")
     assert reason in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_percent_in_a_value_is_plain_text(tmp_path):
+    cfg = load_config(write_config(tmp_path, MINIMAL.replace("directory = out", "directory = out%")))
+    assert cfg.output_dir == str(tmp_path / "out%")
+
+
+GENERATED_TEXT = st.one_of(
+    st.text(max_size=24),
+    st.text(alphabet="0123456789 .-+eE%[]=;#:nafit\n", max_size=24),
+    st.floats().map(repr),
+)
+
+
+MINIMAL_LINES = MINIMAL.splitlines()
+MINIMAL_VALUES = tuple(line.partition(" = ")[2] for line in MINIMAL_LINES if " = " in line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.tuples(*(st.just(value) | GENERATED_TEXT for value in MINIMAL_VALUES)),
+    extra=GENERATED_TEXT,
+    at=st.integers(0, len(MINIMAL_LINES)),
+)
+@example(values=MINIMAL_VALUES[:-1] + ("out%",), extra="", at=0)
+def test_load_config_on_generated_text_raises_only_value_errors(
+    tmp_path_factory, values, extra, at
+):
+    # each value of the minimal config, kept or replaced by generated text,
+    # plus one generated line: loading succeeds or names the problem
+    replaced = iter(values)
+    lines = [
+        line.partition(" = ")[0] + " = " + next(replaced) if " = " in line else line
+        for line in MINIMAL_LINES
+    ]
+    lines.insert(at, extra)
+    path = tmp_path_factory.mktemp("generated") / "run.ini"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        load_config(str(path))
+    except (ValueError, FileNotFoundError):
+        pass
 
 
 def test_cli_simulate_reports_missing_files(tmp_path, capsys):

@@ -1,11 +1,14 @@
-"""The demos still import what they use, and the demo INI still loads.
+"""The demos still import what they use, the demo INI still loads, and the
+multiscale demo runs.
 
-The demos are not run here (they take minutes); their imports are read
-from the source, so a name removed from ``multimag`` fails this test.
+The other demos are not run here (they take minutes); their imports are
+read from the source, so a name removed from ``multimag`` fails this test.
 """
 
 import ast
 import importlib
+import importlib.util
+import re
 from pathlib import Path
 
 from multimag import load_config
@@ -34,3 +37,17 @@ def test_demo_imports_resolve_and_ini_loads():
                     assert hasattr(module, name), f"{path.name}: {module_name}.{name}"
     cfg = load_config(str(DEMOS / "relaxation.ini"))
     assert cfg.terms == ("uniaxial", "strayfield")
+
+
+def test_multiscale_demo_recovers_sphere_factor(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "multiscale_iteration", DEMOS / "multiscale_iteration.py"
+    )
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main()
+    out = capsys.readouterr().out
+    # linear chi = 2: the interior field is 3/(3+chi) = 0.6 of the applied one
+    factor = float(re.search(r"linear chi = 2: interior \|H\| = ([0-9.]+)", out).group(1))
+    assert abs(factor - 0.6) <= 0.1 * 0.6
+    assert "kacanov" in out and "zarantonello" in out

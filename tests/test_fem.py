@@ -17,6 +17,7 @@ from multimag import (
     assemble_boundary_mass,
     assemble_mass,
     assemble_stiffness,
+    icosphere_volume,
     make_llg_workspace,
     solve_spd,
 )
@@ -104,6 +105,17 @@ def test_weighted_stiffness(cube2):
         2.0 * Kw.toarray(),
         rtol=1e-14,
     )
+
+
+@pytest.mark.parametrize("level, n_radial, n_nodes", [(2, 2, 325), (3, 4, 2569)])
+def test_unit_weights_give_the_shared_stiffness_bit_for_bit(level, n_radial, n_nodes):
+    # the coupling preconditioner P takes its stiffness block from w = 1
+    mesh = icosphere_volume(level, n_radial=n_radial)
+    assert mesh.n_nodes == n_nodes
+    got = assemble_weighted_stiffness(mesh, np.ones(mesh.n_tets)).matrix
+    expect = assemble_stiffness(mesh).matrix
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(expect, name)), name
 
 
 @settings(max_examples=30, deadline=None)

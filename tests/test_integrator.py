@@ -170,6 +170,23 @@ def test_workspace_rejects_node_outside_every_tet():
         make_llg_workspace(mesh)
 
 
+def test_cross_map_matches_assembly_from_int64_indices(sphere2):
+    # make_llg_workspace builds it from index arrays of the pattern's width
+    from multimag.fem import pattern_positions
+
+    ws = make_llg_workspace(sphere2)
+    shape = (sphere2.n_tets, 4, 4, 4)
+    positions = np.broadcast_to(pattern_positions(sphere2)[..., None], shape).astype(np.int64)
+    nodes = np.broadcast_to(sphere2.tets[:, None, None, :], shape).astype(np.int64)
+    weights = sphere2.volumes[:, None, None, None] * _CROSS_TENSOR
+    expect = csr_matrix(
+        (weights.ravel(), (positions.ravel(), nodes.ravel())), shape=ws.cross_map.shape
+    )
+    for name in ("data", "indices", "indptr"):
+        got, ref = getattr(ws.cross_map, name), getattr(expect, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+
 def cross_blocks(ws, m):
     n2 = 2 * ws.mesh.n_nodes
     pattern = ws.stiffness.matrix

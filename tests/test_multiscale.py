@@ -13,17 +13,14 @@ from multimag import (
     make_coupling_workspace,
     make_multiscale_workspace,
     material_law,
-    multiscale_field,
 )
 from multimag import multiscale
-from multimag.fem import divergence_load, solve_spd
 from multimag.multiscale import (
     TOL_NL_FLOOR,
-    CouplingData,
     _check_separated,
     conormal_flux,
+    coupling_data,
     solve_coupling,
-    solve_uapp,
     transfer_u1_to_omega2,
 )
 
@@ -34,20 +31,6 @@ from meshes import kuhn_cube
 @pytest.fixture(scope="module")
 def cube_cws():
     return make_coupling_workspace(kuhn_cube(2))
-
-
-def coupling_data_for(pair_ws, m_values, f):
-    """Stage the pipeline inputs exactly as multiscale_field does."""
-    cws = pair_ws.coupling
-    f_b = np.broadcast_to(np.asarray(f, dtype=np.float64), (cws.mesh.n_nodes, 3))
-    u11 = solve_spd(
-        pair_ws.stiffness1, divergence_load(pair_ws.mesh1, m_values), constraint="zero-mean"
-    )
-    u1 = transfer_u1_to_omega2(pair_ws, u11)
-    uapp = solve_uapp(cws, f_b)
-    lam = conormal_flux(cws, u1.values)
-    trace = (u1.values + uapp.values)[cws.surface.boundary_nodes]
-    return CouplingData(flux=lam.values, f=f_b, gamma_trace=trace)
 
 
 def test_law_zero():
@@ -212,7 +195,7 @@ def test_constant_mode_is_detected_by_stabilization(cube_cws):
 @pytest.mark.parametrize("kind,params", [("zero", ()), ("linear", (2.0,))])
 def test_linear_laws_solve_in_one_step(pair_ws, kind, params):
     law = material_law(kind, *params)
-    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
     state = solve_coupling(pair_ws.coupling, data, law)
     assert state.iterations == 1
     assert state.residual <= 1e-8
@@ -222,9 +205,8 @@ def test_linear_laws_solve_in_one_step(pair_ws, kind, params):
 def test_stabilized_solution_satisfies_unstabilized_system(pair_ws):
     cws = pair_ws.coupling
     law = material_law("linear", 2.0)
-    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
-    x = np.concatenate([solve_coupling(cws, data, law).u.values,
-                        solve_coupling(cws, data, law).phi.values])
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    x = solve_coupling(cws, data, law).x
     b = cws.rhs(data)
     raw_residual = (cws.apply(law, x) - cws.s_vec * (cws.s_vec @ x)) - (
         b - cws.s_vec * b[cws.n_u :].sum()
@@ -235,20 +217,20 @@ def test_stabilized_solution_satisfies_unstabilized_system(pair_ws):
 def test_refuses_insufficient_monotonicity(pair_ws):
     weak = material_law("rational", 6.0, 0.0, 0.0, 4.0)  # gamma ~ 0.24
     assert weak.gamma <= 0.25
-    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="must exceed 1/4"):
         solve_coupling(pair_ws.coupling, data, weak)
 
 
 def test_unknown_scheme_rejected(pair_ws):
-    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="unknown scheme"):
         solve_coupling(pair_ws.coupling, data, material_law("zero"), scheme="newton")
 
 
 def test_zarantonello_monotone_convergence(pair_ws):
     law = material_law("tanh", 1.0, 1.0)
-    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
     state = solve_coupling(pair_ws.coupling, data, law, scheme="zarantonello")
     hist = np.array(state.residual_history)
     assert state.residual <= 1e-8
@@ -258,14 +240,14 @@ def test_zarantonello_monotone_convergence(pair_ws):
 
 def test_iteration_cap_reports_history(pair_ws):
     law = material_law("tanh", 1.0, 1.0)
-    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
     with pytest.raises(RuntimeError, match="did not reach") as err:
         solve_coupling(pair_ws.coupling, data, law, max_iter=3)
     assert "last residuals" in str(err.value)
 
 
 def test_tol_below_roundoff_floor_is_rejected(pair_ws):
-    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
     tanh = material_law("tanh", 1.0, 1.0)
     for scheme in ("zarantonello", "kacanov"):
         with pytest.raises(ValueError, match="below the roundoff floor 1e-13"):
@@ -281,7 +263,7 @@ def test_tol_below_roundoff_floor_is_rejected(pair_ws):
 def test_residual_increase_reports_plain_float_history(pair_ws, monkeypatch):
     # below the roundoff floor the residual stalls, which reads as an increase
     monkeypatch.setattr(multiscale, "TOL_NL_FLOOR", 0.0)
-    data = coupling_data_for(pair_ws, random_unit_field(pair_ws.mesh1, 0), [0.0, 0.0, 0.5])
+    data = coupling_data(pair_ws, random_unit_field(pair_ws.mesh1, 0), [0.0, 0.0, 0.5])
     with pytest.raises(RuntimeError, match="residual increased at iteration") as err:
         solve_coupling(pair_ws.coupling, data, material_law("tanh", 1.0, 1.0),
                        scheme="kacanov", tol_nl=1e-17)
@@ -291,7 +273,7 @@ def test_residual_increase_reports_plain_float_history(pair_ws, monkeypatch):
 
 def test_kacanov_converges_faster(pair_ws):
     law = material_law("tanh", 1.0, 1.0)
-    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
     zar = solve_coupling(pair_ws.coupling, data, law, scheme="zarantonello")
     kac = solve_coupling(pair_ws.coupling, data, law, scheme="kacanov")
     assert kac.residual <= 1e-8
@@ -301,7 +283,7 @@ def test_kacanov_converges_faster(pair_ws):
 def test_kacanov_converges_where_zarantonello_step_is_too_short(pair_ws):
     # tanh 3 1: lip/gamma = 4, so Zarantonello's step gamma/lip^2 is 1/16
     law = material_law("tanh", 3.0, 1.0)
-    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
     with pytest.raises(RuntimeError, match="did not reach"):
         solve_coupling(pair_ws.coupling, data, law, scheme="zarantonello", max_iter=200)
     kac = solve_coupling(pair_ws.coupling, data, law, scheme="kacanov", max_iter=200)
@@ -320,7 +302,7 @@ def test_null_test_zero_law(pair_ws, sphere1):
     m_values /= np.linalg.norm(m_values, axis=1, keepdims=True)
     f = np.array([0.3, -0.2, 0.9])
     m = NodalVectorField(sphere1, m_values)
-    pi = multiscale_field(pair_ws, m, f, material_law("zero"))[0]
+    pi = MultiscaleContribution(workspace=pair_ws, law=material_law("zero")).evaluate(m, zeta=f)
     scale = np.linalg.norm(f) + 1.0
     assert np.abs(pi.values).max() <= 1e-6 * scale
 
@@ -345,8 +327,11 @@ def test_contribution_requires_zeta(pair_ws, sphere1):
         contrib.evaluate(m)
     zeta = NodalVectorField(sphere1, np.tile([0.0, 0.0, 1.0], (sphere1.n_nodes, 1)))
     out = contrib.evaluate(m, zeta=zeta)
-    expect = multiscale_field(pair_ws, m, zeta.values, contrib.law)[0]
-    np.testing.assert_allclose(out.values, expect.values, rtol=1e-12)
+    # a uniform zeta as nodal values or as its one vector
+    expect = MultiscaleContribution(workspace=pair_ws, law=contrib.law).evaluate(
+        m, zeta=np.array([0.0, 0.0, 1.0])
+    )
+    np.testing.assert_array_equal(out.values, expect.values)
 
 
 @pytest.fixture(scope="module")
@@ -363,7 +348,8 @@ def test_uniform_applied_field_on_bodies_of_different_size(unequal_pair, sphere1
     f = np.array([0.1, -0.2, 1.0])
     zeta = NodalVectorField(sphere1, np.tile(f, (sphere1.n_nodes, 1)))
     out = MultiscaleContribution(workspace=unequal_pair, law=law).evaluate(m, zeta=zeta)
-    expect = multiscale_field(unequal_pair, m, f, law)[0]
+    expect = MultiscaleContribution(workspace=unequal_pair, law=law).evaluate(m, zeta=f)
+    assert np.isfinite(out.values).all()
     np.testing.assert_array_equal(out.values, expect.values)
 
 
@@ -377,9 +363,16 @@ def test_nonuniform_applied_field_is_rejected(unequal_pair, sphere1):
 
 def test_pipeline_stage_error_is_labeled(pair_ws, sphere1):
     m = NodalVectorField(sphere1, np.tile([0.0, 0.0, 1.0], (sphere1.n_nodes, 1)))
-    law = material_law("tanh", 1.0, 1.0)
-    with pytest.raises(RuntimeError, match="failed at stage: coupling solve"):
-        multiscale_field(pair_ws, m, [0.0, 0.0, 1.0], law, max_iter=2)
+    contrib = MultiscaleContribution(
+        workspace=pair_ws, law=material_law("tanh", 1.0, 1.0), max_iter=2
+    )
+    with pytest.raises(RuntimeError, match="^multiscale pipeline failed at stage: coupling solve$"):
+        contrib.evaluate(m, zeta=np.array([0.0, 0.0, 1.0]))
+    assert contrib.last_state is None  # set only by an evaluation that succeeds
+    with pytest.raises(
+        RuntimeError, match="^multiscale pipeline failed at stage: interior potential u11 on Omega_1$"
+    ):
+        coupling_data(pair_ws, np.zeros((3, 3)), [0.0, 0.0, 1.0])
 
 
 def test_transfer_matrices_match_pointwise_evaluation(pair_ws):
@@ -415,8 +408,9 @@ def test_transfers_are_built_once(pair_ws, sphere1, monkeypatch):
     from multimag import bem
 
     m = NodalVectorField(sphere1, np.tile([0.0, 0.0, 1.0], (sphere1.n_nodes, 1)))
-    law = material_law("tanh", 1.0, 1.0)
-    first = multiscale_field(pair_ws, m, [0.0, 0.0, 1.0], law)[0]
+    contrib = MultiscaleContribution(workspace=pair_ws, law=material_law("tanh", 1.0, 1.0))
+    zeta = np.array([0.0, 0.0, 1.0])
+    first = contrib.evaluate(m, zeta=zeta)
     calls = []
     panel_integrals = bem.panel_integrals
 
@@ -425,14 +419,14 @@ def test_transfers_are_built_once(pair_ws, sphere1, monkeypatch):
         return panel_integrals(*args)
 
     monkeypatch.setattr(bem, "panel_integrals", counting)
-    second = multiscale_field(pair_ws, m, [0.0, 0.0, 1.0], law)[0]
+    second = contrib.evaluate(m, zeta=zeta)
     assert calls == []
     np.testing.assert_array_equal(second.values, first.values)
 
 
 def test_warm_start_from_converged_state_returns_at_once(pair_ws, sphere1):
     law = material_law("tanh", 1.0, 1.0)
-    data = coupling_data_for(pair_ws, random_unit_field(sphere1, 3), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, random_unit_field(sphere1, 3), [0.0, 0.0, 1.0])
     cold = solve_coupling(pair_ws.coupling, data, law)
     again = solve_coupling(pair_ws.coupling, data, law, x0=cold.x)
     assert again.iterations == 1
@@ -449,8 +443,8 @@ def test_warm_start_from_previous_state_takes_fewer_iterations(pair_ws, sphere1,
     m_next /= np.linalg.norm(m_next, axis=1, keepdims=True)
     f = [0.0, 0.0, 1.0]
     cws = pair_ws.coupling
-    prev = solve_coupling(cws, coupling_data_for(pair_ws, m_prev, f), law, scheme=scheme)
-    data = coupling_data_for(pair_ws, m_next, f)
+    prev = solve_coupling(cws, coupling_data(pair_ws, m_prev, f), law, scheme=scheme)
+    data = coupling_data(pair_ws, m_next, f)
     cold = solve_coupling(cws, data, law, scheme=scheme)
     warm = solve_coupling(cws, data, law, scheme=scheme, x0=prev.x)
     assert warm.iterations < cold.iterations
@@ -461,14 +455,14 @@ def test_warm_start_from_previous_state_takes_fewer_iterations(pair_ws, sphere1,
 
 
 def test_warm_start_rejects_wrong_shape(pair_ws):
-    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="start vector"):
         solve_coupling(pair_ws.coupling, data, material_law("tanh", 1.0, 1.0), x0=np.zeros(3))
 
 
 def test_coupling_solve_logs_scheme_start_and_iterations(pair_ws, sphere1, caplog):
     law = material_law("tanh", 1.0, 1.0)
-    data = coupling_data_for(pair_ws, random_unit_field(sphere1, 6), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, random_unit_field(sphere1, 6), [0.0, 0.0, 1.0])
     with caplog.at_level(logging.DEBUG, logger="multimag"):
         cold = solve_coupling(pair_ws.coupling, data, law)
         solve_coupling(pair_ws.coupling, data, law, x0=cold.x)
@@ -486,7 +480,7 @@ def test_coupling_solve_logs_scheme_start_and_iterations(pair_ws, sphere1, caplo
 
 def test_linear_law_solutions_match_dense_solve(pair_ws, monkeypatch):
     cws = pair_ws.coupling
-    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
     b = cws.rhs(data)
     laws = [material_law("zero"), material_law("linear", 0.0), material_law("linear", 3.5)]
     zero = np.zeros(cws.n_u + cws.n_phi)
@@ -508,7 +502,7 @@ def test_linear_law_solutions_match_dense_solve(pair_ws, monkeypatch):
 def test_nonlinear_solutions_match_dense_solve(pair_ws, sphere1, monkeypatch, params, scheme):
     law = material_law("tanh", *params)
     cws = pair_ws.coupling
-    data = coupling_data_for(pair_ws, random_unit_field(sphere1, 11), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, random_unit_field(sphere1, 11), [0.0, 0.0, 1.0])
     # the discrete solution: Kacanov's iteration with dense solves, run
     # far past its convergence
     expect = np.zeros(cws.n_u + cws.n_phi)
@@ -528,7 +522,7 @@ def test_frozen_coefficient_solve_that_stops_short_raises(pair_ws, sphere1, monk
         return x0, 5
 
     monkeypatch.setattr(multiscale.spla, "gmres", stopped_short)
-    data = coupling_data_for(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
     for law, scheme in [(material_law("linear", 2.0), "zarantonello"),
                         (material_law("tanh", 1.0, 1.0), "kacanov")]:
         with pytest.raises(RuntimeError, match="frozen-coefficient solve did not converge"):
