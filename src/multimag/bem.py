@@ -43,10 +43,11 @@ their rounding scales with the body's size, not with its distance from 0.
 Galerkin matrices use the 7-point, degree-5 triangle rule of ``fem`` for
 the outer (test) integral and the closed forms for the inner one.
 
-Potentials at arbitrary points (``eval_single_layer``,
-``eval_double_layer``) take one density or a matrix whose columns are
-densities, so a fixed point set can be turned into a dense transfer matrix
-by evaluating the identity.
+At arbitrary points, ``eval_single_layer`` and ``eval_double_layer``
+return the operators themselves: (P, F) and (P, Nb) matrices whose product
+with a density is its potential at the points.  The double layer reaches
+its node columns through the surface's (3F, Nb) hat incidence, built once
+per surface and shared with ``assemble_bem``.
 
 Assembly, evaluation and ``solid_angles`` walk the points in batches of
 about BATCH_PAIRS (point, panel) pairs, so a batch's (P, F) planes fit in
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fem import TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS, assemble_boundary_mass
+from .fem import assemble_boundary_mass, face_quadrature
 from .mesh import SurfaceMesh
 
 # Points closer to a panel plane (or edge line) than this, relative to the
@@ -357,40 +358,47 @@ class BemOperatorSet:
         return float(np.abs(rows).max())
 
 
+def hat_incidence(surface: SurfaceMesh) -> sparse.csr_matrix:
+    """(3F, Nb) incidence of face vertices on boundary nodes.
+
+    Row 3f + i holds a 1 in the column of face f's vertex i (in
+    ``surface.boundary_nodes`` local ordering), so it sums per-face hat
+    rows, shaped (..., 3F), into node columns.  Built once per surface.
+    """
+    if "bem.hat_incidence" not in surface._cache:
+        rows = 3 * surface.n_faces
+        surface._cache["bem.hat_incidence"] = sparse.csr_matrix(
+            (np.ones(rows), (np.arange(rows), surface.local_face_indices.ravel())),
+            shape=(rows, surface.boundary_nodes.size),
+        )
+    return surface._cache["bem.hat_incidence"]
+
+
 def assemble_bem(surface: SurfaceMesh) -> BemOperatorSet:
     """Assemble the Galerkin single and double layer matrices.
 
-    Outer integrals use the 7-point triangle rule, inner integrals the
-    closed forms; the single layer matrix is symmetrized afterwards since
-    the two panels are treated asymmetrically by that pairing.  Test faces
-    are swept in batches of at most BATCH_PAIRS // F quadrature points (one
+    Outer integrals use ``fem.face_quadrature``, inner integrals the closed
+    forms; the single layer matrix is symmetrized afterwards since the two
+    panels are treated asymmetrically by that pairing.  Test faces are
+    swept in batches of at most BATCH_PAIRS // F quadrature points (one
     face at least); each batch's double layer rows reach their node columns
-    through one product with a (3F, Nb) incidence matrix built once per
-    call.
+    through one product with the surface's ``hat_incidence``.
     """
     geo = panel_geometry(surface)
     f_count = surface.n_faces
-    nb = surface.boundary_nodes.size
     v_mat = np.zeros((f_count, f_count))
-    k_mat = np.zeros((f_count, nb))
-
-    quad_pts = np.einsum("qk,fkd->fqd", TRI_QUAD_POINTS, surface.vertex_coords)
-    # (3F, Nb) incidence: row 3f + i holds a 1 in the column of face f's
-    # vertex i, so it sums each batch's per-face hat rows into node columns
-    scatter = sparse.csr_matrix(
-        (np.ones(3 * f_count), (np.arange(3 * f_count), surface.local_face_indices.ravel())),
-        shape=(3 * f_count, nb),
-    )
-
-    nq = len(TRI_QUAD_WEIGHTS)
+    k_mat = np.zeros((f_count, surface.boundary_nodes.size))
+    quad_pts, weights = face_quadrature(surface)
+    incidence = hat_incidence(surface)
+    nq = weights.shape[1]
 
     def batch(start: int, stop: int) -> None:
         single, _, double_p1 = panel_integrals(geo, quad_pts[start:stop].reshape(-1, 3))
         nf = stop - start
-        w = surface.areas[start:stop, None] * TRI_QUAD_WEIGHTS[None, :]
+        w = weights[start:stop]
         v_mat[start:stop] = np.einsum("bqf,bq->bf", single.reshape(nf, nq, f_count), w)
         k_rows = np.einsum("bqfi,bq->bfi", double_p1.reshape(nf, nq, f_count, 3), w)
-        k_mat[start:stop] = k_rows.reshape(nf, -1) @ scatter
+        k_mat[start:stop] = k_rows.reshape(nf, -1) @ incidence
 
     _sweep(batch, f_count, max(1, _batch_points(f_count) // nq))
 
@@ -405,65 +413,35 @@ def assemble_bem(surface: SurfaceMesh) -> BemOperatorSet:
     )
 
 
-def _density_columns(density: np.ndarray, rows: int, what: str) -> np.ndarray:
-    """View a (rows,) or (rows, k) density as (rows, k); other shapes raise."""
-    density = np.asarray(density, dtype=np.float64)
-    if density.ndim not in (1, 2) or density.shape[0] != rows:
-        raise ValueError(f"expected ({rows},) or ({rows}, k) {what}, got {density.shape}")
-    return density.reshape(rows, -1)
-
-
-def eval_single_layer(
-    surface: SurfaceMesh, face_density: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """Single layer potential of a P0 density at arbitrary points.
-
-    Args:
-        face_density: (F,) density, or (F, k) for k densities at once.
-        points: (P, 3) evaluation points, swept in batches of
-            BATCH_PAIRS // F.
-
-    Returns:
-        (P,) potential, or (P, k) with column j the potential of density j.
-    """
-    density = _density_columns(face_density, surface.n_faces, "density")
+def _point_operator(surface: SurfaceMesh, points: np.ndarray, columns: int, rows) -> np.ndarray:
+    """(P, columns) operator at the points, 1/(4 pi) times ``rows`` of each
+    batch's ``panel_integrals``; batches hold BATCH_PAIRS // F points."""
     geo = panel_geometry(surface)
     points = np.asarray(points, dtype=np.float64)
-    out = np.empty((points.shape[0], density.shape[1]))
+    out = np.empty((points.shape[0], columns))
 
     def batch(start: int, stop: int) -> None:
-        single, _, _ = panel_integrals(geo, points[start:stop])
-        out[start:stop] = single @ density
+        out[start:stop] = rows(panel_integrals(geo, points[start:stop]))
 
     _sweep(batch, points.shape[0], _batch_points(surface.n_faces))
     out /= 4.0 * np.pi
-    return out.reshape(points.shape[:1] + np.shape(face_density)[1:])
+    return out
 
 
-def eval_double_layer(
-    surface: SurfaceMesh, boundary_values: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """Double layer potential of a P1 boundary field at arbitrary points.
+def eval_single_layer(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
+    """(P, F) single layer operator: its product with a P0 face density is
+    the potential at the (P, 3) points."""
+    return _point_operator(surface, points, surface.n_faces, lambda panels: panels[0])
 
-    Args:
-        boundary_values: (Nb,) nodal values in ``surface.boundary_nodes``
-            local ordering, or (Nb, k) for k fields at once.
-        points: (P, 3) evaluation points, swept in batches of
-            BATCH_PAIRS // F.
 
-    Returns:
-        (P,) potential, or (P, k) with column j the potential of field j.
-    """
-    values = _density_columns(boundary_values, surface.boundary_nodes.size, "boundary values")
-    geo = panel_geometry(surface)
-    points = np.asarray(points, dtype=np.float64)
-    per_face = values[surface.local_face_indices].reshape(-1, values.shape[1])  # (3F, k)
-    out = np.empty((points.shape[0], values.shape[1]))
+def eval_double_layer(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
+    """(P, Nb) double layer operator: its product with P1 nodal values, in
+    ``surface.boundary_nodes`` local ordering, is the potential at the
+    (P, 3) points.  Hat rows reach node columns through ``hat_incidence``."""
+    incidence = hat_incidence(surface)
 
-    def batch(start: int, stop: int) -> None:
-        _, _, double_p1 = panel_integrals(geo, points[start:stop])
-        out[start:stop] = double_p1.reshape(stop - start, -1) @ per_face
+    def rows(panels):
+        double_p1 = panels[2]
+        return double_p1.reshape(len(double_p1), -1) @ incidence
 
-    _sweep(batch, points.shape[0], _batch_points(surface.n_faces))
-    out /= 4.0 * np.pi
-    return out.reshape(points.shape[:1] + np.shape(boundary_values)[1:])
+    return _point_operator(surface, points, incidence.shape[1], rows)

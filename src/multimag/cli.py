@@ -10,9 +10,11 @@ Subcommands:
   angle condition (exit 0 valid and satisfied, 1 valid but violated,
   2 invalid).
 * ``strayfield-test <mesh> <method>``: uniform-magnetization sphere
-  oracle; the mean stray field of m = e_z must be m/3 within 10%.
+  oracle; the mean stray field of m = e_z must be m/3 within 10% (exit 2
+  for an unreadable or malformed mesh).
 * ``energy-report <dir>``: re-verify the energy table written by a run
-  (values finite; parts recombine; dissipation inequality holds).
+  (values finite; parts recombine; dissipation inequality holds; exit 2
+  for a missing, malformed or empty table).
 """
 
 from __future__ import annotations
@@ -133,7 +135,11 @@ def _strayfield_test(mesh_path: str, method: str) -> int:
     from .mesh import load_mesh
     from .strayfield import StrayfieldContribution, make_strayfield_workspace
 
-    mesh = load_mesh(mesh_path)
+    try:
+        mesh = load_mesh(mesh_path)
+    except (OSError, ValueError) as exc:  # MeshFormatError is a ValueError
+        print(f"invalid mesh: {exc}", file=sys.stderr)
+        return 2
     ws = make_strayfield_workspace(mesh, method)
     m = NodalVectorField(mesh, np.tile([0.0, 0.0, 1.0], (mesh.n_nodes, 1)))
     pi = StrayfieldContribution(workspace=ws).evaluate(m)
@@ -155,7 +161,13 @@ def _energy_report(directory: str) -> int:
     from .diagnostics import check_energy_decay, read_energies_csv
 
     path = f"{directory}/energies.csv"
-    records = read_energies_csv(path)
+    try:
+        records = read_energies_csv(path)
+        if not records:
+            raise ValueError(f"{path} has no records")
+    except (OSError, ValueError) as exc:
+        print(f"invalid energy table: {exc}", file=sys.stderr)
+        return 2
     print(f"{len(records)} records, steps {records[0].step}..{records[-1].step}")
     nonfinite = sum(not np.isfinite(astuple(r)).all() for r in records)
     if nonfinite:

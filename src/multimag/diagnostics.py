@@ -212,24 +212,21 @@ def write_energies_csv(path: str, records) -> None:
 
 
 def read_energies_csv(path: str) -> list[EnergyRecord]:
+    """Read write_energies_csv's table; a malformed row raises ValueError naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_COLUMNS:
             raise ValueError(f"unexpected energy CSV columns in {path}: {header}")
         records = []
         for row in reader:
-            records.append(
-                EnergyRecord(
-                    step=int(row[0]),
-                    time=float(row[1]),
-                    e_exch=float(row[2]),
-                    e_int=float(row[3]),
-                    e_zeeman=float(row[4]),
-                    e_total=float(row[5]),
-                    dissipation_sum=float(row[6]),
-                )
-            )
+            where = f"{path} line {reader.line_num}"
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+            try:
+                records.append(EnergyRecord(int(row[0]), *map(float, row[1:])))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return records
 
 
@@ -260,8 +257,8 @@ def write_trajectory(trajectory, directory: str, *, cadence: int = 10) -> list[s
     return written
 
 
-def write_vtk(path: str, mesh: TetMesh, values: np.ndarray, name: str = "m") -> None:
-    """Legacy ASCII VTK unstructured grid with one nodal vector field."""
+def write_vtk(path: str, mesh: TetMesh, values: np.ndarray) -> None:
+    """Legacy ASCII VTK unstructured grid with one nodal vector field, ``m``."""
     values = np.asarray(values, dtype=np.float64)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
@@ -276,7 +273,7 @@ def write_vtk(path: str, mesh: TetMesh, values: np.ndarray, name: str = "m") -> 
         fh.write(f"CELL_TYPES {mesh.n_tets}\n")
         fh.write("10\n" * mesh.n_tets)
         fh.write(f"POINT_DATA {mesh.n_nodes}\n")
-        fh.write(f"VECTORS {name} double\n")
+        fh.write("VECTORS m double\n")
         for row in values:
             fh.write(f"{row[0]:.17g} {row[1]:.17g} {row[2]:.17g}\n")
 

@@ -392,21 +392,22 @@ class AngleConditionReport:
     worst_pair: tuple[int, int] | None
 
 
-def check_angle_condition(mesh: TetMesh, tol: float = 1e-12) -> AngleConditionReport:
+def check_angle_condition(mesh: TetMesh) -> AngleConditionReport:
     """Check the off-diagonal sign condition of the P1 stiffness matrix.
 
     The tangent-plane update's renormalization step is energy-decreasing when
     every off-diagonal stiffness entry satisfies <grad eta_i, grad eta_j> <= 0
     (weakly acute meshes).  Structured meshes with nonobtuse dihedral angles
     pass with entries that are exactly zero where hats do not interact, so
-    the check uses a small positive tolerance.
+    the check uses a small positive tolerance, 1e-12.
 
     Returns:
         AngleConditionReport; ``satisfied`` is True when the largest
-        off-diagonal entry is at most ``tol``.
+        off-diagonal entry is at most the tolerance.
     """
     from . import fem  # local import: fem depends on mesh
 
+    tol = 1e-12
     matrix = fem.assemble_stiffness(mesh).matrix.tocoo()
     off = matrix.row != matrix.col
     if not off.any():

@@ -17,8 +17,8 @@ computed by the pipeline
 The geometry is fixed, so the boundary data of steps 2 and 5 are fixed
 linear maps of the Gamma_1 trace and of (phi, w) on Gamma_2.  Each is built
 once, on first use, as a dense matrix on the MultiscaleWorkspace (the layer
-potential of every unit density at the target face quadrature points, face
-integrals, Clement averages) and then applied as a matrix-vector product.
+potential operator at the target face quadrature points, integrated per face
+and Clement averaged) and then applied as a matrix-vector product.
 Step 3 depends on f alone: the CouplingWorkspace keeps the last u_app with a
 copy of its f and solves again only when f changes bitwise, so a constant
 applied field costs one solve per workspace.  ``coupling_data`` runs steps
@@ -473,10 +473,7 @@ class MultiscaleWorkspace:
     def transfer_12(self) -> np.ndarray:
         """(Nb2, Nb1) map from a Gamma_1 trace to the Gamma_2 boundary values
         of its double layer potential (pipeline step 2)."""
-        s1 = self.surface1
-        return _boundary_transfer(
-            eval_double_layer, s1, s1.boundary_nodes.size, self.coupling.surface
-        )
+        return _boundary_transfer(eval_double_layer, self.surface1, self.coupling.surface)
 
     @cached_property
     def transfer_21(self) -> tuple[np.ndarray, np.ndarray]:
@@ -485,26 +482,25 @@ class MultiscaleWorkspace:
         potentials (pipeline step 5)."""
         s2 = self.coupling.surface
         return (
-            _boundary_transfer(eval_single_layer, s2, s2.n_faces, self.surface1),
-            _boundary_transfer(eval_double_layer, s2, s2.boundary_nodes.size, self.surface1),
+            _boundary_transfer(eval_single_layer, s2, self.surface1),
+            _boundary_transfer(eval_double_layer, s2, self.surface1),
         )
 
 
-def _boundary_transfer(
-    potential, source: SurfaceMesh, n_densities: int, target: SurfaceMesh
-) -> np.ndarray:
+def _boundary_transfer(potential, source: SurfaceMesh, target: SurfaceMesh) -> np.ndarray:
     """Dense map from a density on ``source`` to target boundary values.
 
-    ``potential`` is a layer potential evaluator of ``source``; it is
-    evaluated for every unit density at the target face quadrature points
-    (the integrals are regular since the domains are separated), integrated
-    per face and interpolated onto the target nodes by Clement averages.
+    ``potential`` is a layer potential operator of ``source``
+    (``eval_single_layer`` or ``eval_double_layer``); it is taken at the
+    target face quadrature points (the integrals are regular since the
+    domains are separated), integrated per face and interpolated onto the
+    target nodes by Clement averages.
 
     Returns:
-        (Nb_target, n_densities) matrix.
+        (Nb_target, F_source) or (Nb_target, Nb_source) matrix.
     """
     points, weights = face_quadrature(target)
-    vals = potential(source, np.eye(n_densities), points.reshape(-1, 3))
+    vals = potential(source, points.reshape(-1, 3))
     face_integrals = np.einsum("fq,fqk->fk", weights, vals.reshape(weights.shape + (-1,)))
     return clement_matrix(target) @ face_integrals
 

@@ -265,13 +265,13 @@ def test_06_bem_identities(cube2, sphere1, sphere2):
         v = ops.single_layer
         worst["sym"] = max(worst["sym"], np.abs(v - v.T).max())
         ones = np.ones(surf.boundary_nodes.size)
-        inside = eval_double_layer(surf, ones, np.array([center], dtype=float))
-        outside = eval_double_layer(surf, ones, far)
+        inside = eval_double_layer(surf, np.array([center], dtype=float)) @ ones
+        outside = eval_double_layer(surf, far) @ ones
         worst["inside"] = max(worst["inside"], abs(inside[0] + 1.0))
         worst["outside"] = max(worst["outside"], abs(outside[0]))
         if name == "sphere-320":
             assert surf.n_faces == 320
-            shell = eval_single_layer(surf, np.ones(surf.n_faces), np.zeros((1, 3)))[0]
+            shell = (eval_single_layer(surf, np.zeros((1, 3))) @ np.ones(surf.n_faces))[0]
 
     print(
         f"acceptance 6: PASS gauss {worst['gauss']:.2e}, indicator "

@@ -326,8 +326,8 @@ def test_double_layer_of_ones_is_indicator(sphere1):
     ones = np.ones(surf.boundary_nodes.size)
     pts_in = np.array([[0.0, 0.0, 0.0], [0.2, 0.1, -0.1], [0.0, 0.0, 0.4]])
     pts_out = pts_in + [3.0, 0.0, 0.0]
-    np.testing.assert_allclose(eval_double_layer(surf, ones, pts_in), -1.0, rtol=1e-12)
-    np.testing.assert_allclose(eval_double_layer(surf, ones, pts_out), 0.0, atol=1e-12)
+    np.testing.assert_allclose(eval_double_layer(surf, pts_in) @ ones, -1.0, rtol=1e-12)
+    np.testing.assert_allclose(eval_double_layer(surf, pts_out) @ ones, 0.0, atol=1e-12)
 
 
 def test_galerkin_constant_identity(sphere1):
@@ -364,7 +364,7 @@ def test_jump_relation_double_layer(level):
     eps = np.sqrt(surf.areas.mean()) / 100.0
     up = surf.centroids + eps * surf.normals
     down = surf.centroids - eps * surf.normals
-    jump = eval_double_layer(surf, g, up) - eval_double_layer(surf, g, down)
+    jump = (eval_double_layer(surf, up) - eval_double_layer(surf, down)) @ g
     target = g[surf.local_face_indices].mean(axis=1)  # P1 density at centroids
     assert np.abs(jump - target).max() < 5e-2
 
@@ -378,7 +378,7 @@ def test_jump_error_shrinks_under_refinement():
         eps = np.sqrt(surf.areas.mean()) / 100.0
         up = surf.centroids + eps * surf.normals
         down = surf.centroids - eps * surf.normals
-        jump = eval_double_layer(surf, g, up) - eval_double_layer(surf, g, down)
+        jump = (eval_double_layer(surf, up) - eval_double_layer(surf, down)) @ g
         errs.append(np.abs(jump - g[surf.local_face_indices].mean(axis=1)).max())
     assert errs[1] < errs[0]
 
@@ -389,7 +389,7 @@ def test_single_layer_continuous_across_surface(sphere1):
     eps = np.sqrt(surf.areas.mean()) / 100.0
     up = surf.centroids + eps * surf.normals
     down = surf.centroids - eps * surf.normals
-    gap = eval_single_layer(surf, phi, up) - eval_single_layer(surf, phi, down)
+    gap = (eval_single_layer(surf, up) - eval_single_layer(surf, down)) @ phi
     assert np.abs(gap).max() < 5e-3
 
 
@@ -400,40 +400,10 @@ def test_shell_potential_refines_monotonically():
     pts = np.array([[0.0, 0.0, 0.0], [0.2, 0.1, -0.1], [0.0, 0.0, 0.4]])
     for level in (0, 1, 2):
         surf = icosphere_volume(level, n_radial=2).boundary()
-        u = eval_single_layer(surf, np.ones(surf.n_faces), pts)
+        u = eval_single_layer(surf, pts) @ np.ones(surf.n_faces)
         errs.append(np.abs(u - 1.0).max())
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.02
-
-
-def test_eval_density_shape_validation(sphere1):
-    surf = sphere1.boundary()
-    pts = np.zeros((1, 3))
-    with pytest.raises(ValueError, match="density"):
-        eval_single_layer(surf, np.ones(3), pts)
-    with pytest.raises(ValueError, match="boundary values"):
-        eval_double_layer(surf, np.ones(3), pts)
-    with pytest.raises(ValueError, match="density"):
-        eval_single_layer(surf, np.ones((surf.n_faces, 2, 2)), pts)
-    with pytest.raises(ValueError, match="boundary values"):
-        eval_double_layer(surf, np.ones((3, surf.boundary_nodes.size)), pts)
-
-
-def test_eval_matrix_density_matches_columns(sphere1):
-    surf = sphere1.boundary()
-    rng = np.random.default_rng(11)
-    pts = rng.normal(size=(40, 3)) * 2.0
-    phis = rng.normal(size=(surf.n_faces, 4))
-    us = rng.normal(size=(surf.boundary_nodes.size, 3))
-    single = eval_single_layer(surf, phis, pts)
-    double = eval_double_layer(surf, us, pts)
-    assert single.shape == (40, 4) and double.shape == (40, 3)
-    for j in range(phis.shape[1]):
-        col = eval_single_layer(surf, phis[:, j], pts)
-        np.testing.assert_allclose(single[:, j], col, rtol=1e-12, atol=1e-14 * np.abs(col).max())
-    for j in range(us.shape[1]):
-        col = eval_double_layer(surf, us[:, j], pts)
-        np.testing.assert_allclose(double[:, j], col, rtol=1e-12, atol=1e-14 * np.abs(col).max())
 
 
 def test_eval_walks_points_in_batches(sphere1, monkeypatch):
@@ -444,8 +414,6 @@ def test_eval_walks_points_in_batches(sphere1, monkeypatch):
     monkeypatch.setattr(bem, "BATCH_PAIRS", batch * surf.n_faces)
     rng = np.random.default_rng(12)
     pts = rng.normal(size=(3 * batch + 5, 3)) * 2.0
-    phi = rng.normal(size=surf.n_faces)
-    u = rng.normal(size=surf.boundary_nodes.size)
     sizes = []
     panel_integrals = bem.panel_integrals
 
@@ -454,17 +422,46 @@ def test_eval_walks_points_in_batches(sphere1, monkeypatch):
         return panel_integrals(geo, points)
 
     monkeypatch.setattr(bem, "panel_integrals", recording)
-    whole_single = eval_single_layer(surf, phi, pts)
-    whole_double = eval_double_layer(surf, u, pts)
+    whole_single = eval_single_layer(surf, pts)
+    whole_double = eval_double_layer(surf, pts)
     # batches may finish in any order on the worker pool
     assert sorted(sizes) == sorted([batch, batch, batch, 5] * 2)
     chunks = [pts[i : i + batch] for i in range(0, len(pts), batch)]
     np.testing.assert_array_equal(
-        whole_single, np.concatenate([eval_single_layer(surf, phi, c) for c in chunks])
+        whole_single, np.concatenate([eval_single_layer(surf, c) for c in chunks])
     )
     np.testing.assert_array_equal(
-        whole_double, np.concatenate([eval_double_layer(surf, u, c) for c in chunks])
+        whole_double, np.concatenate([eval_double_layer(surf, c) for c in chunks])
     )
+
+
+def test_assemble_bem_matches_face_integrals_of_point_operators(monkeypatch):
+    # V and K are the point operators integrated over the test faces by the
+    # shared face rule; both double layer paths reach their node columns
+    # through the one memoised hat incidence of the surface
+    from multimag import bem
+    from multimag.fem import face_quadrature
+
+    surf = icosphere_volume(1, n_radial=2).boundary()
+    incidences = []
+    hat_incidence = bem.hat_incidence
+
+    def recording(surface):
+        incidences.append(hat_incidence(surface))
+        return incidences[-1]
+
+    monkeypatch.setattr(bem, "hat_incidence", recording)
+    ops = assemble_bem(surf)
+    points, weights = face_quadrature(surf)
+    shape = weights.shape + (-1,)
+    single = eval_single_layer(surf, points.reshape(-1, 3)).reshape(shape)
+    double = eval_double_layer(surf, points.reshape(-1, 3)).reshape(shape)
+    v = np.einsum("fq,fqk->fk", weights, single)
+    v = 0.5 * (v + v.T)
+    k = np.einsum("fq,fqk->fk", weights, double)
+    assert np.abs(ops.single_layer - v).max() <= 1e-13 * np.abs(v).max()
+    assert np.abs(ops.double_layer - k).max() <= 1e-13 * np.abs(k).max()
+    assert len(incidences) == 2 and incidences[0] is incidences[1]
 
 
 def test_assemble_bem_independent_of_batch_size(sphere1, monkeypatch):
@@ -493,18 +490,14 @@ def test_solid_angles_match_unbatched_form(sphere1, monkeypatch):
     np.testing.assert_array_equal(solid_angles(surf, pts), whole)
 
 
-def bem_results(surface, pts, rng):
+def bem_results(surface, pts):
     """Every batched BEM output, for comparisons across worker counts."""
     ops = assemble_bem(surface)
-    phi = rng.normal(size=(surface.n_faces, 3))
-    u = rng.normal(size=(surface.boundary_nodes.size, 2))
     return [
         ops.single_layer,
         ops.double_layer,
-        eval_single_layer(surface, phi[:, 0], pts),
-        eval_single_layer(surface, phi, pts),
-        eval_double_layer(surface, u[:, 0], pts),
-        eval_double_layer(surface, u, pts),
+        eval_single_layer(surface, pts),
+        eval_double_layer(surface, pts),
         solid_angles(surface, pts),
     ]
 
@@ -519,10 +512,10 @@ def test_bem_results_independent_of_worker_count(sphere1, monkeypatch, workers):
     pts = np.random.default_rng(14).normal(size=(60, 3)) * 2.0
     monkeypatch.setattr(bem, "BATCH_PAIRS", 16 * surf.n_faces)
     monkeypatch.setattr(bem, "_usable_cpus", lambda: 1)
-    serial = bem_results(surf, pts, np.random.default_rng(15))
+    serial = bem_results(surf, pts)
     threads_before = threading.active_count()
     monkeypatch.setattr(bem, "_usable_cpus", lambda: workers)
-    swept = bem_results(surf, pts, np.random.default_rng(15))
+    swept = bem_results(surf, pts)
     assert threading.active_count() == threads_before  # the pool is shut down
     for a, b in zip(swept, serial):
         np.testing.assert_array_equal(a, b)
@@ -548,8 +541,8 @@ def test_error_in_one_batch_propagates(sphere1, monkeypatch, workers):
     panel_integrals = bem.panel_integrals
     for call in (
         lambda: assemble_bem(surf),
-        lambda: eval_single_layer(surf, np.ones(surf.n_faces), pts),
-        lambda: eval_double_layer(surf, np.ones((surf.boundary_nodes.size, 2)), pts),
+        lambda: eval_single_layer(surf, pts),
+        lambda: eval_double_layer(surf, pts),
     ):
         calls = itertools.count()
 
@@ -571,10 +564,9 @@ def test_sweep_stress_with_short_switch_interval(sphere1, monkeypatch):
 
     surf = sphere1.boundary()
     pts = np.random.default_rng(17).normal(size=(96, 3)) * 2.0
-    phi = np.random.default_rng(18).normal(size=(surf.n_faces, 2))
     monkeypatch.setattr(bem, "BATCH_PAIRS", surf.n_faces)
     monkeypatch.setattr(bem, "_usable_cpus", lambda: 1)
-    serial = eval_single_layer(surf, phi, pts), solid_angles(surf, pts)
+    serial = eval_single_layer(surf, pts), solid_angles(surf, pts)
     monkeypatch.setattr(bem, "_usable_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -582,7 +574,7 @@ def test_sweep_stress_with_short_switch_interval(sphere1, monkeypatch):
         deadline = time.monotonic() + 3.0
         rounds = 0
         while rounds < 20 and time.monotonic() < deadline:
-            np.testing.assert_array_equal(eval_single_layer(surf, phi, pts), serial[0])
+            np.testing.assert_array_equal(eval_single_layer(surf, pts), serial[0])
             np.testing.assert_array_equal(solid_angles(surf, pts), serial[1])
             rounds += 1
     finally:

@@ -603,6 +603,32 @@ def test_cli_energy_report_detects_growth(tmp_path, capsys):
     assert "first violation at step 2" in capsys.readouterr().out
 
 
+def test_cli_energy_report_rejects_missing_directory(tmp_path, capsys):
+    assert main(["energy-report", str(tmp_path / "nowhere")]) == 2
+    assert "invalid energy table" in capsys.readouterr().err
+
+
+def test_cli_energy_report_rejects_header_only_table(tmp_path, capsys):
+    write_energies_csv(str(tmp_path / "energies.csv"), [])
+    assert main(["energy-report", str(tmp_path)]) == 2
+    assert "has no records" in capsys.readouterr().err
+
+
+def test_cli_energy_report_rejects_truncated_row(tmp_path, capsys):
+    path = tmp_path / "energies.csv"
+    write_energies_csv(str(path), fabricated_records([1.0, 0.9]))
+    with open(path, "a") as fh:
+        fh.write("1,0.1,0.9\n")
+    assert main(["energy-report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid energy table" in err and "line 4: expected 7 fields, got 3" in err
+
+
+def test_cli_strayfield_test_rejects_missing_mesh(tmp_path, capsys):
+    assert main(["strayfield-test", str(tmp_path / "missing.mesh"), "fk"]) == 2
+    assert "invalid mesh" in capsys.readouterr().err
+
+
 def test_cli_energy_report_fails_on_nan_table(tmp_path, capsys):
     write_energies_csv(str(tmp_path / "energies.csv"), fabricated_records([float("nan")] * 3))
     assert main(["energy-report", str(tmp_path)]) == 1

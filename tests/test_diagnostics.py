@@ -1,6 +1,7 @@
 """Energy bookkeeping, the dissipation inequality, snapshots, CSV, VTK."""
 
 import logging
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -277,6 +278,24 @@ def test_energies_csv_rejects_foreign_header(tmp_path):
         read_energies_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,0.1,0.9,0,0,0.9,0,0", "line 3: expected 7 fields, got 8"),
+        ("1,0.1,x,0,0,0.9,0", "line 3: could not convert string to float: 'x'"),
+        ("1.5,0.1,0.9,0,0,0.9,0", "line 3: invalid literal for int"),
+    ],
+    ids=["long", "not-a-number", "fractional-step"],
+)
+def test_energies_csv_rejects_malformed_row(tmp_path, row, message):
+    path = tmp_path / "energies.csv"
+    write_energies_csv(path, [record(0, 1.0)])
+    with open(path, "a") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path} {message}")):
+        read_energies_csv(path)
+
+
 def test_snapshot_filename_format():
     assert snapshot_filename(0) == "snapshot_00000000.dat"
     assert snapshot_filename(10) == "snapshot_00000010.dat"
@@ -321,13 +340,13 @@ def test_trajectory_snapshots_reload(tmp_path, cube1):
 
 def test_write_vtk_structure(tmp_path, cube1):
     path = tmp_path / "m.vtk"
-    write_vtk(path, cube1, np.tile([0.0, 0.0, 1.0], (cube1.n_nodes, 1)), name="mag")
+    write_vtk(path, cube1, np.tile([0.0, 0.0, 1.0], (cube1.n_nodes, 1)))
     lines = path.read_text().splitlines()
     assert lines[0] == "# vtk DataFile Version 3.0"
     assert "ASCII" in lines
     assert f"POINTS {cube1.n_nodes} double" in lines
     assert f"CELLS {cube1.n_tets} {5 * cube1.n_tets}" in lines
-    assert "VECTORS mag double" in lines
+    assert "VECTORS m double" in lines
 
 
 # every finite double, -0.0 and subnormals included

@@ -376,14 +376,22 @@ def test_pipeline_stage_error_is_labeled(pair_ws, sphere1):
 
 
 def test_transfer_matrices_match_pointwise_evaluation(pair_ws):
-    from multimag.bem import eval_double_layer, eval_single_layer
+    from multimag.bem import panel_geometry, panel_integrals
     from multimag.fem import clement_matrix, face_quadrature
 
     s1, s2 = pair_ws.surface1, pair_ws.coupling.surface
 
-    def pointwise(potential, source, density, target):
+    def pointwise(layer, source, density, target):
+        # the potential straight from the panel closed forms, the double
+        # layer's hat rows gathered onto their nodes one by one
         points, weights = face_quadrature(target)
-        vals = potential(source, density, points.reshape(-1, 3)).reshape(weights.shape)
+        single, _, double_p1 = panel_integrals(panel_geometry(source), points.reshape(-1, 3))
+        if layer == "single":
+            operator = single
+        else:
+            operator = np.zeros((len(single), source.boundary_nodes.size))
+            np.add.at(operator, (slice(None), source.local_face_indices), double_p1)
+        vals = (operator @ density / (4.0 * np.pi)).reshape(weights.shape)
         return clement_matrix(target) @ (weights * vals).sum(axis=1)
 
     rng = np.random.default_rng(21)
@@ -397,9 +405,9 @@ def test_transfer_matrices_match_pointwise_evaluation(pair_ws):
         phi = rng.normal(size=s2.n_faces)
         trace2 = rng.normal(size=s2.boundary_nodes.size)
         for matrix, expect in (
-            (t12 @ trace1, pointwise(eval_double_layer, s1, trace1, s2)),
-            (single_21 @ phi, pointwise(eval_single_layer, s2, phi, s1)),
-            (double_21 @ trace2, pointwise(eval_double_layer, s2, trace2, s1)),
+            (t12 @ trace1, pointwise("double", s1, trace1, s2)),
+            (single_21 @ phi, pointwise("single", s2, phi, s1)),
+            (double_21 @ trace2, pointwise("double", s2, trace2, s1)),
         ):
             assert np.linalg.norm(matrix - expect) <= 1e-12 * np.linalg.norm(expect)
 
