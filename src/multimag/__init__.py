@@ -9,7 +9,7 @@ magnetizable environment.  All quantities are in reduced (dimensionless)
 units; ``compute_constants`` maps SI material parameters onto them.
 """
 
-from .bem import BemOperatorSet, assemble_bem, eval_double_layer, eval_single_layer, solid_angles
+from .bem import assemble_bem, eval_double_layer, eval_single_layer, solid_angles
 from .config import SimulationConfig, build_run_setup, load_config
 from .diagnostics import (
     DecayReport,
@@ -78,7 +78,6 @@ from .strayfield import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BemOperatorSet",
     "CouplingState",
     "CubicContribution",
     "DecayReport",

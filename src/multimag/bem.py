@@ -42,6 +42,8 @@ their rounding scales with the body's size, not with its distance from 0.
 
 Galerkin matrices use the 7-point, degree-5 triangle rule of ``fem`` for
 the outer (test) integral and the closed forms for the inner one.
+``assemble_bem`` returns the pair (V, K); the boundary mass Mb that the
+stray-field and coupling maps add to K is ``fem.assemble_boundary_mass``.
 
 At arbitrary points, ``eval_single_layer`` and ``eval_double_layer``
 return the operators themselves: (P, F) and (P, Nb) matrices whose product
@@ -68,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fem import assemble_boundary_mass, face_quadrature
+from .fem import face_quadrature
 from .mesh import SurfaceMesh
 
 # Points closer to a panel plane (or edge line) than this, relative to the
@@ -312,7 +314,8 @@ def panel_integrals(
 def solid_angles(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
     """Sum of signed panel solid angles at each point, (P,).
 
-    Equals -4 pi at points inside the surface and 0 outside.
+    Equals -4 pi at points inside the surface and 0 outside.  On it, panels
+    whose plane holds the point add nothing: the principal value, -2 pi on a face.
     """
     geo = panel_geometry(surface)
     points = np.asarray(points, dtype=np.float64)
@@ -322,40 +325,12 @@ def solid_angles(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
         planes = _coordinates(geo, points[start:stop], range(7))
         zeta = planes[0]
         _, vertex_sq, dist = _vertex_distances(geo, zeta, planes[1:4], planes[4:7])
-        out[start:stop] = _solid_angle(geo, zeta, vertex_sq, dist).sum(axis=1)
+        omega = _solid_angle(geo, zeta, vertex_sq, dist)
+        omega[np.abs(zeta) <= _PLANE_TOL * geo.diameters] = 0.0
+        out[start:stop] = omega.sum(axis=1)
 
     _sweep(batch, points.shape[0], _batch_points(surface.n_faces))
     return out
-
-
-@dataclass
-class BemOperatorSet:
-    """Galerkin boundary operators of a closed surface.
-
-    Attributes:
-        surface: the triangulation the operators act on.
-        single_layer: (F, F) symmetric matrix of
-            1/(4 pi) int_f int_f' 1/R, P0 test x P0 trial.
-        double_layer: (F, Nb) matrix of the double layer with P1 trial hats
-            (columns follow ``surface.boundary_nodes`` local ordering) tested
-            against P0 face indicators.
-        boundary_mass: (F, Nb) sparse mixed mass matrix.
-    """
-
-    surface: SurfaceMesh
-    single_layer: np.ndarray
-    double_layer: np.ndarray
-    boundary_mass: sparse.csr_matrix
-
-    def gauss_residual(self) -> float:
-        """max_f |row_f of (double_layer + boundary_mass / 2) applied to 1|.
-
-        The constant's interior trace identity makes every row vanish; the
-        return value measures the implementation's quadrature and roundoff.
-        """
-        ones = np.ones(self.surface.boundary_nodes.size)
-        rows = self.double_layer @ ones + 0.5 * (self.boundary_mass @ ones)
-        return float(np.abs(rows).max())
 
 
 def hat_incidence(surface: SurfaceMesh) -> sparse.csr_matrix:
@@ -374,8 +349,12 @@ def hat_incidence(surface: SurfaceMesh) -> sparse.csr_matrix:
     return surface._cache["bem.hat_incidence"]
 
 
-def assemble_bem(surface: SurfaceMesh) -> BemOperatorSet:
+def assemble_bem(surface: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the Galerkin single and double layer matrices.
+
+    Returns ``(V, K)``: V the symmetric (F, F) P0 x P0 single layer, K the
+    (F, Nb) double layer of P1 hats (columns in ``surface.boundary_nodes``
+    local ordering) tested against P0 face indicators.
 
     Outer integrals use ``fem.face_quadrature``, inner integrals the closed
     forms; the single layer matrix is symmetrized afterwards since the two
@@ -404,13 +383,7 @@ def assemble_bem(surface: SurfaceMesh) -> BemOperatorSet:
 
     v_mat *= 1.0 / (4.0 * np.pi)
     k_mat *= 1.0 / (4.0 * np.pi)
-    v_mat = 0.5 * (v_mat + v_mat.T)
-    return BemOperatorSet(
-        surface=surface,
-        single_layer=v_mat,
-        double_layer=k_mat,
-        boundary_mass=assemble_boundary_mass(surface),
-    )
+    return 0.5 * (v_mat + v_mat.T), k_mat
 
 
 def _point_operator(surface: SurfaceMesh, points: np.ndarray, columns: int, rows) -> np.ndarray:

@@ -74,18 +74,13 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 from scipy.sparse import linalg as spla
 
-from .bem import (
-    BemOperatorSet,
-    assemble_bem,
-    eval_double_layer,
-    eval_single_layer,
-    solid_angles,
-)
+from .bem import assemble_bem, eval_double_layer, eval_single_layer, solid_angles
 from .fem import (
     FaceDensity,
     NodalScalarField,
     NodalVectorField,
     SparseOperator,
+    assemble_boundary_mass,
     assemble_stiffness,
     assemble_weighted_stiffness,
     clement_matrix,
@@ -110,6 +105,9 @@ GMRES_CYCLES = 10  # and restart cycles before it counts as stopped short
 # 325- and 2569-node Omega_2 bodies, and a tol below that is reported as a
 # residual increase.  1e-14 converged at each size; the floor is a decade above.
 TOL_NL_FLOOR = 1e-13
+
+# (point, point) pairs per block of the boundary node gap: 1.5 MiB of differences
+GAP_PAIRS = 2**16
 
 _LAW_ARITY = {"zero": 0, "linear": 1, "tanh": 2, "rational": 4}
 
@@ -232,7 +230,9 @@ class CouplingWorkspace:
     mesh: TetMesh
     surface: SurfaceMesh
     stiffness: SparseOperator
-    bem: BemOperatorSet
+    single_layer: np.ndarray  # (F, F) Galerkin V of Gamma_2
+    double_layer: np.ndarray  # (F, Nb) Galerkin K of Gamma_2
+    boundary_mass: sparse.csr_matrix = field(init=False, repr=False)  # (F, Nb) Mb
     s_vec: np.ndarray = field(init=False, repr=False)  # stabilization vector
     p_lu: tuple = field(init=False, repr=False)  # LU of the chi==0 matrix
     flux_cho: tuple = field(init=False, repr=False)  # Cholesky of the flux normal matrix
@@ -240,22 +240,23 @@ class CouplingWorkspace:
     _uapp: tuple = field(default=None, init=False, repr=False)  # (f bytes, u_app)
 
     def __post_init__(self) -> None:
+        self.boundary_mass = assemble_boundary_mass(self.surface)
         ones = np.ones(self.surface.n_faces)
         s_u = np.zeros(self.mesh.n_nodes)
         s_u[self.surface.boundary_nodes] = (
-            0.5 * (self.bem.boundary_mass.T @ ones) - self.bem.double_layer.T @ ones
+            0.5 * (self.boundary_mass.T @ ones) - self.double_layer.T @ ones
         )
-        self.s_vec = np.concatenate([s_u, self.bem.single_layer.T @ ones])
+        self.s_vec = np.concatenate([s_u, self.single_layer.T @ ones])
         # P, the chi == 0 matrix: its stiffness block, the weighted form at
         # w = 1, is assemble_stiffness's bit for bit
         n2, bnodes = self.n_u, self.surface.boundary_nodes
         k = assemble_weighted_stiffness(self.mesh, np.ones(self.mesh.n_tets)).matrix
-        mb = self.bem.boundary_mass
+        mb = self.boundary_mass
         p = np.zeros((n2 + self.n_phi, n2 + self.n_phi))
         p[:n2, :n2] = k.toarray()
         p[bnodes, n2:] -= mb.T.toarray()
-        p[n2:, bnodes] += 0.5 * mb.toarray() - self.bem.double_layer
-        p[n2:, n2:] += self.bem.single_layer
+        p[n2:, bnodes] += 0.5 * mb.toarray() - self.double_layer
+        p[n2:, n2:] += self.single_layer
         p += np.outer(self.s_vec, self.s_vec)
         self.p_lu = lu_factor(p)
         self.flux_cho = cho_factor((mb.T @ sparse.diags(1.0 / self.surface.areas) @ mb).toarray())
@@ -298,9 +299,9 @@ class CouplingWorkspace:
         out = np.empty_like(x)
         out[: self.n_u] = self.gradient_t @ (weights[:, None] * grad).ravel()
         bnodes = self.surface.boundary_nodes
-        out[: self.n_u][bnodes] -= self.bem.boundary_mass.T @ phi
-        out[self.n_u :] = self.bem.single_layer @ phi + (
-            0.5 * (self.bem.boundary_mass @ u[bnodes]) - self.bem.double_layer @ u[bnodes]
+        out[: self.n_u][bnodes] -= self.boundary_mass.T @ phi
+        out[self.n_u :] = self.single_layer @ phi + (
+            0.5 * (self.boundary_mass @ u[bnodes]) - self.double_layer @ u[bnodes]
         )
         return out + self.s_vec * (self.s_vec @ x)
 
@@ -308,21 +309,23 @@ class CouplingWorkspace:
         """Stabilized right-hand side b."""
         n2 = self.n_u
         b = np.zeros(n2 + self.n_phi)
-        b[: n2][self.surface.boundary_nodes] = self.bem.boundary_mass.T @ data.flux
+        b[: n2][self.surface.boundary_nodes] = self.boundary_mass.T @ data.flux
         b[:n2] -= divergence_load(self.mesh, data.f)
-        b[n2:] = 0.5 * (self.bem.boundary_mass @ data.gamma_trace) - (
-            self.bem.double_layer @ data.gamma_trace
+        b[n2:] = 0.5 * (self.boundary_mass @ data.gamma_trace) - (
+            self.double_layer @ data.gamma_trace
         )
         return b + self.s_vec * b[n2:].sum()
 
 
 def make_coupling_workspace(mesh: TetMesh) -> CouplingWorkspace:
     surface = mesh.boundary()
+    single_layer, double_layer = assemble_bem(surface)
     return CouplingWorkspace(
         mesh=mesh,
         surface=surface,
         stiffness=assemble_stiffness(mesh),
-        bem=assemble_bem(surface),
+        single_layer=single_layer,
+        double_layer=double_layer,
     )
 
 
@@ -343,7 +346,7 @@ def conormal_flux(ws: CouplingWorkspace, u_values: np.ndarray) -> FaceDensity:
     """
     residual = (ws.stiffness.matrix @ u_values)[ws.surface.boundary_nodes]
     y = cho_solve(ws.flux_cho, residual)
-    return FaceDensity(ws.surface, (ws.bem.boundary_mass @ y) / ws.surface.areas)
+    return FaceDensity(ws.surface, (ws.boundary_mass @ y) / ws.surface.areas)
 
 
 def solve_coupling(
@@ -506,20 +509,25 @@ def _boundary_transfer(potential, source: SurfaceMesh, target: SurfaceMesh) -> n
 
 
 def _check_separated(s1: SurfaceMesh, s2: SurfaceMesh) -> None:
-    """The two bodies must be disjoint with positive distance."""
-    inside_2 = solid_angles(s1, s2.nodes[s2.boundary_nodes])
-    inside_1 = solid_angles(s2, s1.nodes[s1.boundary_nodes])
-    if np.any(inside_2 < -2.0 * np.pi) or np.any(inside_1 < -2.0 * np.pi):
+    """The two bodies must be disjoint with positive distance.  A node sees a
+    surface under the solid angle -4 pi inside it and -2 pi on one of its faces."""
+    d1, d2 = s1.nodes[s1.boundary_nodes], s2.nodes[s2.boundary_nodes]
+    inside = -3.0 * np.pi
+    if (solid_angles(s1, d2) < inside).any() or (solid_angles(s2, d1) < inside).any():
         raise ValueError("domains overlap: boundary nodes of one body lie inside the other")
-    # imported here: scipy.spatial adds ~8 MiB resident to every run that
-    # imports multimag, while only multiscale set-up needs it
-    from scipy.spatial import cKDTree
-
-    d1 = s1.nodes[s1.boundary_nodes]
-    d2 = s2.nodes[s2.boundary_nodes]
-    gap = cKDTree(d2).query(d1)[0].min()
-    if not gap > 0.0:
+    if not _node_gap(d1, d2) > 0.0:
         raise ValueError("domains touch: boundary node distance is zero")
+
+
+def _node_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Smallest distance from a point of ``a`` to one of ``b``, from squared
+    distances formed in row blocks of about GAP_PAIRS pairs."""
+    rows = max(1, GAP_PAIRS // len(b))
+    best = np.inf
+    for start in range(0, len(a), rows):
+        diff = a[start : start + rows, None, :] - b[None, :, :]
+        best = min(best, (diff * diff).sum(axis=2).min())
+    return float(np.sqrt(best))
 
 
 def make_multiscale_workspace(mesh1: TetMesh, mesh2: TetMesh) -> MultiscaleWorkspace:

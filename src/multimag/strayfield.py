@@ -18,7 +18,8 @@ produced by a boundary integral operator:
 
 The boundary step of each method is a fixed linear map, built once per
 workspace as a dense matrix: C (K - 1/2 Mb) from the trace of u11 (fk,
-Nb x Nb) and C V from phi (gcr, Nb x F), with C the Clement matrix.
+Nb x Nb) and C V from phi (gcr, Nb x F), with C the Clement matrix.  The
+workspace keeps this map and nothing else of the BEM assembly.
 
 The returned field is the elementwise gradient of u11 + u12 lifted to nodes
 by volume-weighted averaging (one fixed sparse map), so it lives in the
@@ -32,11 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bem import BemOperatorSet, assemble_bem
+from .bem import assemble_bem
 from .fem import (
     NodalVectorField,
     SparseOperator,
-    assemble_mass,
+    assemble_boundary_mass,
+    assemble_mass,  # noqa: F401  perfbench/tracer.py wraps it at this module
     assemble_stiffness,
     clement_matrix,
     divergence_load,
@@ -50,51 +52,63 @@ from .mesh import SurfaceMesh, TetMesh
 
 @dataclass
 class StrayfieldWorkspace:
-    """Per-mesh assembled state shared by repeated stray-field evaluations.
+    """Per-mesh state of repeated stray-field evaluations by one method.
 
     ``boundary_map`` is the method's fixed map to the Dirichlet data of u12:
     C (K - 1/2 Mb) applied to the trace of u11 (fk, Nb x Nb), or C V applied
-    to the face density phi (gcr, Nb x F).  It is rebuilt with the workspace,
-    so ``dataclasses.replace(ws, method=...)`` gets the right one.
+    to the face density phi (gcr, Nb x F); ``make_strayfield_workspace``
+    builds it.  A map whose shape does not fit the method is rejected, so
+    ``dataclasses.replace(ws, method=...)`` raises (except on a 4-face
+    surface, where Nb = F).
     """
 
     mesh: TetMesh
     surface: SurfaceMesh
     stiffness: SparseOperator
-    mass: SparseOperator
-    bem: BemOperatorSet
-    method: str = "fk"
-    boundary_map: np.ndarray = field(init=False, repr=False, compare=False)
+    method: str
+    boundary_map: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.method not in ("fk", "gcr"):
-            raise ValueError(f"unknown stray-field method {self.method!r}")
-        clement = clement_matrix(self.surface)
-        if self.method == "fk":
-            self.boundary_map = clement @ self.bem.double_layer
-            self.boundary_map -= 0.5 * (clement @ self.bem.boundary_mass).toarray()
-        else:
-            self.boundary_map = clement @ self.bem.single_layer
+        _check_method(self.method)
+        rows = self.surface.boundary_nodes.size
+        shape = (rows, rows if self.method == "fk" else self.surface.n_faces)
+        got = self.boundary_map.shape
+        if got != shape:
+            raise ValueError(f"{self.method} boundary map must have shape {shape}, got {got}")
 
     def verify(self) -> None:
-        """Check the assembled operators belong to the stored mesh.
+        """Check the assembled stiffness belongs to the stored mesh.
 
         The mesh itself cannot change after assembly: its arrays are
         read-only.
         """
-        if self.stiffness.mesh is not self.mesh or self.bem.surface is not self.surface:
+        if self.stiffness.mesh is not self.mesh:
             raise RuntimeError("workspace operators do not belong to the stored mesh")
 
 
+def _check_method(method: str) -> None:
+    if method not in ("fk", "gcr"):
+        raise ValueError(f"unknown stray-field method {method!r}")
+
+
 def make_strayfield_workspace(mesh: TetMesh, method: str = "fk") -> StrayfieldWorkspace:
+    """Assemble the stiffness and the method's boundary map; the BEM
+    operator the method does not apply is dropped on return."""
+    _check_method(method)
     surface = mesh.boundary()
+    single_layer, double_layer = assemble_bem(surface)
+    clement = clement_matrix(surface)
+    if method == "fk":
+        boundary_map = clement @ double_layer
+        boundary_map -= 0.5 * (clement @ assemble_boundary_mass(surface)).toarray()
+    else:
+        boundary_map = clement @ single_layer
     return StrayfieldWorkspace(
         mesh=mesh,
         surface=surface,
         stiffness=assemble_stiffness(mesh),
-        mass=assemble_mass(mesh),
-        bem=assemble_bem(surface),
         method=method,
+        boundary_map=boundary_map,
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multimag import (
+    assemble_boundary_mass,
     icosphere_volume,
     make_multiscale_workspace,
     make_strayfield_workspace,
@@ -49,6 +50,17 @@ def sphere_ws(sphere1):
 def pair_ws(sphere1):
     far = icosphere_volume(1, n_radial=2, center=(3.0, 0.0, 0.0))
     return make_multiscale_workspace(sphere1, far)
+
+
+def gauss_residual(surface, double_layer):
+    """max_f |row_f of (K + Mb / 2) applied to 1|.
+
+    The constant's interior trace identity makes every row vanish; the
+    value measures the implementation's quadrature and roundoff.
+    """
+    ones = np.ones(surface.boundary_nodes.size)
+    rows = double_layer @ ones + 0.5 * (assemble_boundary_mass(surface) @ ones)
+    return float(np.abs(rows).max())
 
 
 def random_unit_field(mesh, seed):

@@ -35,6 +35,7 @@ from multimag.bem import (
 )
 from multimag.fem import TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS
 
+from conftest import gauss_residual
 from meshes import kuhn_cube
 
 
@@ -245,7 +246,7 @@ def test_assemble_bem_matches_tensor_reference(sphere2, monkeypatch):
         bem, "panel_integrals", lambda geo, pts: reference_panel_integrals(surf, pts)
     )
     ref = assemble_bem(surf)
-    for a, b in ((new.single_layer, ref.single_layer), (new.double_layer, ref.double_layer)):
+    for a, b in zip(new, ref, strict=True):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
@@ -276,10 +277,10 @@ def add_at_assemble_bem(surface):
 @pytest.mark.parametrize("level, n_radial", [(1, 2), (3, 4)])
 def test_assemble_bem_scatter_matches_add_at(level, n_radial):
     surf = icosphere_volume(level, n_radial=n_radial).boundary()
-    ops = assemble_bem(surf)
+    v, k = assemble_bem(surf)
     v_ref, k_ref = add_at_assemble_bem(surf)
-    np.testing.assert_array_equal(ops.single_layer, v_ref)
-    assert np.abs(ops.double_layer - k_ref).max() <= 1e-14 * np.abs(k_ref).max()
+    np.testing.assert_array_equal(v, v_ref)
+    assert np.abs(k - k_ref).max() <= 1e-14 * np.abs(k_ref).max()
 
 
 def test_panel_integrals_match_brute_force(cube1):
@@ -321,6 +322,15 @@ def test_solid_angle_sign_convention(cube1):
     np.testing.assert_allclose(outside, 0.0, atol=1e-12)
 
 
+def test_solid_angles_take_the_principal_value_on_the_surface(sphere1):
+    # a face centroid sees -2 pi; a convex vertex sees minus its interior
+    # solid angle, strictly between -2 pi and 0
+    surf = sphere1.boundary()
+    np.testing.assert_allclose(solid_angles(surf, surf.centroids), -2.0 * np.pi, rtol=1e-12)
+    at_nodes = solid_angles(surf, surf.nodes[surf.boundary_nodes])
+    assert (at_nodes > -2.0 * np.pi).all() and (at_nodes < 0.0).all()
+
+
 def test_double_layer_of_ones_is_indicator(sphere1):
     surf = sphere1.boundary()
     ones = np.ones(surf.boundary_nodes.size)
@@ -332,13 +342,13 @@ def test_double_layer_of_ones_is_indicator(sphere1):
 
 def test_galerkin_constant_identity(sphere1):
     # rows of (K + Mb/2) 1 vanish: the on-surface angles telescope exactly
-    bem = assemble_bem(sphere1.boundary())
-    assert bem.gauss_residual() < 1e-12
+    surf = sphere1.boundary()
+    _, k = assemble_bem(surf)
+    assert gauss_residual(surf, k) < 1e-12
 
 
 def test_single_layer_symmetric_positive(sphere1):
-    bem = assemble_bem(sphere1.boundary())
-    V = bem.single_layer
+    V, _ = assemble_bem(sphere1.boundary())
     np.testing.assert_array_equal(V, V.T)
     assert np.abs(V - V.T).max() < 1e-10
     rng = np.random.default_rng(0)
@@ -349,11 +359,10 @@ def test_single_layer_symmetric_positive(sphere1):
 
 def test_operator_shapes(sphere1):
     surf = sphere1.boundary()
-    bem = assemble_bem(surf)
+    v, k = assemble_bem(surf)
     f, nb = surf.n_faces, surf.boundary_nodes.size
-    assert bem.single_layer.shape == (f, f)
-    assert bem.double_layer.shape == (f, nb)
-    assert bem.boundary_mass.shape == (f, nb)
+    assert v.shape == (f, f)
+    assert k.shape == (f, nb)
 
 
 @pytest.mark.parametrize("level", [1, 2])
@@ -451,7 +460,7 @@ def test_assemble_bem_matches_face_integrals_of_point_operators(monkeypatch):
         return incidences[-1]
 
     monkeypatch.setattr(bem, "hat_incidence", recording)
-    ops = assemble_bem(surf)
+    v_ops, k_ops = assemble_bem(surf)
     points, weights = face_quadrature(surf)
     shape = weights.shape + (-1,)
     single = eval_single_layer(surf, points.reshape(-1, 3)).reshape(shape)
@@ -459,8 +468,8 @@ def test_assemble_bem_matches_face_integrals_of_point_operators(monkeypatch):
     v = np.einsum("fq,fqk->fk", weights, single)
     v = 0.5 * (v + v.T)
     k = np.einsum("fq,fqk->fk", weights, double)
-    assert np.abs(ops.single_layer - v).max() <= 1e-13 * np.abs(v).max()
-    assert np.abs(ops.double_layer - k).max() <= 1e-13 * np.abs(k).max()
+    assert np.abs(v_ops - v).max() <= 1e-13 * np.abs(v).max()
+    assert np.abs(k_ops - k).max() <= 1e-13 * np.abs(k).max()
     assert len(incidences) == 2 and incidences[0] is incidences[1]
 
 
@@ -471,9 +480,8 @@ def test_assemble_bem_independent_of_batch_size(sphere1, monkeypatch):
     reference = assemble_bem(surf)
     for points_per_batch in (1, 64):  # one face per batch, then nine
         monkeypatch.setattr(bem, "BATCH_PAIRS", points_per_batch * surf.n_faces)
-        small = assemble_bem(surf)
-        np.testing.assert_array_equal(small.single_layer, reference.single_layer)
-        np.testing.assert_array_equal(small.double_layer, reference.double_layer)
+        for small, whole in zip(assemble_bem(surf), reference, strict=True):
+            np.testing.assert_array_equal(small, whole)
 
 
 def test_solid_angles_match_unbatched_form(sphere1, monkeypatch):
@@ -492,10 +500,8 @@ def test_solid_angles_match_unbatched_form(sphere1, monkeypatch):
 
 def bem_results(surface, pts):
     """Every batched BEM output, for comparisons across worker counts."""
-    ops = assemble_bem(surface)
     return [
-        ops.single_layer,
-        ops.double_layer,
+        *assemble_bem(surface),
         eval_single_layer(surface, pts),
         eval_double_layer(surface, pts),
         solid_angles(surface, pts),

@@ -2,9 +2,14 @@
 
 import ast
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multimag import (
     MultiscaleContribution,
@@ -18,6 +23,7 @@ from multimag import multiscale
 from multimag.multiscale import (
     TOL_NL_FLOOR,
     _check_separated,
+    _node_gap,
     conormal_flux,
     coupling_data,
     solve_coupling,
@@ -120,7 +126,7 @@ def test_conormal_flux_weak_consistency_for_affine(cube_cws):
     # lives in the range of the adjoint)
     a = np.array([1.0, -2.0, 0.5])
     lam = conormal_flux(cube_cws, cube_cws.mesh.nodes @ a)
-    mb = cube_cws.bem.boundary_mass
+    mb = cube_cws.boundary_mass
     np.testing.assert_allclose(
         mb.T @ lam.values, mb.T @ (cube_cws.surface.normals @ a), atol=1e-9
     )
@@ -134,10 +140,10 @@ def test_stabilization_vector_structure(cube_cws):
     ones = np.ones(ws.surface.n_faces)
     s_u = np.zeros(n2)
     s_u[ws.surface.boundary_nodes] = (
-        0.5 * (ws.bem.boundary_mass.T @ ones) - ws.bem.double_layer.T @ ones
+        0.5 * (ws.boundary_mass.T @ ones) - ws.double_layer.T @ ones
     )
     np.testing.assert_allclose(ws.s_vec[:n2], s_u, atol=1e-14)
-    np.testing.assert_allclose(ws.s_vec[n2:], ws.bem.single_layer.T @ ones, atol=1e-14)
+    np.testing.assert_allclose(ws.s_vec[n2:], ws.single_layer.T @ ones, atol=1e-14)
     interior = np.setdiff1d(np.arange(n2), ws.surface.boundary_nodes)
     np.testing.assert_allclose(ws.s_vec[interior], 0.0, atol=0)
 
@@ -150,10 +156,10 @@ def dense_frozen_matrix(ws, law, x):
     weights = 1.0 + law.chi(np.linalg.norm(ws.mesh.element_gradient(x[:n2]), axis=1))
     a = np.zeros((x.size, x.size))
     a[:n2, :n2] = assemble_weighted_stiffness(ws.mesh, weights).matrix.toarray()
-    mb = ws.bem.boundary_mass.toarray()
+    mb = ws.boundary_mass.toarray()
     a[bnodes, n2:] -= mb.T
-    a[n2:, bnodes] += 0.5 * mb - ws.bem.double_layer
-    a[n2:, n2:] += ws.bem.single_layer
+    a[n2:, bnodes] += 0.5 * mb - ws.double_layer
+    a[n2:, n2:] += ws.single_layer
     return a + np.outer(ws.s_vec, ws.s_vec)
 
 
@@ -318,6 +324,58 @@ def test_touching_domains_rejected():
     # but the boundary node gap is zero
     with pytest.raises(ValueError, match="touch"):
         _check_separated(kuhn_cube(1).boundary(), kuhn_cube(2, origin=(1.0, 0.0, 0.0)).boundary())
+
+
+def boundary_points(surface):
+    return surface.nodes[surface.boundary_nodes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+    distance=st.floats(2.5, 6.0),
+)
+def test_node_gap_matches_brute_force(direction, distance):
+    # separated unit balls: the blocked gap, with one block and with row
+    # blocks of two nodes, is the brute-force minimum over all node pairs
+    center = distance * np.asarray(direction) / np.linalg.norm(direction)
+    s1 = icosphere_volume(1, n_radial=2).boundary()
+    s2 = icosphere_volume(1, n_radial=2, center=center).boundary()
+    d1, d2 = boundary_points(s1), boundary_points(s2)
+    brute = np.linalg.norm(d1[:, None] - d2[None], axis=2).min()
+    for pairs in (multiscale.GAP_PAIRS, 2 * len(d2)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multiscale, "GAP_PAIRS", pairs)
+            assert abs(_node_gap(d1, d2) - brute) <= 1e-15 * brute
+    _check_separated(s1, s2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(node=st.integers(0, 41))
+def test_coinciding_nodes_touch(node):
+    # the icosphere's nodes come in exact antipodal pairs, so the copy
+    # centred at 2p puts its node -p + 2p on the node p of the first ball
+    s1 = icosphere_volume(1, n_radial=2).boundary()
+    p = boundary_points(s1)[node]
+    s2 = icosphere_volume(1, n_radial=2, center=2.0 * p).boundary()
+    assert (boundary_points(s2) == p).all(axis=1).sum() == 1
+    with pytest.raises(ValueError, match="touch"):
+        _check_separated(s1, s2)
+
+
+def test_multiscale_setup_does_not_import_scipy_spatial():
+    import multimag
+
+    code = (
+        "import sys, multimag\n"
+        "near = multimag.icosphere_volume(1, n_radial=2)\n"
+        "far = multimag.icosphere_volume(1, n_radial=2, center=(3.0, 0.0, 0.0))\n"
+        "multimag.make_multiscale_workspace(near, far)\n"
+        "assert 'scipy.spatial' not in sys.modules\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(multimag.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
 
 def test_contribution_requires_zeta(pair_ws, sphere1):
@@ -551,9 +609,9 @@ def assembled_apply(ws, law, x):
     bnodes = ws.surface.boundary_nodes
     out = np.empty_like(x)
     out[: ws.n_u] = assemble_weighted_stiffness(ws.mesh, weights).matrix @ u
-    out[: ws.n_u][bnodes] -= ws.bem.boundary_mass.T @ phi
-    out[ws.n_u :] = ws.bem.single_layer @ phi + (
-        0.5 * (ws.bem.boundary_mass @ u[bnodes]) - ws.bem.double_layer @ u[bnodes]
+    out[: ws.n_u][bnodes] -= ws.boundary_mass.T @ phi
+    out[ws.n_u :] = ws.single_layer @ phi + (
+        0.5 * (ws.boundary_mass @ u[bnodes]) - ws.double_layer @ u[bnodes]
     )
     return out + ws.s_vec * (ws.s_vec @ x)
 

@@ -8,19 +8,23 @@ import pytest
 from multimag import (
     NodalVectorField,
     StrayfieldContribution,
+    StrayfieldWorkspace,
+    assemble_bem,
+    assemble_boundary_mass,
+    assemble_mass,
     fk_strayfield,
     gcr_strayfield,
+    icosphere_volume,
     make_strayfield_workspace,
 )
-from multimag.fem import l2_inner, l2_norm
+from multimag.fem import clement_matrix, l2_inner, l2_norm
 
 from conftest import random_unit_field
 
 
 @pytest.fixture(scope="module")
-def gcr_ws(sphere_ws):
-    # same BEM assembly, different splitting
-    return dataclasses.replace(sphere_ws, method="gcr")
+def gcr_ws(sphere1):
+    return make_strayfield_workspace(sphere1, "gcr")
 
 
 def test_workspace_verify(sphere_ws):
@@ -40,6 +44,36 @@ def test_workspace_mesh_rejects_in_place_edits(sphere1):
 def test_rejects_unknown_method(sphere1):
     with pytest.raises(ValueError, match="unknown stray-field method"):
         make_strayfield_workspace(sphere1, "direct")
+
+
+def test_workspace_holds_only_its_boundary_map():
+    fields = {f.name for f in dataclasses.fields(StrayfieldWorkspace)}
+    assert fields == {"mesh", "surface", "stiffness", "method", "boundary_map"}
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("method", ["fk", "gcr"])
+def test_boundary_map_composes_the_bem_operators(method, level):
+    # fk: C (K - 1/2 Mb), gcr: C V, bit for bit
+    mesh = icosphere_volume(level, n_radial=2)
+    surface = mesh.boundary()
+    single_layer, double_layer = assemble_bem(surface)
+    clement = clement_matrix(surface)
+    if method == "fk":
+        expected = clement @ double_layer
+        expected -= 0.5 * (clement @ assemble_boundary_mass(surface)).toarray()
+    else:
+        expected = clement @ single_layer
+    np.testing.assert_array_equal(make_strayfield_workspace(mesh, method).boundary_map, expected)
+
+
+def test_method_change_needs_a_new_workspace(sphere_ws, gcr_ws):
+    # the map is built for one method; a copy under the other method's
+    # name would apply the wrong map
+    with pytest.raises(ValueError, match=r"gcr boundary map must have shape \(42, 80\)"):
+        dataclasses.replace(sphere_ws, method="gcr")
+    with pytest.raises(ValueError, match=r"fk boundary map must have shape \(42, 42\)"):
+        dataclasses.replace(gcr_ws, method="fk")
 
 
 def test_zero_magnetization_gives_zero_field(sphere_ws, gcr_ws):
@@ -70,8 +104,9 @@ def test_approximate_self_adjointness(sphere_ws, gcr_ws, method):
     b = random_unit_field(mesh, 15)
     pa = op(ws, NodalVectorField(mesh, a)).values
     pb = op(ws, NodalVectorField(mesh, b)).values
-    defect = abs(l2_inner(ws.mass, pa, b) - l2_inner(ws.mass, a, pb))
-    defect /= l2_norm(ws.mass, a) * l2_norm(ws.mass, b)
+    mass = assemble_mass(mesh)
+    defect = abs(l2_inner(mass, pa, b) - l2_inner(mass, a, pb))
+    defect /= l2_norm(mass, a) * l2_norm(mass, b)
     assert defect <= 0.02
 
 
@@ -99,11 +134,12 @@ def test_splittings_agree_on_smooth_field(sphere_ws, gcr_ws):
     m = NodalVectorField(mesh, vals)
     pf = fk_strayfield(sphere_ws, m).values
     pg = gcr_strayfield(gcr_ws, m).values
-    rel = l2_norm(sphere_ws.mass, pf - pg) / l2_norm(sphere_ws.mass, pf)
+    mass = assemble_mass(mesh)
+    rel = l2_norm(mass, pf - pg) / l2_norm(mass, pf)
     assert rel < 0.4
 
 
-def test_contribution_wrapper(sphere_ws):
+def test_contribution_wrapper(sphere_ws, gcr_ws):
     contrib = StrayfieldContribution(workspace=sphere_ws)
     assert contrib.name == "strayfield"
     assert contrib.linear_self_adjoint
@@ -112,10 +148,10 @@ def test_contribution_wrapper(sphere_ws):
     np.testing.assert_allclose(
         contrib.evaluate(m).values, fk_strayfield(sphere_ws, m).values, rtol=1e-12
     )
-    gcr_contrib = StrayfieldContribution(workspace=dataclasses.replace(sphere_ws, method="gcr"))
+    gcr_contrib = StrayfieldContribution(workspace=gcr_ws)
     np.testing.assert_allclose(
         gcr_contrib.evaluate(m).values,
-        gcr_strayfield(gcr_contrib.workspace, m).values,
+        gcr_strayfield(gcr_ws, m).values,
         rtol=1e-12,
     )
 
@@ -128,6 +164,6 @@ def test_boundedness_ratio_is_order_one(sphere_ws):
         m = NodalVectorField(mesh, random_unit_field(mesh, 40 + seed))
         out = contrib.evaluate(m)
         ratios.append(
-            contrib.boundedness_ratio(m, out, sphere_ws.mass, sphere_ws.stiffness)
+            contrib.boundedness_ratio(m, out, assemble_mass(mesh), sphere_ws.stiffness)
         )
     assert max(ratios) < 5.0
