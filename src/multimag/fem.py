@@ -111,7 +111,7 @@ class SparseOperator:
 
     matrix: sparse.csr_matrix
     mesh: TetMesh
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def shape(self):
@@ -228,11 +228,11 @@ def lifted_gradient(mesh: TetMesh, values: np.ndarray) -> np.ndarray:
 def _lifted_gradient_matrix(mesh: TetMesh) -> sparse.csr_matrix:
     """(3N, N) map composed as L G: the (3M, N) gradient, then the (3N, 3M)
     lift whose row 3n + d weights component d on each tet T at node n by
-    |T| / patch(n)."""
+    |T| / patch(n), the patch volume being 4 times the hat integral."""
     shape = (mesh.n_tets, 4, 3)  # [T, corner, d]
     rows = 3 * mesh.tets[:, :, None] + np.arange(3)
     cols = np.broadcast_to(3 * np.arange(mesh.n_tets)[:, None, None] + np.arange(3), shape)
-    weights = mesh.volumes[:, None] / mesh.node_patch_volumes[mesh.tets]
+    weights = mesh.volumes[:, None] / (4.0 * mesh.hat_integrals)[mesh.tets]
     lift = sparse.csr_matrix(
         (np.broadcast_to(weights[:, :, None], shape).ravel(), (rows.ravel(), cols.ravel())),
         shape=(3 * mesh.n_nodes, 3 * mesh.n_tets),
@@ -367,23 +367,24 @@ def assemble_boundary_mass(surface: SurfaceMesh) -> sparse.csr_matrix:
     ).tocsr()
 
 
-def normal_derivative(mesh: TetMesh, surface: SurfaceMesh, values: np.ndarray) -> np.ndarray:
+def normal_derivative(mesh: TetMesh, values: np.ndarray) -> np.ndarray:
     """(F,) elementwise outward normal derivative of a nodal field on the boundary.
 
-    Each face takes the (constant) gradient of its parent tet dotted with
-    the outward unit normal.  That is a fixed (F, N) map, built once per
-    surface: row f holds the parent tet's four hat gradients dotted with
-    the normal of f, at the columns of the tet's nodes.
+    Each face of ``mesh.boundary()`` takes the (constant) gradient of its
+    parent tet dotted with the outward unit normal.  That is a fixed (F, N)
+    map, built once per mesh: row f holds the parent tet's four hat
+    gradients dotted with the normal of f, at the columns of the tet's nodes.
     """
-    if "fem.normal_derivative" not in surface._cache:
+    if "fem.normal_derivative" not in mesh._cache:
+        surface = mesh.boundary()
         parents = surface.parent_tets
         data = np.einsum("fid,fd->fi", mesh.hat_gradients[parents], surface.normals)
         rows = np.repeat(np.arange(surface.n_faces), 4)
-        surface._cache["fem.normal_derivative"] = sparse.csr_matrix(
+        mesh._cache["fem.normal_derivative"] = sparse.csr_matrix(
             (data.ravel(), (rows, mesh.tets[parents].ravel())),
             shape=(surface.n_faces, mesh.n_nodes),
         )
-    return surface._cache["fem.normal_derivative"] @ values
+    return mesh._cache["fem.normal_derivative"] @ values
 
 
 def l2_inner(mass: SparseOperator, a: np.ndarray, b: np.ndarray) -> float:

@@ -1,12 +1,17 @@
 """Tetrahedral volume meshes and their triangulated boundaries.
 
 A ``TetMesh`` is a conforming P1 tetrahedral mesh given by node coordinates
-and 0-based connectivity.  All derived geometry (volumes, shape-function
-gradients, boundary extraction, and the fixed (3M, N) sparse map from
-nodal values to per-tet gradients) is computed vectorized and cached on
-the instance.  ``SurfaceMesh`` is the oriented boundary triangulation with
-outward unit normals and links back to the parent tetrahedra, which the
-boundary-element operators and flux evaluations need.
+and 0-based connectivity.  ``SurfaceMesh`` is the oriented boundary
+triangulation with outward unit normals and links back to the parent
+tetrahedra, which the boundary-element operators and flux evaluations need.
+
+Each mesh owns its geometry, read-only.  The arrays a mesh is built from
+are frozen copies; its derived geometry (tet volumes and face areas and
+normals on construction; shape-function gradients, hat integrals, the
+boundary and the fixed (3M, N) sparse map from nodal values to per-tet
+gradients on first use) is computed vectorized, once, and frozen too, so
+nothing built from it can go stale.  ``_cache`` holds only the operators
+other modules build once per mesh (``fem.*``, ``bem.hat_incidence``).
 
 Mesh file format (plain text, ``#`` starts a comment anywhere on a line)::
 
@@ -23,6 +28,7 @@ positive and the standard face table yields outward boundary normals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, wraps
 
 import numpy as np
 from scipy import sparse
@@ -36,6 +42,19 @@ class MeshFormatError(ValueError):
     """Raised for malformed mesh files or inconsistent mesh data."""
 
 
+def _freeze(value):
+    """Make an array, or the arrays of a sparse matrix, read-only; return it."""
+    arrays = (value.data, value.indices, value.indptr) if sparse.issparse(value) else (value,)
+    for array in arrays:
+        array.setflags(write=False)
+    return value
+
+
+def _derived(method):
+    """A cached property whose value is frozen when first computed."""
+    return cached_property(wraps(method)(lambda self: _freeze(method(self))))
+
+
 @dataclass
 class SurfaceMesh:
     """Oriented triangulated boundary of a tet mesh.
@@ -45,82 +64,61 @@ class SurfaceMesh:
             into this array, so volume and surface share node numbering).
         faces: (F, 3) vertex indices per triangle, outward orientation.
         parent_tets: (F,) index of the tetrahedron each face belongs to.
+        areas: (F,) triangle areas, computed on construction.
+        normals: (F, 3) outward unit normals, computed on construction.
+
+    All are read-only; the three inputs are copies of the arrays passed in.
     """
 
     nodes: np.ndarray
     faces: np.ndarray
     parent_tets: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    areas: np.ndarray = field(init=False, repr=False, compare=False)
+    normals: np.ndarray = field(init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def n_faces(self) -> int:
-        return self.faces.shape[0]
-
-    @property
-    def vertex_coords(self) -> np.ndarray:
-        """(F, 3, 3) coordinates of the three vertices of each face."""
-        if "vertex_coords" not in self._cache:
-            self._cache["vertex_coords"] = self.nodes[self.faces]
-        return self._cache["vertex_coords"]
-
-    @property
-    def areas(self) -> np.ndarray:
-        """(F,) triangle areas."""
-        self._ensure_geometry()
-        return self._cache["areas"]
-
-    @property
-    def normals(self) -> np.ndarray:
-        """(F, 3) outward unit normals."""
-        self._ensure_geometry()
-        return self._cache["normals"]
-
-    @property
-    def centroids(self) -> np.ndarray:
-        """(F, 3) face centroids."""
-        if "centroids" not in self._cache:
-            self._cache["centroids"] = self.vertex_coords.mean(axis=1)
-        return self._cache["centroids"]
-
-    @property
-    def boundary_nodes(self) -> np.ndarray:
-        """Sorted unique indices of nodes lying on the boundary."""
-        if "boundary_nodes" not in self._cache:
-            self._cache["boundary_nodes"] = np.unique(self.faces)
-        return self._cache["boundary_nodes"]
-
-    @property
-    def node_patch_areas(self) -> np.ndarray:
-        """(Nb,) total area of the faces touching each boundary node.
-
-        Ordered like ``boundary_nodes``.
-        """
-        if "node_patch_areas" not in self._cache:
-            local = self.local_face_indices
-            patch = np.zeros(self.boundary_nodes.size)
-            np.add.at(patch, local.ravel(), np.repeat(self.areas, 3))
-            self._cache["node_patch_areas"] = patch
-        return self._cache["node_patch_areas"]
-
-    @property
-    def local_face_indices(self) -> np.ndarray:
-        """(F, 3) faces re-indexed against ``boundary_nodes`` numbering."""
-        if "local_face_indices" not in self._cache:
-            lookup = np.full(self.nodes.shape[0], -1, dtype=np.int64)
-            lookup[self.boundary_nodes] = np.arange(self.boundary_nodes.size)
-            self._cache["local_face_indices"] = lookup[self.faces]
-        return self._cache["local_face_indices"]
-
-    def _ensure_geometry(self) -> None:
-        if "areas" in self._cache:
-            return
+    def __post_init__(self) -> None:
+        self.nodes = _freeze(np.array(self.nodes, dtype=np.float64, order="C"))
+        self.faces = _freeze(np.array(self.faces, dtype=np.int64, order="C"))
+        self.parent_tets = _freeze(np.array(self.parent_tets, dtype=np.int64, order="C"))
         v = self.vertex_coords
         cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
         norm = np.linalg.norm(cross, axis=1)
         if np.any(norm <= 0.0):
             raise MeshFormatError("degenerate boundary face (zero area)")
-        self._cache["areas"] = 0.5 * norm
-        self._cache["normals"] = cross / norm[:, None]
+        self.areas = _freeze(0.5 * norm)
+        self.normals = _freeze(cross / norm[:, None])
+
+    @property
+    def n_faces(self) -> int:
+        return self.faces.shape[0]
+
+    @_derived
+    def vertex_coords(self) -> np.ndarray:
+        """(F, 3, 3) coordinates of the three vertices of each face."""
+        return self.nodes[self.faces]
+
+    @_derived
+    def boundary_nodes(self) -> np.ndarray:
+        """Sorted unique indices of nodes lying on the boundary."""
+        return np.unique(self.faces)
+
+    @_derived
+    def node_patch_areas(self) -> np.ndarray:
+        """(Nb,) total area of the faces touching each boundary node.
+
+        Ordered like ``boundary_nodes``.
+        """
+        patch = np.zeros(self.boundary_nodes.size)
+        np.add.at(patch, self.local_face_indices.ravel(), np.repeat(self.areas, 3))
+        return patch
+
+    @_derived
+    def local_face_indices(self) -> np.ndarray:
+        """(F, 3) faces re-indexed against ``boundary_nodes`` numbering."""
+        lookup = np.full(self.nodes.shape[0], -1, dtype=np.int64)
+        lookup[self.boundary_nodes] = np.arange(self.boundary_nodes.size)
+        return lookup[self.faces]
 
 
 @dataclass
@@ -130,15 +128,17 @@ class TetMesh:
     Attributes:
         nodes: (N, 3) float64 coordinates.
         tets: (M, 4) int64 connectivity, positively oriented.
+        volumes: (M,) positive tet volumes, computed on construction.
 
-    Both are read-only copies of the arrays passed in, so the geometry and
-    operators cached for the mesh cannot go stale; edit a copy and build a
-    new mesh instead.
+    All are read-only, and ``nodes`` and ``tets`` are copies of the arrays
+    passed in, so the geometry and operators cached for the mesh cannot go
+    stale; edit a copy and build a new mesh instead.
     """
 
     nodes: np.ndarray
     tets: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    volumes: np.ndarray = field(init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # copies even when no conversion is needed: they are frozen below
@@ -163,9 +163,9 @@ class TetMesh:
         if np.any(signed <= 0.0):
             bad = int(np.argmin(signed))
             raise MeshFormatError(f"tet {bad} is degenerate (zero volume)")
-        self.nodes.setflags(write=False)
-        self.tets.setflags(write=False)
-        self._cache["volumes"] = signed
+        _freeze(self.nodes)
+        _freeze(self.tets)
+        self.volumes = _freeze(signed)
 
     @staticmethod
     def _signed_volumes(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -181,70 +181,46 @@ class TetMesh:
     def n_tets(self) -> int:
         return self.tets.shape[0]
 
-    @property
-    def volumes(self) -> np.ndarray:
-        """(M,) positive tet volumes."""
-        return self._cache["volumes"]
-
-    @property
-    def total_volume(self) -> float:
-        return float(self.volumes.sum())
-
-    @property
+    @_derived
     def hat_gradients(self) -> np.ndarray:
         """(M, 4, 3) constant gradients of the four P1 hat functions per tet."""
-        if "hat_gradients" not in self._cache:
-            p = self.nodes[self.tets]
-            v6 = 6.0 * self.volumes
-            g = np.empty((self.n_tets, 4, 3))
-            # grad(lambda_i) = (opposite-face normal, inward) / (3 * volume);
-            # cross products ordered for the positive orientation.
-            g[:, 1] = np.cross(p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]) / v6[:, None]
-            g[:, 2] = np.cross(p[:, 3] - p[:, 0], p[:, 1] - p[:, 0]) / v6[:, None]
-            g[:, 3] = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) / v6[:, None]
-            g[:, 0] = -(g[:, 1] + g[:, 2] + g[:, 3])
-            self._cache["hat_gradients"] = g
-        return self._cache["hat_gradients"]
+        p = self.nodes[self.tets]
+        v6 = 6.0 * self.volumes
+        g = np.empty((self.n_tets, 4, 3))
+        # grad(lambda_i) = (opposite-face normal, inward) / (3 * volume);
+        # cross products ordered for the positive orientation.
+        g[:, 1] = np.cross(p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]) / v6[:, None]
+        g[:, 2] = np.cross(p[:, 3] - p[:, 0], p[:, 1] - p[:, 0]) / v6[:, None]
+        g[:, 3] = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) / v6[:, None]
+        g[:, 0] = -(g[:, 1] + g[:, 2] + g[:, 3])
+        return g
 
-    @property
+    @_derived
     def hat_integrals(self) -> np.ndarray:
         """(N,) integral of each nodal hat function (lumped volume weights)."""
-        if "hat_integrals" not in self._cache:
-            w = np.zeros(self.n_nodes)
-            np.add.at(w, self.tets.ravel(), np.repeat(self.volumes / 4.0, 4))
-            self._cache["hat_integrals"] = w
-        return self._cache["hat_integrals"]
+        w = np.zeros(self.n_nodes)
+        np.add.at(w, self.tets.ravel(), np.repeat(self.volumes / 4.0, 4))
+        return w
 
-    @property
-    def node_patch_volumes(self) -> np.ndarray:
-        """(N,) total volume of the tets touching each node."""
-        if "node_patch_volumes" not in self._cache:
-            w = np.zeros(self.n_nodes)
-            np.add.at(w, self.tets.ravel(), np.repeat(self.volumes, 4))
-            self._cache["node_patch_volumes"] = w
-        return self._cache["node_patch_volumes"]
+    @cached_property
+    def _boundary(self) -> SurfaceMesh:
+        return boundary_faces(self)
 
     def boundary(self) -> SurfaceMesh:
-        """Cached boundary surface (see :func:`boundary_faces`)."""
-        if "boundary" not in self._cache:
-            self._cache["boundary"] = boundary_faces(self)
-        return self._cache["boundary"]
+        """The boundary surface (see :func:`boundary_faces`), extracted once."""
+        return self._boundary
 
-    @property
+    @_derived
     def gradient_matrix(self) -> sparse.csr_matrix:
         """(3M, N) map from nodal values to per-tet gradients, built once.
 
         Row 3T + d holds the d-th components of the four hat gradients of
         tet T at the columns of its nodes.
         """
-        if "gradient_matrix" not in self._cache:
-            rows = np.repeat(np.arange(3 * self.n_tets), 4)
-            cols = np.repeat(self.tets, 3, axis=0).ravel()
-            data = self.hat_gradients.transpose(0, 2, 1).ravel()
-            self._cache["gradient_matrix"] = sparse.csr_matrix(
-                (data, (rows, cols)), shape=(3 * self.n_tets, self.n_nodes)
-            )
-        return self._cache["gradient_matrix"]
+        rows = np.repeat(np.arange(3 * self.n_tets), 4)
+        cols = np.repeat(self.tets, 3, axis=0).ravel()
+        data = self.hat_gradients.transpose(0, 2, 1).ravel()
+        return sparse.csr_matrix((data, (rows, cols)), shape=(3 * self.n_tets, self.n_nodes))
 
     def element_gradient(self, values: np.ndarray) -> np.ndarray:
         """Piecewise-constant gradient of a nodal scalar field.
@@ -373,13 +349,7 @@ def boundary_faces(mesh: TetMesh) -> SurfaceMesh:
         raise MeshFormatError("non-manifold mesh: a face is shared by more than two tets")
 
     boundary_rows = order[new_group.nonzero()[0][counts == 1]]
-    surface = SurfaceMesh(
-        nodes=mesh.nodes,
-        faces=np.ascontiguousarray(flat[boundary_rows]),
-        parent_tets=np.ascontiguousarray(parents[boundary_rows]),
-    )
-    surface._ensure_geometry()
-    return surface
+    return SurfaceMesh(mesh.nodes, flat[boundary_rows], parents[boundary_rows])
 
 
 @dataclass

@@ -225,14 +225,21 @@ class CouplingData:
 
 @dataclass
 class CouplingWorkspace:
-    """Assembled operators of the coupling problem on Omega_2."""
+    """Assembled operators of the coupling problem on Omega_2.
+
+    Built as ``CouplingWorkspace(mesh, single_layer, double_layer)`` from the
+    Galerkin BEM matrices of ``mesh.boundary()``; ``make_coupling_workspace``
+    assembles them.  ``surface`` and ``stiffness`` are the mesh's own
+    boundary and stiffness, taken from it on construction.
+    """
 
     mesh: TetMesh
-    surface: SurfaceMesh
-    stiffness: SparseOperator
     single_layer: np.ndarray  # (F, F) Galerkin V of Gamma_2
     double_layer: np.ndarray  # (F, Nb) Galerkin K of Gamma_2
+    surface: SurfaceMesh = field(init=False, repr=False)
+    stiffness: SparseOperator = field(init=False, repr=False)
     boundary_mass: sparse.csr_matrix = field(init=False, repr=False)  # (F, Nb) Mb
+    boundary_mass_t: sparse.csr_matrix = field(init=False, repr=False)  # (Nb, F) Mb^T
     s_vec: np.ndarray = field(init=False, repr=False)  # stabilization vector
     p_lu: tuple = field(init=False, repr=False)  # LU of the chi==0 matrix
     flux_cho: tuple = field(init=False, repr=False)  # Cholesky of the flux normal matrix
@@ -240,11 +247,14 @@ class CouplingWorkspace:
     _uapp: tuple = field(default=None, init=False, repr=False)  # (f bytes, u_app)
 
     def __post_init__(self) -> None:
+        self.surface = self.mesh.boundary()
+        self.stiffness = assemble_stiffness(self.mesh)
         self.boundary_mass = assemble_boundary_mass(self.surface)
+        self.boundary_mass_t = self.boundary_mass.T.tocsr()
         ones = np.ones(self.surface.n_faces)
         s_u = np.zeros(self.mesh.n_nodes)
         s_u[self.surface.boundary_nodes] = (
-            0.5 * (self.boundary_mass.T @ ones) - self.double_layer.T @ ones
+            0.5 * (self.boundary_mass_t @ ones) - self.double_layer.T @ ones
         )
         self.s_vec = np.concatenate([s_u, self.single_layer.T @ ones])
         # P, the chi == 0 matrix: its stiffness block, the weighted form at
@@ -254,11 +264,12 @@ class CouplingWorkspace:
         mb = self.boundary_mass
         p = np.zeros((n2 + self.n_phi, n2 + self.n_phi))
         p[:n2, :n2] = k.toarray()
-        p[bnodes, n2:] -= mb.T.toarray()
+        p[bnodes, n2:] -= self.boundary_mass_t.toarray()
         p[n2:, bnodes] += 0.5 * mb.toarray() - self.double_layer
         p[n2:, n2:] += self.single_layer
         p += np.outer(self.s_vec, self.s_vec)
         self.p_lu = lu_factor(p)
+        # mb.T (CSC) here: the CSR copy would change the product's summation order
         self.flux_cho = cho_factor((mb.T @ sparse.diags(1.0 / self.surface.areas) @ mb).toarray())
         self.gradient_t = self.mesh.gradient_matrix.T.tocsr()
 
@@ -288,7 +299,7 @@ class CouplingWorkspace:
         return self._weighted(self._weights(law, grad), grad, x)
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
-        return (self.mesh.gradient_matrix @ x[: self.n_u]).reshape(-1, 3)
+        return self.mesh.element_gradient(x[: self.n_u])
 
     def _weights(self, law: MaterialLaw, grad: np.ndarray) -> np.ndarray:
         return (1.0 + law.chi(np.linalg.norm(grad, axis=1))) * self.mesh.volumes
@@ -299,7 +310,7 @@ class CouplingWorkspace:
         out = np.empty_like(x)
         out[: self.n_u] = self.gradient_t @ (weights[:, None] * grad).ravel()
         bnodes = self.surface.boundary_nodes
-        out[: self.n_u][bnodes] -= self.boundary_mass.T @ phi
+        out[: self.n_u][bnodes] -= self.boundary_mass_t @ phi
         out[self.n_u :] = self.single_layer @ phi + (
             0.5 * (self.boundary_mass @ u[bnodes]) - self.double_layer @ u[bnodes]
         )
@@ -309,7 +320,7 @@ class CouplingWorkspace:
         """Stabilized right-hand side b."""
         n2 = self.n_u
         b = np.zeros(n2 + self.n_phi)
-        b[: n2][self.surface.boundary_nodes] = self.boundary_mass.T @ data.flux
+        b[: n2][self.surface.boundary_nodes] = self.boundary_mass_t @ data.flux
         b[:n2] -= divergence_load(self.mesh, data.f)
         b[n2:] = 0.5 * (self.boundary_mass @ data.gamma_trace) - (
             self.double_layer @ data.gamma_trace
@@ -318,15 +329,7 @@ class CouplingWorkspace:
 
 
 def make_coupling_workspace(mesh: TetMesh) -> CouplingWorkspace:
-    surface = mesh.boundary()
-    single_layer, double_layer = assemble_bem(surface)
-    return CouplingWorkspace(
-        mesh=mesh,
-        surface=surface,
-        stiffness=assemble_stiffness(mesh),
-        single_layer=single_layer,
-        double_layer=double_layer,
-    )
+    return CouplingWorkspace(mesh, *assemble_bem(mesh.boundary()))
 
 
 def solve_uapp(ws: CouplingWorkspace, f_values: np.ndarray) -> NodalScalarField:
@@ -459,18 +462,23 @@ def _pack_state(ws, x, res, iterations, history, scheme, start) -> CouplingState
 class MultiscaleWorkspace:
     """Assembled state of the full two-domain pipeline.
 
-    The cross-gap transfers are dense matrices built on first use and kept
+    Built as ``MultiscaleWorkspace(mesh1, coupling)``, with ``coupling``
+    the workspace of Omega_2; ``surface1`` and ``stiffness1`` are Omega_1's
+    own boundary and stiffness, taken from ``mesh1`` on construction.  The
+    cross-gap transfers are dense matrices built on first use and kept
     here; building them costs about one pipeline evaluation's worth of
     panel integrals, applying them a few matrix-vector products.
     """
 
     mesh1: TetMesh
-    surface1: SurfaceMesh
-    stiffness1: SparseOperator
     coupling: CouplingWorkspace
+    surface1: SurfaceMesh = field(init=False, repr=False)
+    stiffness1: SparseOperator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.surface1 = self.mesh1.boundary()
         _check_separated(self.surface1, self.coupling.surface)
+        self.stiffness1 = assemble_stiffness(self.mesh1)
 
     @cached_property
     def transfer_12(self) -> np.ndarray:
@@ -531,12 +539,7 @@ def _node_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def make_multiscale_workspace(mesh1: TetMesh, mesh2: TetMesh) -> MultiscaleWorkspace:
-    return MultiscaleWorkspace(
-        mesh1=mesh1,
-        surface1=mesh1.boundary(),
-        stiffness1=assemble_stiffness(mesh1),
-        coupling=make_coupling_workspace(mesh2),
-    )
+    return MultiscaleWorkspace(mesh1, make_coupling_workspace(mesh2))
 
 
 def transfer_u1_to_omega2(

@@ -54,36 +54,31 @@ from .mesh import SurfaceMesh, TetMesh
 class StrayfieldWorkspace:
     """Per-mesh state of repeated stray-field evaluations by one method.
 
+    Built as ``StrayfieldWorkspace(mesh, method, boundary_map)``.
     ``boundary_map`` is the method's fixed map to the Dirichlet data of u12:
     C (K - 1/2 Mb) applied to the trace of u11 (fk, Nb x Nb), or C V applied
     to the face density phi (gcr, Nb x F); ``make_strayfield_workspace``
     builds it.  A map whose shape does not fit the method is rejected, so
     ``dataclasses.replace(ws, method=...)`` raises (except on a 4-face
-    surface, where Nb = F).
+    surface, where Nb = F).  ``surface`` and ``stiffness`` are the mesh's
+    own boundary and stiffness, taken from it on construction.
     """
 
     mesh: TetMesh
-    surface: SurfaceMesh
-    stiffness: SparseOperator
     method: str
     boundary_map: np.ndarray = field(repr=False, compare=False)
+    surface: SurfaceMesh = field(init=False, repr=False, compare=False)
+    stiffness: SparseOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_method(self.method)
+        self.surface = self.mesh.boundary()
         rows = self.surface.boundary_nodes.size
         shape = (rows, rows if self.method == "fk" else self.surface.n_faces)
         got = self.boundary_map.shape
         if got != shape:
             raise ValueError(f"{self.method} boundary map must have shape {shape}, got {got}")
-
-    def verify(self) -> None:
-        """Check the assembled stiffness belongs to the stored mesh.
-
-        The mesh itself cannot change after assembly: its arrays are
-        read-only.
-        """
-        if self.stiffness.mesh is not self.mesh:
-            raise RuntimeError("workspace operators do not belong to the stored mesh")
+        self.stiffness = assemble_stiffness(self.mesh)
 
 
 def _check_method(method: str) -> None:
@@ -92,8 +87,9 @@ def _check_method(method: str) -> None:
 
 
 def make_strayfield_workspace(mesh: TetMesh, method: str = "fk") -> StrayfieldWorkspace:
-    """Assemble the stiffness and the method's boundary map; the BEM
-    operator the method does not apply is dropped on return."""
+    """Assemble the method's boundary map (the workspace takes the
+    stiffness); the BEM operator the method does not apply is dropped on
+    return."""
     _check_method(method)
     surface = mesh.boundary()
     single_layer, double_layer = assemble_bem(surface)
@@ -103,18 +99,11 @@ def make_strayfield_workspace(mesh: TetMesh, method: str = "fk") -> StrayfieldWo
         boundary_map -= 0.5 * (clement @ assemble_boundary_mass(surface)).toarray()
     else:
         boundary_map = clement @ single_layer
-    return StrayfieldWorkspace(
-        mesh=mesh,
-        surface=surface,
-        stiffness=assemble_stiffness(mesh),
-        method=method,
-        boundary_map=boundary_map,
-    )
+    return StrayfieldWorkspace(mesh, method, boundary_map)
 
 
 def fk_strayfield(ws: StrayfieldWorkspace, m: NodalVectorField) -> NodalVectorField:
     """Fredkin-Koehler stray-field evaluation, pi(m) = grad(u11 + u12)."""
-    ws.verify()
     rhs = divergence_load(ws.mesh, m.values)
     u11 = solve_spd(ws.stiffness, rhs, constraint="zero-mean")
     return _add_u12_and_lift(ws, u11, ws.boundary_map @ u11[ws.surface.boundary_nodes])
@@ -132,7 +121,6 @@ def p0_normal_trace(surface: SurfaceMesh, m_values: np.ndarray) -> np.ndarray:
 
 def gcr_strayfield(ws: StrayfieldWorkspace, m: NodalVectorField) -> NodalVectorField:
     """Garcia-Cervera-Roma stray-field evaluation, pi(m) = grad(u11 + u12)."""
-    ws.verify()
     rhs = divergence_load(ws.mesh, m.values)
     u11 = solve_spd(
         ws.stiffness,
@@ -141,7 +129,7 @@ def gcr_strayfield(ws: StrayfieldWorkspace, m: NodalVectorField) -> NodalVectorF
         dirichlet_nodes=ws.surface.boundary_nodes,
         dirichlet_values=np.zeros(ws.surface.boundary_nodes.size),
     )
-    phi = p0_normal_trace(ws.surface, m.values) - normal_derivative(ws.mesh, ws.surface, u11)
+    phi = p0_normal_trace(ws.surface, m.values) - normal_derivative(ws.mesh, u11)
     return _add_u12_and_lift(ws, u11, ws.boundary_map @ phi)
 
 

@@ -39,6 +39,11 @@ from conftest import gauss_residual
 from meshes import kuhn_cube
 
 
+def centroids(surface):
+    """(F, 3) face centroids."""
+    return surface.vertex_coords.mean(axis=1)
+
+
 def brute_panel(x, v, level=7):
     """Subdivision + centroid quadrature of the unscaled panel integrals."""
     v = np.asarray(v, float)
@@ -163,7 +168,7 @@ def test_panel_integrals_match_tensor_reference(level, n_radial, center):
     surf = icosphere_volume(level, n_radial=n_radial, center=center).boundary()
     geo = panel_geometry(surf)
     rng = np.random.default_rng(level)
-    gap = np.linalg.norm(surf.centroids - surf.centroids[0], axis=1)
+    gap = np.linalg.norm(centroids(surf) - centroids(surf)[0], axis=1)
     patch = np.argsort(gap)[:30]  # face 0 and its neighbours: own and near pairs
     nodes = surf.nodes[surf.boundary_nodes]
     sets = {
@@ -326,7 +331,7 @@ def test_solid_angles_take_the_principal_value_on_the_surface(sphere1):
     # a face centroid sees -2 pi; a convex vertex sees minus its interior
     # solid angle, strictly between -2 pi and 0
     surf = sphere1.boundary()
-    np.testing.assert_allclose(solid_angles(surf, surf.centroids), -2.0 * np.pi, rtol=1e-12)
+    np.testing.assert_allclose(solid_angles(surf, centroids(surf)), -2.0 * np.pi, rtol=1e-12)
     at_nodes = solid_angles(surf, surf.nodes[surf.boundary_nodes])
     assert (at_nodes > -2.0 * np.pi).all() and (at_nodes < 0.0).all()
 
@@ -371,8 +376,8 @@ def test_jump_relation_double_layer(level):
     surf = mesh.boundary()
     g = mesh.nodes[surf.boundary_nodes, 2]
     eps = np.sqrt(surf.areas.mean()) / 100.0
-    up = surf.centroids + eps * surf.normals
-    down = surf.centroids - eps * surf.normals
+    up = centroids(surf) + eps * surf.normals
+    down = centroids(surf) - eps * surf.normals
     jump = (eval_double_layer(surf, up) - eval_double_layer(surf, down)) @ g
     target = g[surf.local_face_indices].mean(axis=1)  # P1 density at centroids
     assert np.abs(jump - target).max() < 5e-2
@@ -385,8 +390,8 @@ def test_jump_error_shrinks_under_refinement():
         surf = mesh.boundary()
         g = mesh.nodes[surf.boundary_nodes, 2]
         eps = np.sqrt(surf.areas.mean()) / 100.0
-        up = surf.centroids + eps * surf.normals
-        down = surf.centroids - eps * surf.normals
+        up = centroids(surf) + eps * surf.normals
+        down = centroids(surf) - eps * surf.normals
         jump = (eval_double_layer(surf, up) - eval_double_layer(surf, down)) @ g
         errs.append(np.abs(jump - g[surf.local_face_indices].mean(axis=1)).max())
     assert errs[1] < errs[0]
@@ -396,8 +401,8 @@ def test_single_layer_continuous_across_surface(sphere1):
     surf = sphere1.boundary()
     phi = np.ones(surf.n_faces)
     eps = np.sqrt(surf.areas.mean()) / 100.0
-    up = surf.centroids + eps * surf.normals
-    down = surf.centroids - eps * surf.normals
+    up = centroids(surf) + eps * surf.normals
+    down = centroids(surf) - eps * surf.normals
     gap = (eval_single_layer(surf, up) - eval_single_layer(surf, down)) @ phi
     assert np.abs(gap).max() < 5e-3
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -13,7 +14,7 @@ from multimag import (
     reference_tet,
     write_mesh,
 )
-from multimag.mesh import MeshFormatError, TetMesh
+from multimag.mesh import MeshFormatError, SurfaceMesh, TetMesh
 
 from meshes import kuhn_cube, sliver_tet, two_tets
 
@@ -80,13 +81,13 @@ def test_builder_inventories(build, n_nodes, n_tets, n_bfaces, volume):
     assert mesh.n_tets == n_tets
     assert mesh.boundary().n_faces == n_bfaces
     if volume is not None:
-        np.testing.assert_allclose(mesh.total_volume, volume, rtol=1e-13)
+        np.testing.assert_allclose(mesh.volumes.sum(), volume, rtol=1e-13)
 
 
 def test_icosphere_volume_converges_to_ball():
     exact = 4.0 * np.pi / 3.0
     errs = [
-        abs(icosphere_volume(level, n_radial=2).total_volume - exact) / exact
+        abs(icosphere_volume(level, n_radial=2).volumes.sum() - exact) / exact
         for level in (0, 1, 2)
     ]
     assert errs[0] > errs[1] > errs[2]
@@ -98,7 +99,7 @@ def test_icosphere_scaling_and_center():
     r = np.linalg.norm(mesh.nodes - [1.0, -1.0, 0.5], axis=1)
     assert r.max() <= 2.0 + 1e-12
     base = icosphere_volume(1, n_radial=2)
-    np.testing.assert_allclose(mesh.total_volume, 8.0 * base.total_volume, rtol=1e-12)
+    np.testing.assert_allclose(mesh.volumes.sum(), 8.0 * base.volumes.sum(), rtol=1e-12)
 
 
 def test_hat_gradients_sum_to_zero(cube2):
@@ -122,15 +123,72 @@ def test_element_gradient_exact_on_affine(sphere1):
 
 
 def test_hat_integrals(cube2, ref_tet):
-    np.testing.assert_allclose(cube2.hat_integrals.sum(), cube2.total_volume, rtol=1e-13)
+    np.testing.assert_allclose(cube2.hat_integrals.sum(), cube2.volumes.sum(), rtol=1e-13)
     np.testing.assert_allclose(ref_tet.hat_integrals, np.full(4, 1.0 / 24.0), rtol=1e-14)
 
 
-def test_node_patch_volumes(cube2):
-    np.testing.assert_allclose(
-        cube2.node_patch_volumes.sum(), 4.0 * cube2.total_volume, rtol=1e-13
-    )
-    assert (cube2.node_patch_volumes > 0).all()
+@pytest.mark.parametrize(
+    "build",
+    [reference_tet, lambda: kuhn_cube(2), lambda: icosphere_volume(1, 2),
+     lambda: icosphere_volume(2, 2)],
+)
+def test_patch_volumes_are_four_hat_integrals(build):
+    # the nodal lift weighs each tet by |T| / (4 * hat integral): the
+    # patch volume the scatter of whole volumes gives, bit for bit
+    mesh = build()
+    patch = np.zeros(mesh.n_nodes)
+    np.add.at(patch, mesh.tets.ravel(), np.repeat(mesh.volumes, 4))
+    np.testing.assert_array_equal(4.0 * mesh.hat_integrals, patch)
+    assert (patch > 0).all()
+
+
+def reachable_arrays(owner):
+    """Every ndarray an attribute or property of ``owner`` holds, by name;
+    a sparse matrix contributes its data, indices and indptr."""
+    found = {}
+    for name in dir(owner):
+        value = getattr(owner, name)
+        if sparse.issparse(value):
+            found.update({f"{name}.{part}": getattr(value, part)
+                          for part in ("data", "indices", "indptr")})
+        elif isinstance(value, np.ndarray):
+            found[name] = value
+    return found
+
+
+@pytest.mark.parametrize("build", [lambda: icosphere_volume(1, 2), lambda: kuhn_cube(2)])
+def test_mesh_data_is_read_only(build):
+    # operators other modules cache for the mesh are built from these arrays
+    mesh = build()
+    surface = mesh.boundary()
+    for owner, names in (
+        (mesh, {"nodes", "tets", "volumes", "hat_gradients", "hat_integrals",
+                "gradient_matrix.data", "gradient_matrix.indices", "gradient_matrix.indptr"}),
+        (surface, {"nodes", "faces", "parent_tets", "areas", "normals", "vertex_coords",
+                   "boundary_nodes", "node_patch_areas", "local_face_indices"}),
+    ):
+        arrays = reachable_arrays(owner)
+        assert names <= set(arrays)
+        for name, array in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = array
+
+
+def test_surface_copies_its_inputs(cube1):
+    surface = cube1.boundary()
+    faces = np.array(surface.faces)
+    copy = SurfaceMesh(surface.nodes, faces, surface.parent_tets)
+    faces[0] = faces[0, ::-1]
+    np.testing.assert_array_equal(copy.faces, surface.faces)
+    np.testing.assert_array_equal(copy.areas, surface.areas)
+
+
+def test_degenerate_surface_face_is_rejected(cube1):
+    surface = cube1.boundary()
+    faces = np.array(surface.faces)
+    faces[0, 2] = faces[0, 1]
+    with pytest.raises(MeshFormatError, match="degenerate boundary face"):
+        SurfaceMesh(surface.nodes, faces, surface.parent_tets)
 
 
 def test_cube_boundary_geometry(cube1):
@@ -138,7 +196,7 @@ def test_cube_boundary_geometry(cube1):
     np.testing.assert_allclose(surf.areas.sum(), 6.0, rtol=1e-13)
     np.testing.assert_allclose(np.linalg.norm(surf.normals, axis=1), 1.0, rtol=1e-13)
     # outward: from the body centroid every face centroid lies along its normal
-    out = np.einsum("fd,fd->f", surf.centroids - 0.5, surf.normals)
+    out = np.einsum("fd,fd->f", surf.vertex_coords.mean(axis=1) - 0.5, surf.normals)
     assert (out > 0).all()
     # axis-aligned faces only
     assert (np.abs(surf.normals).max(axis=1) > 1.0 - 1e-12).all()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from multimag import (
     MultiscaleContribution,
     NodalVectorField,
+    assemble_stiffness,
     icosphere_volume,
     make_coupling_workspace,
     make_multiscale_workspace,
@@ -22,6 +23,8 @@ from multimag import (
 from multimag import multiscale
 from multimag.multiscale import (
     TOL_NL_FLOOR,
+    CouplingWorkspace,
+    MultiscaleWorkspace,
     _check_separated,
     _node_gap,
     conormal_flux,
@@ -146,6 +149,29 @@ def test_stabilization_vector_structure(cube_cws):
     np.testing.assert_allclose(ws.s_vec[n2:], ws.single_layer.T @ ones, atol=1e-14)
     interior = np.setdiff1d(np.arange(n2), ws.surface.boundary_nodes)
     np.testing.assert_allclose(ws.s_vec[interior], 0.0, atol=0)
+
+
+def test_workspaces_take_surface_and_stiffness_from_their_meshes(pair_ws):
+    cws = pair_ws.coupling
+    assert cws.surface is cws.mesh.boundary()
+    assert cws.stiffness is assemble_stiffness(cws.mesh)
+    assert pair_ws.surface1 is pair_ws.mesh1.boundary()
+    assert pair_ws.stiffness1 is assemble_stiffness(pair_ws.mesh1)
+    for name in ("surface", "stiffness"):
+        with pytest.raises(TypeError, match=name):
+            CouplingWorkspace(cws.mesh, cws.single_layer, cws.double_layer,
+                              **{name: getattr(cws, name)})
+    for name in ("surface", "stiffness", "surface1", "stiffness1"):
+        with pytest.raises(TypeError, match=name):
+            MultiscaleWorkspace(pair_ws.mesh1, cws, **{name: None})
+
+
+def test_boundary_mass_transpose_is_kept_once(cube_cws):
+    mbt = cube_cws.boundary_mass_t
+    assert mbt.format == "csr"
+    assert (mbt != cube_cws.boundary_mass.T).nnz == 0
+    phi = np.random.default_rng(5).normal(size=cube_cws.n_phi)
+    np.testing.assert_array_equal(mbt @ phi, cube_cws.boundary_mass.T @ phi)
 
 
 def dense_frozen_matrix(ws, law, x):

@@ -12,6 +12,7 @@ from multimag import (
     assemble_bem,
     assemble_boundary_mass,
     assemble_mass,
+    assemble_stiffness,
     fk_strayfield,
     gcr_strayfield,
     icosphere_volume,
@@ -27,10 +28,6 @@ def gcr_ws(sphere1):
     return make_strayfield_workspace(sphere1, "gcr")
 
 
-def test_workspace_verify(sphere_ws):
-    sphere_ws.verify()
-
-
 def test_workspace_mesh_rejects_in_place_edits(sphere1):
     # the assembled operators would no longer describe an edited mesh
     ws = make_strayfield_workspace(sphere1, "fk")
@@ -38,7 +35,18 @@ def test_workspace_mesh_rejects_in_place_edits(sphere1):
         ws.mesh.nodes[0] += 0.25
     with pytest.raises(ValueError, match="read-only"):
         ws.mesh.tets[0, :2] = ws.mesh.tets[0, 1::-1]
-    ws.verify()
+    with pytest.raises(ValueError, match="read-only"):
+        ws.surface.faces[0, :2] = ws.surface.faces[0, 1::-1]
+
+
+@pytest.mark.parametrize("method", ["fk", "gcr"])
+def test_workspace_takes_surface_and_stiffness_from_its_mesh(sphere_ws, gcr_ws, method):
+    ws = sphere_ws if method == "fk" else gcr_ws
+    assert ws.surface is ws.mesh.boundary()
+    assert ws.stiffness is assemble_stiffness(ws.mesh)
+    for name in ("surface", "stiffness"):
+        with pytest.raises(TypeError, match=name):
+            StrayfieldWorkspace(ws.mesh, method, ws.boundary_map, **{name: getattr(ws, name)})
 
 
 def test_rejects_unknown_method(sphere1):
