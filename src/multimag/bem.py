@@ -71,7 +71,7 @@ import numpy as np
 from scipy import sparse
 
 from .fem import face_quadrature
-from .mesh import SurfaceMesh
+from .mesh import SurfaceMesh, per_mesh
 
 # Points closer to a panel plane (or edge line) than this, relative to the
 # panel diameter, are treated as lying on it (principal value).
@@ -333,20 +333,20 @@ def solid_angles(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
     return out
 
 
+@per_mesh
 def hat_incidence(surface: SurfaceMesh) -> sparse.csr_matrix:
     """(3F, Nb) incidence of face vertices on boundary nodes.
 
     Row 3f + i holds a 1 in the column of face f's vertex i (in
     ``surface.boundary_nodes`` local ordering), so it sums per-face hat
-    rows, shaped (..., 3F), into node columns.  Built once per surface.
+    rows, shaped (..., 3F), into node columns.  Built once per surface,
+    read-only.
     """
-    if "bem.hat_incidence" not in surface._cache:
-        rows = 3 * surface.n_faces
-        surface._cache["bem.hat_incidence"] = sparse.csr_matrix(
-            (np.ones(rows), (np.arange(rows), surface.local_face_indices.ravel())),
-            shape=(rows, surface.boundary_nodes.size),
-        )
-    return surface._cache["bem.hat_incidence"]
+    rows = 3 * surface.n_faces
+    return sparse.csr_matrix(
+        (np.ones(rows), (np.arange(rows), surface.local_face_indices.ravel())),
+        shape=(rows, surface.boundary_nodes.size),
+    )
 
 
 def assemble_bem(surface: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:

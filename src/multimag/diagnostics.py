@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import NodalVectorField, h1_seminorm_sq, l2_inner
+from .fem import NodalVectorField, assemble_mass, assemble_stiffness, h1_seminorm_sq, l2_inner
 from .fields import NondimConstants
 from .mesh import TetMesh
 
@@ -62,7 +62,6 @@ def energy(
     contributions,
     f_field,
     constants: NondimConstants,
-    ws,
     *,
     outputs,
     dissipation_sum: float = 0.0,
@@ -71,20 +70,18 @@ def energy(
 
     The outputs of the linear self-adjoint contributions are summed in
     contribution order, starting from zeros, and enter through one inner
-    product (1/2) <sum_i pi_i(m), m>.
+    product (1/2) <sum_i pi_i(m), m>.  The mass and stiffness are those of
+    the state's mesh.
 
     Args:
         state: MagnetizationState (or any object with .m, .step, .time).
-        ws: workspace carrying assembled ``mass`` and ``stiffness``
-            operators for the state's mesh.
         outputs: the per-contribution values pi_i(m, zeta) of this state,
             in contribution order, as ``evaluate_contributions`` returns
             them.
     """
     m = state.m
-    mass = ws.mass
-    stiffness = ws.stiffness
-    e_exch = 0.5 * constants.c_exch * h1_seminorm_sq(stiffness, m.values)
+    mass = assemble_mass(m.mesh)
+    e_exch = 0.5 * constants.c_exch * h1_seminorm_sq(assemble_stiffness(m.mesh), m.values)
 
     e_int = 0.0
     quadratic = np.zeros_like(m.values)
@@ -279,10 +276,16 @@ def write_vtk(path: str, mesh: TetMesh, values: np.ndarray) -> None:
 
 
 def field_from_snapshot(mesh: TetMesh, path: str) -> NodalVectorField:
-    """Load a snapshot and bind it to a mesh, checking the node count."""
+    """Load a snapshot and bind it to a mesh, checking the node count and
+    that every row has a finite nonzero length (so it can be normalized)."""
     values = read_snapshot(path)
     if values.shape[0] != mesh.n_nodes:
         raise ValueError(
             f"snapshot {path} has {values.shape[0]} nodes but the mesh has {mesh.n_nodes}"
         )
+    lengths = np.linalg.norm(values, axis=1)
+    bad = np.flatnonzero(~(np.isfinite(lengths) & (lengths > 0.0)))
+    if bad.size:
+        raise ValueError(f"snapshot {path}: node {bad[0]} holds {values[bad[0]].tolist()}, "
+                         "which has no finite nonzero length")
     return NodalVectorField(mesh, values)

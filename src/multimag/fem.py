@@ -9,13 +9,15 @@ code uses for its outer (test) integrals and the cross-gap transfers.
 The mass and stiffness matrices of a mesh are assembled once and shared by
 every caller, and so is every other fixed linear map a time step applies:
 the divergence load (N x 3N), the volume-weighted nodal lift of the
-elementwise gradient (3N x N), the Clement boundary interpolation (Nb x F)
-and the outward normal derivative (F x N) are each built once per mesh or
-surface as a CSR matrix and then applied as one matvec.  Linear solves
-eliminate the constrained nodes and use a sparse LU factorization of the
-free block, built once per operator and set of constrained nodes; every
-solution is checked against the relative residual bound SOLVE_RESIDUAL_TOL
-and raises instead of returning a bad solution.
+elementwise gradient (3N x N), the outward normal derivative (F x N), the
+Clement interpolation (Nb x F) and the boundary mass (F x Nb), each a CSR
+matrix applied as one matvec.  All are ``mesh.per_mesh`` builders: the
+first call for a mesh or surface builds, freezes and stores the operator
+there, and every later call returns it.  Linear solves eliminate the
+constrained nodes and use a sparse LU factorization of the free block,
+built once per operator and set of constrained nodes; every solution is
+checked against the relative residual bound SOLVE_RESIDUAL_TOL and raises
+instead of returning a bad solution.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .mesh import SurfaceMesh, TetMesh
+from .mesh import SurfaceMesh, TetMesh, per_mesh
 
 # 7-point degree-5 triangle rule (barycentric points, weights sum to 1).
 _SQRT15 = np.sqrt(15.0)
@@ -105,39 +107,32 @@ class FaceDensity:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseOperator:
     """Assembled sparse Galerkin matrix plus the factorizations solves reuse."""
 
     matrix: sparse.csr_matrix
     mesh: TetMesh
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def shape(self):
-        return self.matrix.shape
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
 
+@per_mesh
 def assemble_mass(mesh: TetMesh) -> SparseOperator:
     """Consistent P1 mass matrix: M_ij = <eta_i, eta_j>.
 
-    Assembled once per mesh; every call returns the same operator.
+    Assembled once per mesh, read-only; every call returns the same operator.
     """
-    if "fem.mass" not in mesh._cache:
-        vol = mesh.volumes
-        local = (np.ones((4, 4)) + np.eye(4)) / 20.0
-        mesh._cache["fem.mass"] = _scatter(mesh, vol[:, None, None] * local[None, :, :])
-    return mesh._cache["fem.mass"]
+    local = (np.ones((4, 4)) + np.eye(4)) / 20.0
+    return _scatter(mesh, mesh.volumes[:, None, None] * local[None, :, :])
 
 
+@per_mesh
 def assemble_stiffness(mesh: TetMesh) -> SparseOperator:
     """P1 stiffness matrix: K_ij = <grad eta_i, grad eta_j>.
 
-    Assembled once per mesh; every call returns the same operator.
+    Assembled once per mesh, read-only; every call returns the same operator.
     """
-    if "fem.stiffness" not in mesh._cache:
-        mesh._cache["fem.stiffness"] = _scatter(mesh, _stiffness_blocks(mesh))
-    return mesh._cache["fem.stiffness"]
+    return _scatter(mesh, _stiffness_blocks(mesh))
 
 
 def assemble_weighted_stiffness(mesh: TetMesh, weights: np.ndarray) -> SparseOperator:
@@ -190,11 +185,10 @@ def _scatter(mesh: TetMesh, element_blocks: np.ndarray) -> SparseOperator:
 
 def divergence_load(mesh: TetMesh, m_values: np.ndarray) -> np.ndarray:
     """Load vector b_i = <m, grad eta_i> for a nodal vector field m (exact)."""
-    if "fem.divergence" not in mesh._cache:
-        mesh._cache["fem.divergence"] = _divergence_matrix(mesh)
-    return mesh._cache["fem.divergence"] @ np.asarray(m_values, dtype=np.float64).reshape(-1)
+    return _divergence_matrix(mesh) @ np.asarray(m_values, dtype=np.float64).reshape(-1)
 
 
+@per_mesh
 def _divergence_matrix(mesh: TetMesh) -> sparse.csr_matrix:
     """(N, 3N) map from node-major m to b, composed as G^T W A.
 
@@ -220,11 +214,10 @@ def lifted_gradient(mesh: TetMesh, values: np.ndarray) -> np.ndarray:
     Returns:
         (N, 3) nodal gradient.
     """
-    if "fem.lifted_gradient" not in mesh._cache:
-        mesh._cache["fem.lifted_gradient"] = _lifted_gradient_matrix(mesh)
-    return (mesh._cache["fem.lifted_gradient"] @ values).reshape(-1, 3)
+    return (_lifted_gradient_matrix(mesh) @ values).reshape(-1, 3)
 
 
+@per_mesh
 def _lifted_gradient_matrix(mesh: TetMesh) -> sparse.csr_matrix:
     """(3N, N) map composed as L G: the (3M, N) gradient, then the (3N, 3M)
     lift whose row 3n + d weights component d on each tet T at node n by
@@ -276,8 +269,9 @@ def solve_spd(
         satisfies ||b - A x|| <= SOLVE_RESIDUAL_TOL ||b|| on the free rows.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape != (op.shape[0],):
-        raise ValueError(f"rhs shape {rhs.shape} does not match operator {op.shape}")
+    n = op.matrix.shape[0]
+    if rhs.shape != (n,):
+        raise ValueError(f"rhs shape {rhs.shape} does not match operator {op.matrix.shape}")
     if constraint == "zero-mean":
         rhs = rhs - rhs.mean()
         nodes, values = np.zeros(1, dtype=np.int64), np.zeros(1)
@@ -293,14 +287,14 @@ def solve_spd(
 
     key = nodes.tobytes()
     if key not in op._cache:
-        free = np.ones(op.shape[0], dtype=bool)
+        free = np.ones(n, dtype=bool)
         free[nodes] = False
         rows = op.matrix[free]
         lu = spla.splu(rows[:, free].tocsc()) if free.any() else None
         op._cache[key] = (free, lu, rows[:, nodes].tocsr())
     free, lu, a_fd = op._cache[key]
 
-    x = np.zeros(op.shape[0])
+    x = np.zeros(n)
     x[nodes] = values
     if lu is not None:
         b_free = rhs[free] - a_fd @ values
@@ -329,6 +323,7 @@ def face_quadrature(surface: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
+@per_mesh
 def clement_matrix(surface: SurfaceMesh) -> sparse.csr_matrix:
     """(Nb, F) Clement map from per-face integrals to boundary nodal values.
 
@@ -339,24 +334,24 @@ def clement_matrix(surface: SurfaceMesh) -> sparse.csr_matrix:
     their output as per-face integrals; applied to an (F, k) array the map
     interpolates k functions at once.  Values are convex combinations of
     face averages, so constants are reproduced exactly and the output range
-    lies in the range of g.  Built once per surface.
+    lies in the range of g.  Built once per surface, read-only.
     """
-    if "fem.clement" not in surface._cache:
-        rows = surface.local_face_indices.ravel()
-        cols = np.repeat(np.arange(surface.n_faces), 3)
-        surface._cache["fem.clement"] = sparse.csr_matrix(
-            (1.0 / surface.node_patch_areas[rows], (rows, cols)),
-            shape=(surface.boundary_nodes.size, surface.n_faces),
-        )
-    return surface._cache["fem.clement"]
+    rows = surface.local_face_indices.ravel()
+    cols = np.repeat(np.arange(surface.n_faces), 3)
+    return sparse.csr_matrix(
+        (1.0 / surface.node_patch_areas[rows], (rows, cols)),
+        shape=(surface.boundary_nodes.size, surface.n_faces),
+    )
 
 
+@per_mesh
 def assemble_boundary_mass(surface: SurfaceMesh) -> sparse.csr_matrix:
     """Mixed boundary mass Mb[f, n] = integral of hat n over face f.
 
     Rows are faces (P0 test functions), columns are boundary nodes in the
     ``surface.boundary_nodes`` local ordering.  For P1 hats the entry is
-    |F|/3 for each of the three vertices of F.
+    |F|/3 for each of the three vertices of F.  Built once per surface,
+    read-only.
     """
     f = surface.n_faces
     rows = np.repeat(np.arange(f), 3)
@@ -371,20 +366,23 @@ def normal_derivative(mesh: TetMesh, values: np.ndarray) -> np.ndarray:
     """(F,) elementwise outward normal derivative of a nodal field on the boundary.
 
     Each face of ``mesh.boundary()`` takes the (constant) gradient of its
-    parent tet dotted with the outward unit normal.  That is a fixed (F, N)
-    map, built once per mesh: row f holds the parent tet's four hat
-    gradients dotted with the normal of f, at the columns of the tet's nodes.
+    parent tet dotted with the outward unit normal, through one fixed map.
     """
-    if "fem.normal_derivative" not in mesh._cache:
-        surface = mesh.boundary()
-        parents = surface.parent_tets
-        data = np.einsum("fid,fd->fi", mesh.hat_gradients[parents], surface.normals)
-        rows = np.repeat(np.arange(surface.n_faces), 4)
-        mesh._cache["fem.normal_derivative"] = sparse.csr_matrix(
-            (data.ravel(), (rows, mesh.tets[parents].ravel())),
-            shape=(surface.n_faces, mesh.n_nodes),
-        )
-    return mesh._cache["fem.normal_derivative"] @ values
+    return _normal_derivative_matrix(mesh) @ values
+
+
+@per_mesh
+def _normal_derivative_matrix(mesh: TetMesh) -> sparse.csr_matrix:
+    """(F, N) map whose row f holds the parent tet's four hat gradients dotted
+    with the normal of f, at the columns of the tet's nodes."""
+    surface = mesh.boundary()
+    parents = surface.parent_tets
+    data = np.einsum("fid,fd->fi", mesh.hat_gradients[parents], surface.normals)
+    rows = np.repeat(np.arange(surface.n_faces), 4)
+    return sparse.csr_matrix(
+        (data.ravel(), (rows, mesh.tets[parents].ravel())),
+        shape=(surface.n_faces, mesh.n_nodes),
+    )
 
 
 def l2_inner(mass: SparseOperator, a: np.ndarray, b: np.ndarray) -> float:

@@ -25,7 +25,7 @@ system is solved with BiCGStab, preconditioned by the inverses of the 2x2
 nodal diagonal blocks (block Jacobi), with restarted GMRES as the fallback.
 
 The CSR structure of the reduced matrix depends on the mesh alone, so
-``make_llg_workspace`` lays it out once, with the data position of every
+``LlgWorkspace(mesh)`` lays it out once, with the data position of every
 block entry and of every nodal diagonal block.  A step gathers the frames
 at both ends of each pattern entry into contiguous planes, computes the
 block entries plane by plane, and writes them straight into the CSR data;
@@ -36,7 +36,7 @@ fixed block-diagonal pattern.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -125,9 +125,10 @@ def build_tangent_frame(state: MagnetizationState) -> TangentFrame:
 class LlgWorkspace:
     """Per-mesh operators and the fixed layout of the reduced velocity system.
 
-    The reduced velocity system has one 2x2 block per entry p = (i, j) of
-    the P1 pattern that ``mass`` and ``stiffness`` share.  ``cross_map`` is
-    the fixed (nnz, N) map from nodal m to w_p = sum_T |T| sum_k c_ijk m_k;
+    Built as ``LlgWorkspace(mesh)``, which derives the rest.  The reduced
+    velocity system has one 2x2 block per entry p = (i, j) of the P1 pattern
+    that the mesh's ``mass`` and ``stiffness`` share.  ``cross_map`` is the
+    fixed (nnz, N) map from nodal m to w_p = sum_T |T| sum_k c_ijk m_k;
     ``rows`` and ``cols`` hold the nodes i and j of each entry.
 
     The 2N x 2N CSR structure follows from the pattern alone, so it is laid
@@ -140,15 +141,52 @@ class LlgWorkspace:
     """
 
     mesh: TetMesh
-    mass: SparseOperator
-    stiffness: SparseOperator
-    cross_map: sparse.csr_matrix
-    rows: np.ndarray
-    cols: np.ndarray
-    slots: np.ndarray
-    diagonal_slots: np.ndarray
-    reduced: sparse.csr_matrix
-    jacobi: sparse.csr_matrix
+    mass: SparseOperator = field(init=False, repr=False)
+    stiffness: SparseOperator = field(init=False, repr=False)
+    cross_map: sparse.csr_matrix = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
+    cols: np.ndarray = field(init=False, repr=False)
+    slots: np.ndarray = field(init=False, repr=False)
+    diagonal_slots: np.ndarray = field(init=False, repr=False)
+    reduced: sparse.csr_matrix = field(init=False, repr=False)
+    jacobi: sparse.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        mesh = self.mesh
+        self.mass = assemble_mass(mesh)
+        self.stiffness = assemble_stiffness(mesh)
+        pattern = self.stiffness.matrix
+        n, nnz = mesh.n_nodes, pattern.nnz
+        index = pattern.indptr.dtype  # scipy would copy wider index arrays down to it
+        positions = pattern_positions(mesh).astype(index)[..., None]
+        positions = np.broadcast_to(positions, (mesh.n_tets, 4, 4, 4))
+        nodes = np.broadcast_to(mesh.tets.astype(index)[:, None, None, :], positions.shape)
+        weights = mesh.volumes[:, None, None, None] * _CROSS_TENSOR
+        self.cross_map = sparse.csr_matrix(
+            (weights.ravel(), (positions.ravel(), nodes.ravel())), shape=(nnz, n)
+        )
+        rows = self.rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        cols = self.cols = pattern.indices.astype(np.intp)
+
+        # CSR matvecs run about twice as fast as 2x2-block ones in the Krylov loop.
+        # Row 2i + a holds columns 2j, 2j + 1 for each entry (i, j) of pattern row i, in order.
+        a, b = np.arange(2)[:, None, None], np.arange(2)[None, :, None]
+        indptr = np.concatenate(([0], np.cumsum(np.repeat(2 * np.diff(pattern.indptr), 2))))
+        slots = self.slots = indptr[2 * rows + a] + 2 * (np.arange(nnz) - pattern.indptr[rows]) + b
+        indices = np.empty(4 * nnz, dtype=np.intp)
+        indices[slots] = 2 * cols + b
+        diagonal = np.flatnonzero(rows == cols)
+        if diagonal.size != n:
+            raise ValueError("every mesh node must belong to a tetrahedron")
+        self.diagonal_slots = slots[:, :, diagonal]
+        n2 = 2 * n
+        self.reduced = sparse.csr_matrix((np.zeros(4 * nnz), indices, indptr), shape=(n2, n2))
+        # rows 2n and 2n + 1 each hold columns 2n, 2n + 1
+        self.jacobi = sparse.csr_matrix(
+            (np.zeros(2 * n2), np.arange(n2).reshape(-1, 2).repeat(2, axis=0).ravel(),
+             np.arange(0, 2 * n2 + 1, 2)),
+            shape=(n2, n2),
+        )
 
     def frame_matrix(self, frame: TangentFrame) -> np.ndarray:
         """(N, 2, 3) nodal frames: [n, a] is t_a(n)."""
@@ -225,42 +263,7 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def make_llg_workspace(mesh: TetMesh) -> LlgWorkspace:
-    stiffness = assemble_stiffness(mesh)
-    pattern = stiffness.matrix
-    n, nnz = mesh.n_nodes, pattern.nnz
-    index = pattern.indptr.dtype  # scipy would copy wider index arrays down to it
-    positions = pattern_positions(mesh).astype(index)[..., None]
-    positions = np.broadcast_to(positions, (mesh.n_tets, 4, 4, 4))
-    nodes = np.broadcast_to(mesh.tets.astype(index)[:, None, None, :], positions.shape)
-    weights = mesh.volumes[:, None, None, None] * _CROSS_TENSOR
-    cross_map = sparse.csr_matrix(
-        (weights.ravel(), (positions.ravel(), nodes.ravel())), shape=(nnz, n)
-    )
-    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    cols = pattern.indices.astype(np.intp)
-
-    # CSR matvecs run about twice as fast as 2x2-block ones in the Krylov loop.
-    # Row 2i + a holds columns 2j, 2j + 1 for each entry (i, j) of pattern row i, in order.
-    a, b = np.arange(2)[:, None, None], np.arange(2)[None, :, None]
-    indptr = np.concatenate(([0], np.cumsum(np.repeat(2 * np.diff(pattern.indptr), 2))))
-    slots = indptr[2 * rows + a] + 2 * (np.arange(nnz) - pattern.indptr[rows]) + b
-    indices = np.empty(4 * nnz, dtype=np.intp)
-    indices[slots] = 2 * cols + b
-    diagonal = np.flatnonzero(rows == cols)
-    if diagonal.size != n:
-        raise ValueError("every mesh node must belong to a tetrahedron")
-    n2 = 2 * n
-    reduced = sparse.csr_matrix((np.zeros(4 * nnz), indices, indptr), shape=(n2, n2))
-    # rows 2n and 2n + 1 each hold columns 2n, 2n + 1
-    jacobi = sparse.csr_matrix(
-        (np.zeros(2 * n2), np.arange(n2).reshape(-1, 2).repeat(2, axis=0).ravel(),
-         np.arange(0, 2 * n2 + 1, 2)),
-        shape=(n2, n2),
-    )
-    return LlgWorkspace(
-        mesh, assemble_mass(mesh), stiffness, cross_map, rows, cols, slots,
-        slots[:, :, diagonal], reduced, jacobi,
-    )
+    return LlgWorkspace(mesh)
 
 
 def evaluate_contributions(
@@ -483,7 +486,7 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
         if setup.applied_field is not None:
             f = sample_applied_field(setup.applied_field, setup.mesh, state.time)
         pi, outputs = evaluate_contributions(setup.contributions, state.m, f, state.step)
-        record = energy(state, setup.contributions, f, setup.constants, ws, outputs=outputs,
+        record = energy(state, setup.contributions, f, setup.constants, outputs=outputs,
                         dissipation_sum=dissipation_sum)
         return f, pi, record
 

@@ -5,13 +5,13 @@ and 0-based connectivity.  ``SurfaceMesh`` is the oriented boundary
 triangulation with outward unit normals and links back to the parent
 tetrahedra, which the boundary-element operators and flux evaluations need.
 
-Each mesh owns its geometry, read-only.  The arrays a mesh is built from
-are frozen copies; its derived geometry (tet volumes and face areas and
-normals on construction; shape-function gradients, hat integrals, the
-boundary and the fixed (3M, N) sparse map from nodal values to per-tet
-gradients on first use) is computed vectorized, once, and frozen too, so
-nothing built from it can go stale.  ``_cache`` holds only the operators
-other modules build once per mesh (``fem.*``, ``bem.hat_incidence``).
+Each mesh owns its geometry and operators, read-only, and compares by
+identity.  Its input arrays are frozen copies; tet volumes and face areas
+and normals are computed on construction.  All else that depends on the
+mesh alone (hat gradients and integrals, the boundary, the gradient map,
+and the P1 operators of ``fem`` and ``bem``) is a :func:`per_mesh` builder:
+built on first call, frozen, stored on the mesh keyed by the builder and
+returned by every later call, so it is built once and cannot go stale.
 
 Mesh file format (plain text, ``#`` starts a comment anywhere on a line)::
 
@@ -28,7 +28,7 @@ positive and the standard face table yields outward boundary normals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import wraps
 
 import numpy as np
 from scipy import sparse
@@ -43,19 +43,37 @@ class MeshFormatError(ValueError):
 
 
 def _freeze(value):
-    """Make an array, or the arrays of a sparse matrix, read-only; return it."""
-    arrays = (value.data, value.indices, value.indptr) if sparse.issparse(value) else (value,)
-    for array in arrays:
-        array.setflags(write=False)
+    """Make an array, a sparse matrix or an operator's ``matrix`` read-only;
+    return the value.  A surface mesh is read-only already."""
+    target = getattr(value, "matrix", value)
+    if sparse.issparse(target):
+        for array in (target.data, target.indices, target.indptr):
+            array.setflags(write=False)
+    elif not isinstance(target, SurfaceMesh):
+        target.setflags(write=False)
     return value
 
 
+def per_mesh(build):
+    """Run ``build(owner)``, a function of a mesh or surface alone, once per
+    owner: the first result is frozen and stored on the owner keyed by
+    ``build``, and every call returns it."""
+    @wraps(build)
+    def built(owner):
+        store = vars(owner).setdefault("_built", {})
+        if build not in store:
+            store[build] = _freeze(build(owner))
+        return store[build]
+
+    return built
+
+
 def _derived(method):
-    """A cached property whose value is frozen when first computed."""
-    return cached_property(wraps(method)(lambda self: _freeze(method(self))))
+    """A read-only property built once by :func:`per_mesh`."""
+    return property(per_mesh(method))
 
 
-@dataclass
+@dataclass(eq=False)
 class SurfaceMesh:
     """Oriented triangulated boundary of a tet mesh.
 
@@ -73,9 +91,8 @@ class SurfaceMesh:
     nodes: np.ndarray
     faces: np.ndarray
     parent_tets: np.ndarray
-    areas: np.ndarray = field(init=False, repr=False, compare=False)
-    normals: np.ndarray = field(init=False, repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    areas: np.ndarray = field(init=False, repr=False)
+    normals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.nodes = _freeze(np.array(self.nodes, dtype=np.float64, order="C"))
@@ -121,9 +138,9 @@ class SurfaceMesh:
         return lookup[self.faces]
 
 
-@dataclass
+@dataclass(eq=False)
 class TetMesh:
-    """Conforming tetrahedral mesh with cached P1 geometry.
+    """Conforming tetrahedral mesh with its P1 geometry, built once.
 
     Attributes:
         nodes: (N, 3) float64 coordinates.
@@ -131,14 +148,13 @@ class TetMesh:
         volumes: (M,) positive tet volumes, computed on construction.
 
     All are read-only, and ``nodes`` and ``tets`` are copies of the arrays
-    passed in, so the geometry and operators cached for the mesh cannot go
+    passed in, so the geometry and operators built for the mesh cannot go
     stale; edit a copy and build a new mesh instead.
     """
 
     nodes: np.ndarray
     tets: np.ndarray
-    volumes: np.ndarray = field(init=False, repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    volumes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # copies even when no conversion is needed: they are frozen below
@@ -152,7 +168,8 @@ class TetMesh:
             raise MeshFormatError("tet connectivity references a node out of range")
         if not np.isfinite(self.nodes).all():
             raise MeshFormatError("non-finite node coordinate")
-        signed = self._signed_volumes(self.nodes, self.tets)
+        e = self.nodes[self.tets[:, 1:]] - self.nodes[self.tets[:, :1]]
+        signed = np.einsum("mi,mi->m", np.cross(e[:, 0], e[:, 1]), e[:, 2]) / 6.0
         flipped = signed < 0.0
         if flipped.any():
             self.tets[flipped, 2], self.tets[flipped, 3] = (
@@ -166,12 +183,6 @@ class TetMesh:
         _freeze(self.nodes)
         _freeze(self.tets)
         self.volumes = _freeze(signed)
-
-    @staticmethod
-    def _signed_volumes(nodes: np.ndarray, tets: np.ndarray) -> np.ndarray:
-        p = nodes[tets]
-        e = p[:, 1:] - p[:, :1]
-        return np.einsum("mi,mi->m", np.cross(e[:, 0], e[:, 1]), e[:, 2]) / 6.0
 
     @property
     def n_nodes(self) -> int:
@@ -202,13 +213,27 @@ class TetMesh:
         np.add.at(w, self.tets.ravel(), np.repeat(self.volumes / 4.0, 4))
         return w
 
-    @cached_property
-    def _boundary(self) -> SurfaceMesh:
-        return boundary_faces(self)
-
+    @per_mesh
     def boundary(self) -> SurfaceMesh:
-        """The boundary surface (see :func:`boundary_faces`), extracted once."""
-        return self._boundary
+        """The oriented boundary triangulation, extracted once.
+
+        A face is on the boundary iff it belongs to exactly one tet.  Faces
+        keep the outward vertex order of the positive-orientation face table,
+        so the resulting normals point out of the volume.  Raises if any face
+        is shared by more than two tets (non-manifold connectivity).
+        """
+        flat = self.tets[:, _TET_FACES].reshape(-1, 3)  # 4 faces per tet
+        parents = np.repeat(np.arange(self.n_tets), 4)
+        key = np.sort(flat, axis=1)
+        order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
+        key_sorted = key[order]
+        new_group = np.ones(len(key_sorted), dtype=bool)
+        new_group[1:] = np.any(key_sorted[1:] != key_sorted[:-1], axis=1)
+        counts = np.bincount(np.cumsum(new_group) - 1)
+        if counts.max(initial=0) > 2:
+            raise MeshFormatError("non-manifold mesh: a face is shared by more than two tets")
+        boundary_rows = order[new_group.nonzero()[0][counts == 1]]
+        return SurfaceMesh(self.nodes, flat[boundary_rows], parents[boundary_rows])
 
     @_derived
     def gradient_matrix(self) -> sparse.csr_matrix:
@@ -324,32 +349,6 @@ def write_mesh(path, mesh: TetMesh, comment: str | None = None) -> None:
         handle.write(f"tets {mesh.n_tets}\n")
         for a, b, c, d in mesh.tets:
             handle.write(f"{a} {b} {c} {d}\n")
-
-
-def boundary_faces(mesh: TetMesh) -> SurfaceMesh:
-    """Extract the oriented boundary triangulation of a tet mesh.
-
-    A face is on the boundary iff it belongs to exactly one tet.  Faces keep
-    the outward vertex order of the positive-orientation face table, so the
-    resulting normals point out of the volume.  Raises if any face is shared
-    by more than two tets (non-manifold connectivity).
-    """
-    faces = mesh.tets[:, _TET_FACES]  # (M, 4, 3)
-    flat = faces.reshape(-1, 3)
-    parents = np.repeat(np.arange(mesh.n_tets), 4)
-
-    key = np.sort(flat, axis=1)
-    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
-    key_sorted = key[order]
-    new_group = np.ones(len(key_sorted), dtype=bool)
-    new_group[1:] = np.any(key_sorted[1:] != key_sorted[:-1], axis=1)
-    group_ids = np.cumsum(new_group) - 1
-    counts = np.bincount(group_ids)
-    if counts.max(initial=0) > 2:
-        raise MeshFormatError("non-manifold mesh: a face is shared by more than two tets")
-
-    boundary_rows = order[new_group.nonzero()[0][counts == 1]]
-    return SurfaceMesh(mesh.nodes, flat[boundary_rows], parents[boundary_rows])
 
 
 @dataclass

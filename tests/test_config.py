@@ -377,6 +377,21 @@ def test_build_run_setup_snapshot_initial(tmp_path, cube_file, cube1):
     np.testing.assert_array_equal(setup.m0, values)
 
 
+@pytest.mark.parametrize("bad_row", [[0.0, 0.0, 0.0], [0.0, np.nan, 1.0]])
+def test_cli_simulate_rejects_unnormalizable_snapshot_row(tmp_path, cube_file, cube1, bad_row,
+                                                          capsys):
+    values = np.tile([0.0, 0.0, 1.0], (cube1.n_nodes, 1))
+    values[3] = values[6] = bad_row
+    write_snapshot(str(tmp_path / "m0.dat"), values)
+    body = MINIMAL.replace(
+        "initial_vector = 0 0 1", "initial = snapshot\ninitial_snapshot = m0.dat"
+    )
+    assert main(["simulate", write_config(tmp_path, body)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: snapshot ")
+    assert "m0.dat: node 3 holds" in err and "no finite nonzero length" in err
+
+
 def test_build_run_setup_multiscale(tmp_path):
     from multimag import icosphere_volume
     from multimag.multiscale import MultiscaleContribution

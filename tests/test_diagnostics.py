@@ -21,7 +21,6 @@ from multimag import (
     UniaxialContribution,
     check_energy_decay,
     evaluate_contributions,
-    make_llg_workspace,
     read_energies_csv,
     read_snapshot,
     run,
@@ -45,10 +44,10 @@ def make_state(mesh, values):
     return MagnetizationState(m=NodalVectorField(mesh, values), step=0, time=0.0)
 
 
-def energy_of(state, contributions, f, constants, ws, **kwargs):
+def energy_of(state, contributions, f, constants, **kwargs):
     """energy() with the contribution outputs of the state, as run() passes them."""
     _, outputs = evaluate_contributions(contributions, state.m, f, state.step)
-    return energy(state, contributions, f, constants, ws, outputs=outputs, **kwargs)
+    return energy(state, contributions, f, constants, outputs=outputs, **kwargs)
 
 
 def record(step, e_total, diss=0.0):
@@ -64,59 +63,53 @@ def record(step, e_total, diss=0.0):
 
 
 def test_energy_zero_for_uniform_undriven_state(cube2):
-    ws = make_llg_workspace(cube2)
-    rec = energy_of(make_state(cube2, [0.0, 0.0, 1.0]), [], None, CONSTANTS, ws)
+    rec = energy_of(make_state(cube2, [0.0, 0.0, 1.0]), [], None, CONSTANTS)
     assert rec.e_exch == rec.e_int == rec.e_zeeman == rec.e_total == 0.0
 
 
 def test_energy_uniaxial_aligned(cube2):
     # E_int = -(scale/2) |Omega| for m parallel to the easy axis
-    ws = make_llg_workspace(cube2)
     contrib = UniaxialContribution(axis=np.array([0.0, 0.0, 1.0]), scale=1.0)
-    rec = energy_of(make_state(cube2, [0.0, 0.0, 1.0]), [contrib], None, CONSTANTS, ws)
+    rec = energy_of(make_state(cube2, [0.0, 0.0, 1.0]), [contrib], None, CONSTANTS)
     np.testing.assert_allclose(rec.e_int, -0.5, rtol=1e-12)
     np.testing.assert_allclose(rec.e_total, -0.5, rtol=1e-12)
 
 
 def test_energy_zeeman(cube2):
-    ws = make_llg_workspace(cube2)
     f = NodalVectorField(cube2, np.tile([0.2, 0.0, 0.4], (cube2.n_nodes, 1)))
-    rec = energy_of(make_state(cube2, [0.0, 0.0, 1.0]), [], f, CONSTANTS, ws)
+    rec = energy_of(make_state(cube2, [0.0, 0.0, 1.0]), [], f, CONSTANTS)
     np.testing.assert_allclose(rec.e_zeeman, -0.4, rtol=1e-12)
 
 
 def test_energy_exchange_term(cube2):
-    from multimag.fem import h1_seminorm_sq
+    from multimag.fem import assemble_stiffness, h1_seminorm_sq
 
-    ws = make_llg_workspace(cube2)
     consts = NondimConstants(c_exch=2.0, c_ani=1.0, alpha=1.0, t_final=1.0)
     state = make_state(cube2, random_unit_field(cube2, 12))
-    rec = energy_of(state, [], None, consts, ws)
-    expect = 0.5 * 2.0 * h1_seminorm_sq(ws.stiffness, state.m.values)
+    rec = energy_of(state, [], None, consts)
+    expect = 0.5 * 2.0 * h1_seminorm_sq(assemble_stiffness(cube2), state.m.values)
     np.testing.assert_allclose(rec.e_exch, expect, rtol=1e-12)
 
 
 def test_energy_cubic_density_path(cube2):
-    ws = make_llg_workspace(cube2)
     m = np.ones(3) / np.sqrt(3.0)
     contrib = CubicContribution(K1=9.0, K2=27.0, scale=1.0)
-    rec = energy_of(make_state(cube2, m), [contrib], None, CONSTANTS, ws)
+    rec = energy_of(make_state(cube2, m), [contrib], None, CONSTANTS)
     # density = 9 (1/9 + 1/9) + 27/27 = 3, uniform over the unit cube
     np.testing.assert_allclose(rec.e_int, 3.0, rtol=1e-12)
 
 
 def test_energy_mixed_contributions_sum(cube2):
-    ws = make_llg_workspace(cube2)
     m = np.ones(3) / np.sqrt(3.0)
     uni = UniaxialContribution(axis=np.array([0.0, 0.0, 1.0]), scale=1.0)
     cub = CubicContribution(K1=9.0, K2=27.0, scale=1.0)
-    rec = energy_of(make_state(cube2, m), [uni, cub], None, CONSTANTS, ws)
+    rec = energy_of(make_state(cube2, m), [uni, cub], None, CONSTANTS)
     np.testing.assert_allclose(rec.e_int, -0.5 / 3.0 + 3.0, rtol=1e-12)
     # one output per contribution, in order
     state = make_state(cube2, m)
     _, outputs = evaluate_contributions([uni, cub], state.m, None, 0)
     with pytest.raises(ValueError):
-        energy(state, [uni, cub], None, CONSTANTS, ws, outputs=outputs[:1])
+        energy(state, [uni, cub], None, CONSTANTS, outputs=outputs[:1])
 
 
 class OpaqueContribution(FieldContribution):
@@ -129,22 +122,20 @@ class OpaqueContribution(FieldContribution):
 
 
 def test_energy_excludes_opaque_contribution_once(cube2, caplog):
-    ws = make_llg_workspace(cube2)
     state = make_state(cube2, [0.0, 0.0, 1.0])
     with caplog.at_level(logging.INFO, logger="multimag"):
-        rec1 = energy_of(state, [OpaqueContribution()], None, CONSTANTS, ws)
-        rec2 = energy_of(state, [OpaqueContribution()], None, CONSTANTS, ws)
+        rec1 = energy_of(state, [OpaqueContribution()], None, CONSTANTS)
+        rec2 = energy_of(state, [OpaqueContribution()], None, CONSTANTS)
     assert rec1.e_int == rec2.e_int == 0.0
     mentions = [r for r in caplog.records if "opaque" in r.message]
     assert len(mentions) == 1  # the exclusion caveat is logged once
 
 
 def test_energy_record_parts_recombine(cube2):
-    ws = make_llg_workspace(cube2)
     f = NodalVectorField(cube2, np.tile([0.1, 0.2, 0.3], (cube2.n_nodes, 1)))
     uni = UniaxialContribution(axis=np.array([1.0, 0.0, 0.0]), scale=0.7)
     state = make_state(cube2, random_unit_field(cube2, 77))
-    rec = energy_of(state, [uni], f, CONSTANTS, ws, dissipation_sum=0.25)
+    rec = energy_of(state, [uni], f, CONSTANTS, dissipation_sum=0.25)
     total = rec.e_exch + rec.e_int + rec.e_zeeman
     assert abs(rec.e_total - total) <= 1e-12 * max(1.0, abs(total))
     assert rec.dissipation_sum == 0.25

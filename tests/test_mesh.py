@@ -14,6 +14,7 @@ from multimag import (
     reference_tet,
     write_mesh,
 )
+from multimag import bem, fem
 from multimag.mesh import MeshFormatError, SurfaceMesh, TetMesh
 
 from meshes import kuhn_cube, sliver_tet, two_tets
@@ -158,7 +159,8 @@ def reachable_arrays(owner):
 
 @pytest.mark.parametrize("build", [lambda: icosphere_volume(1, 2), lambda: kuhn_cube(2)])
 def test_mesh_data_is_read_only(build):
-    # operators other modules cache for the mesh are built from these arrays
+    # the operators built for the mesh come from these arrays, and are
+    # themselves frozen and built once
     mesh = build()
     surface = mesh.boundary()
     for owner, names in (
@@ -172,6 +174,31 @@ def test_mesh_data_is_read_only(build):
         for name, array in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = array
+    for builder, owner in (
+        (fem.assemble_mass, mesh),
+        (fem.assemble_stiffness, mesh),
+        (fem._divergence_matrix, mesh),
+        (fem._lifted_gradient_matrix, mesh),
+        (fem._normal_derivative_matrix, mesh),
+        (fem.clement_matrix, surface),
+        (fem.assemble_boundary_mass, surface),
+        (bem.hat_incidence, surface),
+    ):
+        operator = builder(owner)
+        assert builder(owner) is operator, builder.__name__
+        matrix = operator.matrix if isinstance(operator, fem.SparseOperator) else operator
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = array
+
+
+def test_meshes_compare_and_hash_by_identity():
+    mesh = icosphere_volume(0, 2)
+    assert mesh == mesh
+    assert mesh != icosphere_volume(0, 2)
+    assert mesh in {mesh}
+    surface = mesh.boundary()
+    assert surface == mesh.boundary() and surface in {surface}
 
 
 def test_surface_copies_its_inputs(cube1):
