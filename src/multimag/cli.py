@@ -5,7 +5,8 @@ Subcommands:
 * ``simulate <config>``: run a time integration from an INI config and
   write snapshots + energies.csv to the configured output directory.  An
   invalid config exits 2 with the reason on stderr.  If a step fails, the
-  partial trajectory is still flushed before exiting 1.
+  error and each of its causes go to stderr, and the partial trajectory is
+  still flushed before exiting 1.
 * ``check-mesh <mesh>``: structural validation plus the stiffness-matrix
   angle condition (exit 0 valid and satisfied, 1 valid but violated,
   2 invalid).
@@ -85,13 +86,11 @@ def _simulate(config_path: str) -> int:
     try:
         traj = run(setup)
     except RuntimeError as exc:
+        _print_error(exc)
         partial = getattr(exc, "partial_trajectory", None)
         if partial is not None and partial.states:
             paths = write_trajectory(partial, cfg.output_dir, cadence=cfg.cadence)
-            print(f"error: {exc}", file=sys.stderr)
             print(f"partial trajectory flushed: {len(paths)} files in {cfg.output_dir}")
-        else:
-            print(f"error: {exc}", file=sys.stderr)
         return 1
     paths = write_trajectory(traj, cfg.output_dir, cadence=cfg.cadence)
     if cfg.vtk:
@@ -105,15 +104,25 @@ def _simulate(config_path: str) -> int:
     return 0
 
 
+def _print_error(exc: BaseException) -> None:
+    """Print ``exc`` and each cause in its chain whose message it does not already quote."""
+    shown = str(exc)
+    print(f"error: {shown}", file=sys.stderr)
+    while (exc := exc.__cause__) is not None:
+        if str(exc) not in shown:
+            shown = str(exc)
+            print(f"  caused by: {shown}", file=sys.stderr)
+
+
 def _check_mesh(mesh_path: str) -> int:
     from .mesh import check_angle_condition, load_mesh
 
     try:
         mesh = load_mesh(mesh_path)
+        surface = mesh.boundary()
     except Exception as exc:
         print(f"invalid mesh: {exc}", file=sys.stderr)
         return 2
-    surface = mesh.boundary()
     print(f"nodes:  {mesh.n_nodes}")
     print(f"tets:   {mesh.n_tets}")
     print(f"volume: {mesh.volumes.sum():.9g}")
@@ -137,10 +146,10 @@ def _strayfield_test(mesh_path: str, method: str) -> int:
 
     try:
         mesh = load_mesh(mesh_path)
+        ws = make_strayfield_workspace(mesh, method)
     except (OSError, ValueError) as exc:  # MeshFormatError is a ValueError
         print(f"invalid mesh: {exc}", file=sys.stderr)
         return 2
-    ws = make_strayfield_workspace(mesh, method)
     m = NodalVectorField(mesh, np.tile([0.0, 0.0, 1.0], (mesh.n_nodes, 1)))
     pi = StrayfieldContribution(workspace=ws).evaluate(m)
     mean = pi.integral_mean()

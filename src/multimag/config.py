@@ -6,6 +6,11 @@ required keys, and out-of-range values all raise with the offending name.
 Material parameters come either as SI constants in a ``[material]``
 section (converted through compute_constants) or directly in reduced
 units in a ``[constants]`` section; exactly one of the two must appear.
+
+Rules owned elsewhere are asked of their owner, before any mesh is read:
+the material law and solver settings (multiscale), the stray-field method
+(strayfield) and the applied-field presets (fields, which build the field
+here, once).  An owner's ValueError is re-raised naming its INI section.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +32,8 @@ from .fields import (
 )
 from .integrator import RunSetup
 from .mesh import load_mesh
-from .multiscale import TOL_NL_FLOOR, material_law
+from .multiscale import MaterialLaw, check_solver_settings, material_law
+from .strayfield import check_method
 
 _KNOWN_KEYS = {
     "mesh": {"omega1", "omega2"},
@@ -63,22 +70,19 @@ class SimulationConfig:
     theta: float
     k: float
     n_steps: int
-    initial_kind: str  # "uniform" | "snapshot"
-    initial_vector: np.ndarray | None
+    initial_vector: np.ndarray | None  # unit length; None when starting from a snapshot
     initial_snapshot: str | None
     terms: tuple
     uniaxial_axis: np.ndarray | None
     cubic_k1: float
     cubic_k2: float
-    strayfield_method: str | None  # "fk" | "gcr"; None without the term
-    multiscale_law: str
-    multiscale_params: tuple
+    strayfield_method: str | None  # None without the term
+    multiscale_law: MaterialLaw | None  # None without the term
     multiscale_scheme: str
     multiscale_tol: float
     multiscale_max_iter: int
-    applied_kind: str  # "none" | "constant" | "sinusoidal"
+    applied_field: object  # callable f(t, points) from make_applied_field, or None
     applied_amplitude: np.ndarray | None
-    applied_omega: float
     solver_tol: float
     output_dir: str
     cadence: int
@@ -117,6 +121,15 @@ def _int(text: str, where: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"{where} must be an integer, got {text!r}") from None
+
+
+@contextmanager
+def _section(name: str):
+    """Re-raise a rule owner's ValueError inside the block naming INI section ``name``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"[{name}] {exc}") from exc
 
 
 def load_config(path: str) -> SimulationConfig:
@@ -194,8 +207,8 @@ def load_config(path: str) -> SimulationConfig:
     initial_vector = None
     initial_snapshot = None
     if initial_kind == "uniform":
-        initial_vector = _vector3(get("run", "initial_vector", required=True), "initial_vector")
-        _nonzero_norm(initial_vector, "initial_vector")
+        vector = _vector3(get("run", "initial_vector", required=True), "initial_vector")
+        initial_vector = vector / _nonzero_norm(vector, "initial_vector")
     elif initial_kind == "snapshot":
         initial_snapshot = os.path.join(base, get("run", "initial_snapshot", required=True))
     else:
@@ -224,55 +237,43 @@ def load_config(path: str) -> SimulationConfig:
     strayfield_method = None
     if "strayfield" in terms:
         strayfield_method = get("strayfield", "method", "fk")
-        if strayfield_method not in ("fk", "gcr"):
-            raise ValueError(f"strayfield method must be fk or gcr, got {strayfield_method!r}")
+        with _section("strayfield"):
+            check_method(strayfield_method)
 
-    multiscale_law = "zero"
-    multiscale_params: tuple = ()
+    multiscale_law = None
     multiscale_scheme = "zarantonello"
     multiscale_tol = 1e-8
     multiscale_max_iter = 200
     if "multiscale" in terms:
         if mesh_omega2 is None:
             raise ValueError("multiscale term requires mesh omega2")
-        multiscale_law = get("multiscale", "law", required=True)
+        law_kind = get("multiscale", "law", required=True)
         params_text = get("multiscale", "params", "")
-        multiscale_params = tuple(
-            _finite_float(p, "[multiscale] params") for p in params_text.split()
-        )
-        law = material_law(multiscale_law, *multiscale_params)
+        params = [_finite_float(p, "[multiscale] params") for p in params_text.split()]
         multiscale_scheme = get("multiscale", "scheme", "zarantonello")
-        if multiscale_scheme not in ("zarantonello", "kacanov"):
-            raise ValueError(f"unknown nonlinear scheme {multiscale_scheme!r}")
         multiscale_tol = get_float("multiscale", "tol", "1e-8")
         multiscale_max_iter = _int(get("multiscale", "max_iter", "200"), "[multiscale] max_iter")
         if not multiscale_tol > 0.0:
             raise ValueError(f"multiscale tol must be positive, got {multiscale_tol}")
-        if not law.is_linear and multiscale_tol < TOL_NL_FLOOR:
-            raise ValueError(
-                f"[multiscale] tol = {multiscale_tol:g} is below the roundoff floor "
-                f"{TOL_NL_FLOOR:g} of the nonlinear coupling solve"
-            )
         if multiscale_max_iter < 1:
             raise ValueError(f"multiscale max_iter must be at least 1, got {multiscale_max_iter}")
+        with _section("multiscale"):
+            multiscale_law = material_law(law_kind, *params)
+            check_solver_settings(multiscale_law, multiscale_scheme, multiscale_tol)
 
-    applied_kind = "none"
+    applied_field = None
     applied_amplitude = None
-    applied_omega = 0.0
-    if parser.has_section("applied_field"):
-        applied_kind = get("applied_field", "kind", "none")
-        if applied_kind not in ("none", "constant", "sinusoidal"):
-            raise ValueError(f"applied field kind must be none, constant, or sinusoidal, got {applied_kind!r}")
-        if applied_kind != "none":
-            applied_amplitude = _vector3(
-                get("applied_field", "amplitude", required=True), "applied field amplitude"
-            )
-            applied_omega = get_float("applied_field", "omega", "0.0")
-    if "multiscale" in terms and applied_kind == "none":
+    kind = get("applied_field", "kind", "none")
+    if kind != "none":
+        amplitude = get("applied_field", "amplitude")
+        if amplitude is not None:
+            applied_amplitude = _vector3(amplitude, "applied field amplitude")
+        omega = get_float("applied_field", "omega", "0.0")
+        with _section("applied_field"):
+            applied_field = make_applied_field(kind, applied_amplitude, omega)
+    if "multiscale" in terms and applied_field is None:
         # the environment field pi(m, f) is driven by the applied field f
-        raise ValueError(
-            "multiscale term requires an [applied_field] section of kind constant or sinusoidal"
-        )
+        raise ValueError("multiscale term requires an [applied_field] kind other than none")
 
     solver_tol = get_float("solver", "tol", "1e-10") if parser.has_section("solver") else 1e-10
     if not solver_tol > 0.0:
@@ -295,7 +296,6 @@ def load_config(path: str) -> SimulationConfig:
         theta=theta,
         k=k,
         n_steps=n_steps,
-        initial_kind=initial_kind,
         initial_vector=initial_vector,
         initial_snapshot=initial_snapshot,
         terms=terms,
@@ -304,13 +304,11 @@ def load_config(path: str) -> SimulationConfig:
         cubic_k2=cubic_k2,
         strayfield_method=strayfield_method,
         multiscale_law=multiscale_law,
-        multiscale_params=multiscale_params,
         multiscale_scheme=multiscale_scheme,
         multiscale_tol=multiscale_tol,
         multiscale_max_iter=multiscale_max_iter,
-        applied_kind=applied_kind,
+        applied_field=applied_field,
         applied_amplitude=applied_amplitude,
-        applied_omega=applied_omega,
         solver_tol=solver_tol,
         output_dir=output_dir,
         cadence=cadence,
@@ -340,34 +338,29 @@ def build_run_setup(cfg: SimulationConfig) -> RunSetup:
         elif term == "multiscale":
             mesh2 = load_mesh(cfg.mesh_omega2)
             mws = make_multiscale_workspace(mesh1, mesh2)
-            law = material_law(cfg.multiscale_law, *cfg.multiscale_params)
             contributions.append(
                 MultiscaleContribution(
                     workspace=mws,
-                    law=law,
+                    law=cfg.multiscale_law,
                     scheme=cfg.multiscale_scheme,
                     tol_nl=cfg.multiscale_tol,
                     max_iter=cfg.multiscale_max_iter,
                 )
             )
 
-    if cfg.initial_kind == "uniform":
-        m0 = np.tile(cfg.initial_vector / np.linalg.norm(cfg.initial_vector), (mesh1.n_nodes, 1))
+    if cfg.initial_snapshot is None:
+        m0 = np.tile(cfg.initial_vector, (mesh1.n_nodes, 1))
     else:
         from .diagnostics import field_from_snapshot
 
         m0 = field_from_snapshot(mesh1, cfg.initial_snapshot).values
-
-    applied = None
-    if cfg.applied_kind != "none":
-        applied = make_applied_field(cfg.applied_kind, cfg.applied_amplitude, cfg.applied_omega)
 
     return RunSetup(
         mesh=mesh1,
         m0=m0,
         constants=cfg.constants,
         contributions=contributions,
-        applied_field=applied,
+        applied_field=cfg.applied_field,
         theta=cfg.theta,
         k=cfg.k,
         n_steps=cfg.n_steps,

@@ -16,8 +16,9 @@ first call for a mesh or surface builds, freezes and stores the operator
 there, and every later call returns it.  Linear solves eliminate the
 constrained nodes and use a sparse LU factorization of the free block,
 built once per operator and set of constrained nodes; every solution is
-checked against the relative residual bound SOLVE_RESIDUAL_TOL and raises
-instead of returning a bad solution.
+checked against the relative residual bound SOLVE_RESIDUAL_TOL, above the
+roundoff floor of the residual, and raises instead of returning a bad
+solution.
 """
 
 from __future__ import annotations
@@ -234,8 +235,11 @@ def _lifted_gradient_matrix(mesh: TetMesh) -> sparse.csr_matrix:
 
 
 # Relative residual bound ||b - A x|| <= SOLVE_RESIDUAL_TOL ||b|| that every
-# solve_spd result is checked against on its free rows.
+# solve_spd result is checked against on its free rows.  A load that cancels
+# to roundoff gets the floor ROUNDOFF_FACTOR eps || |b| + |A| |x| || on top:
+# the size of the rounding error in computing b - A x itself.
 SOLVE_RESIDUAL_TOL = 1e-10
+ROUNDOFF_FACTOR = 64
 
 
 def solve_spd(
@@ -266,7 +270,8 @@ def solve_spd(
     Returns:
         (N,) solution; constraints hold exactly (Dirichlet rows are set, the
         zero-mean shift is applied after the solve), and the residual
-        satisfies ||b - A x|| <= SOLVE_RESIDUAL_TOL ||b|| on the free rows.
+        satisfies ||b - A x|| <= SOLVE_RESIDUAL_TOL ||b|| on the free rows,
+        up to the roundoff floor of computing b - A x.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     n = op.matrix.shape[0]
@@ -291,8 +296,8 @@ def solve_spd(
         free[nodes] = False
         rows = op.matrix[free]
         lu = spla.splu(rows[:, free].tocsc()) if free.any() else None
-        op._cache[key] = (free, lu, rows[:, nodes].tocsr())
-    free, lu, a_fd = op._cache[key]
+        op._cache[key] = (free, lu, rows[:, nodes].tocsr(), abs(rows))
+    free, lu, a_fd, abs_rows = op._cache[key]
 
     x = np.zeros(n)
     x[nodes] = values
@@ -302,9 +307,13 @@ def solve_spd(
         residual = np.linalg.norm((rhs - op.matrix @ x)[free])
         norm_b = np.linalg.norm(b_free)
         if residual > SOLVE_RESIDUAL_TOL * norm_b:
-            raise RuntimeError(
-                f"sparse LU solve inaccurate: residual {residual:.3e}, |b| {norm_b:.3e}"
-            )
+            scale = np.abs(rhs[free]) + abs_rows @ np.abs(x)
+            floor = ROUNDOFF_FACTOR * np.finfo(np.float64).eps * np.linalg.norm(scale)
+            if residual > SOLVE_RESIDUAL_TOL * norm_b + floor:
+                raise RuntimeError(
+                    f"sparse LU solve inaccurate: residual {residual:.3e}, |b| {norm_b:.3e}, "
+                    f"roundoff floor {floor:.3e}"
+                )
     if constraint == "zero-mean":
         w = op.mesh.hat_integrals
         x -= (w @ x) / w.sum()

@@ -123,16 +123,16 @@ def make_applied_field(kind: str, amplitude, omega: float = 0.0):
     """Named applied-field presets used by run configurations.
 
     ``constant`` is f(t, x) = amplitude; ``sinusoidal`` is
-    f(t, x) = amplitude * sin(omega * t).
+    f(t, x) = amplitude * sin(omega * t).  The kind is checked first.
     """
-    amplitude = np.asarray(amplitude, dtype=np.float64)
-    if amplitude.shape != (3,):
-        raise ValueError("applied field amplitude must be a 3-vector")
+    if kind not in ("constant", "sinusoidal"):
+        raise ValueError(f"kind must be constant or sinusoidal, got {kind!r}")
+    vector = np.asarray(amplitude, dtype=np.float64)
+    if vector.shape != (3,):
+        raise ValueError(f"applied field amplitude must be a 3-vector, got {amplitude!r}")
     if kind == "constant":
-        return lambda t, points: amplitude
-    if kind == "sinusoidal":
-        return lambda t, points: amplitude * np.sin(omega * t)
-    raise ValueError(f"unknown applied field preset {kind!r}")
+        return lambda t, points: vector
+    return lambda t, points: vector * np.sin(omega * t)
 
 
 @dataclass

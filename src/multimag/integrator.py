@@ -175,10 +175,7 @@ class LlgWorkspace:
         slots = self.slots = indptr[2 * rows + a] + 2 * (np.arange(nnz) - pattern.indptr[rows]) + b
         indices = np.empty(4 * nnz, dtype=np.intp)
         indices[slots] = 2 * cols + b
-        diagonal = np.flatnonzero(rows == cols)
-        if diagonal.size != n:
-            raise ValueError("every mesh node must belong to a tetrahedron")
-        self.diagonal_slots = slots[:, :, diagonal]
+        self.diagonal_slots = slots[:, :, np.flatnonzero(rows == cols)]
         n2 = 2 * n
         self.reduced = sparse.csr_matrix((np.zeros(4 * nnz), indices, indptr), shape=(n2, n2))
         # rows 2n and 2n + 1 each hold columns 2n, 2n + 1

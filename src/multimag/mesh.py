@@ -147,9 +147,10 @@ class TetMesh:
         tets: (M, 4) int64 connectivity, positively oriented.
         volumes: (M,) positive tet volumes, computed on construction.
 
-    All are read-only, and ``nodes`` and ``tets`` are copies of the arrays
-    passed in, so the geometry and operators built for the mesh cannot go
-    stale; edit a copy and build a new mesh instead.
+    Every node must belong to a tetrahedron.  All are read-only, and
+    ``nodes`` and ``tets`` are copies of the arrays passed in, so the
+    geometry and operators built for the mesh cannot go stale; edit a copy
+    and build a new mesh instead.
     """
 
     nodes: np.ndarray
@@ -166,6 +167,9 @@ class TetMesh:
             raise MeshFormatError("tets must have shape (M, 4)")
         if self.tets.size and (self.tets.min() < 0 or self.tets.max() >= len(self.nodes)):
             raise MeshFormatError("tet connectivity references a node out of range")
+        orphans = np.flatnonzero(np.bincount(self.tets.ravel(), minlength=len(self.nodes)) == 0)
+        if orphans.size:
+            raise MeshFormatError(f"node {orphans[0]} belongs to no tetrahedron")
         if not np.isfinite(self.nodes).all():
             raise MeshFormatError("non-finite node coordinate")
         e = self.nodes[self.tets[:, 1:]] - self.nodes[self.tets[:, :1]]

@@ -352,6 +352,23 @@ def conormal_flux(ws: CouplingWorkspace, u_values: np.ndarray) -> FaceDensity:
     return FaceDensity(ws.surface, (ws.boundary_mass @ y) / ws.surface.areas)
 
 
+def check_solver_settings(law: MaterialLaw, scheme: str, tol_nl: float) -> None:
+    """Reject what :func:`solve_coupling` cannot solve with: a law with gamma <= 1/4,
+    an unknown scheme, or a nonlinear law with ``tol_nl`` below TOL_NL_FLOOR."""
+    if not law.gamma > 0.25:
+        raise ValueError(
+            f"material monotonicity constant gamma = {law.gamma:.4g} must exceed 1/4 "
+            "for the stabilized coupling to be strongly monotone"
+        )
+    if scheme not in ("zarantonello", "kacanov"):
+        raise ValueError(f"unknown nonlinear scheme {scheme!r}; known: zarantonello, kacanov")
+    if not law.is_linear and not tol_nl >= TOL_NL_FLOOR:
+        raise ValueError(
+            f"tol = {tol_nl:g} is below the roundoff floor {TOL_NL_FLOOR:g} "
+            "of the nonlinear coupling solve"
+        )
+
+
 def solve_coupling(
     ws: CouplingWorkspace,
     data: CouplingData,
@@ -369,27 +386,15 @@ def solve_coupling(
     None; linear laws ignore it) until the preconditioned residual
     ||P^-1 (A(x) - b)||_2 falls below ``tol_nl`` relative to ||P^-1 b||_2;
     the residual history must decrease strictly monotonically, and the
-    iteration cap aborts with the history attached.  A nonlinear law needs
-    ``tol_nl`` >= TOL_NL_FLOOR, the roundoff floor of that residual.  The
-    scheme, the start, the iterations and the final residual are logged at
-    DEBUG.
+    iteration cap aborts with the history attached.  The settings must
+    pass :func:`check_solver_settings`.  The scheme, the start, the
+    iterations and the final residual are logged at DEBUG.
 
     Args:
         x0: (N2 + F,) start vector (u, phi), such as the ``x`` of an
             earlier :class:`CouplingState` on this workspace.
     """
-    if not law.gamma > 0.25:
-        raise ValueError(
-            f"material monotonicity constant gamma = {law.gamma:.4g} must exceed 1/4 "
-            "for the stabilized coupling to be strongly monotone"
-        )
-    if scheme not in ("zarantonello", "kacanov"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if not law.is_linear and not tol_nl >= TOL_NL_FLOOR:
-        raise ValueError(
-            f"tol_nl = {tol_nl:g} is below the roundoff floor {TOL_NL_FLOOR:g} "
-            "of the nonlinear coupling solve"
-        )
+    check_solver_settings(law, scheme, tol_nl)
     b = ws.rhs(data)
     scale = np.linalg.norm(lu_solve(ws.p_lu, b)) or 1.0  # ||P^-1 b||, 1 when b = 0
 

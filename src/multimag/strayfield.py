@@ -71,7 +71,7 @@ class StrayfieldWorkspace:
     stiffness: SparseOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_method(self.method)
+        check_method(self.method)
         self.surface = self.mesh.boundary()
         rows = self.surface.boundary_nodes.size
         shape = (rows, rows if self.method == "fk" else self.surface.n_faces)
@@ -81,16 +81,17 @@ class StrayfieldWorkspace:
         self.stiffness = assemble_stiffness(self.mesh)
 
 
-def _check_method(method: str) -> None:
+def check_method(method: str) -> None:
+    """Reject a stray-field method other than ``fk`` or ``gcr``."""
     if method not in ("fk", "gcr"):
-        raise ValueError(f"unknown stray-field method {method!r}")
+        raise ValueError(f"method must be fk or gcr, got {method!r}")
 
 
 def make_strayfield_workspace(mesh: TetMesh, method: str = "fk") -> StrayfieldWorkspace:
     """Assemble the method's boundary map (the workspace takes the
     stiffness); the BEM operator the method does not apply is dropped on
     return."""
-    _check_method(method)
+    check_method(method)
     surface = mesh.boundary()
     single_layer, double_layer = assemble_bem(surface)
     clement = clement_matrix(surface)

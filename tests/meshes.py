@@ -26,6 +26,14 @@ def two_tets() -> TetMesh:
     return TetMesh(nodes, tets)
 
 
+def three_tets_on_one_face() -> TetMesh:
+    """Non-manifold mesh: three tets share the face (0, 1, 2), two of them overlapping."""
+    nodes = np.array(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [0.2, 0.2, 0.5]], dtype=float
+    )
+    return TetMesh(nodes, np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]]))
+
+
 def sliver_tet() -> TetMesh:
     """Nearly flat tet with obtuse dihedral angles.
 

@@ -17,6 +17,8 @@ from multimag import (
 from multimag.cli import main
 from multimag.fields import CubicContribution, UniaxialContribution
 
+from meshes import three_tets_on_one_face
+
 
 def write_config(tmp_path, body, name="run.ini"):
     path = tmp_path / name
@@ -58,11 +60,11 @@ def test_minimal_config_defaults(tmp_path, cube_file):
     assert cfg.theta == 1.0
     assert cfg.k == 1e-4
     assert cfg.n_steps == 5
-    assert cfg.initial_kind == "uniform"
+    assert cfg.initial_snapshot is None
     np.testing.assert_array_equal(cfg.initial_vector, [0.0, 0.0, 1.0])
     assert cfg.terms == ()
     assert cfg.strayfield_method is None
-    assert cfg.applied_kind == "none"
+    assert cfg.applied_field is None
     assert cfg.solver_tol == 1e-10
     assert cfg.output_dir.endswith("out")
     assert cfg.cadence == 10
@@ -130,14 +132,12 @@ def test_full_config_parses(tmp_path, cube_file):
     np.testing.assert_allclose(cfg.uniaxial_axis, [0.0, 0.0, 1.0])  # normalized
     assert (cfg.cubic_k1, cfg.cubic_k2) == (1.5, 0.25)
     assert cfg.strayfield_method == "gcr"
-    assert cfg.multiscale_law == "tanh"
-    assert cfg.multiscale_params == (1.0, 2.0)
+    assert (cfg.multiscale_law.kind, cfg.multiscale_law.params) == ("tanh", (1.0, 2.0))
     assert cfg.multiscale_scheme == "kacanov"
     assert cfg.multiscale_tol == 1e-6
     assert cfg.multiscale_max_iter == 50
-    assert cfg.applied_kind == "sinusoidal"
     np.testing.assert_array_equal(cfg.applied_amplitude, [0.0, 0.1, 0.0])
-    assert cfg.applied_omega == 3.0
+    np.testing.assert_array_equal(cfg.applied_field(0.5, None), [0.0, 0.1 * np.sin(1.5), 0.0])
     assert cfg.solver_tol == 1e-9
     assert cfg.cadence == 5
     assert cfg.vtk is True
@@ -177,8 +177,9 @@ def test_material_section_converts_to_reduced_units(tmp_path, cube_file):
         ("[output]", "[contributions]\nterms = uniaxial\n\n[uniaxial]\naxis = 0 1\n\n[output]",
          "three space-separated numbers"),
         ("[output]", "[contributions]\nterms = strayfield\n\n[strayfield]\nmethod = magic\n\n[output]",
-         "strayfield method must be fk or gcr"),
-        ("[output]", "[applied_field]\nkind = pulse\n\n[output]", "applied field kind must be"),
+         r"\[strayfield\] method must be fk or gcr, got 'magic'"),
+        ("[output]", "[applied_field]\nkind = pulse\n\n[output]",
+         r"\[applied_field\] kind must be constant or sinusoidal, got 'pulse'"),
         ("[output]", "[contributions]\nterms = multiscale\n\n[multiscale]\nlaw = linear\nparams = 2\n\n[output]",
          "requires mesh omega2"),
         ("[output]", "[solver]\ntol = -1\n\n[output]", "solver tol must be positive"),
@@ -229,8 +230,9 @@ def test_rejects_nonfinite_vectors(tmp_path, cube_file, old, new, match):
         ("law = tanh\nparams = 1", r"law 'tanh' takes 2 parameters, got 1"),
         ("law = rational\nparams = 1 2 3", r"law 'rational' takes 4 parameters, got 3"),
         ("law = zero\nparams = 0.5", r"law 'zero' takes 0 parameters, got 1"),
-        ("law = cubic", "unknown material law 'cubic'"),
-        ("law = tanh\nparams = 1 1\nscheme = newton", "unknown nonlinear scheme 'newton'"),
+        ("law = cubic", r"\[multiscale\] unknown material law 'cubic'"),
+        ("law = tanh\nparams = 1 1\nscheme = newton",
+         r"\[multiscale\] unknown nonlinear scheme 'newton'"),
         ("law = tanh\nparams = 1 1\ntol = 0", "multiscale tol must be positive"),
         ("law = tanh\nparams = 1 1\ntol = -1e-8", "multiscale tol must be positive"),
         ("law = tanh\nparams = 1 1\ntol = 1e-15",
@@ -361,7 +363,7 @@ def test_strayfield_method_none_is_rejected(tmp_path, cube_file):
     body = MINIMAL.replace(
         "[output]", "[contributions]\nterms = strayfield\n\n[strayfield]\nmethod = none\n\n[output]"
     )
-    with pytest.raises(ValueError, match="strayfield method must be fk or gcr, got 'none'"):
+    with pytest.raises(ValueError, match=r"\[strayfield\] method must be fk or gcr, got 'none'"):
         load_config(write_config(tmp_path, body))
 
 
@@ -662,3 +664,101 @@ def test_cli_energy_report_detects_bad_totals(tmp_path, capsys):
     write_energies_csv(str(tmp_path / "energies.csv"), broken)
     assert main(["energy-report", str(tmp_path)]) == 1
     assert "do not recombine" in capsys.readouterr().out
+
+
+# ------------------------------------------- rules owned by other modules
+
+
+def multiscale_body(block: str) -> str:
+    body = MINIMAL.replace("omega1 = cube.mesh", "omega1 = cube.mesh\nomega2 = cube.mesh")
+    return body.replace(
+        "[output]",
+        f"[contributions]\nterms = multiscale\n\n[multiscale]\n{block}\n\n"
+        "[applied_field]\nkind = constant\namplitude = 0 0 1\n\n[output]",
+    )
+
+
+def test_weakly_monotone_law_is_rejected_at_load(tmp_path, capsys):
+    # gamma = 0.095 <= 1/4; the meshes named are never read
+    body = multiscale_body("law = rational\nparams = -0.9 0 0 0")
+    with pytest.raises(ValueError, match=r"\[multiscale\] material monotonicity constant gamma"):
+        load_config(write_config(tmp_path, body))
+    assert main(["simulate", write_config(tmp_path, body)]) == 2
+    assert "must exceed 1/4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "block, law, solver_kwargs",
+    [
+        ("law = tanh\nparams = 1 1\nscheme = newton", ("tanh", 1.0, 1.0), {"scheme": "newton"}),
+        ("law = tanh\nparams = 1 1\ntol = 1e-15", ("tanh", 1.0, 1.0), {"tol_nl": 1e-15}),
+        ("law = rational\nparams = -0.9 0 0 0", ("rational", -0.9, 0.0, 0.0, 0.0), {}),
+    ],
+)
+def test_load_config_and_solve_coupling_reject_alike(tmp_path, pair_ws, block, law, solver_kwargs):
+    from multimag.multiscale import coupling_data, material_law, solve_coupling
+
+    with pytest.raises(ValueError) as at_load:
+        load_config(write_config(tmp_path, multiscale_body(block)))
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError) as at_solve:
+        solve_coupling(pair_ws.coupling, data, material_law(*law), **solver_kwargs)
+    assert str(at_load.value) == f"[multiscale] {at_solve.value}"
+
+
+def test_law_and_applied_field_are_built_once(tmp_path, monkeypatch):
+    from multimag import config, fields, icosphere_volume, multiscale
+
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (config, multiscale):
+        counted(module, "material_law")
+    for module in (config, fields):
+        counted(module, "make_applied_field")
+    write_mesh(str(tmp_path / "cube.mesh"), icosphere_volume(0, n_radial=1))
+    write_mesh(str(tmp_path / "far.mesh"), icosphere_volume(0, n_radial=1, center=(4.0, 0, 0)))
+    body = multiscale_body("law = linear\nparams = 2").replace("omega2 = cube", "omega2 = far")
+    setup = build_run_setup(load_config(write_config(tmp_path, body)))
+    assert sorted(calls) == ["make_applied_field", "material_law"]
+    assert setup.contributions[0].law.params == (2.0,)
+
+
+def test_cli_rejects_node_outside_every_tet(tmp_path, capsys):
+    # node 1 belongs to no tetrahedron
+    mesh = tmp_path / "cube.mesh"
+    mesh.write_text("nodes 5\n0 0 0\n2 2 2\n1 0 0\n0 1 0\n0 0 1\ntets 1\n0 2 3 4\n")
+    config = write_config(tmp_path, MINIMAL)
+    for argv in (["check-mesh", str(mesh)], ["strayfield-test", str(mesh), "fk"],
+                 ["simulate", config]):
+        assert main(argv) == 2, argv
+        assert "node 1 belongs to no tetrahedron" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_manifold_mesh(tmp_path, capsys):
+    path = str(tmp_path / "nonmanifold.mesh")
+    write_mesh(path, three_tets_on_one_face())
+    for argv in (["check-mesh", path], ["strayfield-test", path, "gcr"]):
+        assert main(argv) == 2, argv
+        assert "invalid mesh: non-manifold mesh" in capsys.readouterr().err
+
+
+def test_cli_simulate_prints_the_cause_of_a_failed_run(tmp_path, sphere1, capsys):
+    from multimag import icosphere_volume
+
+    write_mesh(str(tmp_path / "cube.mesh"), sphere1)
+    write_mesh(str(tmp_path / "far.mesh"), icosphere_volume(1, n_radial=2, center=(3.0, 0, 0)))
+    body = multiscale_body("law = tanh\nparams = 1 1\nmax_iter = 1")
+    body = body.replace("omega2 = cube", "omega2 = far")
+    assert main(["simulate", write_config(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert "run aborted at step 0: multiscale pipeline failed at stage: coupling solve" in err
+    assert "caused by: coupling solve did not reach tol 1e-08 within 1 iterations" in err

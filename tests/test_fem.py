@@ -367,6 +367,40 @@ def test_solve_spd_factors_once_per_node_set(monkeypatch):
     assert len(calls) == 2
 
 
+def test_solve_spd_accepts_a_load_that_cancels_to_roundoff():
+    # m = e_z on the coarse sphere pair: u1 is odd in z, so the free-row
+    # load of the transfer onto the far body (its centre, on z = 0) cancels
+    # to 1e-17, and the residual of its solve is rounding error
+    from multimag.multiscale import make_multiscale_workspace, transfer_u1_to_omega2
+
+    near = icosphere_volume(0, n_radial=1)
+    far = icosphere_volume(0, n_radial=1, center=(4.0, 0.0, 0.0))
+    mws = make_multiscale_workspace(near, far)
+    m = np.tile([0.0, 0.0, 1.0], (near.n_nodes, 1))
+    u11 = solve_spd(mws.stiffness1, divergence_load(near, m), constraint="zero-mean")
+    u1 = transfer_u1_to_omega2(mws, u11).values
+    assert np.abs(u1[far.nodes[:, 2] == 0.0]).max() < 1e-15
+
+
+def test_solve_spd_rejects_a_solve_off_by_more_than_the_tolerance(monkeypatch):
+    from multimag import fem
+
+    splu = fem.spla.splu
+
+    class Skewed:
+        def __init__(self, a):
+            self.lu = splu(a)
+
+        def solve(self, b):
+            return self.lu.solve(b) * (1.0 + 1.5 * SOLVE_RESIDUAL_TOL)
+
+    monkeypatch.setattr(fem.spla, "splu", Skewed)
+    mesh = kuhn_cube(2)
+    rhs = np.random.default_rng(4).normal(size=mesh.n_nodes)
+    with pytest.raises(RuntimeError, match="sparse LU solve inaccurate"):
+        solve_spd(assemble_stiffness(mesh), rhs, constraint="zero-mean")
+
+
 def test_solve_spd_rejects_unknown_constraint(cube2):
     for constraint in ("pin", "none"):
         with pytest.raises(ValueError, match="unknown constraint"):

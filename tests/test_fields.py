@@ -161,7 +161,7 @@ def test_applied_field_presets(cube2):
     sine = make_applied_field("sinusoidal", [1.0, 0.0, 0.0], omega=np.pi / 2.0)
     np.testing.assert_allclose(sine(1.0, None), [1.0, 0.0, 0.0], rtol=1e-12)
     np.testing.assert_allclose(sine(0.0, None), [0.0, 0.0, 0.0], atol=1e-15)
-    with pytest.raises(ValueError, match="unknown applied field"):
+    with pytest.raises(ValueError, match="kind must be constant or sinusoidal, got 'step'"):
         make_applied_field("step", [1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="3-vector"):
         make_applied_field("constant", [1.0, 0.0])

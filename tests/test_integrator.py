@@ -19,7 +19,6 @@ from multimag import (
     NondimConstants,
     RunSetup,
     TangentFrame,
-    TetMesh,
     UniaxialContribution,
     build_tangent_frame,
     icosphere_volume,
@@ -160,14 +159,6 @@ def test_fixed_layout_matches_block_assembly_bit_for_bit(mesh_name, request):
         precond, expect_precond = ws.block_jacobi(a), diagonal_block_jacobi(expect)
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(precond, name), getattr(expect_precond, name)), name
-
-
-def test_workspace_rejects_node_outside_every_tet():
-    # such a node has no diagonal block, so its velocity is undetermined
-    nodes = np.vstack([reference_tet().nodes, [[2.0, 2.0, 2.0]]])
-    mesh = TetMesh(nodes, reference_tet().tets)
-    with pytest.raises(ValueError, match="every mesh node must belong to a tetrahedron"):
-        make_llg_workspace(mesh)
 
 
 def test_cross_map_matches_assembly_from_int64_indices(sphere2):

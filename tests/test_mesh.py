@@ -17,7 +17,7 @@ from multimag import (
 from multimag import bem, fem
 from multimag.mesh import MeshFormatError, SurfaceMesh, TetMesh
 
-from meshes import kuhn_cube, sliver_tet, two_tets
+from meshes import kuhn_cube, sliver_tet, three_tets_on_one_face, two_tets
 
 
 def test_reference_tet_geometry(ref_tet):
@@ -64,6 +64,18 @@ def test_index_out_of_range_rejected():
     nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     with pytest.raises(MeshFormatError):
         TetMesh(nodes, np.array([[0, 1, 2, 4]]))
+
+
+def test_node_outside_every_tet_rejected():
+    # such a node has no P1 equation: its velocity and potentials are undetermined
+    nodes = np.array([[0, 0, 0], [2, 2, 2], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    with pytest.raises(MeshFormatError, match="node 1 belongs to no tetrahedron"):
+        TetMesh(nodes, np.array([[0, 2, 3, 4]]))
+
+
+def test_non_manifold_boundary_rejected():
+    with pytest.raises(MeshFormatError, match="non-manifold mesh"):
+        three_tets_on_one_face().boundary()
 
 
 @pytest.mark.parametrize(
@@ -325,12 +337,19 @@ def test_angle_condition_icosphere(sphere1):
 @example(scale=1.0, sign=-1.0, extra=np.array([[-0.0, 5e-324, -2.2250738585072014e-308]]))
 def test_mesh_round_trip_is_exact(tmp_path_factory, scale, sign, extra):
     # a negative sign mirrors the cube (and writes -0.0); the constructor
-    # reorients its tets, so the written mesh is positively oriented.  The
-    # extra nodes belong to no tet and carry arbitrary finite coordinates.
+    # reorients its tets, so the written mesh is positively oriented.  Each
+    # extra node p carries arbitrary finite coordinates and spans a tet with
+    # p stepped by h along each axis, towards zero so that no step overflows
+    # (past |p| ~ 1e100 a tet's volume still does, but volumes are not written).
     cube = kuhn_cube(1)
-    mesh = TetMesh(np.vstack([sign * scale * cube.nodes, extra]), cube.tets)
+    h = np.maximum(np.abs(extra).max(axis=1, initial=0.0), 1.0) / 1024.0
+    steps = -np.where(extra > 0.0, 1.0, -1.0)[:, None, :] * np.eye(3) * h[:, None, None]
+    corners = np.concatenate([extra[:, None, :], extra[:, None, :] + steps], axis=1)
+    tets = np.vstack([cube.tets, cube.n_nodes + np.arange(4 * len(extra)).reshape(-1, 4)])
     path = str(tmp_path_factory.mktemp("mesh") / "m.mesh")
-    write_mesh(path, mesh)
-    back = load_mesh(path)
+    with np.errstate(over="ignore"):
+        mesh = TetMesh(np.vstack([sign * scale * cube.nodes, corners.reshape(-1, 3)]), tets)
+        write_mesh(path, mesh)
+        back = load_mesh(path)
     assert np.array_equal(back.nodes.view(np.int64), mesh.nodes.view(np.int64))
     assert np.array_equal(back.tets, mesh.tets)

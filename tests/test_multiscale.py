@@ -256,7 +256,7 @@ def test_refuses_insufficient_monotonicity(pair_ws):
 
 def test_unknown_scheme_rejected(pair_ws):
     data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
-    with pytest.raises(ValueError, match="unknown scheme"):
+    with pytest.raises(ValueError, match="unknown nonlinear scheme 'newton'"):
         solve_coupling(pair_ws.coupling, data, material_law("zero"), scheme="newton")
 
 

@@ -50,7 +50,7 @@ def test_workspace_takes_surface_and_stiffness_from_its_mesh(sphere_ws, gcr_ws, 
 
 
 def test_rejects_unknown_method(sphere1):
-    with pytest.raises(ValueError, match="unknown stray-field method"):
+    with pytest.raises(ValueError, match="method must be fk or gcr, got 'direct'"):
         make_strayfield_workspace(sphere1, "direct")
 
 
