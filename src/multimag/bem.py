@@ -47,9 +47,12 @@ stray-field and coupling maps add to K is ``fem.assemble_boundary_mass``.
 
 At arbitrary points, ``eval_single_layer`` and ``eval_double_layer``
 return the operators themselves: (P, F) and (P, Nb) matrices whose product
-with a density is its potential at the points.  The double layer reaches
-its node columns through the surface's (3F, Nb) hat incidence, built once
-per surface and shared with ``assemble_bem``.
+with a density is its potential at the points.  ``eval_layers`` returns
+both from one sweep, since each ``panel_integrals`` call yields the single
+and the double layer integrals together; a caller that needs both pays for
+the panel integrals once.  The double layer reaches its node columns
+through the surface's (3F, Nb) hat incidence, built once per surface and
+shared with ``assemble_bem``.
 
 Assembly, evaluation and ``solid_angles`` walk the points in batches of
 about BATCH_PAIRS (point, panel) pairs, so a batch's (P, F) planes fit in
@@ -386,35 +389,59 @@ def assemble_bem(surface: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (v_mat + v_mat.T), k_mat
 
 
-def _point_operator(surface: SurfaceMesh, points: np.ndarray, columns: int, rows) -> np.ndarray:
-    """(P, columns) operator at the points, 1/(4 pi) times ``rows`` of each
-    batch's ``panel_integrals``; batches hold BATCH_PAIRS // F points."""
+def _point_operators(surface: SurfaceMesh, points: np.ndarray, layers) -> list[np.ndarray]:
+    """(P, columns) operators at the points, one per ``(columns, rows)`` in
+    ``layers``: 1/(4 pi) times ``rows`` of each batch's ``panel_integrals``.
+    One sweep fills them all; batches hold BATCH_PAIRS // F points."""
     geo = panel_geometry(surface)
     points = np.asarray(points, dtype=np.float64)
-    out = np.empty((points.shape[0], columns))
+    outs = [np.empty((points.shape[0], columns)) for columns, _ in layers]
 
     def batch(start: int, stop: int) -> None:
-        out[start:stop] = rows(panel_integrals(geo, points[start:stop]))
+        panels = panel_integrals(geo, points[start:stop])
+        for out, (_, rows) in zip(outs, layers):
+            out[start:stop] = rows(panels)
 
     _sweep(batch, points.shape[0], _batch_points(surface.n_faces))
-    out /= 4.0 * np.pi
-    return out
+    for out in outs:
+        out /= 4.0 * np.pi
+    return outs
 
 
-def eval_single_layer(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
-    """(P, F) single layer operator: its product with a P0 face density is
-    the potential at the (P, 3) points."""
-    return _point_operator(surface, points, surface.n_faces, lambda panels: panels[0])
+def _single_layer(surface: SurfaceMesh):
+    """``(columns, rows)`` of the single layer: the (P, F) panel integrals."""
+    return surface.n_faces, lambda panels: panels[0]
 
 
-def eval_double_layer(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
-    """(P, Nb) double layer operator: its product with P1 nodal values, in
-    ``surface.boundary_nodes`` local ordering, is the potential at the
-    (P, 3) points.  Hat rows reach node columns through ``hat_incidence``."""
+def _double_layer(surface: SurfaceMesh):
+    """``(columns, rows)`` of the double layer: the hat rows summed into
+    node columns through ``hat_incidence``."""
     incidence = hat_incidence(surface)
 
     def rows(panels):
         double_p1 = panels[2]
         return double_p1.reshape(len(double_p1), -1) @ incidence
 
-    return _point_operator(surface, points, incidence.shape[1], rows)
+    return incidence.shape[1], rows
+
+
+def eval_single_layer(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
+    """(P, F) single layer operator: its product with a P0 face density is
+    the potential at the (P, 3) points."""
+    return _point_operators(surface, points, [_single_layer(surface)])[0]
+
+
+def eval_double_layer(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
+    """(P, Nb) double layer operator: its product with P1 nodal values, in
+    ``surface.boundary_nodes`` local ordering, is the potential at the
+    (P, 3) points.  Hat rows reach node columns through ``hat_incidence``."""
+    return _point_operators(surface, points, [_double_layer(surface)])[0]
+
+
+def eval_layers(surface: SurfaceMesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(eval_single_layer, eval_double_layer)`` at the (P, 3) points, bit
+    for bit, from one sweep: each batch's panel integrals fill both."""
+    single, double = _point_operators(
+        surface, points, [_single_layer(surface), _double_layer(surface)]
+    )
+    return single, double

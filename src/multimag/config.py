@@ -96,14 +96,20 @@ def _vector3(text: str, where: str) -> np.ndarray:
     return np.array([_finite_float(p, where) for p in parts])
 
 
-def _nonzero_norm(vector: np.ndarray, where: str) -> float:
-    with np.errstate(over="ignore"):  # the squares overflow past ~1e154
-        norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
+def _unit(vector: np.ndarray, where: str) -> np.ndarray:
+    """``vector / |vector|`` for any finite nonzero vector.
+
+    The vector is first scaled, exactly, by the power of two of its largest
+    |component|, so the norm neither underflows nor overflows.  Scaling by
+    a power of two changes no rounding in the normal range: for components
+    between 1e-100 and 1e100 in magnitude the result has the bits of
+    ``vector / np.linalg.norm(vector)``.
+    """
+    largest = np.abs(vector).max()
+    if largest == 0.0:
         raise ValueError(f"{where} must be nonzero")
-    if norm == math.inf:
-        raise ValueError(f"{where} is too large to normalise, got {vector.tolist()}")
-    return norm
+    scaled = np.ldexp(vector, -np.frexp(largest)[1])
+    return scaled / np.linalg.norm(scaled)
 
 
 def _finite_float(text: str, where: str) -> float:
@@ -208,7 +214,7 @@ def load_config(path: str) -> SimulationConfig:
     initial_snapshot = None
     if initial_kind == "uniform":
         vector = _vector3(get("run", "initial_vector", required=True), "initial_vector")
-        initial_vector = vector / _nonzero_norm(vector, "initial_vector")
+        initial_vector = _unit(vector, "initial_vector")
     elif initial_kind == "snapshot":
         initial_snapshot = os.path.join(base, get("run", "initial_snapshot", required=True))
     else:
@@ -225,7 +231,7 @@ def load_config(path: str) -> SimulationConfig:
     uniaxial_axis = None
     if "uniaxial" in terms:
         axis = _vector3(get("uniaxial", "axis", required=True), "uniaxial axis")
-        uniaxial_axis = axis / _nonzero_norm(axis, "uniaxial axis")
+        uniaxial_axis = _unit(axis, "uniaxial axis")
 
     cubic_k1 = cubic_k2 = 0.0
     if "cubic" in terms:

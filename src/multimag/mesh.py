@@ -172,8 +172,12 @@ class TetMesh:
             raise MeshFormatError(f"node {orphans[0]} belongs to no tetrahedron")
         if not np.isfinite(self.nodes).all():
             raise MeshFormatError("non-finite node coordinate")
-        e = self.nodes[self.tets[:, 1:]] - self.nodes[self.tets[:, :1]]
-        signed = np.einsum("mi,mi->m", np.cross(e[:, 0], e[:, 1]), e[:, 2]) / 6.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            e = self.nodes[self.tets[:, 1:]] - self.nodes[self.tets[:, :1]]
+            signed = np.einsum("mi,mi->m", np.cross(e[:, 0], e[:, 1]), e[:, 2]) / 6.0
+        overflowed = np.flatnonzero(~np.isfinite(signed))
+        if overflowed.size:
+            raise MeshFormatError(f"tet {overflowed[0]} has a non-finite volume")
         flipped = signed < 0.0
         if flipped.any():
             self.tets[flipped, 2], self.tets[flipped, 3] = (

@@ -30,6 +30,7 @@ from multimag.bem import (
     _coordinates,
     _solid_angle,
     _vertex_distances,
+    eval_layers,
     panel_geometry,
     panel_integrals,
 )
@@ -532,6 +533,32 @@ def test_bem_results_independent_of_worker_count(sphere1, monkeypatch, workers):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_eval_layers_is_both_operators_from_one_sweep(sphere1, monkeypatch, workers):
+    # 4 batches of 16 points; each batch's panel integrals fill both
+    # operators, bit for bit as the separate evaluations
+    from multimag import bem
+
+    surf = sphere1.boundary()
+    pts = np.random.default_rng(15).normal(size=(60, 3)) * 2.0
+    monkeypatch.setattr(bem, "BATCH_PAIRS", 16 * surf.n_faces)
+    monkeypatch.setattr(bem, "_usable_cpus", lambda: workers)
+    separate = eval_single_layer(surf, pts), eval_double_layer(surf, pts)
+    calls = []
+    panel_integrals = bem.panel_integrals
+
+    def counting(geo, points):
+        calls.append(len(points))
+        return panel_integrals(geo, points)
+
+    monkeypatch.setattr(bem, "panel_integrals", counting)
+    shared = eval_layers(surf, pts)
+    assert sorted(calls) == [12, 16, 16, 16]
+    assert len(shared) == 2
+    for a, b in zip(shared, separate, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_import_starts_no_thread():
     import multimag
 
@@ -554,6 +581,7 @@ def test_error_in_one_batch_propagates(sphere1, monkeypatch, workers):
         lambda: assemble_bem(surf),
         lambda: eval_single_layer(surf, pts),
         lambda: eval_double_layer(surf, pts),
+        lambda: eval_layers(surf, pts),
     ):
         calls = itertools.count()
 

@@ -172,8 +172,6 @@ def test_material_section_converts_to_reduced_units(tmp_path, cube_file):
          "duplicate contribution terms"),
         ("[output]", "[contributions]\nterms = uniaxial\n\n[uniaxial]\naxis = 0 0 0\n\n[output]",
          "uniaxial axis must be nonzero"),
-        ("[output]", "[contributions]\nterms = uniaxial\n\n[uniaxial]\naxis = 1e300 0 0\n\n[output]",
-         "uniaxial axis is too large to normalise"),
         ("[output]", "[contributions]\nterms = uniaxial\n\n[uniaxial]\naxis = 0 1\n\n[output]",
          "three space-separated numbers"),
         ("[output]", "[contributions]\nterms = strayfield\n\n[strayfield]\nmethod = magic\n\n[output]",
@@ -289,8 +287,6 @@ def test_material_and_constants_are_exclusive(tmp_path, cube_file):
         ("k = 1e-4", "k = 1e-4\ntheta = 1.5", r"theta must lie in \[0, 1\]"),
         ("n_steps = 5", "n_steps = -2", "n_steps must be nonnegative"),
         ("initial_vector = 0 0 1", "initial_vector = 0 0 0", "initial_vector must be nonzero"),
-        ("initial_vector = 0 0 1", "initial_vector = 0 0 1e200",
-         "initial_vector is too large to normalise"),
         ("initial_vector = 0 0 1", "initial = spiral\ninitial_vector = 0 0 1",
          "initial must be 'uniform' or 'snapshot'"),
         ("k = 1e-4\n", "", "missing required key 'k'"),
@@ -299,6 +295,43 @@ def test_material_and_constants_are_exclusive(tmp_path, cube_file):
 def test_run_section_validation(tmp_path, cube_file, old, new, match):
     with pytest.raises(ValueError, match=match):
         load_config(write_config(tmp_path, MINIMAL.replace(old, new)))
+
+
+@pytest.mark.parametrize(
+    "text, direction",
+    [
+        ("1e-200 3e-201 0", [10.0, 3.0, 0.0]),  # the squares underflow to zero
+        ("0 0 1e200", [0.0, 0.0, 1.0]),  # the squares overflow to inf
+        ("1e155 -1e155 1e155", [1.0, -1.0, 1.0]),
+        ("5e-324 0 -5e-324", [1.0, 0.0, -1.0]),
+    ],
+)
+def test_tiny_and_huge_vectors_load_as_unit_vectors(tmp_path, cube_file, text, direction):
+    body = MINIMAL.replace("initial_vector = 0 0 1", f"initial_vector = {text}").replace(
+        "[output]", f"[contributions]\nterms = uniaxial\n\n[uniaxial]\naxis = {text}\n\n[output]"
+    )
+    cfg = load_config(write_config(tmp_path, body))
+    expect = np.array(direction) / np.linalg.norm(direction)
+    np.testing.assert_allclose(cfg.initial_vector, expect, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(cfg.uniaxial_axis, expect, rtol=1e-15, atol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)),
+        min_size=3,
+        max_size=3,
+    )
+)
+def test_unit_vector_keeps_the_plain_quotient_bits(components):
+    # scaling by a power of two changes no rounding for ordinary vectors,
+    # so an m0 or axis loaded before the scaling keeps its bits
+    from multimag.config import _unit
+
+    v = np.array(components)
+    plain = v / np.linalg.norm(v)
+    assert np.array_equal(_unit(v, "v").view(np.int64), plain.view(np.int64))
 
 
 def test_missing_sections_and_file(tmp_path, cube_file):
@@ -644,6 +677,14 @@ def test_cli_energy_report_rejects_truncated_row(tmp_path, capsys):
 def test_cli_strayfield_test_rejects_missing_mesh(tmp_path, capsys):
     assert main(["strayfield-test", str(tmp_path / "missing.mesh"), "fk"]) == 2
     assert "invalid mesh" in capsys.readouterr().err
+
+
+def test_cli_strayfield_test_rejects_unknown_method_before_the_mesh(tmp_path, capsys):
+    # the method is checked first, so a missing mesh does not mask it
+    assert main(["strayfield-test", str(tmp_path / "missing.mesh"), "magic"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid method: method must be fk or gcr, got 'magic'" in err
+    assert "invalid mesh" not in err
 
 
 def test_cli_energy_report_fails_on_nan_table(tmp_path, capsys):

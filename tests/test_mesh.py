@@ -60,6 +60,17 @@ def test_degenerate_cell_rejected():
         TetMesh(nodes, np.array([[0, 1, 2, 3]]))
 
 
+@pytest.mark.parametrize("corner, stretch", [(1.4e157, 1.0 / 1024), (-1e308, -2.0)])
+def test_tet_whose_volume_overflows_rejected(corner, stretch):
+    # finite nodes, but the volume overflows to inf, which would leave every
+    # hat gradient zero (edges of ~1.4e154), or the edge vectors themselves
+    # overflow and the volume is nan (edges of 2e308); tet 0 is a unit tet
+    unit = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    nodes = np.vstack([corner * (1.0 + stretch * unit), unit])
+    with pytest.raises(MeshFormatError, match="tet 1 has a non-finite volume"):
+        TetMesh(nodes, np.array([[4, 5, 6, 7], [0, 1, 2, 3]]))
+
+
 def test_index_out_of_range_rejected():
     nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     with pytest.raises(MeshFormatError):
@@ -335,21 +346,26 @@ def test_angle_condition_icosphere(sphere1):
     ),
 )
 @example(scale=1.0, sign=-1.0, extra=np.array([[-0.0, 5e-324, -2.2250738585072014e-308]]))
+@example(scale=1.0, sign=1.0, extra=np.array([[1e105, -1e105, 1e105]]))
+@example(scale=1.0, sign=1.0, extra=np.array([[np.finfo(float).max, -np.finfo(float).max, 0.0]]))
 def test_mesh_round_trip_is_exact(tmp_path_factory, scale, sign, extra):
     # a negative sign mirrors the cube (and writes -0.0); the constructor
     # reorients its tets, so the written mesh is positively oriented.  Each
-    # extra node p carries arbitrary finite coordinates and spans a tet with
-    # p stepped by h along each axis, towards zero so that no step overflows
-    # (past |p| ~ 1e100 a tet's volume still does, but volumes are not written).
+    # extra node p carries arbitrary finite coordinates and is the apex of a
+    # tet over a unit right triangle o, o + e_i, o + e_j normal to the axis k
+    # of p's largest component, with o = -e_k or e_k on the far side of p_k.  The
+    # tet's volume |p_k - o_k| / 6 lies in [1/6, 3e307], so it is finite
+    # and positive for every finite p.
     cube = kuhn_cube(1)
-    h = np.maximum(np.abs(extra).max(axis=1, initial=0.0), 1.0) / 1024.0
-    steps = -np.where(extra > 0.0, 1.0, -1.0)[:, None, :] * np.eye(3) * h[:, None, None]
-    corners = np.concatenate([extra[:, None, :], extra[:, None, :] + steps], axis=1)
+    k = np.abs(extra).argmax(axis=1)
+    o = np.zeros_like(extra)
+    o[np.arange(len(extra)), k] = np.where(extra[np.arange(len(extra)), k] >= 0.0, -1.0, 1.0)
+    ij = np.eye(3)[np.stack([(k + 1) % 3, (k + 2) % 3], axis=1)]
+    corners = np.concatenate([o[:, None], o[:, None] + ij, extra[:, None]], axis=1)
     tets = np.vstack([cube.tets, cube.n_nodes + np.arange(4 * len(extra)).reshape(-1, 4)])
     path = str(tmp_path_factory.mktemp("mesh") / "m.mesh")
-    with np.errstate(over="ignore"):
-        mesh = TetMesh(np.vstack([sign * scale * cube.nodes, corners.reshape(-1, 3)]), tets)
-        write_mesh(path, mesh)
-        back = load_mesh(path)
+    mesh = TetMesh(np.vstack([sign * scale * cube.nodes, corners.reshape(-1, 3)]), tets)
+    write_mesh(path, mesh)
+    back = load_mesh(path)
     assert np.array_equal(back.nodes.view(np.int64), mesh.nodes.view(np.int64))
     assert np.array_equal(back.tets, mesh.tets)

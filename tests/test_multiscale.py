@@ -496,6 +496,46 @@ def test_transfer_matrices_match_pointwise_evaluation(pair_ws):
             assert np.linalg.norm(matrix - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
+def test_transfers_are_bitwise_the_separate_layer_transfers(pair_ws):
+    # each map as built from its own layer evaluation: the shared
+    # Gamma_2 -> Gamma_1 sweep changes no bit of either map
+    from multimag.bem import eval_double_layer, eval_single_layer
+    from multimag.fem import clement_matrix, face_quadrature
+
+    def separate(potential, source, target):
+        points, weights = face_quadrature(target)
+        vals = potential(source, points.reshape(-1, 3))
+        face_integrals = np.einsum("fq,fqk->fk", weights, vals.reshape(weights.shape + (-1,)))
+        return clement_matrix(target) @ face_integrals
+
+    s1, s2 = pair_ws.surface1, pair_ws.coupling.surface
+    fresh = MultiscaleWorkspace(pair_ws.mesh1, pair_ws.coupling)
+    single_21, double_21 = fresh.transfer_21
+    np.testing.assert_array_equal(fresh.transfer_12, separate(eval_double_layer, s1, s2))
+    np.testing.assert_array_equal(single_21, separate(eval_single_layer, s2, s1))
+    np.testing.assert_array_equal(double_21, separate(eval_double_layer, s2, s1))
+
+
+def test_transfers_take_one_sweep_per_direction(pair_ws, monkeypatch):
+    # Gamma_1's panels at Gamma_2's 7 F2 quadrature points, and Gamma_2's
+    # at Gamma_1's 7 F1 for both step-5 layers together: a second sweep
+    # for either layer would add 7 F1 F2 pairs
+    from multimag import bem
+
+    f1, f2 = pair_ws.surface1.n_faces, pair_ws.coupling.surface.n_faces
+    fresh = MultiscaleWorkspace(pair_ws.mesh1, pair_ws.coupling)
+    pairs = []
+    panel_integrals = bem.panel_integrals
+
+    def counting(geo, points):
+        pairs.append(len(points) * len(geo.vertices))
+        return panel_integrals(geo, points)
+
+    monkeypatch.setattr(bem, "panel_integrals", counting)
+    fresh.transfer_12, fresh.transfer_21
+    assert sum(pairs) == 7 * f2 * f1 + 7 * f1 * f2
+
+
 def test_transfers_are_built_once(pair_ws, sphere1, monkeypatch):
     from multimag import bem
 
