@@ -40,19 +40,20 @@ only ever forms (points, faces) planes, besides its (points, faces, 3) hat
 output.  Coordinates are taken relative to the surface's mean vertex, so
 their rounding scales with the body's size, not with its distance from 0.
 
-Galerkin matrices use the 7-point, degree-5 triangle rule of ``fem`` for
-the outer (test) integral and the closed forms for the inner one.
-``assemble_bem`` returns the pair (V, K); the boundary mass Mb that the
-stray-field and coupling maps add to K is ``fem.assemble_boundary_mass``.
-
-At arbitrary points, ``eval_single_layer`` and ``eval_double_layer``
-return the operators themselves: (P, F) and (P, Nb) matrices whose product
-with a density is its potential at the points.  ``eval_layers`` returns
-both from one sweep, since each ``panel_integrals`` call yields the single
-and the double layer integrals together; a caller that needs both pays for
-the panel integrals once.  The double layer reaches its node columns
-through the surface's (3F, Nb) hat incidence, built once per surface and
-shared with ``assemble_bem``.
+One sweep routine, ``_layers``, integrates the single and double layer
+potentials of a source surface by a quadrature rule on each of T targets:
+each batch's panel integrals yield both layers together, so a caller that
+needs both pays for the panel integrals once.  The double layer reaches its
+node columns through the source's (3F, Nb) hat incidence, built once per
+surface.  ``layer_integrals(source, target)`` is that routine on the
+7-point, degree-5 triangle rule of ``fem`` over the target's faces (the
+outer integral; the inner one is closed-form), and ``assemble_bem``
+returns it on one surface as the Galerkin pair (V, K).  The boundary mass
+Mb that the stray-field and coupling maps add to K is
+``fem.assemble_boundary_mass``.  At arbitrary points,
+``eval_single_layer`` and ``eval_double_layer`` are the one-point rule of
+weight 1: (P, F) and (P, Nb) matrices whose product with a density is its
+potential at the points.
 
 Assembly, evaluation and ``solid_angles`` walk the points in batches of
 about BATCH_PAIRS (point, panel) pairs, so a batch's (P, F) planes fit in
@@ -352,96 +353,73 @@ def hat_incidence(surface: SurfaceMesh) -> sparse.csr_matrix:
     )
 
 
+def _layers(
+    source: SurfaceMesh, points: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(T, F) single and (T, Nb) double layer potentials of ``source``, row t
+    integrated by target t's rule: (T, Q, 3) ``points``, (T, Q) ``weights``.
+
+    S times a P0 face density, or D times P1 nodal values in
+    ``source.boundary_nodes`` local ordering, gives the integrals.  Each
+    batch of max(1, (BATCH_PAIRS // F) // Q) targets takes one
+    ``panel_integrals`` call, summed over q first; the double layer's hat
+    rows then reach node columns through one product with ``hat_incidence``.
+    """
+    geo = panel_geometry(source)
+    incidence = hat_incidence(source)
+    f_count = source.n_faces
+    t_count, nq = weights.shape
+    single = np.empty((t_count, f_count))
+    double = np.empty((t_count, incidence.shape[1]))
+
+    def batch(start: int, stop: int) -> None:
+        s_pts, _, d_pts = panel_integrals(geo, points[start:stop].reshape(-1, 3))
+        nt = stop - start
+        w = weights[start:stop]
+        single[start:stop] = np.einsum("bqf,bq->bf", s_pts.reshape(nt, nq, f_count), w)
+        d_hats = np.einsum("bqfi,bq->bfi", d_pts.reshape(nt, nq, f_count, 3), w)
+        double[start:stop] = d_hats.reshape(nt, -1) @ incidence
+
+    _sweep(batch, t_count, max(1, _batch_points(f_count) // nq))
+    single *= 1.0 / (4.0 * np.pi)
+    double *= 1.0 / (4.0 * np.pi)
+    return single, double
+
+
+def layer_integrals(source: SurfaceMesh, target: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
+    """(F_target, F_source) and (F_target, Nb_source) integrals over each
+    target face, by ``fem.face_quadrature``, of the single and double layer
+    potentials of ``source``: both from one sweep."""
+    return _layers(source, *face_quadrature(target))
+
+
 def assemble_bem(surface: SurfaceMesh) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the Galerkin single and double layer matrices.
 
     Returns ``(V, K)``: V the symmetric (F, F) P0 x P0 single layer, K the
     (F, Nb) double layer of P1 hats (columns in ``surface.boundary_nodes``
-    local ordering) tested against P0 face indicators.
-
-    Outer integrals use ``fem.face_quadrature``, inner integrals the closed
-    forms; the single layer matrix is symmetrized afterwards since the two
-    panels are treated asymmetrically by that pairing.  Test faces are
-    swept in batches of at most BATCH_PAIRS // F quadrature points (one
-    face at least); each batch's double layer rows reach their node columns
-    through one product with the surface's ``hat_incidence``.
+    local ordering) tested against P0 face indicators.  They are
+    ``layer_integrals(surface, surface)``, with the single layer
+    symmetrized since the test and trial panels are treated asymmetrically.
     """
-    geo = panel_geometry(surface)
-    f_count = surface.n_faces
-    v_mat = np.zeros((f_count, f_count))
-    k_mat = np.zeros((f_count, surface.boundary_nodes.size))
-    quad_pts, weights = face_quadrature(surface)
-    incidence = hat_incidence(surface)
-    nq = weights.shape[1]
-
-    def batch(start: int, stop: int) -> None:
-        single, _, double_p1 = panel_integrals(geo, quad_pts[start:stop].reshape(-1, 3))
-        nf = stop - start
-        w = weights[start:stop]
-        v_mat[start:stop] = np.einsum("bqf,bq->bf", single.reshape(nf, nq, f_count), w)
-        k_rows = np.einsum("bqfi,bq->bfi", double_p1.reshape(nf, nq, f_count, 3), w)
-        k_mat[start:stop] = k_rows.reshape(nf, -1) @ incidence
-
-    _sweep(batch, f_count, max(1, _batch_points(f_count) // nq))
-
-    v_mat *= 1.0 / (4.0 * np.pi)
-    k_mat *= 1.0 / (4.0 * np.pi)
+    v_mat, k_mat = layer_integrals(surface, surface)
     return 0.5 * (v_mat + v_mat.T), k_mat
 
 
-def _point_operators(surface: SurfaceMesh, points: np.ndarray, layers) -> list[np.ndarray]:
-    """(P, columns) operators at the points, one per ``(columns, rows)`` in
-    ``layers``: 1/(4 pi) times ``rows`` of each batch's ``panel_integrals``.
-    One sweep fills them all; batches hold BATCH_PAIRS // F points."""
-    geo = panel_geometry(surface)
+def _at_points(surface: SurfaceMesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_layers`` at the (P, 3) points, each its own one-point rule of weight 1."""
     points = np.asarray(points, dtype=np.float64)
-    outs = [np.empty((points.shape[0], columns)) for columns, _ in layers]
-
-    def batch(start: int, stop: int) -> None:
-        panels = panel_integrals(geo, points[start:stop])
-        for out, (_, rows) in zip(outs, layers):
-            out[start:stop] = rows(panels)
-
-    _sweep(batch, points.shape[0], _batch_points(surface.n_faces))
-    for out in outs:
-        out /= 4.0 * np.pi
-    return outs
-
-
-def _single_layer(surface: SurfaceMesh):
-    """``(columns, rows)`` of the single layer: the (P, F) panel integrals."""
-    return surface.n_faces, lambda panels: panels[0]
-
-
-def _double_layer(surface: SurfaceMesh):
-    """``(columns, rows)`` of the double layer: the hat rows summed into
-    node columns through ``hat_incidence``."""
-    incidence = hat_incidence(surface)
-
-    def rows(panels):
-        double_p1 = panels[2]
-        return double_p1.reshape(len(double_p1), -1) @ incidence
-
-    return incidence.shape[1], rows
+    return _layers(surface, points[:, None, :], np.ones((len(points), 1)))
 
 
 def eval_single_layer(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
     """(P, F) single layer operator: its product with a P0 face density is
     the potential at the (P, 3) points."""
-    return _point_operators(surface, points, [_single_layer(surface)])[0]
+    return _at_points(surface, points)[0]
 
 
 def eval_double_layer(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
     """(P, Nb) double layer operator: its product with P1 nodal values, in
     ``surface.boundary_nodes`` local ordering, is the potential at the
-    (P, 3) points.  Hat rows reach node columns through ``hat_incidence``."""
-    return _point_operators(surface, points, [_double_layer(surface)])[0]
-
-
-def eval_layers(surface: SurfaceMesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(eval_single_layer, eval_double_layer)`` at the (P, 3) points, bit
-    for bit, from one sweep: each batch's panel integrals fill both."""
-    single, double = _point_operators(
-        surface, points, [_single_layer(surface), _double_layer(surface)]
-    )
-    return single, double
+    (P, 3) points."""
+    return _at_points(surface, points)[1]

@@ -4,9 +4,11 @@ Subcommands:
 
 * ``simulate <config>``: run a time integration from an INI config and
   write snapshots + energies.csv to the configured output directory.  An
-  invalid config exits 2 with the reason on stderr.  If a step fails, the
-  error and each of its causes go to stderr, and the partial trajectory is
-  still flushed before exiting 1.
+  invalid config, or an output directory that cannot be created, exits 2
+  with the reason on stderr before any mesh is loaded.  If a step fails,
+  the error and each of its causes go to stderr, and the partial
+  trajectory is still flushed before exiting 1.  A failed output write
+  goes to stderr and exits 1.
 * ``check-mesh <mesh>``: structural validation plus the stiffness-matrix
   angle condition (exit 0 valid and satisfied, 1 valid but violated,
   2 invalid).
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import astuple
 
@@ -74,6 +77,7 @@ def _simulate(config_path: str) -> int:
 
     try:
         cfg = load_config(config_path)
+        os.makedirs(cfg.output_dir, exist_ok=True)
         setup = build_run_setup(cfg)
     except (OSError, ValueError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
@@ -89,14 +93,22 @@ def _simulate(config_path: str) -> int:
         _print_error(exc)
         partial = getattr(exc, "partial_trajectory", None)
         if partial is not None and partial.states:
-            paths = write_trajectory(partial, cfg.output_dir, cadence=cfg.cadence)
+            try:
+                paths = write_trajectory(partial, cfg.output_dir, cadence=cfg.cadence)
+            except OSError as write_exc:
+                print(f"error: partial trajectory not flushed: {write_exc}", file=sys.stderr)
+                return 1
             print(f"partial trajectory flushed: {len(paths)} files in {cfg.output_dir}")
         return 1
-    paths = write_trajectory(traj, cfg.output_dir, cadence=cfg.cadence)
-    if cfg.vtk:
-        vtk_path = f"{cfg.output_dir}/final.vtk"
-        write_vtk(vtk_path, setup.mesh, traj.final.m.values)
-        paths.append(vtk_path)
+    try:
+        paths = write_trajectory(traj, cfg.output_dir, cadence=cfg.cadence)
+        if cfg.vtk:
+            vtk_path = f"{cfg.output_dir}/final.vtk"
+            write_vtk(vtk_path, setup.mesh, traj.final.m.values)
+            paths.append(vtk_path)
+    except OSError as exc:
+        print(f"error: output not written: {exc}", file=sys.stderr)
+        return 1
     first, last = traj.records[0], traj.records[-1]
     print(f"E(0) = {first.e_total:.9g}   E(T) = {last.e_total:.9g}   "
           f"dissipation = {last.dissipation_sum:.9g}")

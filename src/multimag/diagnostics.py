@@ -9,7 +9,8 @@ self-adjoint enter through the quadratic form (1/2) <pi(m), m>; terms with
 a pointwise density (cubic anisotropy) enter through the integral of the
 nodal density interpolant.  Contributions with neither form (the
 multiscale coupling term) carry no discrete energy here and are excluded;
-energy decay checks are only meaningful without them.
+energy decay checks are only meaningful without them.  ``run`` logs each
+excluded term once per run, through ``log_energy_exclusions``.
 
 The decay check verifies the dissipation inequality
 
@@ -39,8 +40,6 @@ from .mesh import TetMesh
 
 logger = logging.getLogger("multimag")
 
-_EXCLUDED_WARNED: set[str] = set()
-
 CSV_COLUMNS = ("step", "time", "E_exch", "E_int", "E_zeeman", "E_total", "dissipation_sum")
 
 
@@ -57,6 +56,23 @@ class EnergyRecord:
     dissipation_sum: float
 
 
+def _in_energy(contrib) -> bool:
+    """Whether E_int holds ``contrib``: through its quadratic form (linear
+    self-adjoint terms) or through its pointwise ``energy_density``."""
+    return contrib.linear_self_adjoint or hasattr(contrib, "energy_density")
+
+
+def log_energy_exclusions(contributions) -> None:
+    """Log each contribution that E_int leaves out, once per call."""
+    for contrib in contributions:
+        if not _in_energy(contrib):
+            logger.info(
+                "contribution %r has neither a quadratic form nor a pointwise "
+                "density; excluded from E_int",
+                contrib.name,
+            )
+
+
 def energy(
     state,
     contributions,
@@ -70,8 +86,9 @@ def energy(
 
     The outputs of the linear self-adjoint contributions are summed in
     contribution order, starting from zeros, and enter through one inner
-    product (1/2) <sum_i pi_i(m), m>.  The mass and stiffness are those of
-    the state's mesh.
+    product (1/2) <sum_i pi_i(m), m>.  Contributions E_int leaves out are
+    skipped silently (see ``log_energy_exclusions``).  The mass and
+    stiffness are those of the state's mesh.
 
     Args:
         state: MagnetizationState (or any object with .m, .step, .time).
@@ -88,16 +105,9 @@ def energy(
     for contrib, out in zip(contributions, outputs, strict=True):
         if contrib.linear_self_adjoint:
             quadratic += out.values
-        elif hasattr(contrib, "energy_density"):
+        elif _in_energy(contrib):
             density = np.asarray(contrib.energy_density(m), dtype=np.float64)
             e_int += float(m.mesh.hat_integrals @ density)
-        elif contrib.name not in _EXCLUDED_WARNED:
-            _EXCLUDED_WARNED.add(contrib.name)
-            logger.info(
-                "contribution %r has neither a quadratic form nor a pointwise "
-                "density; excluded from E_int",
-                contrib.name,
-            )
     e_int += 0.5 * l2_inner(mass, quadratic, m.values)
 
     e_zeeman = 0.0

@@ -451,14 +451,16 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
     trajectory attached to the exception as ``partial_trajectory``.  A
     failure while evaluating the initial state (the applied field at t = 0,
     a contribution or the energy) raises the same way as step 0, with no
-    trajectory attached.
+    trajectory attached.  Each contribution the energy leaves out is
+    logged once, at the start.
 
     Args:
         on_step: optional callback ``on_step(trajectory, state)`` invoked
             after the initial state and each completed step (for streaming
             output).
     """
-    from .diagnostics import energy  # late import; diagnostics also imports fem
+    # late import; diagnostics also imports fem
+    from .diagnostics import energy, log_energy_exclusions
 
     if setup.theta <= 0.5:
         logger.warning(
@@ -473,6 +475,7 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
             float(np.abs(norms - 1.0).max()),
         )
     m0 /= norms[:, None]
+    log_energy_exclusions(setup.contributions)
 
     ws = make_llg_workspace(setup.mesh)
     state = MagnetizationState(m=NodalVectorField(setup.mesh, m0), step=0, time=0.0)

@@ -17,12 +17,12 @@ computed by the pipeline
 The geometry is fixed, so the boundary data of steps 2 and 5 are fixed
 linear maps of the Gamma_1 trace and of (phi, w) on Gamma_2.  Each is built
 once, on first use, as a dense matrix on the MultiscaleWorkspace (the layer
-potential operator at the target face quadrature points, integrated per face
-and Clement averaged) and then applied as a matrix-vector product.  The
-build is two sweeps of panel integrals: Gamma_1's panels at Gamma_2's
-quadrature points for the double layer of step 2, and Gamma_2's panels at
-Gamma_1's for the single and double layers of step 5, which share that one
-sweep (``bem.eval_layers``).
+potential integrated over each target face, ``bem.layer_integrals``, then
+Clement averaged onto the target nodes) and then applied as a matrix-vector
+product.  The build is two sweeps of panel integrals: Gamma_1's panels on
+Gamma_2's faces for the double layer of step 2, and Gamma_2's panels on
+Gamma_1's faces for the single and double layers of step 5, which share
+that one sweep.
 Step 3 depends on f alone: the CouplingWorkspace keeps the last u_app with a
 copy of its f and solves again only when f changes bitwise, so a constant
 applied field costs one solve per workspace.  ``coupling_data`` runs steps
@@ -78,8 +78,13 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 from scipy.sparse import linalg as spla
 
-from .bem import assemble_bem, eval_double_layer, eval_layers, solid_angles
-from .bem import eval_single_layer  # noqa: F401  only perfbench/tracer.py's site needs it here
+from .bem import (
+    assemble_bem,
+    eval_double_layer,  # noqa: F401  perfbench/tracer.py wraps it at this module
+    eval_single_layer,  # noqa: F401  perfbench/tracer.py wraps it at this module
+    layer_integrals,
+    solid_angles,
+)
 from .fem import (
     FaceDensity,
     NodalScalarField,
@@ -90,7 +95,6 @@ from .fem import (
     assemble_weighted_stiffness,
     clement_matrix,
     divergence_load,
-    face_quadrature,
     lifted_gradient,
     solve_spd,
 )
@@ -476,7 +480,9 @@ class MultiscaleWorkspace:
     the workspace of Omega_2; ``surface1`` and ``stiffness1`` are Omega_1's
     own boundary and stiffness, taken from ``mesh1`` on construction.  The
     cross-gap transfers are dense matrices built on first use and kept
-    here.  Building them costs two sweeps of panel integrals, 7 F1 F2
+    here: the Clement averages of ``bem.layer_integrals`` on the target
+    faces, whose integrals are regular since the domains are separated.
+    Building them costs two sweeps of panel integrals, 7 F1 F2
     (point, panel) pairs each: Gamma_1 -> Gamma_2 for the double layer, and
     Gamma_2 -> Gamma_1 for the single and double layers together.
     Applying them costs a few matrix-vector products.
@@ -497,37 +503,16 @@ class MultiscaleWorkspace:
         """(Nb2, Nb1) map from a Gamma_1 trace to the Gamma_2 boundary values
         of its double layer potential (pipeline step 2)."""
         s2 = self.coupling.surface
-        return _boundary_transfer(eval_double_layer(self.surface1, _quadrature_points(s2)), s2)
+        return clement_matrix(s2) @ layer_integrals(self.surface1, s2)[1]
 
     @cached_property
     def transfer_21(self) -> tuple[np.ndarray, np.ndarray]:
         """(Nb1, F2) and (Nb1, Nb2) maps from phi and from a Gamma_2 trace to
         the Gamma_1 boundary values of their single and double layer
         potentials (pipeline step 5), from one sweep of Gamma_2's panels."""
-        s1 = self.surface1
-        single, double = eval_layers(self.coupling.surface, _quadrature_points(s1))
-        return _boundary_transfer(single, s1), _boundary_transfer(double, s1)
-
-
-def _quadrature_points(target: SurfaceMesh) -> np.ndarray:
-    """(7 F, 3) face quadrature points of ``target``, face by face."""
-    return face_quadrature(target)[0].reshape(-1, 3)
-
-
-def _boundary_transfer(operator: np.ndarray, target: SurfaceMesh) -> np.ndarray:
-    """Dense map from a source density to target boundary values.
-
-    ``operator`` is a (7 F_target, k) layer potential operator of the
-    source taken at ``_quadrature_points(target)`` (the integrals are
-    regular since the domains are separated); it is integrated per face and
-    interpolated onto the target nodes by Clement averages.
-
-    Returns:
-        (Nb_target, k) matrix: k is F_source or Nb_source.
-    """
-    weights = face_quadrature(target)[1]
-    face_integrals = np.einsum("fq,fqk->fk", weights, operator.reshape(weights.shape + (-1,)))
-    return clement_matrix(target) @ face_integrals
+        clement = clement_matrix(self.surface1)
+        single, double = layer_integrals(self.coupling.surface, self.surface1)
+        return clement @ single, clement @ double
 
 
 def _check_separated(s1: SurfaceMesh, s2: SurfaceMesh) -> None:

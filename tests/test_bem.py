@@ -28,13 +28,14 @@ from multimag.bem import (
     _PLANE_TOL,
     _batch_points,
     _coordinates,
+    _layers,
     _solid_angle,
     _vertex_distances,
-    eval_layers,
+    layer_integrals,
     panel_geometry,
     panel_integrals,
 )
-from multimag.fem import TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS
+from multimag.fem import TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS, face_quadrature
 
 from conftest import gauss_residual
 from meshes import kuhn_cube
@@ -452,10 +453,9 @@ def test_eval_walks_points_in_batches(sphere1, monkeypatch):
 
 def test_assemble_bem_matches_face_integrals_of_point_operators(monkeypatch):
     # V and K are the point operators integrated over the test faces by the
-    # shared face rule; both double layer paths reach their node columns
-    # through the one memoised hat incidence of the surface
+    # shared face rule; every double layer reaches its node columns through
+    # the one memoised hat incidence of the surface
     from multimag import bem
-    from multimag.fem import face_quadrature
 
     surf = icosphere_volume(1, n_radial=2).boundary()
     incidences = []
@@ -476,7 +476,7 @@ def test_assemble_bem_matches_face_integrals_of_point_operators(monkeypatch):
     k = np.einsum("fq,fqk->fk", weights, double)
     assert np.abs(v_ops - v).max() <= 1e-13 * np.abs(v).max()
     assert np.abs(k_ops - k).max() <= 1e-13 * np.abs(k).max()
-    assert len(incidences) == 2 and incidences[0] is incidences[1]
+    assert incidences and all(i is incidences[0] for i in incidences)
 
 
 def test_assemble_bem_independent_of_batch_size(sphere1, monkeypatch):
@@ -534,29 +534,72 @@ def test_bem_results_independent_of_worker_count(sphere1, monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_eval_layers_is_both_operators_from_one_sweep(sphere1, monkeypatch, workers):
-    # 4 batches of 16 points; each batch's panel integrals fill both
-    # operators, bit for bit as the separate evaluations
+def test_layer_integrals_are_both_layers_from_one_sweep(sphere1, monkeypatch, workers):
+    # 16 F pairs per batch hold 2 target faces of 7 points: 40 batches over
+    # 80 faces, one panel_integrals call each, whose output fills the rows
+    # of both S and D; a second sweep for either layer would double the calls
     from multimag import bem
 
-    surf = sphere1.boundary()
-    pts = np.random.default_rng(15).normal(size=(60, 3)) * 2.0
-    monkeypatch.setattr(bem, "BATCH_PAIRS", 16 * surf.n_faces)
+    source = sphere1.boundary()
+    target = icosphere_volume(1, n_radial=2, center=(3.0, 0.0, 0.0)).boundary()
+    monkeypatch.setattr(bem, "BATCH_PAIRS", 16 * source.n_faces)
     monkeypatch.setattr(bem, "_usable_cpus", lambda: workers)
-    separate = eval_single_layer(surf, pts), eval_double_layer(surf, pts)
     calls = []
+    outputs = {}
     panel_integrals = bem.panel_integrals
 
-    def counting(geo, points):
+    def recording(geo, points):
+        panels = panel_integrals(geo, points)
         calls.append(len(points))
-        return panel_integrals(geo, points)
+        outputs[points[0].tobytes()] = panels
+        return panels
 
-    monkeypatch.setattr(bem, "panel_integrals", counting)
-    shared = eval_layers(surf, pts)
-    assert sorted(calls) == [12, 16, 16, 16]
-    assert len(shared) == 2
-    for a, b in zip(shared, separate, strict=True):
-        np.testing.assert_array_equal(a, b)
+    monkeypatch.setattr(bem, "panel_integrals", recording)
+    single, double = layer_integrals(source, target)
+    assert calls == [14] * 40
+    assert single.shape == (target.n_faces, source.n_faces)
+    assert double.shape == (target.n_faces, source.boundary_nodes.size)
+    # rows 2b and 2b + 1 of both layers are batch b's panel integrals
+    # summed by the face rule
+    points, weights = face_quadrature(target)
+    incidence = bem.hat_incidence(source)
+    for b in (0, 17, 39):
+        rows = slice(2 * b, 2 * b + 2)
+        s_pts, _, d_pts = outputs[points[2 * b, 0].tobytes()]
+        w = weights[rows]
+        s_rows = np.einsum("bqf,bq->bf", s_pts.reshape(2, 7, -1), w)
+        d_rows = np.einsum("bqfi,bq->bfi", d_pts.reshape(2, 7, -1, 3), w).reshape(2, -1)
+        np.testing.assert_array_equal(single[rows], s_rows * (1.0 / (4.0 * np.pi)))
+        np.testing.assert_array_equal(double[rows], (d_rows @ incidence) * (1.0 / (4.0 * np.pi)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_targets=st.integers(1, 5),
+    n_points=st.integers(1, 7),
+    inside=st.booleans(),
+)
+def test_layers_rows_are_weighted_point_operator_rows(sphere1, seed, n_targets, n_points, inside):
+    # any rule on any targets: each row of _layers is the weighted sum of
+    # the point operators' rows at its points
+    surf = sphere1.boundary()
+    rng = np.random.default_rng(seed)
+    directions = rng.normal(size=(n_targets, n_points, 3))
+    directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+    low, high = (0.0, 0.6) if inside else (1.5, 4.0)  # the faces lie at radii 0.93-1
+    points = directions * rng.uniform(low, high, size=(n_targets, n_points, 1))
+    weights = rng.uniform(0.1, 1.0, size=(n_targets, n_points))
+    single, double = _layers(surf, points, weights)
+    flat = points.reshape(-1, 3)
+    for layers, ops in (
+        (single, eval_single_layer(surf, flat)),
+        (double, eval_double_layer(surf, flat)),
+    ):
+        ops = ops.reshape(n_targets, n_points, -1)
+        expect = np.einsum("tq,tqk->tk", weights, ops)
+        scale = np.einsum("tq,tqk->tk", weights, np.abs(ops)).max(axis=1)
+        assert np.all(np.abs(layers - expect).max(axis=1) <= 1e-14 * scale)
 
 
 def test_import_starts_no_thread():
@@ -581,7 +624,7 @@ def test_error_in_one_batch_propagates(sphere1, monkeypatch, workers):
         lambda: assemble_bem(surf),
         lambda: eval_single_layer(surf, pts),
         lambda: eval_double_layer(surf, pts),
-        lambda: eval_layers(surf, pts),
+        lambda: layer_integrals(surf, surf),
     ):
         calls = itertools.count()
 

@@ -567,6 +567,37 @@ def test_cli_simulate_flushes_partial_trajectory(tmp_path, cube1, capsys):
     assert (tmp_path / "out" / "energies.csv").exists()
 
 
+def test_cli_simulate_rejects_uncreatable_output_directory(tmp_path, cube_file, capsys,
+                                                           monkeypatch):
+    # a regular file stands where the output directory's parent should be:
+    # the config check fails before any mesh is loaded or any step runs
+    from multimag import config
+
+    (tmp_path / "blocker").write_text("")
+    loads = []
+    monkeypatch.setattr(config, "load_mesh", loads.append)
+    body = SIMULATE.format(outdir="blocker/out", vtk="false")
+    assert main(["simulate", write_config(tmp_path, body)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ")
+    assert str(tmp_path / "blocker" / "out") in err
+    assert loads == []
+
+
+@pytest.mark.parametrize("solver, message", [
+    ("", "error: output not written: "),
+    ("\n[solver]\ntol = 1e-300\n", "error: partial trajectory not flushed: "),
+])
+def test_cli_simulate_reports_failed_output_write(tmp_path, cube_file, capsys, solver, message):
+    # a directory holds the name energies.csv: the write after the run, or
+    # the partial flush after a failed step, reports it and exits 1
+    (tmp_path / "out" / "energies.csv").mkdir(parents=True)
+    body = SIMULATE.format(outdir="out", vtk="false") + solver
+    assert main(["simulate", write_config(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "energies.csv" in err
+
+
 @pytest.mark.parametrize(
     "body, reason",
     [

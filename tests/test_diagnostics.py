@@ -122,11 +122,18 @@ class OpaqueContribution(FieldContribution):
 
 
 def test_energy_excludes_opaque_contribution_once(cube2, caplog):
+    # energy() leaves the term out silently; a run logs the caveat once,
+    # however many states it records
     state = make_state(cube2, [0.0, 0.0, 1.0])
+    setup = RunSetup(mesh=cube2, m0=state.m.values, constants=CONSTANTS,
+                     contributions=[OpaqueContribution()], k=1e-3, n_steps=3)
     with caplog.at_level(logging.INFO, logger="multimag"):
         rec1 = energy_of(state, [OpaqueContribution()], None, CONSTANTS)
         rec2 = energy_of(state, [OpaqueContribution()], None, CONSTANTS)
+        assert not [r for r in caplog.records if "opaque" in r.message]
+        traj = run(setup)
     assert rec1.e_int == rec2.e_int == 0.0
+    assert len(traj.records) == 4 and all(r.e_int == 0.0 for r in traj.records)
     mentions = [r for r in caplog.records if "opaque" in r.message]
     assert len(mentions) == 1  # the exclusion caveat is logged once
 

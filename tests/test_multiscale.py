@@ -496,9 +496,10 @@ def test_transfer_matrices_match_pointwise_evaluation(pair_ws):
             assert np.linalg.norm(matrix - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
-def test_transfers_are_bitwise_the_separate_layer_transfers(pair_ws):
-    # each map as built from its own layer evaluation: the shared
-    # Gamma_2 -> Gamma_1 sweep changes no bit of either map
+def test_transfers_match_the_separate_layer_transfers(pair_ws):
+    # each map as built from its own layer's point operator at the target
+    # quadrature points, integrated per face afterwards: the shared sweep
+    # sums over the points first, which moves the maps by rounding only
     from multimag.bem import eval_double_layer, eval_single_layer
     from multimag.fem import clement_matrix, face_quadrature
 
@@ -511,9 +512,30 @@ def test_transfers_are_bitwise_the_separate_layer_transfers(pair_ws):
     s1, s2 = pair_ws.surface1, pair_ws.coupling.surface
     fresh = MultiscaleWorkspace(pair_ws.mesh1, pair_ws.coupling)
     single_21, double_21 = fresh.transfer_21
-    np.testing.assert_array_equal(fresh.transfer_12, separate(eval_double_layer, s1, s2))
-    np.testing.assert_array_equal(single_21, separate(eval_single_layer, s2, s1))
-    np.testing.assert_array_equal(double_21, separate(eval_double_layer, s2, s1))
+    for matrix, expect in (
+        (fresh.transfer_12, separate(eval_double_layer, s1, s2)),
+        (single_21, separate(eval_single_layer, s2, s1)),
+        (double_21, separate(eval_double_layer, s2, s1)),
+    ):
+        assert np.abs(matrix - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+def transfers(pair_ws):
+    fresh = MultiscaleWorkspace(pair_ws.mesh1, pair_ws.coupling)
+    return [fresh.transfer_12, *fresh.transfer_21]
+
+
+def test_transfers_independent_of_workers_and_batch_size(pair_ws, monkeypatch):
+    from multimag import bem
+
+    # the default takes each direction in one batch on one worker; 16 F
+    # pairs per batch take it in 40 batches of 2 target faces on 3
+    monkeypatch.setattr(bem, "_usable_cpus", lambda: 1)
+    reference = transfers(pair_ws)
+    monkeypatch.setattr(bem, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(bem, "BATCH_PAIRS", 16 * pair_ws.surface1.n_faces)
+    for swept, serial in zip(transfers(pair_ws), reference, strict=True):
+        np.testing.assert_array_equal(swept, serial)
 
 
 def test_transfers_take_one_sweep_per_direction(pair_ws, monkeypatch):
@@ -730,6 +752,20 @@ def test_reruns_start_cold_and_repeat_exactly(pair_ws, sphere1, monkeypatch):
     assert [repr(r) for r in second.records] == [repr(r) for r in first.records]
     for a, b in zip(first.states, second.states):
         assert a.m.values.tobytes() == b.m.values.tobytes()
+
+
+def test_each_run_logs_the_energy_exclusion_once(pair_ws, sphere1, caplog):
+    from dataclasses import replace
+
+    from multimag import run
+
+    setup = replace(multiscale_run_setup(pair_ws, sphere1, [0.0, 0.0, 1.0]), n_steps=1)
+    with caplog.at_level(logging.INFO, logger="multimag"):
+        run(setup)
+        run(setup)
+    mentions = [r for r in caplog.records if "excluded from E_int" in r.getMessage()]
+    assert len(mentions) == 2
+    assert all("'multiscale'" in r.getMessage() for r in mentions)
 
 
 def test_uapp_is_solved_once_per_applied_field(pair_ws, sphere1, monkeypatch):
