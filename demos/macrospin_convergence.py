@@ -8,9 +8,9 @@ scheme.
 """
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from multimag import NondimConstants, RunSetup, UniaxialContribution, reference_tet, run
+from multimag.oracles import macrospin_error, macrospin_reference
 
 ALPHA, C_ANI = 1.0, 0.5
 AXIS = np.array([0.0, 0.0, 1.0])
@@ -19,19 +19,9 @@ M0 = np.array([1.0, 0.0, 0.0])
 T_FINAL = 1.0
 
 
-def reference():
-    def rhs(t, m):
-        h = F + C_ANI * (m @ AXIS) * AXIS
-        h_perp = h - (h @ m) * m
-        return (ALPHA * h_perp - np.cross(m, h)) / (1.0 + ALPHA**2)
-
-    sol = solve_ivp(rhs, (0.0, T_FINAL), M0, method="DOP853", rtol=1e-12, atol=1e-12)
-    return sol.y[:, -1]
-
-
 def main():
     mesh = reference_tet()
-    m_ref = reference()
+    m_ref = macrospin_reference(M0, F, ALPHA, C_ANI, AXIS, T_FINAL)
     print(f"reference m(T={T_FINAL}) = [{m_ref[0]:.6f}, {m_ref[1]:.6f}, {m_ref[2]:.6f}]")
     print(f"{'k':>10} {'steps':>7} {'error':>11} {'ratio':>7}")
     prev = None
@@ -49,7 +39,7 @@ def main():
             n_steps=int(round(T_FINAL / k)),
         )
         traj = run(setup)
-        err = np.linalg.norm(traj.final.m.values - m_ref, axis=1).max()
+        err = macrospin_error(traj.final.m.values, M0, F, ALPHA, C_ANI, AXIS, T_FINAL)
         ratio = f"{prev / err:>6.2f}" if prev is not None else "     -"
         print(f"{k:>10.0e} {setup.n_steps:>7} {err:>11.3e} {ratio}")
         prev = err

@@ -58,10 +58,10 @@ from .integrator import (
 from .mesh import SurfaceMesh, TetMesh, check_angle_condition, load_mesh, write_mesh
 from .multiscale import (
     CouplingState,
+    CouplingWorkspace,
     MaterialLaw,
     MultiscaleContribution,
     MultiscaleWorkspace,
-    make_coupling_workspace,
     make_multiscale_workspace,
     material_law,
     solve_coupling,
@@ -79,6 +79,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CouplingState",
+    "CouplingWorkspace",
     "CubicContribution",
     "DecayReport",
     "EnergyRecord",
@@ -123,7 +124,6 @@ __all__ = [
     "load_config",
     "load_mesh",
     "make_applied_field",
-    "make_coupling_workspace",
     "make_llg_workspace",
     "make_multiscale_workspace",
     "make_strayfield_workspace",

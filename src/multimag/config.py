@@ -259,13 +259,10 @@ def load_config(path: str) -> SimulationConfig:
         multiscale_scheme = get("multiscale", "scheme", "zarantonello")
         multiscale_tol = get_float("multiscale", "tol", "1e-8")
         multiscale_max_iter = _int(get("multiscale", "max_iter", "200"), "[multiscale] max_iter")
-        if not multiscale_tol > 0.0:
-            raise ValueError(f"multiscale tol must be positive, got {multiscale_tol}")
-        if multiscale_max_iter < 1:
-            raise ValueError(f"multiscale max_iter must be at least 1, got {multiscale_max_iter}")
         with _section("multiscale"):
             multiscale_law = material_law(law_kind, *params)
-            check_solver_settings(multiscale_law, multiscale_scheme, multiscale_tol)
+            check_solver_settings(multiscale_law, multiscale_scheme, multiscale_tol,
+                                  multiscale_max_iter)
 
     applied_field = None
     applied_amplitude = None

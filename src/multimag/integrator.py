@@ -269,7 +269,7 @@ def evaluate_contributions(
     zeta,
     time_index: int,
 ) -> tuple[NodalVectorField, list[NodalVectorField]]:
-    """Evaluate pi_i(m, zeta) once per contribution, validating finiteness.
+    """Evaluate pi_i(m, zeta) once per contribution, validating its mesh and finiteness.
 
     Returns:
         (total, outputs): the sum over all contributions, accumulated in
@@ -279,6 +279,8 @@ def evaluate_contributions(
     outputs = []
     for contrib in contributions:
         out = contrib.evaluate(m, zeta=zeta, time_index=time_index)
+        if out.mesh is not m.mesh:
+            raise RuntimeError(f"contribution {contrib.name!r} returned a field on another mesh")
         if not np.isfinite(out.values).all():
             raise RuntimeError(f"contribution {contrib.name!r} produced non-finite values")
         total += out.values

@@ -236,15 +236,13 @@ class CouplingData:
 class CouplingWorkspace:
     """Assembled operators of the coupling problem on Omega_2.
 
-    Built as ``CouplingWorkspace(mesh, single_layer, double_layer)`` from the
-    Galerkin BEM matrices of ``mesh.boundary()``; ``make_coupling_workspace``
-    assembles them.  ``surface`` and ``stiffness`` are the mesh's own
-    boundary and stiffness, taken from it on construction.
+    Built as ``CouplingWorkspace(mesh)``: the mesh's own boundary ``surface``,
+    that surface's Galerkin BEM matrices, and the mesh's own ``stiffness``.
     """
 
     mesh: TetMesh
-    single_layer: np.ndarray  # (F, F) Galerkin V of Gamma_2
-    double_layer: np.ndarray  # (F, Nb) Galerkin K of Gamma_2
+    single_layer: np.ndarray = field(init=False, repr=False)  # (F, F) Galerkin V of Gamma_2
+    double_layer: np.ndarray = field(init=False, repr=False)  # (F, Nb) Galerkin K of Gamma_2
     surface: SurfaceMesh = field(init=False, repr=False)
     stiffness: SparseOperator = field(init=False, repr=False)
     boundary_mass: sparse.csr_matrix = field(init=False, repr=False)  # (F, Nb) Mb
@@ -257,6 +255,7 @@ class CouplingWorkspace:
 
     def __post_init__(self) -> None:
         self.surface = self.mesh.boundary()
+        self.single_layer, self.double_layer = assemble_bem(self.surface)
         self.stiffness = assemble_stiffness(self.mesh)
         self.boundary_mass = assemble_boundary_mass(self.surface)
         self.boundary_mass_t = self.boundary_mass.T.tocsr()
@@ -337,10 +336,6 @@ class CouplingWorkspace:
         return b + self.s_vec * b[n2:].sum()
 
 
-def make_coupling_workspace(mesh: TetMesh) -> CouplingWorkspace:
-    return CouplingWorkspace(mesh, *assemble_bem(mesh.boundary()))
-
-
 def solve_uapp(ws: CouplingWorkspace, f_values: np.ndarray) -> NodalScalarField:
     """Zero-mean auxiliary potential: <grad u_app, grad v> = -<f, grad v>."""
     rhs = -divergence_load(ws.mesh, np.broadcast_to(f_values, (ws.mesh.n_nodes, 3)))
@@ -361,9 +356,9 @@ def conormal_flux(ws: CouplingWorkspace, u_values: np.ndarray) -> FaceDensity:
     return FaceDensity(ws.surface, (ws.boundary_mass @ y) / ws.surface.areas)
 
 
-def check_solver_settings(law: MaterialLaw, scheme: str, tol_nl: float) -> None:
-    """Reject what :func:`solve_coupling` cannot solve with: a law with gamma <= 1/4,
-    an unknown scheme, or a nonlinear law with ``tol_nl`` below TOL_NL_FLOOR."""
+def check_solver_settings(law: MaterialLaw, scheme: str, tol_nl: float, max_iter: int) -> None:
+    """Reject what :func:`solve_coupling` cannot solve with: a law with gamma <= 1/4, an
+    unknown scheme, tol_nl <= 0 (< TOL_NL_FLOOR for a nonlinear law) or max_iter < 1."""
     if not law.gamma > 0.25:
         raise ValueError(
             f"material monotonicity constant gamma = {law.gamma:.4g} must exceed 1/4 "
@@ -371,6 +366,10 @@ def check_solver_settings(law: MaterialLaw, scheme: str, tol_nl: float) -> None:
         )
     if scheme not in ("zarantonello", "kacanov"):
         raise ValueError(f"unknown nonlinear scheme {scheme!r}; known: zarantonello, kacanov")
+    if not tol_nl > 0.0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol_nl}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not law.is_linear and not tol_nl >= TOL_NL_FLOOR:
         raise ValueError(
             f"tol = {tol_nl:g} is below the roundoff floor {TOL_NL_FLOOR:g} "
@@ -403,7 +402,7 @@ def solve_coupling(
         x0: (N2 + F,) start vector (u, phi), such as the ``x`` of an
             earlier :class:`CouplingState` on this workspace.
     """
-    check_solver_settings(law, scheme, tol_nl)
+    check_solver_settings(law, scheme, tol_nl, max_iter)
     b = ws.rhs(data)
     scale = np.linalg.norm(lu_solve(ws.p_lu, b)) or 1.0  # ||P^-1 b||, 1 when b = 0
 
@@ -538,7 +537,7 @@ def _node_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def make_multiscale_workspace(mesh1: TetMesh, mesh2: TetMesh) -> MultiscaleWorkspace:
-    return MultiscaleWorkspace(mesh1, make_coupling_workspace(mesh2))
+    return MultiscaleWorkspace(mesh1, CouplingWorkspace(mesh2))
 
 
 def transfer_u1_to_omega2(

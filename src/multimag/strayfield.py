@@ -54,30 +54,31 @@ from .mesh import SurfaceMesh, TetMesh
 class StrayfieldWorkspace:
     """Per-mesh state of repeated stray-field evaluations by one method.
 
-    Built as ``StrayfieldWorkspace(mesh, method, boundary_map)``.
-    ``boundary_map`` is the method's fixed map to the Dirichlet data of u12:
-    C (K - 1/2 Mb) applied to the trace of u11 (fk, Nb x Nb), or C V applied
-    to the face density phi (gcr, Nb x F); ``make_strayfield_workspace``
-    builds it.  A map whose shape does not fit the method is rejected, so
-    ``dataclasses.replace(ws, method=...)`` raises (except on a 4-face
-    surface, where Nb = F).  ``surface`` and ``stiffness`` are the mesh's
-    own boundary and stiffness, taken from it on construction.
+    Built as ``StrayfieldWorkspace(mesh, method)``: the mesh's own boundary
+    ``surface`` and ``stiffness``, and ``boundary_map``, the method's fixed
+    map to the Dirichlet data of u12: C (K - 1/2 Mb) applied to the trace of
+    u11 (fk, Nb x Nb), or C V applied to the face density phi (gcr, Nb x F).
+    The other BEM operator is dropped, so ``dataclasses.replace(ws,
+    method=...)`` builds the other method's map.
     """
 
     mesh: TetMesh
     method: str
-    boundary_map: np.ndarray = field(repr=False, compare=False)
+    boundary_map: np.ndarray = field(init=False, repr=False, compare=False)
     surface: SurfaceMesh = field(init=False, repr=False, compare=False)
     stiffness: SparseOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_method(self.method)
         self.surface = self.mesh.boundary()
-        rows = self.surface.boundary_nodes.size
-        shape = (rows, rows if self.method == "fk" else self.surface.n_faces)
-        got = self.boundary_map.shape
-        if got != shape:
-            raise ValueError(f"{self.method} boundary map must have shape {shape}, got {got}")
+        single_layer, double_layer = assemble_bem(self.surface)
+        clement = clement_matrix(self.surface)
+        if self.method == "fk":
+            self.boundary_map = clement @ double_layer
+            self.boundary_map -= 0.5 * (clement @ assemble_boundary_mass(self.surface)).toarray()
+        else:
+            self.boundary_map = clement @ single_layer
+        del single_layer, double_layer  # freed before the stiffness is built
         self.stiffness = assemble_stiffness(self.mesh)
 
 
@@ -88,19 +89,7 @@ def check_method(method: str) -> None:
 
 
 def make_strayfield_workspace(mesh: TetMesh, method: str = "fk") -> StrayfieldWorkspace:
-    """Assemble the method's boundary map (the workspace takes the
-    stiffness); the BEM operator the method does not apply is dropped on
-    return."""
-    check_method(method)
-    surface = mesh.boundary()
-    single_layer, double_layer = assemble_bem(surface)
-    clement = clement_matrix(surface)
-    if method == "fk":
-        boundary_map = clement @ double_layer
-        boundary_map -= 0.5 * (clement @ assemble_boundary_mass(surface)).toarray()
-    else:
-        boundary_map = clement @ single_layer
-    return StrayfieldWorkspace(mesh, method, boundary_map)
+    return StrayfieldWorkspace(mesh, method)
 
 
 def fk_strayfield(ws: StrayfieldWorkspace, m: NodalVectorField) -> NodalVectorField:

@@ -9,21 +9,25 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 from scipy.sparse import bsr_matrix, coo_matrix, csr_matrix, diags, identity, kron
 from scipy.sparse import linalg as spla
 
 from multimag import (
     MagnetizationState,
+    MultiscaleContribution,
     NodalVectorField,
     NondimConstants,
     RunSetup,
+    StrayfieldContribution,
     TangentFrame,
     UniaxialContribution,
     build_tangent_frame,
     icosphere_volume,
     llg_step,
     make_llg_workspace,
+    make_multiscale_workspace,
+    make_strayfield_workspace,
+    material_law,
     reference_tet,
     evaluate_contributions,
     run,
@@ -32,6 +36,7 @@ from multimag.fem import assemble_mass, assemble_stiffness, h1_seminorm_sq
 from multimag.fields import FieldContribution
 from multimag import integrator
 from multimag.integrator import _CROSS_TENSOR, _dot
+from multimag.oracles import macrospin_error
 
 from conftest import random_unit_field
 from meshes import kuhn_cube
@@ -488,6 +493,18 @@ def test_run_wraps_step0_contribution_failure(cube1):
     assert not hasattr(err.value, "partial_trajectory")
 
 
+def test_run_rejects_contribution_on_another_mesh(sphere1):
+    # radius 2 and sphere1's 85 nodes: only the mesh identity tells the fields apart
+    other = icosphere_volume(1, n_radial=2, radius=2.0)
+    far = icosphere_volume(1, n_radial=2, center=(6.0, 0.0, 0.0))
+    for contrib in (
+        StrayfieldContribution(make_strayfield_workspace(other, "fk")),
+        MultiscaleContribution(make_multiscale_workspace(other, far), material_law("zero")),
+    ):
+        with pytest.raises(RuntimeError, match=f"step 0: contribution '{contrib.name}' returned"):
+            run(small_setup(sphere1, 2, contributions=[contrib], f=np.array([0.0, 0.0, 0.5])))
+
+
 def test_run_rejects_nonfinite_inputs(cube1):
     # every guard compares as "not x <= bound", which a NaN fails
     with pytest.raises(RuntimeError, match="run aborted at step 0"):
@@ -532,16 +549,6 @@ def test_run_warns_for_conditional_theta(cube1, caplog):
     assert any("conditional" in r.message for r in caplog.records)
 
 
-def macrospin_reference(m0, h_of_m, alpha, t_final):
-    def rhs(t, m):
-        h = h_of_m(m)
-        h_perp = h - (h @ m) * m
-        return (alpha * h_perp - np.cross(m, h)) / (1.0 + alpha**2)
-
-    sol = solve_ivp(rhs, (0.0, t_final), m0, method="DOP853", rtol=1e-12, atol=1e-12)
-    return sol.y[:, -1]
-
-
 def test_macrospin_against_ode_reference():
     mesh = reference_tet()
     alpha = 1.0
@@ -559,9 +566,10 @@ def test_macrospin_against_ode_reference():
         n_steps=int(round(t_final / k)),
     )
     traj = run(setup)
-    ref = macrospin_reference(m0, lambda m: f, alpha, t_final)
-    # the uniform state stays nodally uniform, first order in k
-    err = np.abs(traj.final.m.values - ref).max()
+    # the uniform state stays nodally uniform, first order in k; there is
+    # no anisotropy term, so the reference takes c_ani = 0 (any axis)
+    axis = np.array([0.0, 0.0, 1.0])
+    err = macrospin_error(traj.final.m.values, m0, f, alpha, 0.0, axis, t_final)
     assert err < 1e-2
     spread = np.abs(traj.final.m.values - traj.final.m.values[0]).max()
     assert spread < 1e-12

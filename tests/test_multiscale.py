@@ -16,7 +16,6 @@ from multimag import (
     NodalVectorField,
     assemble_stiffness,
     icosphere_volume,
-    make_coupling_workspace,
     make_multiscale_workspace,
     material_law,
 )
@@ -39,7 +38,7 @@ from meshes import kuhn_cube
 
 @pytest.fixture(scope="module")
 def cube_cws():
-    return make_coupling_workspace(kuhn_cube(2))
+    return CouplingWorkspace(kuhn_cube(2))
 
 
 def test_law_zero():
@@ -159,8 +158,7 @@ def test_workspaces_take_surface_and_stiffness_from_their_meshes(pair_ws):
     assert pair_ws.stiffness1 is assemble_stiffness(pair_ws.mesh1)
     for name in ("surface", "stiffness"):
         with pytest.raises(TypeError, match=name):
-            CouplingWorkspace(cws.mesh, cws.single_layer, cws.double_layer,
-                              **{name: getattr(cws, name)})
+            CouplingWorkspace(cws.mesh, **{name: getattr(cws, name)})
     for name in ("surface", "stiffness", "surface1", "stiffness1"):
         with pytest.raises(TypeError, match=name):
             MultiscaleWorkspace(pair_ws.mesh1, cws, **{name: None})
@@ -290,6 +288,15 @@ def test_tol_below_roundoff_floor_is_rejected(pair_ws):
     # a linear law is one frozen solve, whose GMRES tolerance has a floor of its own
     linear = solve_coupling(pair_ws.coupling, data, material_law("linear", 2.0), tol_nl=1e-15)
     assert linear.iterations == 1
+
+
+def test_solver_settings_reject_unusable_tol_and_max_iter(pair_ws):
+    data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+        solve_coupling(pair_ws.coupling, data, material_law("tanh", 1.0, 1.0), max_iter=0)
+    for tol in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match=f"tol must be positive, got {tol}"):
+            solve_coupling(pair_ws.coupling, data, material_law("linear", 2.0), tol_nl=tol)
 
 
 def test_residual_increase_reports_plain_float_history(pair_ws, monkeypatch):
