@@ -188,7 +188,7 @@ def read_snapshot(path: str) -> np.ndarray:
     """Read a snapshot written by write_snapshot; exact double round-trip."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 3 or header[0] != "nodal-field" or header[1] != "3":
+        if len(header) != 3 or header[:2] != ["nodal-field", "3"] or not header[2].isdecimal():
             raise ValueError(f"malformed snapshot header in {path}: {' '.join(header)!r}")
         n = int(header[2])
         rows = [line for line in fh if line.strip()]

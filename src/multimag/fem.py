@@ -14,9 +14,10 @@ Clement interpolation (Nb x F) and the boundary mass (F x Nb), each a CSR
 matrix applied as one matvec.  All are ``mesh.per_mesh`` builders: the
 first call for a mesh or surface builds, freezes and stores the operator
 there, and every later call returns it.  Linear solves eliminate the
-constrained nodes and use a sparse LU factorization of the free block,
-built once per operator and set of constrained nodes; every solution is
-checked against the relative residual bound SOLVE_RESIDUAL_TOL, above the
+constrained nodes (node 0 for a zero-mean solve, the mesh's own boundary
+nodes for a Dirichlet one) and use a sparse LU factorization of the free
+block, built once per operator and constraint; every solution is checked
+against the relative residual bound SOLVE_RESIDUAL_TOL, above the
 roundoff floor of the residual, and raises instead of returning a bad
 solution.
 """
@@ -247,14 +248,14 @@ def solve_spd(
     rhs: np.ndarray,
     *,
     constraint: str,
-    dirichlet_nodes: np.ndarray | None = None,
     dirichlet_values: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve a symmetric positive (semi-)definite system by Dirichlet elimination.
 
-    Every constraint fixes the values at a set of nodes and solves for the
-    rest with a sparse LU factorization of the free block.  The factor is
-    built on the first solve with a given node set and cached on ``op``.
+    Every constraint fixes the values at a set of nodes of ``op.mesh`` and
+    solves for the rest with a sparse LU factorization of the free block.
+    The factor is built on the first solve with a given constraint and
+    cached on ``op``: one cached LU per operator and constraint.
 
     Args:
         op: assembled operator (stiffness or mass family).
@@ -264,8 +265,8 @@ def solve_spd(
                 projected onto the compatible subspace (component sum
                 removed), node 0 is pinned to zero, and the solution is
                 shifted to zero hat-weighted integral mean;
-            ``"dirichlet"`` - data ``dirichlet_values`` on ``dirichlet_nodes``
-                (an empty node set is the plain SPD solve).
+            ``"dirichlet"`` - data ``dirichlet_values`` on the mesh's own
+                boundary, ordered like ``op.mesh.boundary().boundary_nodes``.
 
     Returns:
         (N,) solution; constraints hold exactly (Dirichlet rows are set, the
@@ -281,23 +282,20 @@ def solve_spd(
         rhs = rhs - rhs.mean()
         nodes, values = np.zeros(1, dtype=np.int64), np.zeros(1)
     elif constraint == "dirichlet":
-        if dirichlet_nodes is None or dirichlet_values is None:
-            raise ValueError("dirichlet constraint requires nodes and values")
-        nodes = np.asarray(dirichlet_nodes, dtype=np.int64)
+        nodes = op.mesh.boundary().boundary_nodes
         values = np.asarray(dirichlet_values, dtype=np.float64)
-        if nodes.shape != values.shape:
-            raise ValueError("dirichlet nodes/values shape mismatch")
+        if values.shape != nodes.shape:
+            raise ValueError(f"expected ({nodes.size},) dirichlet values, got {values.shape}")
     else:
         raise ValueError(f"unknown constraint {constraint!r}")
 
-    key = nodes.tobytes()
-    if key not in op._cache:
+    if constraint not in op._cache:
         free = np.ones(n, dtype=bool)
         free[nodes] = False
         rows = op.matrix[free]
         lu = spla.splu(rows[:, free].tocsc()) if free.any() else None
-        op._cache[key] = (free, lu, rows[:, nodes].tocsr(), abs(rows))
-    free, lu, a_fd, abs_rows = op._cache[key]
+        op._cache[constraint] = (free, lu, rows[:, nodes].tocsr(), abs(rows))
+    free, lu, a_fd, abs_rows = op._cache[constraint]
 
     x = np.zeros(n)
     x[nodes] = values

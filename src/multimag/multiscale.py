@@ -92,7 +92,7 @@ from .fem import (
     SparseOperator,
     assemble_boundary_mass,
     assemble_stiffness,
-    assemble_weighted_stiffness,
+    assemble_weighted_stiffness,  # noqa: F401  perfbench/tracer.py wraps it at this module
     clement_matrix,
     divergence_load,
     lifted_gradient,
@@ -117,6 +117,11 @@ TOL_NL_FLOOR = 1e-13
 
 # (point, point) pairs per block of the boundary node gap: 1.5 MiB of differences
 GAP_PAIRS = 2**16
+
+# A boundary node seeing the other body's surface under a solid angle below
+# -CONTACT_ANGLE lies on it.  Off it the angle is 0 up to rounding (<= 2.8e-15 pi
+# on 1280-face spheres 0.03 apart); on it, minus the interior angle (-pi/2 at a cube corner).
+CONTACT_ANGLE = 1e-6 * np.pi
 
 _LAW_ARITY = {"zero": 0, "linear": 1, "tanh": 2, "rational": 4}
 
@@ -177,6 +182,8 @@ def material_law(kind: str, *params: float) -> MaterialLaw:
         raise ValueError(f"unknown material law {kind!r}")
     if len(params) != _LAW_ARITY[kind]:
         raise ValueError(f"law {kind!r} takes {_LAW_ARITY[kind]} parameters, got {len(params)}")
+    if np.isinf(params).any():  # NaN fails each law's own checks below
+        raise ValueError(f"law {kind!r} parameters must be finite, got {params}")
     if kind == "zero":
         return MaterialLaw(kind, (), gamma=1.0, lip=1.0)
     if kind == "linear":
@@ -265,13 +272,11 @@ class CouplingWorkspace:
             0.5 * (self.boundary_mass_t @ ones) - self.double_layer.T @ ones
         )
         self.s_vec = np.concatenate([s_u, self.single_layer.T @ ones])
-        # P, the chi == 0 matrix: its stiffness block, the weighted form at
-        # w = 1, is assemble_stiffness's bit for bit
+        # P, the chi == 0 matrix, built on the body's one stiffness
         n2, bnodes = self.n_u, self.surface.boundary_nodes
-        k = assemble_weighted_stiffness(self.mesh, np.ones(self.mesh.n_tets)).matrix
         mb = self.boundary_mass
         p = np.zeros((n2 + self.n_phi, n2 + self.n_phi))
-        p[:n2, :n2] = k.toarray()
+        p[:n2, :n2] = self.stiffness.matrix.toarray()
         p[bnodes, n2:] -= self.boundary_mass_t.toarray()
         p[n2:, bnodes] += 0.5 * mb.toarray() - self.double_layer
         p[n2:, n2:] += self.single_layer
@@ -516,13 +521,14 @@ class MultiscaleWorkspace:
 
 def _check_separated(s1: SurfaceMesh, s2: SurfaceMesh) -> None:
     """The two bodies must be disjoint with positive distance.  A node sees a
-    surface under the solid angle -4 pi inside it and -2 pi on one of its faces."""
+    surface under the solid angle -4 pi inside it, 0 outside it, and minus
+    the interior angle on it: -2 pi on a face, -pi on a right-angled edge."""
     d1, d2 = s1.nodes[s1.boundary_nodes], s2.nodes[s2.boundary_nodes]
-    inside = -3.0 * np.pi
-    if (solid_angles(s1, d2) < inside).any() or (solid_angles(s2, d1) < inside).any():
+    angles = np.concatenate([solid_angles(s1, d2), solid_angles(s2, d1)])
+    if (angles < -3.0 * np.pi).any():
         raise ValueError("domains overlap: boundary nodes of one body lie inside the other")
-    if not _node_gap(d1, d2) > 0.0:
-        raise ValueError("domains touch: boundary node distance is zero")
+    if (angles < -CONTACT_ANGLE).any() or not _node_gap(d1, d2) > 0.0:
+        raise ValueError("domains touch: a boundary node of one body lies on the other's surface")
 
 
 def _node_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -552,10 +558,7 @@ def transfer_u1_to_omega2(
     cws = mws.coupling
     boundary_vals = mws.transfer_12 @ u11_values[mws.surface1.boundary_nodes]
     u1 = solve_spd(
-        cws.stiffness,
-        np.zeros(cws.mesh.n_nodes),
-        constraint="dirichlet",
-        dirichlet_nodes=cws.surface.boundary_nodes,
+        cws.stiffness, np.zeros(cws.mesh.n_nodes), constraint="dirichlet",
         dirichlet_values=boundary_vals,
     )
     return NodalScalarField(cws.mesh, u1)
@@ -618,6 +621,9 @@ class MultiscaleContribution(FieldContribution):
     name = "multiscale"
     linear_self_adjoint = False
 
+    def __post_init__(self) -> None:
+        check_solver_settings(self.law, self.scheme, self.tol_nl, self.max_iter)
+
     def evaluate(self, m, zeta=None, time_index=0):
         if zeta is None:
             raise ValueError("multiscale contribution needs the applied field as zeta")
@@ -644,10 +650,7 @@ class MultiscaleContribution(FieldContribution):
             boundary_vals = double_21 @ w - single_21 @ state.phi
         with _stage("interior extension of u2 on Omega_1"):
             u2 = solve_spd(
-                mws.stiffness1,
-                np.zeros(mws.mesh1.n_nodes),
-                constraint="dirichlet",
-                dirichlet_nodes=mws.surface1.boundary_nodes,
+                mws.stiffness1, np.zeros(mws.mesh1.n_nodes), constraint="dirichlet",
                 dirichlet_values=boundary_vals,
             )
         self.last_state = state

@@ -113,10 +113,7 @@ def gcr_strayfield(ws: StrayfieldWorkspace, m: NodalVectorField) -> NodalVectorF
     """Garcia-Cervera-Roma stray-field evaluation, pi(m) = grad(u11 + u12)."""
     rhs = divergence_load(ws.mesh, m.values)
     u11 = solve_spd(
-        ws.stiffness,
-        rhs,
-        constraint="dirichlet",
-        dirichlet_nodes=ws.surface.boundary_nodes,
+        ws.stiffness, rhs, constraint="dirichlet",
         dirichlet_values=np.zeros(ws.surface.boundary_nodes.size),
     )
     phi = p0_normal_trace(ws.surface, m.values) - normal_derivative(ws.mesh, u11)
@@ -129,11 +126,7 @@ def _add_u12_and_lift(
     """grad(u11 + u12) lifted to the nodes, u12 the harmonic extension of the
     Dirichlet data ``dirichlet`` on the boundary nodes."""
     u12 = solve_spd(
-        ws.stiffness,
-        np.zeros(ws.mesh.n_nodes),
-        constraint="dirichlet",
-        dirichlet_nodes=ws.surface.boundary_nodes,
-        dirichlet_values=dirichlet,
+        ws.stiffness, np.zeros(ws.mesh.n_nodes), constraint="dirichlet", dirichlet_values=dirichlet
     )
     return NodalVectorField(ws.mesh, lifted_gradient(ws.mesh, u11 + u12))
 

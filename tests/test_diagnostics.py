@@ -237,6 +237,7 @@ def test_snapshot_rejects_bad_shape(tmp_path):
     [
         ("nodal-field 2 4\n0 0\n", "malformed snapshot header"),
         ("vectors 3 4\n", "malformed snapshot header"),
+        ("nodal-field 3 x\n0 0 0\n", r"malformed snapshot header in .*bad\.dat: 'nodal-field 3 x'"),
         ("nodal-field 3 5\n" + "0 0 0\n" * 4, "declares 5 nodes"),
         ("nodal-field 3 0\n0 0 0\n", "declares 0 nodes"),
         ("nodal-field 3 2\n", r"declares 2 nodes but carries \(0, 3\)"),

@@ -253,18 +253,6 @@ def test_normal_derivative_map_matches_einsum_form(n, seed):
     assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def test_solve_spd_plain(cube2):
-    # a Dirichlet solve with no constrained nodes is the plain SPD solve
-    M = assemble_mass(cube2)
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=cube2.n_nodes)
-    none = np.zeros(0, dtype=np.int64)
-    u = solve_spd(
-        M, M.matrix @ x, constraint="dirichlet", dirichlet_nodes=none, dirichlet_values=np.zeros(0)
-    )
-    np.testing.assert_allclose(u, x, rtol=1e-8, atol=1e-9)
-
-
 def test_solve_spd_zero_mean(cube2):
     K = assemble_stiffness(cube2)
     rhs = divergence_load(cube2, np.tile([0.0, 0.0, 1.0], (cube2.n_nodes, 1)))
@@ -279,15 +267,29 @@ def test_solve_spd_dirichlet(cube2):
     K = assemble_stiffness(cube2)
     surf = cube2.boundary()
     g = cube2.nodes[surf.boundary_nodes, 0] + 2.0
-    u = solve_spd(
-        K,
-        np.zeros(cube2.n_nodes),
-        constraint="dirichlet",
-        dirichlet_nodes=surf.boundary_nodes,
-        dirichlet_values=g,
-    )
+    u = solve_spd(K, np.zeros(cube2.n_nodes), constraint="dirichlet", dirichlet_values=g)
     # harmonic extension of an affine trace is the affine function
     np.testing.assert_allclose(u, cube2.nodes[:, 0] + 2.0, atol=1e-8)
+
+
+def test_solve_spd_dirichlet_with_every_node_on_the_boundary(cube1):
+    # kuhn_cube(1) has no interior node: the solution is the data itself
+    surf = cube1.boundary()
+    assert surf.boundary_nodes.size == cube1.n_nodes
+    g = np.random.default_rng(2).normal(size=cube1.n_nodes)
+    u = solve_spd(
+        assemble_stiffness(cube1), np.zeros(cube1.n_nodes), constraint="dirichlet",
+        dirichlet_values=g,
+    )
+    np.testing.assert_array_equal(u[surf.boundary_nodes], g)
+
+
+def test_solve_spd_rejects_dirichlet_values_off_the_boundary_size(cube2):
+    K = assemble_stiffness(cube2)
+    nb = cube2.boundary().boundary_nodes.size
+    for values in (np.zeros(nb - 1), np.zeros(cube2.n_nodes), None):
+        with pytest.raises(ValueError, match=f"expected \\({nb},\\) dirichlet values"):
+            solve_spd(K, np.zeros(cube2.n_nodes), constraint="dirichlet", dirichlet_values=values)
 
 
 @pytest.mark.parametrize("constraint", ["zero-mean", "dirichlet"])
@@ -302,7 +304,7 @@ def test_solve_spd_constraints_and_residual(cube2, constraint, seed, scale):
     kwargs = {}
     if constraint == "dirichlet":
         values = scale * rng.normal(size=nodes.size)
-        kwargs = {"dirichlet_nodes": nodes, "dirichlet_values": values}
+        kwargs = {"dirichlet_values": values}
     x = solve_spd(op, rhs, constraint=constraint, **kwargs)
     b = rhs - rhs.mean() if constraint == "zero-mean" else rhs
     free = np.ones(cube2.n_nodes, dtype=bool)
@@ -330,7 +332,7 @@ def test_one_operator_per_mesh(sphere1, sphere_ws, pair_ws):
     np.testing.assert_array_equal(mass.matrix.indices, stiffness.matrix.indices)
 
 
-def test_solve_spd_factors_once_per_node_set(monkeypatch):
+def test_solve_spd_factors_once_per_constraint(monkeypatch):
     from multimag import fem
 
     mesh = kuhn_cube(2)
@@ -343,7 +345,7 @@ def test_solve_spd_factors_once_per_node_set(monkeypatch):
 
     monkeypatch.setattr(fem.spla, "splu", counting_splu)
     K = assemble_stiffness(mesh)
-    bnodes = mesh.boundary().boundary_nodes
+    nb = mesh.boundary().boundary_nodes.size
     rng = np.random.default_rng(3)
     for _ in range(3):
         solve_spd(K, rng.normal(size=mesh.n_nodes), constraint="zero-mean")
@@ -351,20 +353,15 @@ def test_solve_spd_factors_once_per_node_set(monkeypatch):
     for _ in range(2):
         # gcr's homogeneous solve and its harmonic extension share one factor
         solve_spd(
-            K,
-            rng.normal(size=mesh.n_nodes),
-            constraint="dirichlet",
-            dirichlet_nodes=bnodes,
-            dirichlet_values=np.zeros(bnodes.size),
+            K, rng.normal(size=mesh.n_nodes), constraint="dirichlet",
+            dirichlet_values=np.zeros(nb),
         )
         solve_spd(
-            K,
-            np.zeros(mesh.n_nodes),
-            constraint="dirichlet",
-            dirichlet_nodes=bnodes,
-            dirichlet_values=rng.normal(size=bnodes.size),
+            K, np.zeros(mesh.n_nodes), constraint="dirichlet",
+            dirichlet_values=rng.normal(size=nb),
         )
     assert len(calls) == 2
+    assert sorted(K._cache) == ["dirichlet", "zero-mean"]
 
 
 def test_solve_spd_accepts_a_load_that_cancels_to_roundoff():

@@ -20,6 +20,7 @@ from multimag import (
     material_law,
 )
 from multimag import multiscale
+from multimag.bem import solid_angles
 from multimag.multiscale import (
     TOL_NL_FLOOR,
     CouplingWorkspace,
@@ -68,6 +69,21 @@ def test_law_tanh():
     np.testing.assert_allclose(law.g(2.0), 2.0 + np.tanh(2.0), rtol=1e-14)
     with pytest.raises(ValueError, match="positive"):
         material_law("tanh", -1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("linear", (np.inf,)),
+        ("tanh", (np.inf, 1.0)),
+        ("tanh", (1.0, np.inf)),
+        ("rational", (1.0, 0.0, np.inf, 1.0)),
+    ],
+)
+def test_law_rejects_infinite_parameters(kind, params):
+    # an infinite coefficient would make gamma or lip infinite
+    with pytest.raises(ValueError, match=f"law '{kind}' parameters must be finite"):
+        material_law(kind, *params)
 
 
 def test_law_rational_bounds_contain_derivative():
@@ -258,6 +274,21 @@ def test_unknown_scheme_rejected(pair_ws):
         solve_coupling(pair_ws.coupling, data, material_law("zero"), scheme="newton")
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"scheme": "newton"}, "unknown nonlinear scheme 'newton'"),
+        ({"tol_nl": 0.0}, "tol must be positive"),
+        ({"max_iter": 0}, "max_iter must be at least 1"),
+        ({"tol_nl": 1e-15}, "below the roundoff floor"),
+    ],
+)
+def test_contribution_checks_solver_settings_on_construction(pair_ws, settings, message):
+    # rejected before any evaluation, not at the first coupling solve
+    with pytest.raises(ValueError, match=message):
+        MultiscaleContribution(workspace=pair_ws, law=material_law("tanh", 1.0, 1.0), **settings)
+
+
 def test_zarantonello_monotone_convergence(pair_ws):
     law = material_law("tanh", 1.0, 1.0)
     data = coupling_data(pair_ws, np.zeros((pair_ws.mesh1.n_nodes, 3)), [0.0, 0.0, 1.0])
@@ -354,9 +385,36 @@ def test_overlapping_domains_rejected(sphere1):
 
 def test_touching_domains_rejected():
     # the cubes share the face x = 1: no node lies inside the other body,
-    # but the boundary node gap is zero
+    # but the nodes on x = 1 lie on the other's face
     with pytest.raises(ValueError, match="touch"):
         _check_separated(kuhn_cube(1).boundary(), kuhn_cube(2, origin=(1.0, 0.0, 0.0)).boundary())
+
+
+@pytest.mark.parametrize(
+    "origin", [(1.0, 0.2, 0.3), (1.0, 1.0, 0.3)], ids=["face", "edge"]
+)
+def test_contact_without_shared_nodes_rejected(origin):
+    # the copy touches the cube at part of a face or along an edge, and no
+    # two boundary nodes coincide: the node gap is positive, but nodes of
+    # each body see the other's surface under -2 pi or -pi
+    other = kuhn_cube(2, origin=origin)
+    assert _node_gap(boundary_points(kuhn_cube(2).boundary()),
+                     boundary_points(other.boundary())) > 0.0
+    with pytest.raises(ValueError, match="touch"):
+        make_multiscale_workspace(kuhn_cube(2), other)
+
+
+@pytest.mark.parametrize(
+    "origin", [(1.001, 0.2, 0.3), (2.0, 0.0, 0.0)], ids=["gap 1e-3", "coplanar faces"]
+)
+def test_near_but_separated_domains_accepted(origin):
+    # the solid angles at the nodes are 0 up to rounding, far below the
+    # contact threshold, also where faces of the two cubes share a plane
+    s1, s2 = kuhn_cube(2).boundary(), kuhn_cube(2, origin=origin).boundary()
+    angles = np.concatenate([solid_angles(s1, boundary_points(s2)),
+                             solid_angles(s2, boundary_points(s1))])
+    assert np.abs(angles).max() <= 1e-15 * np.pi < multiscale.CONTACT_ANGLE
+    _check_separated(s1, s2)
 
 
 def boundary_points(surface):
