@@ -24,7 +24,6 @@ from .diagnostics import (
     write_vtk,
 )
 from .fem import (
-    FaceDensity,
     NodalScalarField,
     NodalVectorField,
     assemble_boundary_mass,
@@ -83,7 +82,6 @@ __all__ = [
     "CubicContribution",
     "DecayReport",
     "EnergyRecord",
-    "FaceDensity",
     "FieldContribution",
     "GAMMA0",
     "LlgWorkspace",

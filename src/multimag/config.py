@@ -220,7 +220,7 @@ def load_config(path: str) -> SimulationConfig:
     else:
         raise ValueError(f"initial must be 'uniform' or 'snapshot', got {initial_kind!r}")
 
-    terms_text = get("contributions", "terms", "") if parser.has_section("contributions") else ""
+    terms_text = get("contributions", "terms", "")
     terms = tuple(t.strip() for t in terms_text.split(",") if t.strip())
     for t in terms:
         if t not in _KNOWN_TERMS:
@@ -278,7 +278,7 @@ def load_config(path: str) -> SimulationConfig:
         # the environment field pi(m, f) is driven by the applied field f
         raise ValueError("multiscale term requires an [applied_field] kind other than none")
 
-    solver_tol = get_float("solver", "tol", "1e-10") if parser.has_section("solver") else 1e-10
+    solver_tol = get_float("solver", "tol", "1e-10")
     if not solver_tol > 0.0:
         raise ValueError(f"solver tol must be positive, got {solver_tol}")
 

@@ -94,21 +94,6 @@ class NodalVectorField:
         return (w @ self.values) / w.sum()
 
 
-@dataclass
-class FaceDensity:
-    """P0 surface field: one constant per boundary face."""
-
-    surface: SurfaceMesh
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.surface.n_faces,):
-            raise ValueError(
-                f"expected shape ({self.surface.n_faces},), got {self.values.shape}"
-            )
-
-
 @dataclass(eq=False)
 class SparseOperator:
     """Assembled sparse Galerkin matrix plus the factorizations solves reuse."""

@@ -37,7 +37,13 @@ normal derivative phi on Gamma_2 reads, with g(t) = t + chi(t) t,
   <V phi + (1/2 - K) u, psi>_Gamma
         = <(1/2 - K)(u1 + u_app), psi>_Gamma          for all psi,
 
-where lambda is the conormal flux of u1.  The plain Galerkin operator of
+where lambda is the conormal flux of u1.  It enters only through its
+moments against the boundary hats, which the discrete Green formula gives
+exactly as the Galerkin load <grad u1, grad v> = (S u1)_v on the boundary
+rows of the stiffness S (``conormal_flux``); no density lambda is formed.
+1/2 - K is one dense (F, Nb) matrix, 1/2 Mb - K with Mb the boundary mass,
+kept as ``CouplingWorkspace.trace_map``; P, A, b and the stabilization
+vector all apply it.  The plain Galerkin operator of
 this system is not strongly monotone; it is stabilized by the rank-one
 augmentation A(x) = A~(x) + s (s.x) and b = b~ + (sum of the BEM-block
 entries of b~) s, where s.x is the BEM row tested with psi = 1.  Constants
@@ -75,7 +81,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse import linalg as spla
 
 from .bem import (
@@ -86,7 +92,6 @@ from .bem import (
     solid_angles,
 )
 from .fem import (
-    FaceDensity,
     NodalScalarField,
     NodalVectorField,
     SparseOperator,
@@ -234,7 +239,7 @@ class CouplingState:
 class CouplingData:
     """Right-hand-side data of the coupling system."""
 
-    flux: np.ndarray  # (F,) conormal flux lambda of u1 on Gamma_2
+    flux: np.ndarray  # (N2,) Galerkin load <lambda, v>_Gamma of u1's conormal flux, 0 inside
     f: np.ndarray  # (N2, 3) applied-field nodal values on Omega_2
     gamma_trace: np.ndarray  # (Nb,) trace of u1 + u_app, local boundary order
 
@@ -244,46 +249,41 @@ class CouplingWorkspace:
     """Assembled operators of the coupling problem on Omega_2.
 
     Built as ``CouplingWorkspace(mesh)``: the mesh's own boundary ``surface``,
-    that surface's Galerkin BEM matrices, and the mesh's own ``stiffness``.
+    that surface's Galerkin V and trace map 1/2 Mb - K, Mb^T for the -<phi, v>
+    block, and the mesh's own ``stiffness``.
     """
 
     mesh: TetMesh
     single_layer: np.ndarray = field(init=False, repr=False)  # (F, F) Galerkin V of Gamma_2
-    double_layer: np.ndarray = field(init=False, repr=False)  # (F, Nb) Galerkin K of Gamma_2
+    trace_map: np.ndarray = field(init=False, repr=False)  # (F, Nb) 1/2 Mb - K of Gamma_2
     surface: SurfaceMesh = field(init=False, repr=False)
     stiffness: SparseOperator = field(init=False, repr=False)
-    boundary_mass: sparse.csr_matrix = field(init=False, repr=False)  # (F, Nb) Mb
     boundary_mass_t: sparse.csr_matrix = field(init=False, repr=False)  # (Nb, F) Mb^T
     s_vec: np.ndarray = field(init=False, repr=False)  # stabilization vector
     p_lu: tuple = field(init=False, repr=False)  # LU of the chi==0 matrix
-    flux_cho: tuple = field(init=False, repr=False)  # Cholesky of the flux normal matrix
     gradient_t: sparse.csr_matrix = field(default=None, init=False, repr=False)  # (N, 3M) G^T
     _uapp: tuple = field(default=None, init=False, repr=False)  # (f bytes, u_app)
 
     def __post_init__(self) -> None:
         self.surface = self.mesh.boundary()
-        self.single_layer, self.double_layer = assemble_bem(self.surface)
+        self.single_layer, double_layer = assemble_bem(self.surface)
         self.stiffness = assemble_stiffness(self.mesh)
-        self.boundary_mass = assemble_boundary_mass(self.surface)
-        self.boundary_mass_t = self.boundary_mass.T.tocsr()
-        ones = np.ones(self.surface.n_faces)
-        s_u = np.zeros(self.mesh.n_nodes)
-        s_u[self.surface.boundary_nodes] = (
-            0.5 * (self.boundary_mass_t @ ones) - self.double_layer.T @ ones
-        )
-        self.s_vec = np.concatenate([s_u, self.single_layer.T @ ones])
-        # P, the chi == 0 matrix, built on the body's one stiffness
+        boundary_mass = assemble_boundary_mass(self.surface)
+        self.boundary_mass_t = boundary_mass.T.tocsr()
+        self.trace_map = 0.5 * boundary_mass.toarray() - double_layer
         n2, bnodes = self.n_u, self.surface.boundary_nodes
-        mb = self.boundary_mass
+        ones = np.ones(self.n_phi)
+        self.s_vec = np.zeros(n2 + self.n_phi)
+        self.s_vec[bnodes] = self.trace_map.T @ ones
+        self.s_vec[n2:] = self.single_layer.T @ ones
+        # P, the chi == 0 matrix, built on the body's one stiffness
         p = np.zeros((n2 + self.n_phi, n2 + self.n_phi))
         p[:n2, :n2] = self.stiffness.matrix.toarray()
         p[bnodes, n2:] -= self.boundary_mass_t.toarray()
-        p[n2:, bnodes] += 0.5 * mb.toarray() - self.double_layer
+        p[n2:, bnodes] += self.trace_map
         p[n2:, n2:] += self.single_layer
         p += np.outer(self.s_vec, self.s_vec)
         self.p_lu = lu_factor(p)
-        # mb.T (CSC) here: the CSR copy would change the product's summation order
-        self.flux_cho = cho_factor((mb.T @ sparse.diags(1.0 / self.surface.areas) @ mb).toarray())
         self.gradient_t = self.mesh.gradient_matrix.T.tocsr()
 
     @property
@@ -324,20 +324,16 @@ class CouplingWorkspace:
         out[: self.n_u] = self.gradient_t @ (weights[:, None] * grad).ravel()
         bnodes = self.surface.boundary_nodes
         out[: self.n_u][bnodes] -= self.boundary_mass_t @ phi
-        out[self.n_u :] = self.single_layer @ phi + (
-            0.5 * (self.boundary_mass @ u[bnodes]) - self.double_layer @ u[bnodes]
-        )
+        out[self.n_u :] = self.single_layer @ phi + self.trace_map @ u[bnodes]
         return out + self.s_vec * (self.s_vec @ x)
 
     def rhs(self, data: CouplingData) -> np.ndarray:
         """Stabilized right-hand side b."""
         n2 = self.n_u
-        b = np.zeros(n2 + self.n_phi)
-        b[: n2][self.surface.boundary_nodes] = self.boundary_mass_t @ data.flux
+        b = np.empty(n2 + self.n_phi)
+        b[:n2] = data.flux
         b[:n2] -= divergence_load(self.mesh, data.f)
-        b[n2:] = 0.5 * (self.boundary_mass @ data.gamma_trace) - (
-            self.double_layer @ data.gamma_trace
-        )
+        b[n2:] = self.trace_map @ data.gamma_trace
         return b + self.s_vec * b[n2:].sum()
 
 
@@ -347,18 +343,21 @@ def solve_uapp(ws: CouplingWorkspace, f_values: np.ndarray) -> NodalScalarField:
     return NodalScalarField(ws.mesh, solve_spd(ws.stiffness, rhs, constraint="zero-mean"))
 
 
-def conormal_flux(ws: CouplingWorkspace, u_values: np.ndarray) -> FaceDensity:
-    """Variationally consistent P0 conormal flux of a nodal field.
+def conormal_flux(ws: CouplingWorkspace, u_values: np.ndarray) -> NodalScalarField:
+    """Galerkin Neumann load of a nodal field: <grad u, grad v> for each
+    boundary hat v, and 0 on the interior nodes.
 
-    Returns the minimum-norm (area-weighted) face density lambda with
-    <lambda, v>_Gamma = <grad u, grad v> for every boundary hat v.  For a
-    discrete-harmonic u this makes lambda the exact discrete flux, so
-    substituting u back into the coupled system leaves no residual; the
-    elementwise normal derivative would leave an O(h) one.
+    These boundary rows of S u (S the stiffness) are the moments
+    <lambda, v>_Gamma of u's conormal flux lambda against the boundary hats,
+    by the discrete Green formula.  For a
+    discrete-harmonic u this is the exact discrete flux, so substituting u
+    back into the coupled system leaves no residual; the elementwise normal
+    derivative would leave an O(h) one.
     """
-    residual = (ws.stiffness.matrix @ u_values)[ws.surface.boundary_nodes]
-    y = cho_solve(ws.flux_cho, residual)
-    return FaceDensity(ws.surface, (ws.boundary_mass @ y) / ws.surface.areas)
+    bnodes = ws.surface.boundary_nodes
+    load = np.zeros(ws.n_u)
+    load[bnodes] = (ws.stiffness.matrix @ u_values)[bnodes]
+    return NodalScalarField(ws.mesh, load)
 
 
 def check_solver_settings(law: MaterialLaw, scheme: str, tol_nl: float, max_iter: int) -> None:
@@ -527,8 +526,43 @@ def _check_separated(s1: SurfaceMesh, s2: SurfaceMesh) -> None:
     angles = np.concatenate([solid_angles(s1, d2), solid_angles(s2, d1)])
     if (angles < -3.0 * np.pi).any():
         raise ValueError("domains overlap: boundary nodes of one body lie inside the other")
+    if _edges_cross(s1, s2) or _edges_cross(s2, s1):
+        raise ValueError("domains overlap: an edge of one body crosses the other's surface")
     if (angles < -CONTACT_ANGLE).any() or not _node_gap(d1, d2) > 0.0:
         raise ValueError("domains touch: a boundary node of one body lies on the other's surface")
+
+
+def _edges_cross(s: SurfaceMesh, t: SurfaceMesh) -> bool:
+    """Whether an edge of ``s`` crosses a face of ``t``: its ends lie strictly on
+    either side of the face's plane and it passes strictly inside the face, by
+    orient3d signs.  Only edges and faces meeting the overlap of the two bounding
+    boxes are tested, in blocks of about GAP_PAIRS (edge, face) pairs."""
+    vs, vt = s.vertex_coords.reshape(-1, 3), t.vertex_coords.reshape(-1, 3)
+    lo = np.maximum(vs.min(axis=0), vt.min(axis=0))
+    hi = np.minimum(vs.max(axis=0), vt.max(axis=0))
+    if (lo > hi).any():
+        return False
+
+    def in_box(points):  # (n, k, 3) -> (n,) whose bounding box meets [lo, hi]
+        return ((points.max(axis=1) >= lo) & (points.min(axis=1) <= hi)).all(axis=1)
+
+    edges = np.unique(np.sort(s.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
+    segs, tris = s.nodes[edges], t.vertex_coords
+    segs, tris = segs[in_box(segs)], tris[in_box(tris)]
+    a, b, c = (tris[None, :, k] for k in range(3))
+    rows = max(1, GAP_PAIRS // max(1, len(tris)))
+    for start in range(0, len(segs), rows):
+        p, q = (segs[start : start + rows, None, k] for k in range(2))
+        sides = _orient(a, b, c, p) * _orient(a, b, c, q) < 0
+        turns = _orient(p, q, a, b) + _orient(p, q, b, c) + _orient(p, q, c, a)
+        if (sides & (np.abs(turns) == 3)).any():
+            return True
+    return False
+
+
+def _orient(a, b, c, d) -> np.ndarray:
+    """orient3d: the sign of det[b - a, c - a, d - a], broadcast over points."""
+    return np.sign(np.einsum("...i,...i->...", np.cross(b - a, c - a), d - a))
 
 
 def _node_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -577,9 +611,9 @@ def coupling_data(mws: MultiscaleWorkspace, m_values: np.ndarray, f) -> Coupling
     """Right-hand-side data of the coupling solve for m on Omega_1 in the uniform field f.
 
     Runs pipeline steps 1-3: u11 on Omega_1, its transfer u1 onto Omega_2
-    and the workspace's kept u_app of f; then the conormal flux of u1 and
-    the Gamma_2 trace of u1 + u_app.  Stage failures are re-raised with the
-    stage named.
+    and the workspace's kept u_app of f; then the Galerkin load of u1's
+    conormal flux and the Gamma_2 trace of u1 + u_app.  Stage failures are
+    re-raised with the stage named.
 
     Args:
         m_values: (N1, 3) magnetization on Omega_1.

@@ -19,8 +19,8 @@ import multimag
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "multimag").glob("*.py"))
 
-SETTABLE_CEILING = 184
-ALL_CEILING = 63
+SETTABLE_CEILING = 182
+ALL_CEILING = 62
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

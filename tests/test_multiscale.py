@@ -14,18 +14,22 @@ from hypothesis import strategies as st
 from multimag import (
     MultiscaleContribution,
     NodalVectorField,
+    TetMesh,
     assemble_stiffness,
     icosphere_volume,
     make_multiscale_workspace,
     material_law,
 )
 from multimag import multiscale
-from multimag.bem import solid_angles
+from multimag.bem import assemble_bem, solid_angles
+from multimag.fem import assemble_boundary_mass, divergence_load, solve_spd
 from multimag.multiscale import (
     TOL_NL_FLOOR,
+    CouplingData,
     CouplingWorkspace,
     MultiscaleWorkspace,
     _check_separated,
+    _edges_cross,
     _node_gap,
     conormal_flux,
     coupling_data,
@@ -138,18 +142,54 @@ def test_law_monotonicity_bounds(law):
 
 
 def test_conormal_flux_weak_consistency_for_affine(cube_cws):
-    # grad u . n is piecewise constant for affine u, so the consistent flux
-    # carries the same moments against every boundary hat (pointwise values
-    # differ: faces outnumber boundary nodes, and the minimum-norm solution
-    # lives in the range of the adjoint)
+    # grad u . n = nu . a is piecewise constant for affine u, so the Galerkin
+    # load is its moments Mb^T (nu . a) against the boundary hats
     a = np.array([1.0, -2.0, 0.5])
-    lam = conormal_flux(cube_cws, cube_cws.mesh.nodes @ a)
-    mb = cube_cws.boundary_mass
-    np.testing.assert_allclose(
-        mb.T @ lam.values, mb.T @ (cube_cws.surface.normals @ a), atol=1e-9
-    )
+    load = conormal_flux(cube_cws, cube_cws.mesh.nodes @ a).values
+    bnodes = cube_cws.surface.boundary_nodes
+    mb = assemble_boundary_mass(cube_cws.surface)
+    np.testing.assert_allclose(load[bnodes], mb.T @ (cube_cws.surface.normals @ a), atol=1e-12)
+    interior = np.setdiff1d(np.arange(cube_cws.n_u), bnodes)
+    assert interior.size and (load[interior] == 0.0).all()
     # total flux of an affine field through a closed surface vanishes
-    assert abs(lam.values @ cube_cws.surface.areas) < 1e-9
+    assert abs(load.sum()) < 1e-12
+
+
+def test_galerkin_load_matches_minimum_norm_flux():
+    # the rhs from the load equals the one from the minimum-norm P0 density
+    # lambda = D^-1 Mb (Mb^T D^-1 Mb)^-1 r, D the face areas, whose moments
+    # Mb^T lambda are r, for a random discrete-harmonic u
+    ws = CouplingWorkspace(icosphere_volume(1, n_radial=2))
+    rng = np.random.default_rng(41)
+    n2, bnodes, areas = ws.n_u, ws.surface.boundary_nodes, ws.surface.areas
+    u = solve_spd(ws.stiffness, np.zeros(n2), constraint="dirichlet",
+                  dirichlet_values=rng.normal(size=bnodes.size))
+    mb = assemble_boundary_mass(ws.surface).toarray()
+    r = (ws.stiffness.matrix @ u)[bnodes]
+    lam = mb @ np.linalg.solve(mb.T @ (mb / areas[:, None]), r) / areas
+    f, trace = rng.normal(size=(n2, 3)), rng.normal(size=bnodes.size)
+    ref = np.zeros(n2 + ws.n_phi)
+    ref[bnodes] = mb.T @ lam
+    ref[:n2] -= divergence_load(ws.mesh, f)
+    ref[n2:] = (0.5 * mb - assemble_bem(ws.surface)[1]) @ trace
+    ref += ws.s_vec * ref[n2:].sum()
+    got = ws.rhs(CouplingData(flux=conormal_flux(ws, u).values, f=f, gamma_trace=trace))
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "law", [material_law("linear", 2.0), material_law("tanh", 1.0, 1.0)], ids=["linear", "tanh"]
+)
+def test_full_boundary_omega2_solves(law):
+    # every node of kuhn_cube(1) lies on its boundary: Mb (12 faces x 8 nodes)
+    # lacks full column rank, which the Galerkin load does not need
+    ws = CouplingWorkspace(kuhn_cube(1))
+    u1 = np.random.default_rng(17).normal(size=ws.n_u)
+    f = np.broadcast_to([0.0, 0.0, 1.0], (ws.n_u, 3))
+    trace = (u1 + ws.uapp(f).values)[ws.surface.boundary_nodes]
+    data = CouplingData(flux=conormal_flux(ws, u1).values, f=f, gamma_trace=trace)
+    state = solve_coupling(ws, data, law, tol_nl=1e-8)
+    assert state.residual <= 1e-8
 
 
 def test_stabilization_vector_structure(cube_cws):
@@ -158,7 +198,8 @@ def test_stabilization_vector_structure(cube_cws):
     ones = np.ones(ws.surface.n_faces)
     s_u = np.zeros(n2)
     s_u[ws.surface.boundary_nodes] = (
-        0.5 * (ws.boundary_mass.T @ ones) - ws.double_layer.T @ ones
+        0.5 * (assemble_boundary_mass(ws.surface).T @ ones)
+        - assemble_bem(ws.surface)[1].T @ ones
     )
     np.testing.assert_allclose(ws.s_vec[:n2], s_u, atol=1e-14)
     np.testing.assert_allclose(ws.s_vec[n2:], ws.single_layer.T @ ones, atol=1e-14)
@@ -183,9 +224,10 @@ def test_workspaces_take_surface_and_stiffness_from_their_meshes(pair_ws):
 def test_boundary_mass_transpose_is_kept_once(cube_cws):
     mbt = cube_cws.boundary_mass_t
     assert mbt.format == "csr"
-    assert (mbt != cube_cws.boundary_mass.T).nnz == 0
+    mb = assemble_boundary_mass(cube_cws.surface)
+    assert (mbt != mb.T).nnz == 0
     phi = np.random.default_rng(5).normal(size=cube_cws.n_phi)
-    np.testing.assert_array_equal(mbt @ phi, cube_cws.boundary_mass.T @ phi)
+    np.testing.assert_array_equal(mbt @ phi, mb.T @ phi)
 
 
 def dense_frozen_matrix(ws, law, x):
@@ -196,9 +238,9 @@ def dense_frozen_matrix(ws, law, x):
     weights = 1.0 + law.chi(np.linalg.norm(ws.mesh.element_gradient(x[:n2]), axis=1))
     a = np.zeros((x.size, x.size))
     a[:n2, :n2] = assemble_weighted_stiffness(ws.mesh, weights).matrix.toarray()
-    mb = ws.boundary_mass.toarray()
+    mb = assemble_boundary_mass(ws.surface).toarray()
     a[bnodes, n2:] -= mb.T
-    a[n2:, bnodes] += 0.5 * mb - ws.double_layer
+    a[n2:, bnodes] += 0.5 * mb - assemble_bem(ws.surface)[1]
     a[n2:, n2:] += ws.single_layer
     return a + np.outer(ws.s_vec, ws.s_vec)
 
@@ -388,6 +430,36 @@ def test_touching_domains_rejected():
     # but the nodes on x = 1 lie on the other's face
     with pytest.raises(ValueError, match="touch"):
         _check_separated(kuhn_cube(1).boundary(), kuhn_cube(2, origin=(1.0, 0.0, 0.0)).boundary())
+
+
+def scaled_cube(scale, shift=(0.0, 0.0, 0.0)):
+    """Boundary of kuhn_cube(1) centred at the origin, scaled per axis and shifted."""
+    cube = kuhn_cube(1)
+    return TetMesh((cube.nodes - 0.5) * np.asarray(scale) + shift, cube.tets).boundary()
+
+
+def test_crossing_bars_overlap():
+    # each bar's ends lie outside the other bar and no node of either lies
+    # inside or on the other: only their edges crossing the faces show it
+    bar1, bar2 = scaled_cube((4.0, 0.2, 0.2)), scaled_cube((0.2, 4.0, 1.0))
+    angles = np.concatenate([solid_angles(bar1, boundary_points(bar2)),
+                             solid_angles(bar2, boundary_points(bar1))])
+    assert np.abs(angles).max() < multiscale.CONTACT_ANGLE
+    for s1, s2 in [(bar1, bar2), (bar2, bar1)]:
+        with pytest.raises(ValueError, match="edge of one body crosses the other's surface"):
+            _check_separated(s1, s2)
+
+
+@pytest.mark.parametrize("pairs", [multiscale.GAP_PAIRS, 5])
+def test_needle_through_box_overlaps_in_either_order(pairs, monkeypatch):
+    # the needle's edges cross the box's top and bottom faces; no edge of the
+    # box crosses the needle, so the check must test both directions
+    monkeypatch.setattr(multiscale, "GAP_PAIRS", pairs)
+    box, needle = scaled_cube((2.0, 2.0, 2.0)), scaled_cube((0.1, 0.1, 4.0), (0.5, 0.2, 0.0))
+    assert _edges_cross(needle, box) and not _edges_cross(box, needle)
+    for s1, s2 in [(box, needle), (needle, box)]:
+        with pytest.raises(ValueError, match="an edge of one body crosses"):
+            _check_separated(s1, s2)
 
 
 @pytest.mark.parametrize(
@@ -762,9 +834,10 @@ def assembled_apply(ws, law, x):
     bnodes = ws.surface.boundary_nodes
     out = np.empty_like(x)
     out[: ws.n_u] = assemble_weighted_stiffness(ws.mesh, weights).matrix @ u
-    out[: ws.n_u][bnodes] -= ws.boundary_mass.T @ phi
+    mb = assemble_boundary_mass(ws.surface)
+    out[: ws.n_u][bnodes] -= mb.T @ phi
     out[ws.n_u :] = ws.single_layer @ phi + (
-        0.5 * (ws.boundary_mass @ u[bnodes]) - ws.double_layer @ u[bnodes]
+        0.5 * (mb @ u[bnodes]) - assemble_bem(ws.surface)[1] @ u[bnodes]
     )
     return out + ws.s_vec * (ws.s_vec @ x)
 
