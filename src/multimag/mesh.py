@@ -27,6 +27,7 @@ positive and the standard face table yields outward boundary normals.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import wraps
 
@@ -274,13 +275,50 @@ def load_mesh(path) -> TetMesh:
     content; validates index ranges and non-degeneracy via the TetMesh
     constructor.
     """
-    tokens: list[tuple[int, list[str]]] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                tokens.append((lineno, text.split()))
+        text = handle.read()
+    rows = [line.split() for line in re.sub("#[^\n]*", "", text).split("\n")]
+    tokens = [(lineno, parts) for lineno, parts in enumerate(rows, start=1) if parts]
+    blocks = _convert_blocks(tokens)
+    nodes, tets = blocks if blocks is not None else _walk_blocks(path, tokens)
+    try:
+        return TetMesh(nodes, tets)
+    except MeshFormatError as exc:
+        raise MeshFormatError(f"{path}: {exc}") from exc
 
+
+def _convert_blocks(tokens: list[tuple[int, list[str]]]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The node and tet arrays of a well-formed file, one conversion per block.
+
+    ``tokens`` are the (line number, fields) of the file's non-blank lines.
+    Returns None unless they are exactly a ``nodes <N>`` header, N lines of
+    3 fields, a ``tets <M>`` header and M lines of 4, all converting (a
+    block with another field count on any line converts to another shape,
+    or not at all); the line walk then names what is wrong.
+    """
+
+    def count(parts: list[str], word: str) -> int:
+        if len(parts) != 2 or parts[0] != word or int(parts[1]) < 0:
+            raise ValueError(word)
+        return int(parts[1])
+
+    try:
+        n_nodes = count(tokens[0][1], "nodes")
+        n_tets = count(tokens[n_nodes + 1][1], "tets")
+        if len(tokens) != n_nodes + n_tets + 2:
+            return None
+        nodes = np.array([parts for _, parts in tokens[1 : n_nodes + 1]], dtype=np.float64)
+        tets = np.array([parts for _, parts in tokens[n_nodes + 2 :]], dtype=np.int64)
+    except (ValueError, OverflowError, IndexError):
+        return None
+    if nodes.shape != (n_nodes, 3) or tets.shape != (n_tets, 4):
+        return None
+    return nodes, tets
+
+
+def _walk_blocks(path, tokens: list[tuple[int, list[str]]]) -> tuple[np.ndarray, np.ndarray]:
+    """The node and tet arrays line by line, raising a line-numbered
+    :class:`MeshFormatError` at the first line that does not fit."""
     cursor = 0
 
     def take(what: str, count: int) -> tuple[int, list[str]]:
@@ -334,11 +372,7 @@ def load_mesh(path) -> TetMesh:
     if cursor != len(tokens):
         lineno = tokens[cursor][0]
         raise MeshFormatError(f"{path}:{lineno}: trailing content after tet list")
-
-    try:
-        return TetMesh(nodes, tets)
-    except MeshFormatError as exc:
-        raise MeshFormatError(f"{path}: {exc}") from exc
+    return nodes, tets
 
 
 def write_mesh(path, mesh: TetMesh, comment: str | None = None) -> None:

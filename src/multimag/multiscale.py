@@ -20,7 +20,7 @@ once, on first use, as a dense matrix on the MultiscaleWorkspace (the layer
 potential integrated over each target face, ``bem.layer_integrals``, then
 Clement averaged onto the target nodes) and then applied as a matrix-vector
 product.  The build is two sweeps of panel integrals: Gamma_1's panels on
-Gamma_2's faces for the double layer of step 2, and Gamma_2's panels on
+Gamma_2's faces for the double layer of step 2 alone, and Gamma_2's panels on
 Gamma_1's faces for the single and double layers of step 5, which share
 that one sweep.
 Step 3 depends on f alone: the CouplingWorkspace keeps the last u_app with a
@@ -266,7 +266,7 @@ class CouplingWorkspace:
 
     def __post_init__(self) -> None:
         self.surface = self.mesh.boundary()
-        self.single_layer, double_layer = assemble_bem(self.surface)
+        self.single_layer, double_layer = assemble_bem(self.surface, True, True)
         self.stiffness = assemble_stiffness(self.mesh)
         boundary_mass = assemble_boundary_mass(self.surface)
         self.boundary_mass_t = boundary_mass.T.tocsr()
@@ -506,7 +506,7 @@ class MultiscaleWorkspace:
         """(Nb2, Nb1) map from a Gamma_1 trace to the Gamma_2 boundary values
         of its double layer potential (pipeline step 2)."""
         s2 = self.coupling.surface
-        return clement_matrix(s2) @ layer_integrals(self.surface1, s2)[1]
+        return clement_matrix(s2) @ layer_integrals(self.surface1, s2, False, True)[1]
 
     @cached_property
     def transfer_21(self) -> tuple[np.ndarray, np.ndarray]:
@@ -514,14 +514,17 @@ class MultiscaleWorkspace:
         the Gamma_1 boundary values of their single and double layer
         potentials (pipeline step 5), from one sweep of Gamma_2's panels."""
         clement = clement_matrix(self.surface1)
-        single, double = layer_integrals(self.coupling.surface, self.surface1)
+        single, double = layer_integrals(self.coupling.surface, self.surface1, True, True)
         return clement @ single, clement @ double
 
 
 def _check_separated(s1: SurfaceMesh, s2: SurfaceMesh) -> None:
     """The two bodies must be disjoint with positive distance.  A node sees a
     surface under the solid angle -4 pi inside it, 0 outside it, and minus
-    the interior angle on it: -2 pi on a face, -pi on a right-angled edge."""
+    the interior angle on it: -2 pi on a face, -pi on a right-angled edge.
+    An edge of one body that crosses a face of the other is an overlap; one
+    that meets a closed face without crossing it, with no node on the other
+    surface, is a contact."""
     d1, d2 = s1.nodes[s1.boundary_nodes], s2.nodes[s2.boundary_nodes]
     angles = np.concatenate([solid_angles(s1, d2), solid_angles(s2, d1)])
     if (angles < -3.0 * np.pi).any():
@@ -530,18 +533,19 @@ def _check_separated(s1: SurfaceMesh, s2: SurfaceMesh) -> None:
         raise ValueError("domains overlap: an edge of one body crosses the other's surface")
     if (angles < -CONTACT_ANGLE).any() or not _node_gap(d1, d2) > 0.0:
         raise ValueError("domains touch: a boundary node of one body lies on the other's surface")
+    if _edges_touch(s1, s2) or _edges_touch(s2, s1):
+        raise ValueError("domains touch: an edge of one body meets the other's surface")
 
 
-def _edges_cross(s: SurfaceMesh, t: SurfaceMesh) -> bool:
-    """Whether an edge of ``s`` crosses a face of ``t``: its ends lie strictly on
-    either side of the face's plane and it passes strictly inside the face, by
-    orient3d signs.  Only edges and faces meeting the overlap of the two bounding
-    boxes are tested, in blocks of about GAP_PAIRS (edge, face) pairs."""
+def _edge_face_blocks(s: SurfaceMesh, t: SurfaceMesh):
+    """Blocks of about GAP_PAIRS (edge, face) pairs of the edges of ``s`` and
+    the faces of ``t`` that meet the overlap of the two bounding boxes, as
+    ``(p, q, a, b, c)``: (rows, 1, 3) edge ends and (1, T, 3) face vertices."""
     vs, vt = s.vertex_coords.reshape(-1, 3), t.vertex_coords.reshape(-1, 3)
     lo = np.maximum(vs.min(axis=0), vt.min(axis=0))
     hi = np.minimum(vs.max(axis=0), vt.max(axis=0))
     if (lo > hi).any():
-        return False
+        return
 
     def in_box(points):  # (n, k, 3) -> (n,) whose bounding box meets [lo, hi]
         return ((points.max(axis=1) >= lo) & (points.min(axis=1) <= hi)).all(axis=1)
@@ -553,6 +557,14 @@ def _edges_cross(s: SurfaceMesh, t: SurfaceMesh) -> bool:
     rows = max(1, GAP_PAIRS // max(1, len(tris)))
     for start in range(0, len(segs), rows):
         p, q = (segs[start : start + rows, None, k] for k in range(2))
+        yield p, q, a, b, c
+
+
+def _edges_cross(s: SurfaceMesh, t: SurfaceMesh) -> bool:
+    """Whether an edge of ``s`` crosses a face of ``t``: its ends lie strictly on
+    either side of the face's plane and it passes strictly inside the face, by
+    orient3d signs."""
+    for p, q, a, b, c in _edge_face_blocks(s, t):
         sides = _orient(a, b, c, p) * _orient(a, b, c, q) < 0
         turns = _orient(p, q, a, b) + _orient(p, q, b, c) + _orient(p, q, c, a)
         if (sides & (np.abs(turns) == 3)).any():
@@ -560,9 +572,44 @@ def _edges_cross(s: SurfaceMesh, t: SurfaceMesh) -> bool:
     return False
 
 
+def _edges_touch(s: SurfaceMesh, t: SurfaceMesh) -> bool:
+    """Whether an edge of ``s`` meets a closed face of ``t``, by orient3d signs
+    where a zero counts as contact.  An edge that leaves the face's plane
+    meets the face if its ends do not lie strictly on one side of the plane
+    and its line passes through the face or its boundary (the turns about
+    the three face edges are not of both signs).  An edge in the plane meets
+    the face unless a line separates them in the plane: a face edge's line
+    with both ends strictly outside it, or the edge's own line with all
+    three face vertices strictly on one side."""
+    for p, q, a, b, c in _edge_face_blocks(s, t):
+        sp, sq = _orient(a, b, c, p), _orient(a, b, c, q)
+        turns = np.stack([_orient(p, q, a, b), _orient(p, q, b, c), _orient(p, q, c, a)])
+        in_plane = (sp == 0) & (sq == 0)
+        mixed = (turns.max(axis=0) > 0) & (turns.min(axis=0) < 0)
+        if ((sp * sq <= 0) & ~in_plane & ~mixed).any():
+            return True
+        if not in_plane.any():
+            continue
+        n = np.cross(b - a, c - a)
+        apart = np.zeros(in_plane.shape, dtype=bool)
+        for u, v in ((a, b), (b, c), (c, a)):
+            apart |= (_turn(u, v, p, n) < 0) & (_turn(u, v, q, n) < 0)
+        across = np.stack([_turn(p, q, a, n), _turn(p, q, b, n), _turn(p, q, c, n)])
+        apart |= (across > 0).all(axis=0) | (across < 0).all(axis=0)
+        if (in_plane & ~apart).any():
+            return True
+    return False
+
+
 def _orient(a, b, c, d) -> np.ndarray:
     """orient3d: the sign of det[b - a, c - a, d - a], broadcast over points."""
-    return np.sign(np.einsum("...i,...i->...", np.cross(b - a, c - a), d - a))
+    return _turn(a, b, c, d - a)
+
+
+def _turn(a, b, c, n) -> np.ndarray:
+    """The sign of det[b - a, c - a, n]: for points in a plane of normal n,
+    whether a -> b -> c turns counterclockwise seen from n's side."""
+    return np.sign(np.einsum("...i,...i->...", np.cross(b - a, c - a), n))
 
 
 def _node_gap(a: np.ndarray, b: np.ndarray) -> float:

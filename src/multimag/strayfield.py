@@ -19,7 +19,9 @@ produced by a boundary integral operator:
 The boundary step of each method is a fixed linear map, built once per
 workspace as a dense matrix: C (K - 1/2 Mb) from the trace of u11 (fk,
 Nb x Nb) and C V from phi (gcr, Nb x F), with C the Clement matrix.  The
-workspace keeps this map and nothing else of the BEM assembly.
+BEM assembly integrates only the operator the method applies (K for fk, V
+for gcr); the other is never computed, and the workspace keeps the map and
+nothing else of the assembly.
 
 The returned field is the elementwise gradient of u11 + u12 lifted to nodes
 by volume-weighted averaging (one fixed sparse map), so it lives in the
@@ -58,7 +60,7 @@ class StrayfieldWorkspace:
     ``surface`` and ``stiffness``, and ``boundary_map``, the method's fixed
     map to the Dirichlet data of u12: C (K - 1/2 Mb) applied to the trace of
     u11 (fk, Nb x Nb), or C V applied to the face density phi (gcr, Nb x F).
-    The other BEM operator is dropped, so ``dataclasses.replace(ws,
+    The other BEM operator is never computed, so ``dataclasses.replace(ws,
     method=...)`` builds the other method's map.
     """
 
@@ -71,9 +73,10 @@ class StrayfieldWorkspace:
     def __post_init__(self) -> None:
         check_method(self.method)
         self.surface = self.mesh.boundary()
-        single_layer, double_layer = assemble_bem(self.surface)
+        fk = self.method == "fk"
+        single_layer, double_layer = assemble_bem(self.surface, not fk, fk)
         clement = clement_matrix(self.surface)
-        if self.method == "fk":
+        if fk:
             self.boundary_map = clement @ double_layer
             self.boundary_map -= 0.5 * (clement @ assemble_boundary_mass(self.surface)).toarray()
         else:

@@ -243,7 +243,7 @@ def test_06_bem_identities(cube2, sphere1, sphere2):
     worst = {"gauss": 0.0, "inside": 0.0, "outside": 0.0, "sym": 0.0}
     shell = None
     for name, (surf, center) in surfaces.items():
-        v, k = assemble_bem(surf)
+        v, k = assemble_bem(surf, True, True)
         worst["gauss"] = max(worst["gauss"], gauss_residual(surf, k))
         worst["sym"] = max(worst["sym"], np.abs(v - v.T).max())
         ones = np.ones(surf.boundary_nodes.size)

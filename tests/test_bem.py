@@ -26,6 +26,7 @@ from multimag import (
 )
 from multimag.bem import (
     _PLANE_TOL,
+    _at_points,
     _batch_points,
     _coordinates,
     _layers,
@@ -179,7 +180,9 @@ def test_panel_integrals_match_tensor_reference(level, n_radial, center):
         "far": np.asarray(center) + 3.0 * rng.normal(size=(60, 3)),
     }
     for name, pts in sets.items():
-        for new, ref in zip(panel_integrals(geo, pts), reference_panel_integrals(surf, pts)):
+        for new, ref in zip(
+            panel_integrals(geo, pts, True, True), reference_panel_integrals(surf, pts)
+        ):
             assert np.abs(new - ref).max() <= 1e-11 * np.abs(ref).max(), name
 
 
@@ -188,7 +191,7 @@ def test_self_panel_double_layer_is_exactly_zero(level, n_radial):
     surf = icosphere_volume(level, n_radial=n_radial).boundary()
     faces = np.arange(0, surf.n_faces, surf.n_faces // 320)
     pts = quadrature_points(surf, faces)
-    _, omega, double_p1 = panel_integrals(panel_geometry(surf), pts)
+    _, omega, double_p1 = panel_integrals(panel_geometry(surf), pts, True, True)
     own = np.repeat(faces, len(pts) // len(faces))
     rows = np.arange(len(pts))
     assert np.all(omega[rows, own] == 0.0)
@@ -220,7 +223,7 @@ def test_panel_integrals_property(sphere1, coords, face, place, edge, along, log
     if place == "edge":  # just above or below a point of one of its edges
         a, b = surf.vertex_coords[face, edge], surf.vertex_coords[face, (edge + 1) % 3]
         x = a + along * (b - a) + side * 10.0**log_height * geo.diameters[face] * n
-    single, omega, double_p1 = panel_integrals(geo, x[None])
+    single, omega, double_p1 = panel_integrals(geo, x[None], True, True)
     for out in (single, omega, double_p1):
         assert np.isfinite(out).all()
     if place == "plane":
@@ -248,11 +251,11 @@ def test_assemble_bem_matches_tensor_reference(sphere2, monkeypatch):
     from multimag import bem
 
     surf = sphere2.boundary()
-    new = assemble_bem(surf)
+    new = assemble_bem(surf, True, True)
     monkeypatch.setattr(
-        bem, "panel_integrals", lambda geo, pts: reference_panel_integrals(surf, pts)
+        bem, "panel_integrals", lambda geo, pts, *layers: reference_panel_integrals(surf, pts)
     )
-    ref = assemble_bem(surf)
+    ref = assemble_bem(surf, True, True)
     for a, b in zip(new, ref, strict=True):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -270,7 +273,7 @@ def add_at_assemble_bem(surface):
     for start in range(0, f_count, step):
         stop = min(start + step, f_count)
         nf = stop - start
-        single, _, double_p1 = panel_integrals(geo, quad_pts[start:stop].reshape(-1, 3))
+        single, _, double_p1 = panel_integrals(geo, quad_pts[start:stop].reshape(-1, 3), True, True)
         w = surface.areas[start:stop, None] * quad_w[None, :]
         v_mat[start:stop] = np.einsum("bqf,bq->bf", single.reshape(nf, nq, f_count), w)
         k_rows = np.einsum("bqfi,bq->bfi", double_p1.reshape(nf, nq, f_count, 3), w)
@@ -284,7 +287,7 @@ def add_at_assemble_bem(surface):
 @pytest.mark.parametrize("level, n_radial", [(1, 2), (3, 4)])
 def test_assemble_bem_scatter_matches_add_at(level, n_radial):
     surf = icosphere_volume(level, n_radial=n_radial).boundary()
-    v, k = assemble_bem(surf)
+    v, k = assemble_bem(surf, True, True)
     v_ref, k_ref = add_at_assemble_bem(surf)
     np.testing.assert_array_equal(v, v_ref)
     assert np.abs(k - k_ref).max() <= 1e-14 * np.abs(k_ref).max()
@@ -297,7 +300,7 @@ def test_panel_integrals_match_brute_force(cube1):
     checked = 0
     for _ in range(6):
         x = rng.normal(size=3) * 1.5 + 0.5
-        single, omega, double_p1 = panel_integrals(geo, x[None])
+        single, omega, double_p1 = panel_integrals(geo, x[None], True, True)
         for f in range(surf.n_faces):
             v = surf.vertex_coords[f]
             if np.linalg.norm(x - v.mean(axis=0)) < 0.4:
@@ -316,7 +319,7 @@ def test_panel_hats_sum_to_constant_density(sphere1):
     geo = panel_geometry(surf)
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(5, 3)) * 2.0
-    _, omega, double_p1 = panel_integrals(geo, pts)
+    _, omega, double_p1 = panel_integrals(geo, pts, True, True)
     np.testing.assert_allclose(double_p1.sum(axis=2), omega, atol=1e-10)
 
 
@@ -350,12 +353,12 @@ def test_double_layer_of_ones_is_indicator(sphere1):
 def test_galerkin_constant_identity(sphere1):
     # rows of (K + Mb/2) 1 vanish: the on-surface angles telescope exactly
     surf = sphere1.boundary()
-    _, k = assemble_bem(surf)
+    _, k = assemble_bem(surf, True, True)
     assert gauss_residual(surf, k) < 1e-12
 
 
 def test_single_layer_symmetric_positive(sphere1):
-    V, _ = assemble_bem(sphere1.boundary())
+    V, _ = assemble_bem(sphere1.boundary(), True, True)
     np.testing.assert_array_equal(V, V.T)
     assert np.abs(V - V.T).max() < 1e-10
     rng = np.random.default_rng(0)
@@ -366,7 +369,7 @@ def test_single_layer_symmetric_positive(sphere1):
 
 def test_operator_shapes(sphere1):
     surf = sphere1.boundary()
-    v, k = assemble_bem(surf)
+    v, k = assemble_bem(surf, True, True)
     f, nb = surf.n_faces, surf.boundary_nodes.size
     assert v.shape == (f, f)
     assert k.shape == (f, nb)
@@ -433,9 +436,9 @@ def test_eval_walks_points_in_batches(sphere1, monkeypatch):
     sizes = []
     panel_integrals = bem.panel_integrals
 
-    def recording(geo, points):
+    def recording(geo, points, *layers):
         sizes.append(len(points))
-        return panel_integrals(geo, points)
+        return panel_integrals(geo, points, *layers)
 
     monkeypatch.setattr(bem, "panel_integrals", recording)
     whole_single = eval_single_layer(surf, pts)
@@ -466,7 +469,7 @@ def test_assemble_bem_matches_face_integrals_of_point_operators(monkeypatch):
         return incidences[-1]
 
     monkeypatch.setattr(bem, "hat_incidence", recording)
-    v_ops, k_ops = assemble_bem(surf)
+    v_ops, k_ops = assemble_bem(surf, True, True)
     points, weights = face_quadrature(surf)
     shape = weights.shape + (-1,)
     single = eval_single_layer(surf, points.reshape(-1, 3)).reshape(shape)
@@ -483,10 +486,10 @@ def test_assemble_bem_independent_of_batch_size(sphere1, monkeypatch):
     from multimag import bem
 
     surf = sphere1.boundary()
-    reference = assemble_bem(surf)
+    reference = assemble_bem(surf, True, True)
     for points_per_batch in (1, 64):  # one face per batch, then nine
         monkeypatch.setattr(bem, "BATCH_PAIRS", points_per_batch * surf.n_faces)
-        for small, whole in zip(assemble_bem(surf), reference, strict=True):
+        for small, whole in zip(assemble_bem(surf, True, True), reference, strict=True):
             np.testing.assert_array_equal(small, whole)
 
 
@@ -507,7 +510,7 @@ def test_solid_angles_match_unbatched_form(sphere1, monkeypatch):
 def bem_results(surface, pts):
     """Every batched BEM output, for comparisons across worker counts."""
     return [
-        *assemble_bem(surface),
+        *assemble_bem(surface, True, True),
         eval_single_layer(surface, pts),
         eval_double_layer(surface, pts),
         solid_angles(surface, pts),
@@ -548,14 +551,14 @@ def test_layer_integrals_are_both_layers_from_one_sweep(sphere1, monkeypatch, wo
     outputs = {}
     panel_integrals = bem.panel_integrals
 
-    def recording(geo, points):
-        panels = panel_integrals(geo, points)
+    def recording(geo, points, *layers):
+        panels = panel_integrals(geo, points, *layers)
         calls.append(len(points))
         outputs[points[0].tobytes()] = panels
         return panels
 
     monkeypatch.setattr(bem, "panel_integrals", recording)
-    single, double = layer_integrals(source, target)
+    single, double = layer_integrals(source, target, True, True)
     assert calls == [14] * 40
     assert single.shape == (target.n_faces, source.n_faces)
     assert double.shape == (target.n_faces, source.boundary_nodes.size)
@@ -571,6 +574,52 @@ def test_layer_integrals_are_both_layers_from_one_sweep(sphere1, monkeypatch, wo
         d_rows = np.einsum("bqfi,bq->bfi", d_pts.reshape(2, 7, -1, 3), w).reshape(2, -1)
         np.testing.assert_array_equal(single[rows], s_rows * (1.0 / (4.0 * np.pi)))
         np.testing.assert_array_equal(double[rows], (d_rows @ incidence) * (1.0 / (4.0 * np.pi)))
+
+
+@pytest.mark.parametrize("level, n_radial", [(1, 2), (3, 4)])
+@pytest.mark.parametrize(
+    "workers, faces_per_batch", [(1, None), (3, 2)], ids=["1-default", "3-small"]
+)
+def test_each_layer_alone_is_its_half_of_both(
+    monkeypatch, level, n_radial, workers, faces_per_batch
+):
+    # a sweep asked for one layer integrates it exactly as the both-layer
+    # sweep does, whatever the worker count and batch size, and returns
+    # None for the other; V is symmetrised only when it is built
+    from multimag import bem
+
+    surf = icosphere_volume(level, n_radial=n_radial).boundary()
+    monkeypatch.setattr(bem, "_usable_cpus", lambda: workers)
+    if faces_per_batch is not None:
+        monkeypatch.setattr(bem, "BATCH_PAIRS", 7 * faces_per_batch * surf.n_faces)
+    v, k = assemble_bem(surf, True, True)
+    v_alone, none_k = assemble_bem(surf, True, False)
+    none_v, k_alone = assemble_bem(surf, False, True)
+    assert none_k is None and none_v is None
+    np.testing.assert_array_equal(v_alone, v)
+    np.testing.assert_array_equal(k_alone, k)
+    np.testing.assert_array_equal(v_alone, v_alone.T)
+
+
+def test_point_operators_request_only_their_layer(sphere1, monkeypatch):
+    from multimag import bem
+
+    surf = sphere1.boundary()
+    pts = np.random.default_rng(18).normal(size=(70, 3)) * 2.0
+    single, double = _at_points(surf, pts, True, True)
+    requests = []
+    panel_integrals = bem.panel_integrals
+
+    def recording(geo, points, *layers):
+        requests.append(layers)
+        return panel_integrals(geo, points, *layers)
+
+    monkeypatch.setattr(bem, "panel_integrals", recording)
+    np.testing.assert_array_equal(eval_single_layer(surf, pts), single)
+    assert requests and set(requests) == {(True, False)}
+    requests.clear()
+    np.testing.assert_array_equal(eval_double_layer(surf, pts), double)
+    assert requests and set(requests) == {(False, True)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -590,7 +639,7 @@ def test_layers_rows_are_weighted_point_operator_rows(sphere1, seed, n_targets, 
     low, high = (0.0, 0.6) if inside else (1.5, 4.0)  # the faces lie at radii 0.93-1
     points = directions * rng.uniform(low, high, size=(n_targets, n_points, 1))
     weights = rng.uniform(0.1, 1.0, size=(n_targets, n_points))
-    single, double = _layers(surf, points, weights)
+    single, double = _layers(surf, points, weights, True, True)
     flat = points.reshape(-1, 3)
     for layers, ops in (
         (single, eval_single_layer(surf, flat)),
@@ -621,17 +670,17 @@ def test_error_in_one_batch_propagates(sphere1, monkeypatch, workers):
     monkeypatch.setattr(bem, "_usable_cpus", lambda: workers)
     panel_integrals = bem.panel_integrals
     for call in (
-        lambda: assemble_bem(surf),
+        lambda: assemble_bem(surf, True, True),
         lambda: eval_single_layer(surf, pts),
         lambda: eval_double_layer(surf, pts),
-        lambda: layer_integrals(surf, surf),
+        lambda: layer_integrals(surf, surf, True, True),
     ):
         calls = itertools.count()
 
-        def failing(geo, points, calls=calls):
+        def failing(geo, points, *layers, calls=calls):
             if next(calls) == 2:  # the third batch to start
                 raise RuntimeError("panel batch failed")
-            return panel_integrals(geo, points)
+            return panel_integrals(geo, points, *layers)
 
         monkeypatch.setattr(bem, "panel_integrals", failing)
         with pytest.raises(RuntimeError, match="panel batch failed"):

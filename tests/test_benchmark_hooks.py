@@ -119,3 +119,34 @@ def test_tracer_counts_the_iterations_the_velocity_solve_reports(tracer, monkeyp
     assert len(reports) == 1 and reports[0].bicgstab_iterations > 0
     assert traced.counter("integrator.bicgstab_iters") == reports[0].bicgstab_iterations
     assert traced.counter("integrator.gmres_iters") == 0
+
+
+def test_tracer_sees_each_bem_sweep_at_its_wrapped_sites(tracer, monkeypatch, pair_ws):
+    # the fk build goes through the wrapped assemble_bem once, and each
+    # sweep, whatever layers it integrates, counts 7 F_target F_source
+    # panel pairs.  One worker: the tracer's counters are not thread-safe.
+    from multimag import bem, icosphere_volume
+    from multimag.multiscale import MultiscaleWorkspace
+    from multimag.strayfield import StrayfieldWorkspace
+
+    monkeypatch.setattr(bem, "_usable_cpus", lambda: 1)
+    mesh = icosphere_volume(1, n_radial=2)
+    faces = mesh.boundary().n_faces
+    traced = tracer.Tracer("bem-sweeps")
+    traced.install()
+    try:
+        StrayfieldWorkspace(mesh, "fk")
+    finally:
+        traced.uninstall()
+    assert traced.summary()["bem.assemble_bem"]["calls"] == 1
+    assert traced.counter("bem.panel_pairs") == 7 * faces * faces
+
+    fresh = MultiscaleWorkspace(pair_ws.mesh1, pair_ws.coupling)
+    f1, f2 = fresh.surface1.n_faces, fresh.coupling.surface.n_faces
+    traced = tracer.Tracer("transfer-sweeps")
+    traced.install()
+    try:
+        fresh.transfer_12, fresh.transfer_21
+    finally:
+        traced.uninstall()
+    assert traced.counter("bem.panel_pairs") == 7 * f2 * f1 + 7 * f1 * f2

@@ -1,5 +1,7 @@
 """Mesh containers, deterministic builders, file format, angle condition."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -15,6 +17,7 @@ from multimag import (
     write_mesh,
 )
 from multimag import bem, fem
+from multimag import mesh as mesh_module
 from multimag.mesh import MeshFormatError, SurfaceMesh, TetMesh
 
 from meshes import kuhn_cube, sliver_tet, three_tets_on_one_face, two_tets
@@ -369,3 +372,42 @@ def test_mesh_round_trip_is_exact(tmp_path_factory, scale, sign, extra):
     back = load_mesh(path)
     assert np.array_equal(back.nodes.view(np.int64), mesh.nodes.view(np.int64))
     assert np.array_equal(back.tets, mesh.tets)
+
+
+# lines the format ignores, and comments a data line may end with
+_BLANK_LINES = ["", "   ", "\t", "#", "# note", "  # indented # twice", "#nodes 3"]
+_LINE_TAILS = ["#", " # note", "\t#0 0 0", "   "]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-6, 1e6),
+    blanks=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(_BLANK_LINES)), max_size=12),
+    tails=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(_LINE_TAILS)), max_size=12),
+)
+def test_load_mesh_reads_written_mesh_between_comments(
+    tmp_path_factory, seed, scale, blanks, tails
+):
+    # comment and blank lines anywhere, and comments after any line, leave
+    # the written mesh bit-exact; the block conversion reads it, and the
+    # line walk it falls back to reads the same arrays
+    cube = kuhn_cube(2)
+    jitter = np.random.default_rng(seed).uniform(-0.01, 0.01, size=cube.nodes.shape)
+    mesh = TetMesh(scale * (cube.nodes + jitter), cube.tets)
+    path = tmp_path_factory.mktemp("mesh") / "m.mesh"
+    write_mesh(path, mesh, comment="jittered cube")
+    lines = path.read_text().splitlines()
+    for where, tail in tails:
+        lines[where % len(lines)] += tail
+    for where, blank in blanks:
+        lines.insert(where % (len(lines) + 1), blank)
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(mesh_module, "_walk_blocks", side_effect=AssertionError("line walk")):
+        back = load_mesh(path)
+    assert np.array_equal(back.nodes.view(np.int64), mesh.nodes.view(np.int64))
+    assert np.array_equal(back.tets, mesh.tets)
+    with mock.patch.object(mesh_module, "_convert_blocks", return_value=None):
+        walked = load_mesh(path)
+    assert np.array_equal(walked.nodes.view(np.int64), mesh.nodes.view(np.int64))
+    assert np.array_equal(walked.tets, mesh.tets)

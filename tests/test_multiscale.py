@@ -171,7 +171,7 @@ def test_galerkin_load_matches_minimum_norm_flux():
     ref = np.zeros(n2 + ws.n_phi)
     ref[bnodes] = mb.T @ lam
     ref[:n2] -= divergence_load(ws.mesh, f)
-    ref[n2:] = (0.5 * mb - assemble_bem(ws.surface)[1]) @ trace
+    ref[n2:] = (0.5 * mb - assemble_bem(ws.surface, True, True)[1]) @ trace
     ref += ws.s_vec * ref[n2:].sum()
     got = ws.rhs(CouplingData(flux=conormal_flux(ws, u).values, f=f, gamma_trace=trace))
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -199,7 +199,7 @@ def test_stabilization_vector_structure(cube_cws):
     s_u = np.zeros(n2)
     s_u[ws.surface.boundary_nodes] = (
         0.5 * (assemble_boundary_mass(ws.surface).T @ ones)
-        - assemble_bem(ws.surface)[1].T @ ones
+        - assemble_bem(ws.surface, True, True)[1].T @ ones
     )
     np.testing.assert_allclose(ws.s_vec[:n2], s_u, atol=1e-14)
     np.testing.assert_allclose(ws.s_vec[n2:], ws.single_layer.T @ ones, atol=1e-14)
@@ -240,7 +240,7 @@ def dense_frozen_matrix(ws, law, x):
     a[:n2, :n2] = assemble_weighted_stiffness(ws.mesh, weights).matrix.toarray()
     mb = assemble_boundary_mass(ws.surface).toarray()
     a[bnodes, n2:] -= mb.T
-    a[n2:, bnodes] += 0.5 * mb - assemble_bem(ws.surface)[1]
+    a[n2:, bnodes] += 0.5 * mb - assemble_bem(ws.surface, True, True)[1]
     a[n2:, n2:] += ws.single_layer
     return a + np.outer(ws.s_vec, ws.s_vec)
 
@@ -493,6 +493,40 @@ def boundary_points(surface):
     return surface.nodes[surface.boundary_nodes]
 
 
+def prism(start, edge, side1, side2):
+    """Boundary of kuhn_cube(1) mapped onto start + x edge + u side1 + v side2."""
+    cube = kuhn_cube(1)
+    return TetMesh(np.add(start, cube.nodes @ np.array([edge, side1, side2])), cube.tets).boundary()
+
+
+@pytest.mark.parametrize(
+    "start, edge, side1, side2, touches",
+    [
+        ((-0.5, 0.5, 1.0), (2.0, 0.0, 0.0), (0.0, 0.5, 0.5), (0.0, -0.5, 0.5), True),
+        ((-0.5, 0.5, 1.001), (2.0, 0.0, 0.0), (0.0, 0.5, 0.5), (0.0, -0.5, 0.5), False),
+        ((1.4, 0.7, 1.0), (-0.7, 0.7, 0.0), (0.25, 0.25, 0.5), (0.5, 0.5, 0.25), False),
+    ],
+    ids=["edge across the top face", "raised 1e-3", "edge in the plane beside the corner"],
+)
+def test_edge_resting_on_a_face(start, edge, side1, side2, touches):
+    # a bar whose lowest edge lies at or above the unit cube's top face
+    # z = 1, with its ends outside the cube: no node of either body lies on
+    # the other and no edge crosses a face, so only an edge meeting a closed
+    # face shows the contact; in the plane but beside the face is apart
+    cube, bar = kuhn_cube(1).boundary(), prism(start, edge, side1, side2)
+    angles = np.concatenate([solid_angles(cube, boundary_points(bar)),
+                             solid_angles(bar, boundary_points(cube))])
+    assert np.abs(angles).max() < multiscale.CONTACT_ANGLE
+    assert _node_gap(boundary_points(cube), boundary_points(bar)) > 0.0
+    assert not _edges_cross(cube, bar) and not _edges_cross(bar, cube)
+    for s1, s2 in [(cube, bar), (bar, cube)]:
+        if touches:
+            with pytest.raises(ValueError, match="domains touch: an edge of one body meets"):
+                _check_separated(s1, s2)
+        else:
+            _check_separated(s1, s2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
@@ -606,7 +640,9 @@ def test_transfer_matrices_match_pointwise_evaluation(pair_ws):
         # the potential straight from the panel closed forms, the double
         # layer's hat rows gathered onto their nodes one by one
         points, weights = face_quadrature(target)
-        single, _, double_p1 = panel_integrals(panel_geometry(source), points.reshape(-1, 3))
+        single, _, double_p1 = panel_integrals(
+            panel_geometry(source), points.reshape(-1, 3), True, True
+        )
         if layer == "single":
             operator = single
         else:
@@ -686,9 +722,9 @@ def test_transfers_take_one_sweep_per_direction(pair_ws, monkeypatch):
     pairs = []
     panel_integrals = bem.panel_integrals
 
-    def counting(geo, points):
+    def counting(geo, points, *layers):
         pairs.append(len(points) * len(geo.vertices))
-        return panel_integrals(geo, points)
+        return panel_integrals(geo, points, *layers)
 
     monkeypatch.setattr(bem, "panel_integrals", counting)
     fresh.transfer_12, fresh.transfer_21
@@ -837,7 +873,7 @@ def assembled_apply(ws, law, x):
     mb = assemble_boundary_mass(ws.surface)
     out[: ws.n_u][bnodes] -= mb.T @ phi
     out[ws.n_u :] = ws.single_layer @ phi + (
-        0.5 * (mb @ u[bnodes]) - assemble_bem(ws.surface)[1] @ u[bnodes]
+        0.5 * (mb @ u[bnodes]) - assemble_bem(ws.surface, True, True)[1] @ u[bnodes]
     )
     return out + ws.s_vec * (ws.s_vec @ x)
 

@@ -66,7 +66,7 @@ def test_boundary_map_composes_the_bem_operators(method, level):
     # fk: C (K - 1/2 Mb), gcr: C V, bit for bit
     mesh = icosphere_volume(level, n_radial=2)
     surface = mesh.boundary()
-    single_layer, double_layer = assemble_bem(surface)
+    single_layer, double_layer = assemble_bem(surface, True, True)
     clement = clement_matrix(surface)
     if method == "fk":
         expected = clement @ double_layer
@@ -74,6 +74,22 @@ def test_boundary_map_composes_the_bem_operators(method, level):
     else:
         expected = clement @ single_layer
     np.testing.assert_array_equal(make_strayfield_workspace(mesh, method).boundary_map, expected)
+
+
+@pytest.mark.parametrize("method, layers", [("fk", (False, True)), ("gcr", (True, False))])
+def test_workspace_assembles_only_its_methods_layer(sphere1, monkeypatch, method, layers):
+    # fk applies K alone and gcr V alone; the other is never computed
+    from multimag import strayfield
+
+    requests = []
+
+    def recording(surface, *asked):
+        requests.append(asked)
+        return assemble_bem(surface, *asked)
+
+    monkeypatch.setattr(strayfield, "assemble_bem", recording)
+    make_strayfield_workspace(sphere1, method)
+    assert requests == [layers]
 
 
 def test_method_change_builds_the_other_methods_map(sphere_ws, gcr_ws):
