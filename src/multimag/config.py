@@ -163,7 +163,7 @@ def load_config(path: str) -> SimulationConfig:
             raise ValueError(f"missing required key {key!r} in section [{section}]")
         return default
 
-    def get_float(section: str, key: str, default: str | None = None,
+    def get_float(section: str, key: str, default: str | float | None = None,
                   required: bool = False) -> float:
         return _finite_float(get(section, key, default, required), f"[{section}] {key}")
 
@@ -247,18 +247,17 @@ def load_config(path: str) -> SimulationConfig:
             check_method(strayfield_method)
 
     multiscale_law = None
-    multiscale_scheme = "zarantonello"
-    multiscale_tol = 1e-8
-    multiscale_max_iter = 200
+    multiscale_scheme, multiscale_tol, multiscale_max_iter = "zarantonello", 1e-8, 200
     if "multiscale" in terms:
         if mesh_omega2 is None:
             raise ValueError("multiscale term requires mesh omega2")
         law_kind = get("multiscale", "law", required=True)
         params_text = get("multiscale", "params", "")
         params = [_finite_float(p, "[multiscale] params") for p in params_text.split()]
-        multiscale_scheme = get("multiscale", "scheme", "zarantonello")
-        multiscale_tol = get_float("multiscale", "tol", "1e-8")
-        multiscale_max_iter = _int(get("multiscale", "max_iter", "200"), "[multiscale] max_iter")
+        multiscale_scheme = get("multiscale", "scheme", multiscale_scheme)
+        multiscale_tol = get_float("multiscale", "tol", multiscale_tol)
+        multiscale_max_iter = _int(get("multiscale", "max_iter", multiscale_max_iter),
+                                   "[multiscale] max_iter")
         with _section("multiscale"):
             multiscale_law = material_law(law_kind, *params)
             check_solver_settings(multiscale_law, multiscale_scheme, multiscale_tol,

@@ -21,7 +21,8 @@ c * k * sum_i |v_i|^2 for runs with explicit lower-order terms.
 
 Snapshot files carry one header line ``nodal-field 3 <N>`` followed by N
 rows of ``mx my mz`` at 17 significant digits, enough to round-trip IEEE
-doubles exactly.  The energy table is CSV with columns
+doubles exactly; ``mesh``'s nodal text reader and writer serve them, so a
+malformed one names its path and line.  The energy table is CSV with columns
 step,time,E_exch,E_int,E_zeeman,E_total,dissipation_sum in that order.
 """
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .fem import NodalVectorField, assemble_mass, assemble_stiffness, h1_seminorm_sq, l2_inner
 from .fields import NondimConstants
-from .mesh import TetMesh
+from .mesh import TetMesh, _read_blocks, _write_block
 
 logger = logging.getLogger("multimag")
 
@@ -179,24 +180,13 @@ def write_snapshot(path: str, values: np.ndarray) -> None:
     if values.ndim != 2 or values.shape[1] != 3:
         raise ValueError(f"snapshot values must be (N, 3), got {values.shape}")
     with open(path, "w") as fh:
-        fh.write(f"nodal-field 3 {values.shape[0]}\n")
-        for row in values:
-            fh.write(f"{row[0]:.17g} {row[1]:.17g} {row[2]:.17g}\n")
+        _write_block(fh, f"nodal-field 3 {values.shape[0]}", values)
 
 
 def read_snapshot(path: str) -> np.ndarray:
-    """Read a snapshot written by write_snapshot; exact double round-trip."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[:2] != ["nodal-field", "3"] or not header[2].isdecimal():
-            raise ValueError(f"malformed snapshot header in {path}: {' '.join(header)!r}")
-        n = int(header[2])
-        rows = [line for line in fh if line.strip()]
-    # loadtxt warns on no rows and returns (0, 1); an empty field is (0, 3)
-    values = np.loadtxt(rows, dtype=np.float64, ndmin=2) if rows else np.empty((0, 3))
-    if values.shape != (n, 3):
-        raise ValueError(f"snapshot {path} declares {n} nodes but carries {values.shape}")
-    return values
+    """Read a snapshot written by write_snapshot; exact double round-trip.
+    A malformed file raises a MeshFormatError naming its path and line."""
+    return _read_blocks(path, ("nodal-field 3", "node", 3, np.float64, "component"))[0]
 
 
 def write_energies_csv(path: str, records) -> None:
@@ -271,18 +261,11 @@ def write_vtk(path: str, mesh: TetMesh, values: np.ndarray) -> None:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("nodal vector field\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_nodes} double\n")
-        for p in mesh.nodes:
-            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        fh.write(f"CELLS {mesh.n_tets} {5 * mesh.n_tets}\n")
-        for tet in mesh.tets:
-            fh.write(f"4 {tet[0]} {tet[1]} {tet[2]} {tet[3]}\n")
-        fh.write(f"CELL_TYPES {mesh.n_tets}\n")
-        fh.write("10\n" * mesh.n_tets)
-        fh.write(f"POINT_DATA {mesh.n_nodes}\n")
-        fh.write("VECTORS m double\n")
-        for row in values:
-            fh.write(f"{row[0]:.17g} {row[1]:.17g} {row[2]:.17g}\n")
+        _write_block(fh, f"POINTS {mesh.n_nodes} double", mesh.nodes)
+        cells = np.column_stack((np.full(mesh.n_tets, 4), mesh.tets))
+        _write_block(fh, f"CELLS {mesh.n_tets} {5 * mesh.n_tets}", cells)
+        fh.write(f"CELL_TYPES {mesh.n_tets}\n" + "10\n" * mesh.n_tets)
+        _write_block(fh, f"POINT_DATA {mesh.n_nodes}\nVECTORS m double", values)
 
 
 def field_from_snapshot(mesh: TetMesh, path: str) -> NodalVectorField:

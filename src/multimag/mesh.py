@@ -20,6 +20,12 @@ Mesh file format (plain text, ``#`` starts a comment anywhere on a line)::
     tets <M>
     i j k l          # M connectivity lines, 0-based node indices
 
+Meshes and ``diagnostics`` snapshots are nodal text files, blocks of a
+``<word> <N>`` header and N lines, with one reader and one writer: each
+block is converted by one ``np.array`` call and written by one ``write``,
+floats at 17 significant digits (an exact float64 round trip), and a
+malformed file raises a :class:`MeshFormatError` naming its path and line.
+
 Tetrahedra are normalized to positive orientation on construction (the last
 two vertices of an inverted cell are swapped), so signed volumes are
 positive and the standard face table yields outward boundary normals.
@@ -40,7 +46,7 @@ _TET_FACES = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]], dtype=np.int
 
 
 class MeshFormatError(ValueError):
-    """Raised for malformed mesh files or inconsistent mesh data."""
+    """Raised for malformed mesh or snapshot files or inconsistent mesh data."""
 
 
 def _freeze(value):
@@ -269,128 +275,98 @@ class TetMesh:
 
 
 def load_mesh(path) -> TetMesh:
-    """Read a ``TetMesh`` from the plain-text format described in the module docstring.
-
-    Fails fast with a line-numbered :class:`MeshFormatError` on any malformed
-    content; validates index ranges and non-degeneracy via the TetMesh
-    constructor.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    rows = [line.split() for line in re.sub("#[^\n]*", "", text).split("\n")]
-    tokens = [(lineno, parts) for lineno, parts in enumerate(rows, start=1) if parts]
-    blocks = _convert_blocks(tokens)
-    nodes, tets = blocks if blocks is not None else _walk_blocks(path, tokens)
+    """Read a ``TetMesh`` from the format of the module docstring: a malformed
+    file, or one the TetMesh constructor rejects, raises a MeshFormatError."""
+    nodes, tets = _read_blocks(
+        path, ("nodes", "node", 3, np.float64, "coordinate"), ("tets", "tet", 4, np.int64, "index")
+    )
     try:
         return TetMesh(nodes, tets)
     except MeshFormatError as exc:
         raise MeshFormatError(f"{path}: {exc}") from exc
 
 
-def _convert_blocks(tokens: list[tuple[int, list[str]]]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The node and tet arrays of a well-formed file, one conversion per block.
-
-    ``tokens`` are the (line number, fields) of the file's non-blank lines.
-    Returns None unless they are exactly a ``nodes <N>`` header, N lines of
-    3 fields, a ``tets <M>`` header and M lines of 4, all converting (a
-    block with another field count on any line converts to another shape,
-    or not at all); the line walk then names what is wrong.
+def _read_blocks(path, *blocks) -> list[np.ndarray]:
+    """The arrays of a nodal text file, one per ``(word, item, width, dtype,
+    value)`` in ``blocks``: a ``<word> <N>`` header, then N lines of ``width``
+    fields read as an (N, width) ``dtype`` array.  ``#`` comments and blank
+    lines are skipped; ``item`` and ``value`` name a line and a field in errors.
     """
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    rows = [line.split() for line in re.sub("#[^\n]*", "", text).split("\n")]
+    lines = [(lineno, parts) for lineno, parts in enumerate(rows, start=1) if parts]
+    arrays, cursor = [], 0
+    for word, item, width, dtype, value in blocks:
+        count = _header(path, lines[cursor : cursor + 1], word, item)
+        block = lines[cursor + 1 : cursor + 1 + count]
+        arrays.append(_block(path, block, count, width, dtype, item, value))
+        cursor += 1 + count
+    if cursor < len(lines):  # ``item`` names the last block's lines
+        raise MeshFormatError(f"{path}:{lines[cursor][0]}: trailing content after {item} list")
+    return arrays
 
-    def count(parts: list[str], word: str) -> int:
-        if len(parts) != 2 or parts[0] != word or int(parts[1]) < 0:
-            raise ValueError(word)
-        return int(parts[1])
 
+def _header(path, lines: list[tuple[int, list[str]]], word: str, item: str) -> int:
+    """N of the ``<word> <N>`` header that ``lines`` holds (none when the file ended)."""
+    header, words = f"'{word} <N>'", word.split()
+    if not lines:
+        raise MeshFormatError(f"{path}: unexpected end of file while reading the {header} header")
+    lineno, parts = lines[0]
+    if len(parts) != len(words) + 1:
+        raise MeshFormatError(f"{path}:{lineno}: expected {len(words) + 1} fields for the {header} "
+                              f"header, got {len(parts)}")
+    if parts[:-1] != words:
+        raise MeshFormatError(f"{path}:{lineno}: expected {header}, got {' '.join(parts[:-1])!r}")
     try:
-        n_nodes = count(tokens[0][1], "nodes")
-        n_tets = count(tokens[n_nodes + 1][1], "tets")
-        if len(tokens) != n_nodes + n_tets + 2:
-            return None
-        nodes = np.array([parts for _, parts in tokens[1 : n_nodes + 1]], dtype=np.float64)
-        tets = np.array([parts for _, parts in tokens[n_nodes + 2 :]], dtype=np.int64)
-    except (ValueError, OverflowError, IndexError):
-        return None
-    if nodes.shape != (n_nodes, 3) or tets.shape != (n_tets, 4):
-        return None
-    return nodes, tets
-
-
-def _walk_blocks(path, tokens: list[tuple[int, list[str]]]) -> tuple[np.ndarray, np.ndarray]:
-    """The node and tet arrays line by line, raising a line-numbered
-    :class:`MeshFormatError` at the first line that does not fit."""
-    cursor = 0
-
-    def take(what: str, count: int) -> tuple[int, list[str]]:
-        nonlocal cursor
-        if cursor >= len(tokens):
-            raise MeshFormatError(f"{path}: unexpected end of file while reading {what}")
-        lineno, parts = tokens[cursor]
-        cursor += 1
-        if len(parts) != count:
-            raise MeshFormatError(
-                f"{path}:{lineno}: expected {count} fields for {what}, got {len(parts)}"
-            )
-        return lineno, parts
-
-    lineno, parts = take("the 'nodes <N>' header", 2)
-    if parts[0] != "nodes":
-        raise MeshFormatError(f"{path}:{lineno}: expected 'nodes <N>', got {parts[0]!r}")
-    try:
-        n_nodes = int(parts[1])
+        count = int(parts[-1])
     except ValueError as exc:
-        raise MeshFormatError(f"{path}:{lineno}: node count is not an integer") from exc
-    if n_nodes < 0:
-        raise MeshFormatError(f"{path}:{lineno}: negative node count")
+        raise MeshFormatError(f"{path}:{lineno}: {item} count is not an integer") from exc
+    if count < 0:
+        raise MeshFormatError(f"{path}:{lineno}: negative {item} count")
+    return count
 
-    nodes = np.empty((n_nodes, 3))
-    for i in range(n_nodes):
-        lineno, parts = take(f"node {i}", 3)
-        try:
-            nodes[i] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise MeshFormatError(f"{path}:{lineno}: bad coordinate in node {i}") from exc
 
-    lineno, parts = take("the 'tets <M>' header", 2)
-    if parts[0] != "tets":
-        raise MeshFormatError(f"{path}:{lineno}: expected 'tets <M>', got {parts[0]!r}")
+def _block(path, lines, count: int, width: int, dtype, item: str, value: str) -> np.ndarray:
+    """The (count, width) ``dtype`` array of a block's ``(lineno, fields)`` lines.
+
+    Only when the one ``np.array`` conversion fails are the lines scanned for
+    the first with another field count or an unconvertible field.  A block
+    cut short by the end of the file fails after its lines are checked.
+    """
     try:
-        n_tets = int(parts[1])
-    except ValueError as exc:
-        raise MeshFormatError(f"{path}:{lineno}: tet count is not an integer") from exc
-    if n_tets < 0:
-        raise MeshFormatError(f"{path}:{lineno}: negative tet count")
+        array = np.array([parts for _, parts in lines], dtype=dtype).reshape(len(lines), width)
+    except (ValueError, OverflowError):
+        for i, (lineno, parts) in enumerate(lines):
+            if len(parts) != width:
+                raise MeshFormatError(
+                    f"{path}:{lineno}: expected {width} fields for {item} {i}, got {len(parts)}"
+                ) from None
+            try:
+                np.array(parts, dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise MeshFormatError(f"{path}:{lineno}: bad {value} in {item} {i}") from exc
+        raise
+    if len(lines) < count:
+        raise MeshFormatError(f"{path}: unexpected end of file while reading {item} {len(lines)}")
+    return array
 
-    tets = np.empty((n_tets, 4), dtype=np.int64)
-    for i in range(n_tets):
-        lineno, parts = take(f"tet {i}", 4)
-        try:
-            tets[i] = [int(p) for p in parts]
-        except ValueError as exc:
-            raise MeshFormatError(f"{path}:{lineno}: bad index in tet {i}") from exc
 
-    if cursor != len(tokens):
-        lineno = tokens[cursor][0]
-        raise MeshFormatError(f"{path}:{lineno}: trailing content after tet list")
-    return nodes, tets
+def _write_block(handle, header: str, values: np.ndarray) -> None:
+    """Write ``header`` and one line per row of ``values`` in one call;
+    floats at 17 significant digits, which round-trip float64 exactly."""
+    line = " ".join(["%.17g" if values.dtype.kind == "f" else "%d"] * values.shape[1]) + "\n"
+    handle.write(f"{header}\n" + (line * len(values)) % tuple(values.ravel().tolist()))
 
 
 def write_mesh(path, mesh: TetMesh, comment: str | None = None) -> None:
-    """Write a mesh in the plain-text format read by :func:`load_mesh`.
-
-    Coordinates use 17 significant digits so a load/write cycle round-trips
-    float64 exactly.
-    """
+    """Write a mesh in the plain-text format read by :func:`load_mesh`."""
     with open(path, "w", encoding="utf-8") as handle:
         if comment:
             for line in comment.splitlines():
                 handle.write(f"# {line}\n")
-        handle.write(f"nodes {mesh.n_nodes}\n")
-        for x, y, z in mesh.nodes:
-            handle.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
-        handle.write(f"tets {mesh.n_tets}\n")
-        for a, b, c, d in mesh.tets:
-            handle.write(f"{a} {b} {c} {d}\n")
+        _write_block(handle, f"nodes {mesh.n_nodes}", mesh.nodes)
+        _write_block(handle, f"tets {mesh.n_tets}", mesh.tets)
 
 
 @dataclass

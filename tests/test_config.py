@@ -427,6 +427,25 @@ def test_cli_simulate_rejects_unnormalizable_snapshot_row(tmp_path, cube_file, c
     assert "m0.dat: node 3 holds" in err and "no finite nonzero length" in err
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("0 x 1", ":4: bad component in node 2"), ("0 1", ":4: expected 3 fields for node 2, got 2")],
+    ids=["not-a-number", "short-row"],
+)
+def test_cli_simulate_names_the_corrupt_snapshot_line(tmp_path, cube_file, cube1, row, message,
+                                                      capsys):
+    path = tmp_path / "m0.dat"
+    write_snapshot(str(path), np.tile([0.0, 0.0, 1.0], (cube1.n_nodes, 1)))
+    lines = path.read_text().splitlines()
+    lines[3] = row
+    path.write_text("\n".join(lines) + "\n")
+    body = MINIMAL.replace(
+        "initial_vector = 0 0 1", "initial = snapshot\ninitial_snapshot = m0.dat"
+    )
+    assert main(["simulate", write_config(tmp_path, body)]) == 2
+    assert capsys.readouterr().err == f"invalid config: {path}{message}\n"
+
+
 def test_build_run_setup_multiscale(tmp_path):
     from multimag import icosphere_volume
     from multimag.multiscale import MultiscaleContribution

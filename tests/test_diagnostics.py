@@ -31,6 +31,7 @@ from multimag import (
 )
 from multimag.diagnostics import CSV_COLUMNS, energy, field_from_snapshot, snapshot_filename
 from multimag.fields import FieldContribution
+from multimag.mesh import MeshFormatError
 
 from conftest import random_unit_field
 
@@ -235,18 +236,26 @@ def test_snapshot_rejects_bad_shape(tmp_path):
 @pytest.mark.parametrize(
     "text,fragment",
     [
-        ("nodal-field 2 4\n0 0\n", "malformed snapshot header"),
-        ("vectors 3 4\n", "malformed snapshot header"),
-        ("nodal-field 3 x\n0 0 0\n", r"malformed snapshot header in .*bad\.dat: 'nodal-field 3 x'"),
-        ("nodal-field 3 5\n" + "0 0 0\n" * 4, "declares 5 nodes"),
-        ("nodal-field 3 0\n0 0 0\n", "declares 0 nodes"),
-        ("nodal-field 3 2\n", r"declares 2 nodes but carries \(0, 3\)"),
+        ("nodal-field 2 4\n0 0\n", ":1: expected 'nodal-field 3 <N>', got 'nodal-field 2'"),
+        ("vectors 3 4\n", ":1: expected 'nodal-field 3 <N>', got 'vectors 3'"),
+        ("nodal-field 3\n0 0 0\n", ":1: expected 3 fields for the 'nodal-field 3 <N>' header, got 2"),
+        ("nodal-field 3 x\n0 0 0\n", ":1: node count is not an integer"),
+        ("nodal-field 3 -1\n", ":1: negative node count"),
+        ("nodal-field 3 5\n" + "0 0 0\n" * 4, ": unexpected end of file while reading node 4"),
+        ("nodal-field 3 0\n0 0 0\n", ":2: trailing content after node list"),
+        ("nodal-field 3 2\n", ": unexpected end of file while reading node 0"),
+        ("", ": unexpected end of file while reading the 'nodal-field 3 <N>' header"),
+        ("nodal-field 3 2\n0 0 0\n\n# a comment\n0 x 0\n", ":5: bad component in node 1"),
+        ("nodal-field 3 2\n0 0 0\n0 0\n", ":3: expected 3 fields for node 1, got 2"),
+        # a block whose every line is one field too long converts, to the wrong shape
+        ("nodal-field 3 1\n0 0 0 0\n", ":2: expected 3 fields for node 0, got 4"),
     ],
 )
 def test_snapshot_rejects_malformed(tmp_path, text, fragment):
+    # each error names the file and, where there is one, the line
     path = tmp_path / "bad.dat"
     path.write_text(text)
-    with pytest.raises(ValueError, match=fragment):
+    with pytest.raises(MeshFormatError, match="^" + re.escape(f"{path}{fragment}") + "$"):
         read_snapshot(path)
 
 

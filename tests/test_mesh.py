@@ -1,6 +1,6 @@
 """Mesh containers, deterministic builders, file format, angle condition."""
 
-from unittest import mock
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +13,12 @@ from multimag import (
     check_angle_condition,
     icosphere_volume,
     load_mesh,
+    read_snapshot,
     reference_tet,
     write_mesh,
+    write_snapshot,
 )
 from multimag import bem, fem
-from multimag import mesh as mesh_module
 from multimag.mesh import MeshFormatError, SurfaceMesh, TetMesh
 
 from meshes import kuhn_cube, sliver_tet, three_tets_on_one_face, two_tets
@@ -294,6 +295,11 @@ def test_mesh_file_roundtrip(tmp_path, sphere1):
             "nodes 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\ntets 1\n0 1 2 3\nextra\n",
             "trailing content",
         ),
+        (
+            "nodes 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\ntets 1\n0 1 2 99999999999999999999\n",
+            r"bad\.mesh:7: bad index in tet 0$",
+        ),
+        ("nodes 99999999999999999999\n", r"bad\.mesh: unexpected end of file while reading node 0$"),
     ],
 )
 def test_load_mesh_rejects_malformed(tmp_path, text, fragment):
@@ -390,8 +396,7 @@ def test_load_mesh_reads_written_mesh_between_comments(
     tmp_path_factory, seed, scale, blanks, tails
 ):
     # comment and blank lines anywhere, and comments after any line, leave
-    # the written mesh bit-exact; the block conversion reads it, and the
-    # line walk it falls back to reads the same arrays
+    # the written mesh bit-exact
     cube = kuhn_cube(2)
     jitter = np.random.default_rng(seed).uniform(-0.01, 0.01, size=cube.nodes.shape)
     mesh = TetMesh(scale * (cube.nodes + jitter), cube.tets)
@@ -403,11 +408,56 @@ def test_load_mesh_reads_written_mesh_between_comments(
     for where, blank in blanks:
         lines.insert(where % (len(lines) + 1), blank)
     path.write_text("\n".join(lines) + "\n")
-    with mock.patch.object(mesh_module, "_walk_blocks", side_effect=AssertionError("line walk")):
-        back = load_mesh(path)
+    back = load_mesh(path)
     assert np.array_equal(back.nodes.view(np.int64), mesh.nodes.view(np.int64))
     assert np.array_equal(back.tets, mesh.tets)
-    with mock.patch.object(mesh_module, "_convert_blocks", return_value=None):
-        walked = load_mesh(path)
-    assert np.array_equal(walked.nodes.view(np.int64), mesh.nodes.view(np.int64))
-    assert np.array_equal(walked.tets, mesh.tets)
+
+
+# tokens that neither float() nor int() reads
+_NOT_NUMBERS = ["x", "1.2.3", "--1", "0x1f", "1e", "one", "1,5"]
+_CORRUPTIONS = ["not-a-number", "extra-field", "missing-field"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    target=st.one_of(
+        st.tuples(st.just("mesh"), st.sampled_from(_CORRUPTIONS + ["int64-overflow"])),
+        st.tuples(st.just("snapshot"), st.sampled_from(_CORRUPTIONS)),
+    ),
+    line=st.integers(0, 2**16),
+    field=st.integers(0, 3),
+    token=st.sampled_from(_NOT_NUMBERS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_corrupt_token_is_reported_at_its_line(tmp_path_factory, target, line, field, token, seed):
+    # one corrupted token in a written mesh or snapshot fails the read with
+    # the file and the line of that token; the int64 overflow goes into a
+    # tet line, since a float line reads it as a number
+    (kind, corruption), cube = target, kuhn_cube(1)
+    path = tmp_path_factory.mktemp("corrupt") / f"m.{kind}"
+    if kind == "mesh":
+        write_mesh(path, cube, comment="cube")
+        read = load_mesh
+    else:
+        write_snapshot(path, np.random.default_rng(seed).normal(size=(cube.n_nodes, 3)))
+        read = read_snapshot
+    lines = path.read_text().splitlines()
+    headers = ("#", "nodes", "tets", "nodal-field")
+    candidates = [i for i, text in enumerate(lines) if not text.startswith(headers)]
+    if corruption == "int64-overflow":
+        candidates = [i for i in candidates if len(lines[i].split()) == 4]
+    i = candidates[line % len(candidates)]
+    fields = lines[i].split()
+    j = field % len(fields)
+    if corruption == "not-a-number":
+        fields[j] = token
+    elif corruption == "extra-field":
+        fields.insert(j, "0")
+    elif corruption == "missing-field":
+        del fields[j]
+    else:
+        fields[j] = "9223372036854775808"
+    lines[i] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError, match="^" + re.escape(f"{path}:{i + 1}: ")):
+        read(path)
