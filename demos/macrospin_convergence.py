@@ -33,7 +33,7 @@ def main():
                 c_exch=1.0, c_ani=C_ANI, alpha=ALPHA, t_final=T_FINAL
             ),
             contributions=[UniaxialContribution(axis=AXIS, scale=C_ANI)],
-            applied_field=lambda t, points: F,
+            applied_field=lambda t: F,
             theta=1.0,
             k=k,
             n_steps=int(round(T_FINAL / k)),

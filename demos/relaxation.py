@@ -47,7 +47,7 @@ def main():
             UniaxialContribution(axis=np.array([0.0, 0.0, 1.0]), scale=0.5),
             StrayfieldContribution(workspace=make_strayfield_workspace(mesh, "fk")),
         ],
-        applied_field=lambda t, points: np.array([0.0, 0.0, 0.1]),
+        applied_field=lambda t: np.array([0.0, 0.0, 0.1]),
         theta=1.0,
         k=1e-4,
         n_steps=500,

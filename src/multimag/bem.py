@@ -188,12 +188,13 @@ def panel_geometry(surface: SurfaceMesh) -> PanelGeometry:
 
 
 def _coordinates(geo: PanelGeometry, points: np.ndarray, rows: range) -> list[np.ndarray]:
-    """The (P, F) planes of the ``geo.frame`` coordinates in ``rows``."""
+    """The (P, F) planes of the ``geo.frame`` coordinates in ``rows``.  ``x`` has at
+    least two rows: a one-row product would go to BLAS gemv and round unlike a batch."""
     points = np.asarray(points, dtype=np.float64)
-    x = np.empty((len(points), 4))
-    np.subtract(points, geo.origin, out=x[:, :3])
-    x[:, 3] = 1.0
-    return [x @ geo.frame[j] for j in rows]
+    n = len(points)
+    x = np.ones((max(n, 2), 4))
+    np.subtract(points, geo.origin, out=x[:n, :3])
+    return [(x @ geo.frame[j])[:n] for j in rows]
 
 
 def _vertex_distances(

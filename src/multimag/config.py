@@ -81,7 +81,7 @@ class SimulationConfig:
     multiscale_scheme: str
     multiscale_tol: float
     multiscale_max_iter: int
-    applied_field: object  # callable f(t, points) from make_applied_field, or None
+    applied_field: object  # callable f(t) -> 3-vector from make_applied_field, or None
     applied_amplitude: np.ndarray | None
     solver_tol: float
     output_dir: str

@@ -77,7 +77,7 @@ def log_energy_exclusions(contributions) -> None:
 def energy(
     state,
     contributions,
-    f_field,
+    f,
     constants: NondimConstants,
     *,
     outputs,
@@ -93,6 +93,7 @@ def energy(
 
     Args:
         state: MagnetizationState (or any object with .m, .step, .time).
+        f: the applied field's 3-vector at this state, or None.
         outputs: the per-contribution values pi_i(m, zeta) of this state,
             in contribution order, as ``evaluate_contributions`` returns
             them.
@@ -112,8 +113,8 @@ def energy(
     e_int += 0.5 * l2_inner(mass, quadratic, m.values)
 
     e_zeeman = 0.0
-    if f_field is not None:
-        e_zeeman = -l2_inner(mass, f_field.values, m.values)
+    if f is not None:
+        e_zeeman = -l2_inner(mass, np.full((m.mesh.n_nodes, 3), f), m.values)
 
     return EnergyRecord(
         step=state.step,

@@ -5,10 +5,11 @@ The integrator treats the effective field as
     h_eff = C_exch * laplace(m) - pi(m, zeta) + f
 
 where the exchange term is handled implicitly through the stiffness matrix,
-f is the applied field, and pi collects all remaining contributions
-(anisotropy, stray field, macroscopic coupling).  Each contribution is a
-:class:`FieldContribution` carrying its own scaling constant; the integrator
-sums their outputs nodewise.
+f is the applied field, one 3-vector f(t) per time level taken at every
+node, and pi collects all remaining contributions (anisotropy, stray field,
+macroscopic coupling).  Each contribution is a :class:`FieldContribution`
+carrying its own scaling constant and given f as zeta; the integrator sums
+their outputs nodewise.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import NodalVectorField, assemble_mass, assemble_stiffness, h1_seminorm_sq, l2_norm
-from .mesh import TetMesh
 
 MU0 = 4.0e-7 * np.pi
 GAMMA0 = 2.210173e5
@@ -102,28 +102,28 @@ class FieldContribution:
         return l2_norm(assemble_mass(m.mesh), output.values) / (1.0 + grad)
 
 
-def sample_applied_field(f, mesh: TetMesh, t: float) -> NodalVectorField:
-    """Nodal interpolation of an applied field f(t, x) at one time level.
+def sample_applied_field(f, t: float) -> np.ndarray:
+    """The applied field f(t), a finite 3-vector, at one time level.
 
     Args:
-        f: callable ``f(t, points)`` with points (N, 3), returning (N, 3)
-            values or a single broadcastable 3-vector.
+        f: callable ``f(t)`` returning the field's one value at time t.
 
     Raises:
-        ValueError: if any sampled value is not finite.
+        ValueError: if the value is not a 3-vector or not finite.
     """
-    values = np.asarray(f(t, mesh.nodes), dtype=np.float64)
-    values = np.broadcast_to(values, (mesh.n_nodes, 3)).copy()
-    if not np.isfinite(values).all():
+    value = np.array(f(t), dtype=np.float64)
+    if value.shape != (3,):
+        raise ValueError(f"applied field is not a 3-vector at t = {t:.6g}: shape {value.shape}")
+    if not np.isfinite(value).all():
         raise ValueError(f"applied field is not finite at t = {t:.6g}")
-    return NodalVectorField(mesh, values)
+    return value
 
 
 def make_applied_field(kind: str, amplitude, omega: float = 0.0):
     """Named applied-field presets used by run configurations.
 
-    ``constant`` is f(t, x) = amplitude; ``sinusoidal`` is
-    f(t, x) = amplitude * sin(omega * t).  The kind is checked first.
+    ``constant`` is f(t) = amplitude; ``sinusoidal`` is
+    f(t) = amplitude * sin(omega * t).  The kind is checked first.
     """
     if kind not in ("constant", "sinusoidal"):
         raise ValueError(f"kind must be constant or sinusoidal, got {kind!r}")
@@ -131,8 +131,8 @@ def make_applied_field(kind: str, amplitude, omega: float = 0.0):
     if vector.shape != (3,):
         raise ValueError(f"applied field amplitude must be a 3-vector, got {amplitude!r}")
     if kind == "constant":
-        return lambda t, points: vector
-    return lambda t, points: vector * np.sin(omega * t)
+        return lambda t: vector
+    return lambda t: vector * np.sin(omega * t)
 
 
 @dataclass

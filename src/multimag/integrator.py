@@ -292,7 +292,7 @@ def llg_step(
     ws: LlgWorkspace,
     state: MagnetizationState,
     pi_field: NodalVectorField,
-    f_field: NodalVectorField | None,
+    f: np.ndarray | None,
     constants: NondimConstants,
     theta: float,
     k: float,
@@ -308,6 +308,7 @@ def llg_step(
 
     Args:
         pi_field: pi(m, zeta) for this state (``evaluate_contributions``).
+        f: the applied field's 3-vector at this state, or None.
         solver_tol: relative tolerance of the velocity solve.
 
     Returns:
@@ -323,8 +324,8 @@ def llg_step(
     mesh = ws.mesh
     mass, stiffness = ws.mass.matrix, ws.stiffness.matrix
     rhs_nodal = -(constants.c_exch * (stiffness @ state.m.values)) - mass @ pi_field.values
-    if f_field is not None:
-        rhs_nodal += mass @ f_field.values
+    if f is not None:
+        rhs_nodal += mass @ np.full((mesh.n_nodes, 3), f)
 
     t = ws.frame_matrix(build_tangent_frame(state))
     a_red = ws.velocity_matrix(state.m.values, t, constants.alpha, constants.c_exch * k * theta)
@@ -416,7 +417,7 @@ class RunSetup:
     m0: np.ndarray  # (N, 3), normalized on load
     constants: NondimConstants
     contributions: list
-    applied_field: object = None  # callable f(t, points) or None
+    applied_field: object = None  # callable f(t) -> 3-vector, or None
     theta: float = 1.0
     k: float = 1e-3
     n_steps: int = 0
@@ -486,7 +487,7 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
         """f, pi(m, f) and the energy record of one state."""
         f = None
         if setup.applied_field is not None:
-            f = sample_applied_field(setup.applied_field, setup.mesh, state.time)
+            f = sample_applied_field(setup.applied_field, state.time)
         pi, outputs = evaluate_contributions(setup.contributions, state.m, f, state.step)
         record = energy(state, setup.contributions, f, setup.constants, outputs=outputs,
                         dissipation_sum=dissipation_sum)
@@ -504,9 +505,7 @@ def run(setup: RunSetup, *, on_step=None) -> Trajectory:
     velocity_sq_sum = 0.0
     for i in range(setup.n_steps):
         try:
-            lower_order = pi_current.values if f_current is None else (
-                pi_current.values - f_current.values
-            )
+            lower_order = pi_current.values if f_current is None else pi_current.values - f_current
             defect_sup = max(defect_sup, float(np.linalg.norm(lower_order, axis=1).max()))
             v, state = llg_step(ws, state, pi_current, f_current, setup.constants, setup.theta,
                                 setup.k, solver_tol=setup.solver_tol)

@@ -225,9 +225,16 @@ class CouplingState:
 
     phi: np.ndarray  # (F,) exterior normal derivative on Gamma_2
     u: NodalScalarField
-    residual: float
-    iterations: int
-    residual_history: list
+    residual_history: list  # relative residual after each iteration, in order
+
+    @property
+    def residual(self) -> float:
+        """The final relative residual."""
+        return self.residual_history[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
 
     @property
     def x(self) -> np.ndarray:
@@ -413,7 +420,7 @@ def solve_coupling(
     if law.is_linear:
         x = _frozen_solve(ws, law, np.zeros(ws.n_u + ws.n_phi), b, tol_nl)
         res = float(np.linalg.norm(lu_solve(ws.p_lu, ws.apply(law, x) - b)) / scale)
-        return _pack_state(ws, x, res, 1, [res], "linear", "cold")
+        return _pack_state(ws, x, [res], "linear", "cold")
 
     if x0 is None:
         x, start = np.zeros(ws.n_u + ws.n_phi), "cold"
@@ -434,7 +441,7 @@ def solve_coupling(
             )
         history.append(res)
         if res <= tol_nl:
-            return _pack_state(ws, x, res, iteration, history, scheme, start)
+            return _pack_state(ws, x, history, scheme, start)
         if scheme == "zarantonello":
             x = x - delta * z
         else:
@@ -461,17 +468,13 @@ def _frozen_solve(ws, law, x, b, tol_nl) -> np.ndarray:
     return y
 
 
-def _pack_state(ws, x, res, iterations, history, scheme, start) -> CouplingState:
+def _pack_state(ws, x, history, scheme, start) -> CouplingState:
     logger.debug(
         "coupling solve (%s, %s start): %d iterations, relative residual %.3e",
-        scheme, start, iterations, res,
+        scheme, start, len(history), history[-1],
     )
     return CouplingState(
-        phi=x[ws.n_u :],
-        u=NodalScalarField(ws.mesh, x[: ws.n_u]),
-        residual=res,
-        iterations=iterations,
-        residual_history=history,
+        phi=x[ws.n_u :], u=NodalScalarField(ws.mesh, x[: ws.n_u]), residual_history=history
     )
 
 
@@ -529,11 +532,12 @@ def _check_separated(s1: SurfaceMesh, s2: SurfaceMesh) -> None:
     angles = np.concatenate([solid_angles(s1, d2), solid_angles(s2, d1)])
     if (angles < -3.0 * np.pi).any():
         raise ValueError("domains overlap: boundary nodes of one body lie inside the other")
-    if _edges_cross(s1, s2) or _edges_cross(s2, s1):
+    (cross12, touch12), (cross21, touch21) = _edge_contacts(s1, s2), _edge_contacts(s2, s1)
+    if cross12 or cross21:
         raise ValueError("domains overlap: an edge of one body crosses the other's surface")
     if (angles < -CONTACT_ANGLE).any() or not _node_gap(d1, d2) > 0.0:
         raise ValueError("domains touch: a boundary node of one body lies on the other's surface")
-    if _edges_touch(s1, s2) or _edges_touch(s2, s1):
+    if touch12 or touch21:
         raise ValueError("domains touch: an edge of one body meets the other's surface")
 
 
@@ -560,35 +564,30 @@ def _edge_face_blocks(s: SurfaceMesh, t: SurfaceMesh):
         yield p, q, a, b, c
 
 
-def _edges_cross(s: SurfaceMesh, t: SurfaceMesh) -> bool:
-    """Whether an edge of ``s`` crosses a face of ``t``: its ends lie strictly on
-    either side of the face's plane and it passes strictly inside the face, by
-    orient3d signs."""
-    for p, q, a, b, c in _edge_face_blocks(s, t):
-        sides = _orient(a, b, c, p) * _orient(a, b, c, q) < 0
-        turns = _orient(p, q, a, b) + _orient(p, q, b, c) + _orient(p, q, c, a)
-        if (sides & (np.abs(turns) == 3)).any():
-            return True
-    return False
+def _edge_contacts(s: SurfaceMesh, t: SurfaceMesh) -> tuple[bool, bool]:
+    """Whether an edge of ``s`` crosses a face of ``t``, and whether one meets
+    a closed face of ``t``, by orient3d signs.
 
-
-def _edges_touch(s: SurfaceMesh, t: SurfaceMesh) -> bool:
-    """Whether an edge of ``s`` meets a closed face of ``t``, by orient3d signs
-    where a zero counts as contact.  An edge that leaves the face's plane
+    An edge crosses a face if its ends lie strictly on either side of the
+    face's plane and it passes strictly inside the face.  For meeting, a
+    zero sign counts as contact.  An edge that leaves the face's plane
     meets the face if its ends do not lie strictly on one side of the plane
     and its line passes through the face or its boundary (the turns about
     the three face edges are not of both signs).  An edge in the plane meets
     the face unless a line separates them in the plane: a face edge's line
     with both ends strictly outside it, or the edge's own line with all
-    three face vertices strictly on one side."""
+    three face vertices strictly on one side.  A crossing edge also meets
+    the face, so the sweep stops at the first crossing."""
+    touches = False
     for p, q, a, b, c in _edge_face_blocks(s, t):
         sp, sq = _orient(a, b, c, p), _orient(a, b, c, q)
         turns = np.stack([_orient(p, q, a, b), _orient(p, q, b, c), _orient(p, q, c, a)])
+        if ((sp * sq < 0) & (np.abs(turns.sum(axis=0)) == 3)).any():
+            return True, True
         in_plane = (sp == 0) & (sq == 0)
         mixed = (turns.max(axis=0) > 0) & (turns.min(axis=0) < 0)
-        if ((sp * sq <= 0) & ~in_plane & ~mixed).any():
-            return True
-        if not in_plane.any():
+        touches |= bool(((sp * sq <= 0) & ~in_plane & ~mixed).any())
+        if touches or not in_plane.any():
             continue
         n = np.cross(b - a, c - a)
         apart = np.zeros(in_plane.shape, dtype=bool)
@@ -596,9 +595,8 @@ def _edges_touch(s: SurfaceMesh, t: SurfaceMesh) -> bool:
             apart |= (_turn(u, v, p, n) < 0) & (_turn(u, v, q, n) < 0)
         across = np.stack([_turn(p, q, a, n), _turn(p, q, b, n), _turn(p, q, c, n)])
         apart |= (across > 0).all(axis=0) | (across < 0).all(axis=0)
-        if (in_plane & ~apart).any():
-            return True
-    return False
+        touches = bool((in_plane & ~apart).any())
+    return False, touches
 
 
 def _orient(a, b, c, d) -> np.ndarray:
@@ -685,11 +683,11 @@ def coupling_data(mws: MultiscaleWorkspace, m_values: np.ndarray, f) -> Coupling
 class MultiscaleContribution(FieldContribution):
     """Environment field as an effective-field term; zeta carries f.
 
-    zeta is the applied field sampled at Omega_1's nodes, so it must be
-    spatially uniform; its single value is taken on Omega_2 as well.
-    ``last_state`` is the converged coupling state of the latest
-    evaluation.  The next evaluation starts its solve there, except at time
-    index 0, which starts from x = 0 so that each run starts the same way.
+    zeta is the applied field's one 3-vector at this time level, taken at
+    every node of Omega_1 and of Omega_2.  ``last_state`` is the converged
+    coupling state of the latest evaluation.  The next evaluation starts its
+    solve there, except at time index 0, which starts from x = 0 so that
+    each run starts the same way.
     """
 
     workspace: MultiscaleWorkspace
@@ -708,17 +706,9 @@ class MultiscaleContribution(FieldContribution):
     def evaluate(self, m, zeta=None, time_index=0):
         if zeta is None:
             raise ValueError("multiscale contribution needs the applied field as zeta")
-        f_values = np.reshape(zeta.values if isinstance(zeta, NodalVectorField) else zeta, (-1, 3))
-        # zeta is sampled at Omega_1's nodes; only a uniform field is known
-        # on Omega_2 as well
-        if not (f_values == f_values[0]).all():
-            raise ValueError(
-                "multiscale contribution needs a spatially uniform applied field: "
-                "zeta is sampled on Omega_1's nodes, not on Omega_2's"
-            )
         x0 = self.last_state.x if time_index > 0 and self.last_state is not None else None
         mws, cws = self.workspace, self.workspace.coupling
-        data = coupling_data(mws, m.values, f_values[0])
+        data = coupling_data(mws, m.values, zeta)
         with _stage("coupling solve"):
             state = solve_coupling(
                 cws, data, self.law,

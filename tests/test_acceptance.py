@@ -104,7 +104,7 @@ def test_02_energy_decay_with_strayfield(sphere1, sphere_ws):
             UniaxialContribution(axis=np.array([0.0, 0.0, 1.0]), scale=0.5),
             StrayfieldContribution(workspace=sphere_ws),
         ],
-        applied_field=lambda t, points: np.array([0.0, 0.0, 0.1]),
+        applied_field=lambda t: np.array([0.0, 0.0, 0.1]),
         theta=1.0,
         k=1e-4,
         n_steps=500,
@@ -179,7 +179,7 @@ def test_04_macrospin_matches_ode_reference():
                 c_exch=1.0, c_ani=c_ani, alpha=alpha, t_final=t_final
             ),
             contributions=[UniaxialContribution(axis=e, scale=c_ani)],
-            applied_field=lambda t, points: f,
+            applied_field=lambda t: f,
             theta=1.0,
             k=k,
             n_steps=int(round(t_final / k)),

@@ -21,9 +21,9 @@ import multimag
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "multimag").glob("*.py"))
 
-SETTABLE_CEILING = 181
+SETTABLE_CEILING = 179
 ALL_CEILING = 62
-SOURCE_LINES_CEILING = 4121
+SOURCE_LINES_CEILING = 4112
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -507,6 +507,17 @@ def test_solid_angles_match_unbatched_form(sphere1, monkeypatch):
     np.testing.assert_array_equal(solid_angles(surf, pts), whole)
 
 
+def test_lone_point_rows_match_a_batch(sphere2):
+    # a point's row must not depend on whether it lands alone in a batch:
+    # a one-row coordinate product would go to BLAS gemv, which rounds
+    # differently from the gemm of a larger batch
+    surf = sphere2.boundary()
+    pts = np.random.default_rng(0).normal(size=(20, 3)) * 1.5
+    for evaluate in (eval_single_layer, eval_double_layer, solid_angles):
+        alone = np.concatenate([evaluate(surf, pts[i : i + 1]) for i in range(len(pts))])
+        np.testing.assert_array_equal(alone, evaluate(surf, pts))
+
+
 def bem_results(surface, pts):
     """Every batched BEM output, for comparisons across worker counts."""
     return [

@@ -8,6 +8,7 @@ The tracer source is read and executed in a fresh namespace, so nothing
 is written next to it.
 """
 
+import ast
 import importlib
 import types
 from pathlib import Path
@@ -15,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +31,25 @@ def test_function_sites_resolve(tracer):
     for module_name, attr, _ in tracer.FUNCTION_SITES:
         module = importlib.import_module(module_name)
         assert callable(module.__dict__.get(attr)), f"{module_name}.{attr}"
+
+
+def test_tracer_only_imports_are_sites(tracer):
+    # an import the program keeps only for the tracer ("# noqa: F401") must
+    # be a FUNCTION_SITES entry of its module; dropping a site without its
+    # import leaves an unused name, which this test names
+    sites = {(module_name, attr) for module_name, attr, _ in tracer.FUNCTION_SITES}
+    for path in sorted((ROOT / "src" / "multimag").glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        marked = {n for n, line in enumerate(lines, 1) if "# noqa: F401" in line}
+        found = set()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.lineno in marked:
+                        found.add(alias.lineno)
+                        name = alias.asname or alias.name
+                        assert (f"multimag.{path.stem}", name) in sites, f"{path.name}: {name}"
+        assert found == marked, f"{path.name}: a '# noqa: F401' line is not a from-import"
 
 
 def test_method_sites_resolve(tracer):
@@ -67,7 +88,7 @@ def test_integrator_method_sites_run_once_per_step(tracer, monkeypatch):
     state = MagnetizationState(
         m=NodalVectorField(mesh, np.tile([0.0, 0.0, 1.0], (mesh.n_nodes, 1))), step=0, time=0.0
     )
-    f = NodalVectorField(mesh, np.tile([0.3, 0.0, 0.5], (mesh.n_nodes, 1)))
+    f = np.array([0.3, 0.0, 0.5])
     pi, _ = evaluate_contributions([], state.m, f, 0)
     constants = NondimConstants(c_exch=1.0, c_ani=1.0, alpha=1.0, t_final=1.0)
     llg_step(make_llg_workspace(mesh), state, pi, f, constants, 1.0, 1e-3)
@@ -106,7 +127,7 @@ def test_tracer_counts_the_iterations_the_velocity_solve_reports(tracer, monkeyp
     m = np.tile([0.0, 0.0, 1.0], (mesh.n_nodes, 1)) + 0.3 * rng.normal(size=(mesh.n_nodes, 3))
     m /= np.linalg.norm(m, axis=1, keepdims=True)
     state = MagnetizationState(m=NodalVectorField(mesh, m), step=0, time=0.0)
-    f = NodalVectorField(mesh, np.tile([0.3, 0.0, 0.5], (mesh.n_nodes, 1)))
+    f = np.array([0.3, 0.0, 0.5])
     constants = NondimConstants(c_exch=1.0, c_ani=1.0, alpha=1.0, t_final=1.0)
     ws = make_llg_workspace(mesh)
 

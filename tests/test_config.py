@@ -137,7 +137,7 @@ def test_full_config_parses(tmp_path, cube_file):
     assert cfg.multiscale_tol == 1e-6
     assert cfg.multiscale_max_iter == 50
     np.testing.assert_array_equal(cfg.applied_amplitude, [0.0, 0.1, 0.0])
-    np.testing.assert_array_equal(cfg.applied_field(0.5, None), [0.0, 0.1 * np.sin(1.5), 0.0])
+    np.testing.assert_array_equal(cfg.applied_field(0.5), [0.0, 0.1 * np.sin(1.5), 0.0])
     assert cfg.solver_tol == 1e-9
     assert cfg.cadence == 5
     assert cfg.vtk is True
@@ -386,9 +386,8 @@ def test_build_run_setup_wires_contributions(tmp_path, cube_file):
     assert uni.scale == 0.3
     assert isinstance(cub, CubicContribution)
     assert cub.K1 == 2.0 and cub.K2 == 0.0 and cub.scale == 0.3
-    # presets return a broadcastable amplitude, not a per-node array
-    field = np.broadcast_to(setup.applied_field(0.7, setup.mesh.nodes), (8, 3))
-    np.testing.assert_allclose(field, np.tile([0.0, 0.0, 0.25], (8, 1)))
+    # presets return the field's one 3-vector
+    np.testing.assert_allclose(setup.applied_field(0.7), [0.0, 0.0, 0.25])
 
 
 def test_strayfield_method_none_is_rejected(tmp_path, cube_file):

@@ -77,7 +77,7 @@ def test_energy_uniaxial_aligned(cube2):
 
 
 def test_energy_zeeman(cube2):
-    f = NodalVectorField(cube2, np.tile([0.2, 0.0, 0.4], (cube2.n_nodes, 1)))
+    f = np.array([0.2, 0.0, 0.4])
     rec = energy_of(make_state(cube2, [0.0, 0.0, 1.0]), [], f, CONSTANTS)
     np.testing.assert_allclose(rec.e_zeeman, -0.4, rtol=1e-12)
 
@@ -140,7 +140,7 @@ def test_energy_excludes_opaque_contribution_once(cube2, caplog):
 
 
 def test_energy_record_parts_recombine(cube2):
-    f = NodalVectorField(cube2, np.tile([0.1, 0.2, 0.3], (cube2.n_nodes, 1)))
+    f = np.array([0.1, 0.2, 0.3])
     uni = UniaxialContribution(axis=np.array([1.0, 0.0, 0.0]), scale=0.7)
     state = make_state(cube2, random_unit_field(cube2, 77))
     rec = energy_of(state, [uni], f, CONSTANTS, dissipation_sum=0.25)

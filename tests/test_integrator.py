@@ -9,6 +9,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import bsr_matrix, coo_matrix, csr_matrix, diags, identity, kron
 from scipy.sparse import linalg as spla
 
@@ -24,6 +26,7 @@ from multimag import (
     build_tangent_frame,
     icosphere_volume,
     llg_step,
+    make_applied_field,
     make_llg_workspace,
     make_multiscale_workspace,
     make_strayfield_workspace,
@@ -263,9 +266,8 @@ def test_velocity_closed_form_uniform_state(cube2):
     f = np.array([0.4, -0.1, 0.3])
     state = unit_state(cube2, m)
     ws = make_llg_workspace(cube2)
-    f_field = NodalVectorField(cube2, np.tile(f, (cube2.n_nodes, 1)))
-    pi, _ = evaluate_contributions([], state.m, f_field, 0)
-    v, _ = llg_step(ws, state, pi, f_field, consts, theta=1.0, k=1e-3)
+    pi, _ = evaluate_contributions([], state.m, f, 0)
+    v, _ = llg_step(ws, state, pi, f, consts, theta=1.0, k=1e-3)
     f_perp = f - (f @ m) * m
     expect = (alpha * f_perp - np.cross(m, f)) / (1.0 + alpha**2)
     np.testing.assert_allclose(v.values, np.tile(expect, (cube2.n_nodes, 1)), atol=1e-12)
@@ -274,20 +276,20 @@ def test_velocity_closed_form_uniform_state(cube2):
 def test_velocity_is_tangent(cube2):
     ws = make_llg_workspace(cube2)
     state = unit_state(cube2, random_unit_field(cube2, 42))
-    f_field = NodalVectorField(cube2, np.tile([0.2, 0.0, 0.5], (cube2.n_nodes, 1)))
+    f = np.array([0.2, 0.0, 0.5])
     contribs = [UniaxialContribution(axis=np.array([0.0, 0.0, 1.0]), scale=0.5)]
-    pi, _ = evaluate_contributions(contribs, state.m, f_field, 0)
-    v, _ = llg_step(ws, state, pi, f_field, CONSTANTS, theta=1.0, k=1e-2)
+    pi, _ = evaluate_contributions(contribs, state.m, f, 0)
+    v, _ = llg_step(ws, state, pi, f, CONSTANTS, theta=1.0, k=1e-2)
     np.testing.assert_allclose((v.values * state.m.values).sum(axis=1), 0.0, atol=1e-12)
 
 
 def test_renormalization_update_and_nodal_bounds(cube2):
     ws = make_llg_workspace(cube2)
     state = unit_state(cube2, random_unit_field(cube2, 43))
-    f_field = NodalVectorField(cube2, np.tile([0.0, 0.3, 0.4], (cube2.n_nodes, 1)))
+    f = np.array([0.0, 0.3, 0.4])
     k = 5e-2
-    pi, _ = evaluate_contributions([], state.m, f_field, 0)
-    v, nxt = llg_step(ws, state, pi, f_field, CONSTANTS, theta=1.0, k=k)
+    pi, _ = evaluate_contributions([], state.m, f, 0)
+    v, nxt = llg_step(ws, state, pi, f, CONSTANTS, theta=1.0, k=k)
     raw = state.m.values + k * v.values
     np.testing.assert_allclose(nxt.m.values, raw / np.linalg.norm(raw, axis=1, keepdims=True), atol=1e-15)
     np.testing.assert_allclose(np.linalg.norm(nxt.m.values, axis=1), 1.0, atol=1e-12)
@@ -412,7 +414,7 @@ def small_setup(mesh, n_steps, *, theta=1.0, k=0.05, seed=7, contributions=(), f
         m0=random_unit_field(mesh, seed),
         constants=CONSTANTS,
         contributions=list(contributions),
-        applied_field=(lambda t, points: f) if f is not None else None,
+        applied_field=(lambda t: f) if f is not None else None,
         theta=theta,
         k=k,
         n_steps=n_steps,
@@ -521,9 +523,83 @@ def test_run_names_nonfinite_applied_field(cube1):
         run(small_setup(cube1, 2, f=np.array([np.nan, 0.0, 0.5])))
     assert "velocity solve" not in str(err.value)
     setup = small_setup(cube1, 4, k=0.05)
-    setup.applied_field = lambda t, points: np.array([0.0, 0.0, np.inf if t > 0.07 else 0.5])
+    setup.applied_field = lambda t: np.array([0.0, 0.0, np.inf if t > 0.07 else 0.5])
     with pytest.raises(RuntimeError, match="step 1: applied field is not finite at t = 0.1"):
         run(setup)
+
+
+class RecordingContribution(FieldContribution):
+    """Contributes nothing; keeps the time index and zeta of each evaluation."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.seen = []
+
+    def evaluate(self, m, zeta=None, time_index=0):
+        self.seen.append((time_index, np.array(zeta)))
+        return NodalVectorField(m.mesh, np.zeros_like(m.values))
+
+
+# each way a callable can miss f(t) -> finite 3-vector, and the end of the
+# message run() must abort with; t is the state's time, n the node count
+BAD_APPLIED_FIELDS = {
+    "nodal": (lambda v, n: np.tile(v, (n, 1)), "is not a 3-vector at t = {t:.6g}: shape ({n}, 3)"),
+    "2-vector": (lambda v, n: v[:2], "is not a 3-vector at t = {t:.6g}: shape (2,)"),
+    "nan": (lambda v, n: v * [1.0, np.nan, 1.0], "is not finite at t = {t:.6g}"),
+    "inf": (lambda v, n: v + [0.0, 0.0, -np.inf], "is not finite at t = {t:.6g}"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["constant", "sinusoidal"]),
+    amplitude=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    omega=st.floats(0.0, 10.0),
+    n_steps=st.integers(0, 4),
+    bad=st.sampled_from([None, *BAD_APPLIED_FIELDS]),
+    bad_state=st.integers(0, 4),
+)
+def test_contributions_see_the_applied_field_vector(
+    ref_tet, kind, amplitude, omega, n_steps, bad, bad_state
+):
+    # run() samples f once per state, and every contribution gets that
+    # state's f(t) bit for bit as zeta; a callable that returns anything but
+    # a finite 3-vector aborts the run at that state's step
+    preset = make_applied_field(kind, amplitude, omega)
+    times = []
+
+    def applied_field(t):
+        times.append(t)
+        value = np.asarray(preset(t))
+        if bad is not None and len(times) - 1 == bad_state:
+            return BAD_APPLIED_FIELDS[bad][0](value, ref_tet.n_nodes)
+        return value
+
+    contribs = [RecordingContribution(), RecordingContribution()]
+    setup = RunSetup(
+        mesh=ref_tet, m0=np.tile([0.6, 0.0, 0.8], (ref_tet.n_nodes, 1)), constants=CONSTANTS,
+        contributions=contribs, applied_field=applied_field, k=0.05, n_steps=n_steps,
+    )
+    if bad is None or bad_state > n_steps:
+        states = run(setup).states
+        assert times == [state.time for state in states]
+    else:
+        t = 0.0
+        for _ in range(bad_state):
+            t += setup.k  # as run() advances the state's time
+        message = BAD_APPLIED_FIELDS[bad][1].format(t=t, n=ref_tet.n_nodes)
+        with pytest.raises(RuntimeError) as err:
+            run(setup)
+        step = max(bad_state - 1, 0)
+        assert str(err.value) == f"run aborted at step {step}: applied field {message}"
+        states = [] if bad_state == 0 else err.value.partial_trajectory.states
+        assert times == [state.time for state in states] + [t]
+    for contrib in contribs:
+        assert [index for index, _ in contrib.seen] == [state.step for state in states]
+        for (_, zeta), state in zip(contrib.seen, states, strict=True):
+            assert zeta.dtype == np.float64
+            assert zeta.tobytes() == np.asarray(preset(state.time), dtype=np.float64).tobytes()
 
 
 def test_run_warns_on_denormalized_m0(cube1, caplog):
@@ -560,7 +636,7 @@ def test_macrospin_against_ode_reference():
         m0=np.tile(m0, (mesh.n_nodes, 1)),
         constants=NondimConstants(c_exch=1.0, c_ani=1.0, alpha=alpha, t_final=t_final),
         contributions=[],
-        applied_field=lambda t, points: f,
+        applied_field=lambda t: f,
         theta=1.0,
         k=k,
         n_steps=int(round(t_final / k)),
