@@ -24,7 +24,8 @@ def main():
     pair = make_multiscale_workspace(magnet, environment)
     print(f"magnet: {magnet.n_tets} tets; environment: {environment.n_tets} tets")
 
-    factor_err, _ = magnetizable_sphere_error(pair, (3.0, 0.0, 0.0), 2.0)
+    linear = material_law("linear", 2.0)
+    factor_err, _, _ = magnetizable_sphere_error(pair, (3.0, 0.0, 0.0), linear, 1.0)
     print(f"linear chi = 2: 3/(3+chi) error {factor_err:.2e} (classical sphere factor 0.6)")
 
     data = coupling_data(pair, np.zeros((magnet.n_nodes, 3)), [0.0, 0.0, 1.0])

@@ -109,7 +109,8 @@ def build_tangent_frame(state: MagnetizationState) -> TangentFrame:
     a = np.eye(3)[axis_idx]
     t1 = a - np.einsum("nd,nd->n", a, m)[:, None] * m
     t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(m, t1)
+    (m0, m1, m2), (a0, a1, a2) = m.T, t1.T  # m x t1 written out, as in cross_matrix
+    t2 = np.stack((m1 * a2 - m2 * a1, m2 * a0 - m0 * a2, m0 * a1 - m1 * a0), axis=1)
     t2 /= np.linalg.norm(t2, axis=1)[:, None]
     frame = TangentFrame(t1=t1, t2=t2)
     ortho = max(

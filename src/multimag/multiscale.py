@@ -15,19 +15,14 @@ computed by the pipeline
                         formula -V2 phi + K2 (u - u1 - u_app)
 
 The geometry is fixed, so the boundary data of steps 2 and 5 are fixed
-linear maps of the Gamma_1 trace and of (phi, w) on Gamma_2.  Each is built
-once, on first use, as a dense matrix on the MultiscaleWorkspace (the layer
-potential integrated over each target face, ``bem.layer_integrals``, then
-Clement averaged onto the target nodes) and then applied as a matrix-vector
-product.  The build is two sweeps of panel integrals: Gamma_1's panels on
-Gamma_2's faces for the double layer of step 2 alone, and Gamma_2's panels on
-Gamma_1's faces for the single and double layers of step 5, which share
-that one sweep.
-Step 3 depends on f alone: the CouplingWorkspace keeps the last u_app with a
-copy of its f and solves again only when f changes bitwise, so a constant
-applied field costs one solve per workspace.  ``coupling_data`` runs steps
-1-3 and stages the data of step 4; ``MultiscaleContribution.evaluate`` runs
-the whole pipeline.
+linear maps, each built once on first use as a dense matrix on the
+MultiscaleWorkspace (``bem.layer_integrals`` over each target face, Clement
+averaged onto the target nodes): one sweep of Gamma_1's panels on Gamma_2's
+faces for the double layer of step 2, and one of Gamma_2's panels on
+Gamma_1's faces for both layers of step 5.  Step 3 depends on f alone, so
+the CouplingWorkspace keeps the last u_app with a copy of its f and solves
+again only when f changes bitwise.  ``coupling_data`` runs steps 1-3 and
+stages the data of step 4; ``MultiscaleContribution.evaluate`` runs all five.
 
 The coupling system for the total potential u in Omega_2 and the exterior
 normal derivative phi on Gamma_2 reads, with g(t) = t + chi(t) t,
@@ -39,37 +34,34 @@ normal derivative phi on Gamma_2 reads, with g(t) = t + chi(t) t,
 
 where lambda is the conormal flux of u1.  It enters only through its
 moments against the boundary hats, which the discrete Green formula gives
-exactly as the Galerkin load <grad u1, grad v> = (S u1)_v on the boundary
-rows of the stiffness S (``conormal_flux``); no density lambda is formed.
+exactly as the boundary rows of S u1, S the stiffness (``conormal_flux``).
 1/2 - K is one dense (F, Nb) matrix, 1/2 Mb - K with Mb the boundary mass,
-kept as ``CouplingWorkspace.trace_map``; P, A, b and the stabilization
-vector all apply it.  The plain Galerkin operator of
-this system is not strongly monotone; it is stabilized by the rank-one
-augmentation A(x) = A~(x) + s (s.x) and b = b~ + (sum of the BEM-block
-entries of b~) s, where s.x is the BEM row tested with psi = 1.  Constants
-satisfy s.x = <V phi + (1/2-K)u, 1> = <V phi, 1> + <u, 1> (the double layer
-of a constant has interior trace -1, so (1/2 - K)1 = 1), which is what
-restores definiteness on the constant direction.  Any solution of the plain
-system solves the stabilized one and vice versa.
+kept as ``CouplingWorkspace.trace_map``.  The plain Galerkin operator is not
+strongly monotone; the rank-one augmentation A(x) = A~(x) + s (s.x) and b =
+b~ + (sum of the BEM-block entries of b~) s, with s.x the BEM row tested with
+psi = 1, restores definiteness on the constants: there s.x = <V phi, 1> +
+<u, 1>, as (1/2 - K)1 = 1.  Both systems have the same solutions.
 
 Material laws supply chi with derivative bounds g' in [gamma, lip]; the
 stabilized operator is strongly monotone when gamma > 1/4, which is
 enforced at solver entry.  The nonlinear solve is a damped Zarantonello
-iteration x <- x - delta P^-1 (A(x) - b) with delta = gamma / lip^2 and P
-the chi == 0 stabilized matrix, or optionally a Kacanov iteration that
+iteration x <- x - delta z, z = P^-1 (A(x) - b), with delta = gamma / lip^2
+and P the chi == 0 stabilized matrix, or optionally a Kacanov iteration that
 refreezes the weights w = 1 + chi(|grad u|) and solves A_w x = b.  Kacanov
-is for laws whose lip/gamma makes Zarantonello's step gamma/lip^2 too
-short: for tanh 3 1 on two 85-node spheres Zarantonello needs ~300
-iterations, past its default cap of 200, and Kacanov 9.  Both converge from
-any start x0 (Aurada, Feischl, Fuehrer, Karkulik, Melenk & Praetorius,
-Comput. Mech. 51, 2013).  A MultiscaleContribution therefore starts each
-solve from the previous converged state it keeps in ``last_state``, and
-from x = 0 at time index 0, so every run starts from the same point and
-reruns repeat exactly.  A has one form, ``CouplingWorkspace.apply``, which
-acts through the gradient map G of the mesh as G^T (w |T| Gu) and assembles
-no matrix.  P is the one dense matrix and its LU the one factorisation: a
-linear law is one solve of A_w x = b, as is each Kacanov step, by restarted
-GMRES on the matrix-free A_w preconditioned by P's LU.
+is for laws whose lip/gamma makes Zarantonello's step too short: for tanh 3 1
+on two 85-node spheres Zarantonello needs ~300 iterations, past its default
+cap of 200, and Kacanov 9.  Both converge from any start x0 (Aurada,
+Feischl, Fuehrer, Karkulik, Melenk & Praetorius, Comput. Mech. 51, 2013),
+which lets MultiscaleContribution warm-start.  ``CouplingWorkspace.apply``
+forms A_w x as G^T (w |T| Gu) through the mesh's gradient map G, plus the BEM
+blocks, and assembles no matrix.  A linear law is one solve of A_w x = b, as
+is each Kacanov step, by restarted GMRES on it preconditioned by P's LU, the
+one factorisation; such a solution solves the system with P itself, so its z
+is read as written.  Zarantonello applies neither: A(x) = P x + N(u) with
+N(u) = G^T (chi(|Gu|) |T| Gu) on the u-block, so z = x - c + Q N(u) with
+c = P^-1 b once per solve and Q the (N2 + F, N2) columns of P^-1 that a
+u-block load meets, built from P's LU on the workspace's first Zarantonello
+solve (``p_inv_u``): 1.7 MB at 325 nodes, 79 MB beside P's 113 MB LU at 2569.
 """
 
 from __future__ import annotations
@@ -113,11 +105,11 @@ GMRES_RTOL_FLOOR = 1e-14  # but no lower, where roundoff stalls it,
 GMRES_RESTART = 50  # iterations between restarts,
 GMRES_CYCLES = 10  # and restart cycles before it counts as stopped short
 
-# Smallest tol_nl a nonlinear coupling solve accepts.  The preconditioned
-# residual stalls at its roundoff floor: for tanh 1 1 (random m, f = 0.5 e_z)
-# both schemes bottom out at 2.5e-15, 3.8e-15 and 7.6e-15 relative on 85-,
-# 325- and 2569-node Omega_2 bodies, and a tol below that is reported as a
-# residual increase.  1e-14 converged at each size; the floor is a decade above.
+# Smallest tol_nl a nonlinear coupling solve accepts; below its roundoff floor the residual
+# stalls and reads as an increase.  For tanh 1 1, random m, f = 0.5 e_z on 85-, 325- and
+# 2569-node Omega_2 Kacanov stalls at 2.5e-15, 5.9e-15 and 1.3e-14 relative.  Zarantonello
+# reaches 2e-16 on the c and Q it reads, whose zero lies eps cond(P) off the discrete solution:
+# there P^-1 (A(x) - b), formed as written, reads 6.8e-15, 1.3e-14 and 3.1e-14.
 TOL_NL_FLOOR = 1e-13
 
 # (point, point) pairs per block of the boundary node gap: 1.5 MiB of differences
@@ -157,8 +149,7 @@ class MaterialLaw:
         if self.kind == "tanh":
             c1, c2 = self.params
             with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.where(t > 0.0, c1 * np.tanh(c2 * t) / np.where(t > 0, t, 1.0), c1 * c2)
-            return out
+                return np.where(t > 0.0, c1 * np.tanh(c2 * t) / np.where(t > 0, t, 1.0), c1 * c2)
         c1, c2, c3, c4 = self.params
         return (c1 + c2 * t) / (1.0 + c3 * t + c4 * t**2)
 
@@ -257,7 +248,8 @@ class CouplingWorkspace:
 
     Built as ``CouplingWorkspace(mesh)``: the mesh's own boundary ``surface``,
     that surface's Galerkin V and trace map 1/2 Mb - K, Mb^T for the -<phi, v>
-    block, and the mesh's own ``stiffness``.
+    block, the mesh's own ``stiffness`` and P's LU; Q (``p_inv_u``) waits for
+    the first Zarantonello solve.
     """
 
     mesh: TetMesh
@@ -321,6 +313,19 @@ class CouplingWorkspace:
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         return self.mesh.element_gradient(x[: self.n_u])
 
+    @cached_property
+    def p_inv_u(self) -> np.ndarray:
+        """Q, the (N2 + F, N2) columns of P^-1 that a u-block load meets: N2 unit solves."""
+        eye = np.eye(self.n_u + self.n_phi, self.n_u, order="F")
+        return lu_solve(self.p_lu, eye, overwrite_b=True)
+
+    def preconditioned_residual(self, law: MaterialLaw, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """P^-1 (A(x) - b) = x - c + Q N(u), with c = P^-1 b and N(u) = G^T (chi(|Gu|) |T| Gu)
+        the one part of A(x) = P x + N(u) that is not linear."""
+        grad = self._gradient(x)
+        chi = law.chi(np.linalg.norm(grad, axis=1)) * self.mesh.volumes
+        return x - c + self.p_inv_u @ (self.gradient_t @ (chi[:, None] * grad).ravel())
+
     def _weights(self, law: MaterialLaw, grad: np.ndarray) -> np.ndarray:
         return (1.0 + law.chi(np.linalg.norm(grad, axis=1))) * self.mesh.volumes
 
@@ -356,10 +361,9 @@ def conormal_flux(ws: CouplingWorkspace, u_values: np.ndarray) -> NodalScalarFie
 
     These boundary rows of S u (S the stiffness) are the moments
     <lambda, v>_Gamma of u's conormal flux lambda against the boundary hats,
-    by the discrete Green formula.  For a
-    discrete-harmonic u this is the exact discrete flux, so substituting u
-    back into the coupled system leaves no residual; the elementwise normal
-    derivative would leave an O(h) one.
+    by the discrete Green formula.  For a discrete-harmonic u this is the
+    exact discrete flux, so substituting u back into the coupled system leaves
+    no residual; the elementwise normal derivative would leave an O(h) one.
     """
     bnodes = ws.surface.boundary_nodes
     load = np.zeros(ws.n_u)
@@ -400,14 +404,13 @@ def solve_coupling(
 ) -> CouplingState:
     """Solve the stabilized coupling system for (u, phi).
 
-    A linear law is one :func:`_frozen_solve`.  Nonlinear laws iterate
-    (Zarantonello or Kacanov, a frozen solve per step) from ``x0`` (zero when
-    None; linear laws ignore it) until the preconditioned residual
-    ||P^-1 (A(x) - b)||_2 falls below ``tol_nl`` relative to ||P^-1 b||_2;
-    the residual history must decrease strictly monotonically, and the
-    iteration cap aborts with the history attached.  The settings must
-    pass :func:`check_solver_settings`.  The scheme, the start, the
-    iterations and the final residual are logged at DEBUG.
+    A linear law is one :func:`_frozen_solve` and ignores ``x0``.  Nonlinear
+    laws iterate from ``x0`` (zero when None) until ||z||_2, z = P^-1 (A(x) - b),
+    falls below ``tol_nl`` relative to ||P^-1 b||_2 (Zarantonello reads z as
+    ``ws.preconditioned_residual``); the history must decrease strictly, and
+    the iteration cap aborts with it attached.  The settings must pass
+    :func:`check_solver_settings`; the scheme, the start, the iterations and
+    the final residual are logged at DEBUG.
 
     Args:
         x0: (N2 + F,) start vector (u, phi), such as the ``x`` of an
@@ -415,7 +418,8 @@ def solve_coupling(
     """
     check_solver_settings(law, scheme, tol_nl, max_iter)
     b = ws.rhs(data)
-    scale = np.linalg.norm(lu_solve(ws.p_lu, b)) or 1.0  # ||P^-1 b||, 1 when b = 0
+    c = lu_solve(ws.p_lu, b)
+    scale = np.linalg.norm(c) or 1.0  # ||P^-1 b||, 1 when b = 0
 
     if law.is_linear:
         x = _frozen_solve(ws, law, np.zeros(ws.n_u + ws.n_phi), b, tol_nl)
@@ -430,9 +434,12 @@ def solve_coupling(
             raise ValueError(f"expected ({ws.n_u + ws.n_phi},) start vector, got {x.shape}")
     history: list[float] = []
     delta = law.gamma / law.lip**2
+    zarantonello = scheme == "zarantonello"
     for iteration in range(1, max_iter + 1):
-        r = ws.apply(law, x) - b
-        z = lu_solve(ws.p_lu, r)
+        if zarantonello:
+            z = ws.preconditioned_residual(law, x, c)
+        else:  # a Kacanov iterate is a GMRES solve with P itself, so read against P itself
+            z = lu_solve(ws.p_lu, ws.apply(law, x) - b)
         res = float(np.linalg.norm(z) / scale)
         if history and res >= history[-1] and res > tol_nl:
             raise RuntimeError(
@@ -442,10 +449,7 @@ def solve_coupling(
         history.append(res)
         if res <= tol_nl:
             return _pack_state(ws, x, history, scheme, start)
-        if scheme == "zarantonello":
-            x = x - delta * z
-        else:
-            x = _frozen_solve(ws, law, x, b, tol_nl)
+        x = x - delta * z if zarantonello else _frozen_solve(ws, law, x, b, tol_nl)
     raise RuntimeError(
         f"coupling solve did not reach tol {tol_nl:g} within {max_iter} iterations; "
         f"last residuals: {history[-5:]}"
@@ -473,9 +477,7 @@ def _pack_state(ws, x, history, scheme, start) -> CouplingState:
         "coupling solve (%s, %s start): %d iterations, relative residual %.3e",
         scheme, start, len(history), history[-1],
     )
-    return CouplingState(
-        phi=x[ws.n_u :], u=NodalScalarField(ws.mesh, x[: ws.n_u]), residual_history=history
-    )
+    return CouplingState(x[ws.n_u :], NodalScalarField(ws.mesh, x[: ws.n_u]), history)
 
 
 @dataclass
@@ -485,13 +487,9 @@ class MultiscaleWorkspace:
     Built as ``MultiscaleWorkspace(mesh1, coupling)``, with ``coupling``
     the workspace of Omega_2; ``surface1`` and ``stiffness1`` are Omega_1's
     own boundary and stiffness, taken from ``mesh1`` on construction.  The
-    cross-gap transfers are dense matrices built on first use and kept
-    here: the Clement averages of ``bem.layer_integrals`` on the target
-    faces, whose integrals are regular since the domains are separated.
-    Building them costs two sweeps of panel integrals, 7 F1 F2
-    (point, panel) pairs each: Gamma_1 -> Gamma_2 for the double layer, and
-    Gamma_2 -> Gamma_1 for the single and double layers together.
-    Applying them costs a few matrix-vector products.
+    cross-gap transfers are the dense maps of the module docstring, built on
+    first use and kept here; their integrals are regular since the domains
+    are separated.  Each build sweeps 7 F1 F2 (point, panel) pairs.
     """
 
     mesh1: TetMesh

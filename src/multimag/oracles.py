@@ -1,8 +1,8 @@
 """Closed-form references, each written once, and the errors their callers
 bound: the mean stray field m/3 of a uniformly magnetized ball and the
-interior field factor 3/(3+chi) of a linear chi ball in a uniform field
-(Jackson, Classical Electrodynamics, 5.10-5.11), and the damped precession
-ODE of one spin, which a uniform state follows.
+uniform interior field of a magnetizable ball in a uniform field, 3/(3+chi)
+of it for a linear chi (Jackson, Classical Electrodynamics, 5.10-5.11), and
+the damped precession ODE of one spin, which a uniform state follows.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fem import NodalVectorField
-from .multiscale import coupling_data, material_law, solve_coupling
+from .multiscale import coupling_data, solve_coupling
 from .strayfield import StrayfieldContribution
 
 E_Z = np.array([0.0, 0.0, 1.0])
@@ -24,22 +24,31 @@ def uniform_sphere_error(ws):
     return float(np.linalg.norm(field.integral_mean() - E_Z / 3.0) * 3.0), field
 
 
-def magnetizable_sphere_error(pair, center, chi):
-    """(factor_err, l2_dev) of Omega_2, a linear ``chi`` ball in the field e_z
-    (m = 0 on Omega_1), on tets centred within 0.5 of ``center``: relative
-    errors of the mean |grad u| against 3/(3+chi) and, in L2, of -grad u
-    against -3/(3+chi) e_z."""
+def magnetizable_sphere_error(pair, center, law, f_norm, **solver):
+    """(factor_err, l2_dev, mean) of Omega_2, a ball of material ``law``
+    (chi >= 0) in the field f_norm e_z, m = 0 on Omega_1, solved by
+    :func:`solve_coupling` with ``solver``.  The exact interior field is
+    uniform, -grad u = t e_z with t + chi(t) t / 3 = f_norm: t = 3 f_norm /
+    (3 + chi) for a linear law, else the root in [0, f_norm].  On the tets
+    centred within 0.5 of ``center``: the relative errors of the mean
+    |grad u| against t and, in L2, of -grad u against t e_z, and the mean of
+    -grad u over t."""
+    from scipy.optimize import brentq
+
     cws = pair.coupling
-    data = coupling_data(pair, np.zeros((pair.mesh1.n_nodes, 3)), E_Z)
-    state = solve_coupling(cws, data, material_law("linear", chi))
+    data = coupling_data(pair, np.zeros((pair.mesh1.n_nodes, 3)), f_norm * E_Z)
+    state = solve_coupling(cws, data, law, **solver)
     cents = cws.mesh.nodes[cws.mesh.tets].mean(axis=1)
     keep = np.linalg.norm(cents - np.asarray(center), axis=1) < 0.5
     w, g = cws.mesh.volumes[keep], cws.mesh.element_gradient(state.u.values)[keep]
-    factor = 3.0 / (3.0 + chi)
+    if law.is_linear:
+        t = 3.0 / (3.0 + float(law.chi(0.0))) * f_norm
+    else:
+        t = brentq(lambda s: s + float(law.chi(s)) * s / 3.0 - f_norm, 0.0, f_norm)
     mean = (w[:, None] * g).sum(axis=0) / w.sum()
-    dev = g + factor * E_Z
-    l2_dev = np.sqrt((w * (dev**2).sum(axis=1)).sum() / w.sum()) / factor
-    return float(abs(np.linalg.norm(mean) - factor) / factor), float(l2_dev)
+    dev = g + t * E_Z
+    l2_dev = np.sqrt((w * (dev**2).sum(axis=1)).sum() / w.sum()) / t
+    return float(abs(np.linalg.norm(mean) - t) / t), float(l2_dev), -mean / t
 
 
 def macrospin_reference(m0, f, alpha, c_ani, axis, t_final):

@@ -301,7 +301,8 @@ def test_08_magnetizable_sphere_interior_field(sphere1):
 
     def interior_field(level, n_radial):
         omega2 = icosphere_volume(level, n_radial=n_radial, center=center)
-        return magnetizable_sphere_error(make_multiscale_workspace(sphere1, omega2), center, 2.0)
+        pair = make_multiscale_workspace(sphere1, omega2)
+        return magnetizable_sphere_error(pair, center, material_law("linear", 2.0), 1.0)[:2]
 
     t0 = time.perf_counter()
     err_coarse, l2_coarse = interior_field(1, 2)

@@ -1,6 +1,7 @@
 """Material laws, the stabilized FEM-BEM coupling, and the two-domain pipeline."""
 
 import ast
+import dataclasses
 import logging
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_solve
 
 from multimag import (
     MultiscaleContribution,
@@ -20,13 +22,14 @@ from multimag import (
     make_multiscale_workspace,
     material_law,
 )
-from multimag import multiscale
+from multimag import multiscale, oracles
 from multimag.bem import assemble_bem, solid_angles
 from multimag.fem import assemble_boundary_mass, divergence_load, solve_spd
 from multimag.multiscale import (
     TOL_NL_FLOOR,
     CouplingData,
     CouplingWorkspace,
+    MaterialLaw,
     MultiscaleWorkspace,
     _check_separated,
     _edge_contacts,
@@ -37,6 +40,8 @@ from multimag.multiscale import (
     transfer_u1_to_omega2,
 )
 
+from multimag.oracles import magnetizable_sphere_error
+
 from conftest import random_unit_field
 from meshes import kuhn_cube
 
@@ -44,6 +49,18 @@ from meshes import kuhn_cube
 @pytest.fixture(scope="module")
 def cube_cws():
     return CouplingWorkspace(kuhn_cube(2))
+
+
+@pytest.fixture(scope="module")
+def cube1_cws(cube1):
+    return CouplingWorkspace(cube1)
+
+
+@pytest.fixture(scope="module")
+def pair_325(sphere1):
+    # the 85-node Omega_1 beside a 325-node Omega_2
+    omega2 = icosphere_volume(2, n_radial=2, center=(3.0, 0.0, 0.0))
+    return make_multiscale_workspace(sphere1, omega2)
 
 
 def test_law_zero():
@@ -400,6 +417,110 @@ def test_kacanov_converges_where_zarantonello_step_is_too_short(pair_ws):
         solve_coupling(pair_ws.coupling, data, law, scheme="zarantonello", max_iter=200)
     kac = solve_coupling(pair_ws.coupling, data, law, scheme="kacanov", max_iter=200)
     assert kac.residual <= 1e-8
+
+
+IDENTITY_LAWS = [("zero",), ("linear", 2.0), ("tanh", 3.0, 1.0), ("rational", 2.0, 1.0, 0.5, 1.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    law=st.sampled_from(IDENTITY_LAWS),
+    on_sphere=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.floats(0.0, 1.0),
+)
+def test_preconditioned_residual_is_p_inverse_of_a_minus_b(pair_325, cube1_cws, law, on_sphere,
+                                                            seed, size):
+    # z = x - P^-1 b + Q N(u) against P^-1 (A(x) - b) formed as written, at random x up to
+    # as far from P^-1 b as it is long (measured: <= 1.1e-13), on the 325-node sphere and
+    # on kuhn_cube(1)
+    ws = pair_325.coupling if on_sphere else cube1_cws
+    rng = np.random.default_rng(seed)
+    data = CouplingData(
+        flux=rng.normal(size=ws.n_u), f=rng.normal(size=(ws.n_u, 3)),
+        gamma_trace=rng.normal(size=ws.surface.boundary_nodes.size),
+    )
+    b = ws.rhs(data)
+    c = lu_solve(ws.p_lu, b)
+    step = rng.normal(size=c.size)
+    x = c + size * np.linalg.norm(c) * step / np.linalg.norm(step)
+    z = ws.preconditioned_residual(material_law(*law), x, c)
+    direct = lu_solve(ws.p_lu, ws.apply(material_law(*law), x) - b)
+    assert np.linalg.norm(z - direct) <= 1e-12 * np.linalg.norm(c)
+
+
+def test_q_is_built_once_by_the_first_zarantonello_solve():
+    # not at set-up, and not by a linear law or Kacanov, which read their residual against P
+    ws = CouplingWorkspace(kuhn_cube(1))
+    rng = np.random.default_rng(3)
+    data = CouplingData(flux=rng.normal(size=ws.n_u), f=rng.normal(size=(ws.n_u, 3)),
+                        gamma_trace=rng.normal(size=ws.n_u))
+    tanh = material_law("tanh", 1.0, 1.0)
+    solve_coupling(ws, data, material_law("linear", 2.0))
+    solve_coupling(ws, data, tanh, scheme="kacanov")
+    assert "p_inv_u" not in vars(ws)
+    solve_coupling(ws, data, tanh)
+    q = vars(ws)["p_inv_u"]
+    solve_coupling(ws, data, tanh)
+    assert ws.p_inv_u is q and q.shape == (ws.n_u + ws.n_phi, ws.n_u)
+
+
+# The saturable ball: Omega_2 = the 325-node sphere, m = 0, in the uniform field |f| e_z.
+# Its exact interior field is uniform, t e_z with t + chi(t) t / 3 = |f|.  At tol_nl =
+# BALL_TOL the level-2 mesh errs by 1.2e-6 to 1.25e-5 (linear chi = 2: 1.08e-5, acceptance 8)
+# and the transverse part of the mean field stays below 9e-6 t.
+BALL_CENTER = (3.0, 0.0, 0.0)
+BALL_TOL = 1e-10
+BALL_ERR_BOUND = 1.6 * 1.25e-5
+BALL_TRANSVERSE_BOUND = 2e-5
+
+
+def _ball(pair, law, f_norm, scheme):
+    # Zarantonello's step gamma / lip^2 takes ~(lip/gamma)^2 times more iterations per decade
+    max_iter = int(60 * (law.lip / law.gamma) ** 2) + 100
+    return magnetizable_sphere_error(pair, BALL_CENTER, law, f_norm, scheme=scheme,
+                                     tol_nl=BALL_TOL, max_iter=max_iter)
+
+
+TANH_LAWS = st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 1.5)).map(
+    lambda c: material_law("tanh", c[0], min(c[1], 3.0 / c[0])))  # c1 c2 <= 3
+RATIONAL_LAWS = st.tuples(*[st.floats(0.0, 2.0)] * 4).map(
+    lambda c: material_law("rational", *c)).filter(lambda law: law.lip / law.gamma <= 3.0)
+
+
+# Left out: the admitted laws whose coupling solve aborts on a residual increase, which
+# this oracle cannot check until every admitted coupling completes (an open roadmap item):
+# rational 0 10 1 0, rational 5 0 0 1 and tanh 10 1 (lip/gamma ~ 11), and Kacanov from
+# x = 0 on steep tanh laws in strong fields (tanh 1.5 2 and tanh 1 3 at |f| = 5, tanh 0.3 10
+# at |f| = 1).  Hence c2 <= 1.5 here.
+@settings(max_examples=10, deadline=None)
+@given(law=st.one_of(TANH_LAWS, RATIONAL_LAWS),
+       f_norm=st.floats(np.log(0.05), np.log(5.0)).map(np.exp))
+def test_saturable_ball_interior_field_matches_its_exact_value(pair_325, law, f_norm):
+    zar, kac = (_ball(pair_325, law, f_norm, scheme) for scheme in ("zarantonello", "kacanov"))
+    for err, _, mean in (zar, kac):
+        assert err <= BALL_ERR_BOUND
+        assert np.linalg.norm(mean[:2]) <= BALL_TRANSVERSE_BOUND
+    # both stop within tol_nl of the one discrete solution, in the P^-1-scaled residual,
+    # whose error bound carries lip/gamma (measured: <= 0.44 tol_nl lip/gamma)
+    assert np.linalg.norm(zar[2] - kac[2]) <= 10.0 * BALL_TOL * law.lip / law.gamma
+
+
+class _ChiAtHalfTheGradient(MaterialLaw):
+    def chi(self, t):
+        return super().chi(np.asarray(t) / 2.0)
+
+
+def test_saturable_ball_oracle_catches_chi_at_half_the_gradient(pair_325, monkeypatch):
+    law = material_law("tanh", 1.0, 1.0)
+    assert _ball(pair_325, law, 1.0, "zarantonello")[0] <= BALL_ERR_BOUND
+
+    def faulty(cws, data, law, **solver):
+        half = _ChiAtHalfTheGradient(*dataclasses.astuple(law))
+        return solve_coupling(cws, data, half, **solver)
+
+    monkeypatch.setattr(oracles, "solve_coupling", faulty)
+    assert _ball(pair_325, law, 1.0, "zarantonello")[0] > BALL_ERR_BOUND
 
 
 def test_transfer_of_constant_potential_vanishes(pair_ws):
