@@ -24,40 +24,38 @@ jump carried by Omega, so taking Omega = 0 and zeta = 0 when x lies in the
 panel plane yields the principal value; self-panel Galerkin entries of the
 double layer are exactly zero.
 
-The edge tangents t_e, edge normals m_e and hat gradients g_i lie in the
-panel plane, so every per-pair quantity is an affine function of x, and each
-comes from one (P, 4) @ (4, F) matmul of [x, 1] with the coordinate's
-direction and per-face constant:
+The edge tangents t_e and edge normals m_e lie in the panel plane, so every
+per-pair coordinate is an affine function of x, and each comes from one
+(P, 4) @ (4, F) matmul of [x, 1] with its direction and per-face constant:
 
-    zeta = x.nu - v_0.nu,   d_e = a_e.m_e - x.m_e,   l_e = a_e.t_e - x.t_e,
-    lam_i(x_par) = 1 + x.g_i - v_i.g_i
+    zeta = x.nu - v_0.nu,   d_e = a_e.m_e - x.m_e,   l_e = a_e.t_e - x.t_e
 
 (l_e is the signed distance along t_e from the projection of x to the edge's
 start a_e = v_e).  With r_k = v_k - x, the vertex distances follow as
 |r_e| = sqrt(d_e^2 + l_e^2 + zeta^2), the Van Oosterom-Strackee numerator
 r_0.(r_1 x r_2) is -2 |T| zeta, and the pairwise products come from the law
 of cosines, r_k.r_k+1 = (|r_k|^2 + |r_k+1|^2 - |e_k|^2) / 2.  So the kernel
-only ever forms (points, faces) planes, besides its (points, faces, 3) hat
-output.  Coordinates are taken relative to the surface's mean vertex, so
-their rounding scales with the body's size, not with its distance from 0.
+only ever forms (points, faces) planes: the single layer, Omega, and the
+double layer's edge planes zeta P_e.  Coordinates are taken relative to the
+surface's mean vertex, so their rounding scales with the body's size, not
+with its distance from 0.
 
 One sweep routine, ``_layers``, integrates the single and double layer
-potentials of a source surface by a quadrature rule on each of T targets.
-Every entry point takes the layers its caller applies as two booleans,
-``single, double``, and the sweep integrates those and nothing else: the
-solid angle and edge logs both layers share are computed once per batch,
-and an unrequested layer's planes, quadrature sums and node scatter are
-never formed (its output is None).  The double layer reaches its node
-columns through the source's (3F, Nb) hat incidence, built once per
-surface.  ``layer_integrals(source, target, single, double)`` is that
-routine on the 7-point, degree-5 triangle rule of ``fem`` over the target's
-faces (the outer integral; the inner one is closed-form), and
-``assemble_bem`` returns it on one surface as the Galerkin pair (V, K).
-The boundary mass Mb that the stray-field and coupling maps add to K is
-``fem.assemble_boundary_mass``.  At arbitrary points,
-``eval_single_layer`` and ``eval_double_layer`` are the one-point rule of
-weight 1, each for its own layer: (P, F) and (P, Nb) matrices whose product
-with a density is its potential at the points.
+potentials of a source surface by a quadrature rule on each of T targets,
+integrating only the layers its caller asks for (two booleans, ``single,
+double``; the other output is None).  The hat lam_i(x) = 1 + g_i.(x - v_i)
+is affine in x too, so a target's hat integrals are fixed combinations of
+its rule's moments w Omega, w (x - origin) Omega and w zeta P_e: the sweep
+contracts each target's rule into these 7 (F,) rows first, and one product
+with the source's fixed sparse (7F, Nb) ``hat_map`` gives the node columns.
+``layer_integrals(source, target, single, double)`` is that routine on the
+7-point, degree-5 triangle rule of ``fem`` over the target's faces (the outer
+integral; the inner one is closed-form), and ``assemble_bem`` returns it on
+one surface as the Galerkin pair (V, K).  The boundary mass Mb that the
+stray-field and coupling maps add to K is ``fem.assemble_boundary_mass``.  At
+arbitrary points, ``eval_single_layer`` and ``eval_double_layer`` are the
+one-point rule of weight 1: (P, F) and (P, Nb) matrices whose product with a
+density is its potential at the points.
 
 Assembly, evaluation and ``solid_angles`` walk the points in batches of
 about BATCH_PAIRS (point, panel) pairs, so a batch's (P, F) planes fit in
@@ -138,17 +136,16 @@ class PanelGeometry:
     """Per-face quantities the closed-form integrals need, precomputed.
 
     ``[x - origin, 1] @ frame[j]`` is, at each face, coordinate j of the
-    point x: j = 0 is zeta, 1..3 are d_e, 4..6 are l_e and 7..8 are lam_0,
-    lam_1 at x_par (see the module docstring).  Rows 0..2 of ``frame[j]``
-    hold the coordinate's direction and row 3 its constant, so each (P, F)
-    plane is one (P, 4) @ (4, F) product.  Per-face vectors are stored
-    face-last, so each (k, ...) slice is contiguous.
+    point x: j = 0 is zeta, 1..3 are d_e and 4..6 are l_e (see the module
+    docstring).  Rows 0..2 of ``frame[j]`` hold the coordinate's direction
+    and row 3 its constant, so each (P, F) plane is one (P, 4) @ (4, F)
+    product.  Per-face vectors are stored face-last, so each (k, ...) slice
+    is contiguous.
     """
 
     vertices: np.ndarray  # (F, 3, 3)
     origin: np.ndarray  # (3,) mean face vertex, subtracted from every point
-    frame: np.ndarray  # (9, 4, F) coordinate directions, then constants
-    hat_edge: np.ndarray  # (3, 3, F) g_i . m_e, indexed [i, e, f]
+    frame: np.ndarray  # (7, 4, F) coordinate directions, then constants
     edge_lengths: np.ndarray  # (3, F) |e_k| = |v_k+1 - v_k|
     areas: np.ndarray  # (F,)
     diameters: np.ndarray  # (F,)
@@ -162,61 +159,51 @@ def panel_geometry(surface: SurfaceMesh) -> PanelGeometry:
     lengths = np.linalg.norm(edges, axis=2)
     t = edges / lengths[:, :, None]
     m = np.cross(t, n[:, None, :])
-    # In-plane hat gradients: g_i is normal to the opposite edge (i+1 -> i+2),
-    # points toward vertex i, magnitude 1/height = |e_opp| / (2 |T|).
-    areas = surface.areas
-    g = np.empty_like(t)
-    for i in range(3):
-        opp = (i + 1) % 3
-        g[:, i, :] = -m[:, opp, :] * (lengths[:, opp] / (2.0 * areas))[:, None]
-    # rows: zeta, d_e, l_e, lam_0, lam_1, each direction . (x - anchor)
-    directions = np.concatenate([n[:, None], -m, -t, g[:, :2]], axis=1)  # (F, 9, 3)
-    anchors = np.concatenate([v[:, :1], v, v, v[:, :2]], axis=1)  # (F, 9, 3)
-    frame = np.empty((9, 4, surface.n_faces))
+    # rows: zeta, d_e, l_e, each direction . (x - anchor)
+    directions = np.concatenate([n[:, None], -m, -t], axis=1)  # (F, 7, 3)
+    anchors = np.concatenate([v[:, :1], v, v], axis=1)  # (F, 7, 3)
+    frame = np.empty((7, 4, surface.n_faces))
     frame[:, :3] = directions.transpose(1, 2, 0)
     frame[:, 3] = -np.einsum("fjd,fjd->jf", directions, anchors)
-    frame[7:, 3] += 1.0
     return PanelGeometry(
         vertices=surface.vertex_coords,
         origin=origin,
         frame=frame,
-        hat_edge=np.einsum("fid,fed->ief", g, m),
         edge_lengths=np.ascontiguousarray(lengths.T),
-        areas=areas,
+        areas=surface.areas,
         diameters=lengths.max(axis=1),
     )
 
 
-def _coordinates(geo: PanelGeometry, points: np.ndarray, rows: range) -> list[np.ndarray]:
-    """The (P, F) planes of the ``geo.frame`` coordinates in ``rows``.  ``x`` has at
-    least two rows: a one-row product would go to BLAS gemv and round unlike a batch."""
+def _coordinates(geo: PanelGeometry, points: np.ndarray) -> list[np.ndarray]:
+    """The (P, F) planes of the ``geo.frame`` coordinates.  ``x`` has at least
+    two rows: a one-row product would go to BLAS gemv and round unlike a batch."""
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     x = np.ones((max(n, 2), 4))
     np.subtract(points, geo.origin, out=x[:n, :3])
-    return [(x @ geo.frame[j])[:n] for j in rows]
+    return [(x @ frame)[:n] for frame in geo.frame]
 
 
 def _vertex_distances(
     geo: PanelGeometry, zeta: np.ndarray, d: list[np.ndarray], l: list[np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
     """Edge-line and vertex distances from the plane coordinates.
 
-    Returns three lists, one entry per edge k starting at vertex k: the flat
-    indices of the (P, F) pairs within _NEAR_LINE of edge line k (d_k^2 +
-    zeta^2 against the panel diameter), and the (P, F) planes |r_k|^2 =
-    d_k^2 + zeta^2 + l_k^2 and |r_k|.
+    Returns, per edge k starting at vertex k: the flat indices of the (P, F)
+    pairs within _NEAR_LINE of edge line k (d_k^2 + zeta^2 against the
+    panel diameter), the (P, F) planes |r_k|^2 = d_k^2 + zeta^2 + l_k^2 as
+    one (3, P, F) block, and the list of planes |r_k|.
     """
     zeta_sq = zeta * zeta
     near_sq = (_NEAR_LINE * geo.diameters) ** 2
-    near_line, vertex_sq, dist = [], [], []
-    for dk, lk in zip(d, l):
-        sq = dk * dk
+    near_line, vertex_sq, dist = [], np.empty((3,) + zeta.shape), []
+    for dk, lk, sq in zip(d, l, vertex_sq):
+        np.multiply(dk, dk, out=sq)
         sq += zeta_sq
         near_line.append(np.flatnonzero(sq < near_sq))
         along_sq = lk * lk
         sq += along_sq
-        vertex_sq.append(sq)
         dist.append(np.sqrt(sq, out=along_sq))
     return near_line, vertex_sq, dist
 
@@ -253,11 +240,11 @@ def panel_integrals(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Closed-form single and double layer panel integrals, unscaled.
 
-    Every per-pair quantity is a (P, F) plane: zeta, d_e, l_e and the hats
-    at x_par from one matmul each, the vertex distances from (d_e, l_e,
-    zeta), the solid angle from det = -2 |T| zeta and the law of cosines.
-    Pairs within _PLANE_TOL of the panel plane get zeta = Omega = 0 (the
-    principal value, so their double_p1 is exactly 0), and pairs within it
+    Every per-pair quantity is a (P, F) plane: zeta, d_e and l_e from one
+    matmul each, the vertex distances from (d_e, l_e, zeta), the solid
+    angle from det = -2 |T| zeta and the law of cosines.  Pairs within
+    _PLANE_TOL of the panel plane get zeta = Omega = 0 (the principal
+    value, so their double layer terms are exactly 0), and pairs within it
     of an edge line drop that edge's log term, whose factors d_e and zeta
     vanish there.  Just outside that tolerance, the distance-plus-offset
     factor r + s l of the log argument cancels for points above the edge
@@ -271,15 +258,16 @@ def panel_integrals(
         geo: precomputed panel geometry for F faces.
         points: (P, 3) evaluation points.
         single: whether to integrate the single layer.
-        double: whether to integrate the hat double layer.
+        double: whether to return the double layer's edge planes.
 
     Returns:
-        ``(single, omega, double_p1)`` with shapes (P, F), (P, F), (P, F, 3):
+        ``(single, omega, edge)`` with shapes (P, F), (P, F), (3, P, F):
         int_T 1/R dA, the signed solid angle (the constant-density double
-        layer integral), and the three hat-density double layer integrals.
-        A layer not asked for is None.  No 1/(4 pi) factor is applied.
+        layer integral), and the planes zeta P_e, from which the hat double
+        layers are lam_i(x) Omega - sum_e (g_i.m_e) zeta P_e.  A layer not
+        asked for is None.  No 1/(4 pi) factor is applied.
     """
-    planes = _coordinates(geo, points, range(7))
+    planes = _coordinates(geo, points)
     zeta, d, l = planes[0], planes[1:4], planes[4:7]
     del planes
     on_plane = np.flatnonzero(np.abs(zeta) <= _PLANE_TOL * geo.diameters)
@@ -294,11 +282,10 @@ def panel_integrals(
     if single:
         single_p0 = np.negative(zeta)
         single_p0 *= omega
-    pe = []  # segment integrals of 1/R along each edge
     for k in range(3):
         la = l[k]
         lb = np.add(la, geo.edge_lengths[k], out=vertex_sq[k])  # |r_k|^2 is not read again
-        # Two algebraically equal forms of the segment integral of 1/R,
+        # Two algebraically equal forms of the segment integral P_k of 1/R,
         # log((rb + lb) / (ra + la)) = log((ra - la) / (rb - lb)); pick the
         # one whose log argument stays away from 0, as s log(num / den).
         s = (la + lb > 0.0) * 2.0 - 1.0  # exactly +-1
@@ -328,26 +315,9 @@ def panel_integrals(
         pk *= s
         if single:
             single_p0 += np.multiply(d[k], pk, out=den)
-        pe.append(pk)
-    del d, l, dist, vertex_sq
-    if not double:
-        return single_p0, omega, None
-
-    double_p1 = np.empty(zeta.shape + (3,))
-    lam = _coordinates(geo, points, range(7, 9))
-    lam.append(1.0 - lam[0])
-    lam[2] -= lam[1]
-    edge_term, term = s, den  # spent planes of the last edge, reused
-    for i in range(3):
-        c = geo.hat_edge[i]  # g_i . m_e
-        np.multiply(pe[0], c[0], out=edge_term)
-        edge_term += np.multiply(pe[1], c[1], out=term)
-        edge_term += np.multiply(pe[2], c[2], out=term)
-        edge_term *= zeta
-        hat = lam[i]
-        hat *= omega
-        np.subtract(hat, edge_term, out=double_p1[:, :, i])
-    return single_p0, omega, double_p1
+        if double:
+            pk *= zeta
+    return single_p0, omega, vertex_sq if double else None  # now zeta P_k, plane by plane
 
 
 def solid_angles(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
@@ -361,7 +331,7 @@ def solid_angles(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
     out = np.empty(points.shape[0])
 
     def batch(start: int, stop: int) -> None:
-        planes = _coordinates(geo, points[start:stop], range(7))
+        planes = _coordinates(geo, points[start:stop])
         zeta = planes[0]
         _, vertex_sq, dist = _vertex_distances(geo, zeta, planes[1:4], planes[4:7])
         omega = _solid_angle(geo, zeta, vertex_sq, dist)
@@ -373,18 +343,36 @@ def solid_angles(surface: SurfaceMesh, points: np.ndarray) -> np.ndarray:
 
 
 @per_mesh
-def hat_incidence(surface: SurfaceMesh) -> sparse.csr_matrix:
-    """(3F, Nb) incidence of face vertices on boundary nodes.
+def hat_map(surface: SurfaceMesh) -> sparse.csr_matrix:
+    """(7F, Nb) map from a target's moments to its double layer row.
 
-    Row 3f + i holds a 1 in the column of face f's vertex i (in
-    ``surface.boundary_nodes`` local ordering), so it sums per-face hat
-    rows, shaped (..., 3F), into node columns.  Built once per surface,
-    read-only.
+    Hat i of face f integrates to lam_i(x) Omega - sum_e (g_i.m_e) zeta P_e,
+    where lam_i(x) = a_i + g_i.(x - origin), a_i = 1 - g_i.(v_i - origin).
+    Summed by a rule of weights w, the hats are fixed combinations of the
+    moments w Omega, w (x - origin) Omega and w zeta P_e of each face, laid
+    out as entry c F + f for c = 0, 1..3 and 4..6.  Row c F + f holds, in
+    the column of face f's vertex i (``surface.boundary_nodes`` local
+    ordering), hat i's coefficient of moment c: a_i, g_i and -g_i.m_e, with
+    lam_2 taken as 1 - lam_0 - lam_1 so that the hats sum to Omega.  Built
+    once per surface, read-only.
     """
-    rows = 3 * surface.n_faces
+    geo = panel_geometry(surface)
+    minus_m = geo.frame[1:4, :3]  # [e, d, f]
+    # g_i is normal to the opposite edge (i+1 -> i+2), points toward vertex
+    # i, and has magnitude 1/height = |e_opp| / (2 |T|)
+    g = np.roll(minus_m, -1, axis=0)
+    g *= (np.roll(geo.edge_lengths, -1, axis=0) / (2.0 * geo.areas))[:, None]
+    coef = np.empty((7, 3, surface.n_faces))  # [c, i, f]
+    coef[0] = 1.0 - np.einsum("idf,fid->if", g, geo.vertices - geo.origin)
+    coef[1:4] = g.transpose(1, 0, 2)
+    coef[:4, 2] = -coef[:4, 0] - coef[:4, 1]  # lam_2 = 1 - lam_0 - lam_1
+    coef[0, 2] += 1.0
+    coef[4:] = np.einsum("idf,edf->eif", g, minus_m)
+    rows = np.repeat(np.arange(7 * surface.n_faces), 3)
+    cols = np.tile(surface.local_face_indices.ravel(), 7)
     return sparse.csr_matrix(
-        (np.ones(rows), (np.arange(rows), surface.local_face_indices.ravel())),
-        shape=(rows, surface.boundary_nodes.size),
+        (coef.transpose(0, 2, 1).ravel(), (rows, cols)),
+        shape=(7 * surface.n_faces, surface.boundary_nodes.size),
     )
 
 
@@ -398,29 +386,35 @@ def _layers(
     the other is returned as None.  S times a P0 face density, or D times
     P1 nodal values in ``source.boundary_nodes`` local ordering, gives the
     integrals.  Each batch of max(1, (BATCH_PAIRS // F) // Q) targets takes
-    one ``panel_integrals`` call, summed over q first; the double layer's
-    hat rows then reach node columns through one product with
-    ``hat_incidence``.
+    one ``panel_integrals`` call, summed over q first.  For the double
+    layer, each target's rule is contracted into the moments of ``hat_map``
+    (from its (4, Q) weights w and w (x - origin), formed once per sweep),
+    and one product with that map gives the node columns.
     """
     geo = panel_geometry(source)
     f_count = source.n_faces
     t_count, nq = weights.shape
     single_out = np.empty((t_count, f_count)) if single else None
     if double:
-        incidence = hat_incidence(source)
-        double_out = np.empty((t_count, incidence.shape[1]))
+        hats = hat_map(source)
+        double_out = np.empty((t_count, hats.shape[1]))
+        moments = np.empty((t_count, 4, nq))
+        moments[:, 0] = weights
+        np.multiply(weights[:, None], (points - geo.origin).transpose(0, 2, 1), out=moments[:, 1:])
     else:
         double_out = None
 
     def batch(start: int, stop: int) -> None:
-        s_pts, _, d_pts = panel_integrals(geo, points[start:stop].reshape(-1, 3), single, double)
+        s_pts, omega, edge = panel_integrals(geo, points[start:stop].reshape(-1, 3), single, double)
         nt = stop - start
         w = weights[start:stop]
         if single:
             single_out[start:stop] = np.einsum("bqf,bq->bf", s_pts.reshape(nt, nq, f_count), w)
         if double:
-            d_hats = np.einsum("bqfi,bq->bfi", d_pts.reshape(nt, nq, f_count, 3), w)
-            double_out[start:stop] = d_hats.reshape(nt, -1) @ incidence
+            r = np.empty((nt, 7, f_count))
+            np.matmul(moments[start:stop], omega.reshape(nt, nq, f_count), out=r[:, :4])
+            np.einsum("ebqf,bq->bef", edge.reshape(3, nt, nq, f_count), w, out=r[:, 4:])
+            double_out[start:stop] = r.reshape(nt, -1) @ hats
 
     _sweep(batch, t_count, max(1, _batch_points(f_count) // nq))
     for out in (single_out, double_out):

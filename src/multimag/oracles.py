@@ -1,8 +1,10 @@
 """Closed-form references, each written once, and the errors their callers
 bound: the mean stray field m/3 of a uniformly magnetized ball and the
 uniform interior field of a magnetizable ball in a uniform field, 3/(3+chi)
-of it for a linear chi (Jackson, Classical Electrodynamics, 5.10-5.11), and
-the damped precession ODE of one spin, which a uniform state follows.
+of it for a linear chi (Jackson, Classical Electrodynamics, 5.10-5.11), the
+demagnetising tensor of an ellipsoid, the mean reaction field of a
+magnetizable ball on a magnetized one, and the damped precession ODE of one
+spin, which a uniform state follows.
 """
 
 from __future__ import annotations
@@ -49,6 +51,37 @@ def magnetizable_sphere_error(pair, center, law, f_norm, **solver):
     dev = g + t * E_Z
     l2_dev = np.sqrt((w * (dev**2).sum(axis=1)).sum() / w.sum()) / t
     return float(abs(np.linalg.norm(mean) - t) / t), float(l2_dev), -mean / t
+
+
+def ellipsoid_demag_tensor(axes, rotation):
+    """Exact (3, 3) N of the ellipsoid with semi-axes ``axes`` along the
+    columns of ``rotation``, whose uniform magnetization m has the uniform
+    stray field N m: R diag(N_a, N_b, N_c) R^T, with N_a = (abc/3) R_D(b^2,
+    c^2, a^2) and the others cyclically (Osborn, Phys. Rev. 67, 351 (1945);
+    R_D is Carlson's symmetric integral)."""
+    from scipy.special import elliprd
+
+    sq = np.asarray(axes, dtype=np.float64) ** 2
+    diag = np.sqrt(sq.prod()) / 3.0 * elliprd(np.roll(sq, -1), np.roll(sq, -2), sq)
+    return rotation @ (diag[:, None] * np.transpose(rotation))
+
+
+def two_sphere_reaction(m, axis, r1, r2, d, chi):
+    """Exact volume mean of the multiscale field on a ball of radius r1 with
+    uniform m, from a ball of radius r2 and linear ``chi`` centred d away
+    along the unit ``axis``.  Outside the first ball its field is that of a
+    dipole; degree n of it about the second ball's centre answers with
+    -n chi / (n (2 + chi) + 1) r2^(2n+1), and the harmonic answer's mean
+    over the first ball is its value at the centre:
+    -(r1^3/3) sum_n G_n chi / (n (2 + chi) + 1) r2^(2n+1) / d^(2n+4) m, with
+    G_n = n (n+1)^2 along the axis and n^2 (n+1) / 2 across it (Jackson,
+    Classical Electrodynamics, 4.4).  Summed to n = 200, which is exact to
+    rounding while r2/d <= 0.9."""
+    n = np.arange(1.0, 201.0)
+    series = r1**3 / 3.0 * chi / (n * (2.0 + chi) + 1.0) * (r2 / d) ** (2.0 * n + 1.0) / d**3
+    m = np.asarray(m, dtype=np.float64)
+    along = (m @ axis) * np.asarray(axis)
+    return -(n * (n + 1.0) ** 2) @ series * along - (n**2 * (n + 1.0) / 2.0) @ series * (m - along)
 
 
 def macrospin_reference(m0, f, alpha, c_ani, axis, t_final):

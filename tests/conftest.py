@@ -10,6 +10,7 @@ from multimag import (
     make_strayfield_workspace,
     reference_tet,
 )
+from multimag.bem import hat_map, panel_geometry
 
 from meshes import kuhn_cube
 
@@ -61,6 +62,26 @@ def gauss_residual(surface, double_layer):
     ones = np.ones(surface.boundary_nodes.size)
     rows = double_layer @ ones + 0.5 * (assemble_boundary_mass(surface) @ ones)
     return float(np.abs(rows).max())
+
+
+def hat_coefficients(surface):
+    """(7, F, 3) entries of ``bem.hat_map(surface)``, read back per panel:
+    [c, f, i] is row c F + f in the column of face f's vertex i."""
+    f_count = surface.n_faces
+    rows, cols = np.broadcast_arrays(
+        np.arange(7 * f_count).reshape(7, f_count, 1), surface.local_face_indices[None]
+    )
+    return np.asarray(hat_map(surface)[rows.ravel(), cols.ravel()]).reshape(7, f_count, 3)
+
+
+def panel_hats(surface, points, omega, edge):
+    """(P, F, 3) hat double layer integrals, lam_i(x) Omega - sum_e (g_i.m_e)
+    zeta P_e, from the ``omega`` and ``edge`` planes of ``bem.panel_integrals``
+    at the (P, 3) ``points``: each panel's one-point moments [Omega,
+    (x - origin) Omega, zeta P_e] times its ``hat_coefficients``."""
+    offsets = np.asarray(points, dtype=np.float64) - panel_geometry(surface).origin
+    moments = np.concatenate([omega[None], offsets.T[:, :, None] * omega[None], edge])
+    return np.einsum("cpf,cfi->pfi", moments, hat_coefficients(surface))
 
 
 def random_unit_field(mesh, seed):

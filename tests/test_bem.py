@@ -38,7 +38,7 @@ from multimag.bem import (
 )
 from multimag.fem import TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS, face_quadrature
 
-from conftest import gauss_residual
+from conftest import gauss_residual, hat_coefficients, panel_hats
 from meshes import kuhn_cube
 
 
@@ -80,18 +80,21 @@ def brute_panel(x, v, level=7):
     return single, omega, double_p1
 
 
-def reference_panel_integrals(surface, points):
+def reference_panel_integrals(surface, points, dtype=np.float64):
     """The tensor form of the closed-form panel integrals, kept as a reference.
 
     Forms every point-to-vertex offset as a (P, F, 3, 3) array and takes the
     Van Oosterom-Strackee determinant and dot products from it directly.
     Same conventions and plane/line rules as ``panel_integrals``, except
     that on-plane pairs keep their rounded zeta, so self-panel hat values
-    come out near 1e-15 rather than exactly 0.
+    come out near 1e-15 rather than exactly 0.  Returns ``(single, omega,
+    edge, hats)``: the three outputs of ``panel_integrals`` and the (P, F, 3)
+    hat double layers lam_i(x_par) Omega - sum_e (g_i.m_e) zeta P_e, all in
+    ``dtype``, with the geometry taken from the float64 mesh.
     """
-    points = np.asarray(points, dtype=np.float64)
-    v = surface.vertex_coords
-    n = surface.normals
+    points = np.asarray(points, dtype=np.float64).astype(dtype)
+    v = surface.vertex_coords.astype(dtype)
+    n = surface.normals.astype(dtype)
     edges = np.roll(v, -1, axis=1) - v
     lengths = np.linalg.norm(edges, axis=2)
     tangents = edges / lengths[:, :, None]
@@ -100,10 +103,9 @@ def reference_panel_integrals(surface, points):
     for i in range(3):
         opp = (i + 1) % 3
         grads[:, i, :] = -edge_normals[:, opp, :] * (
-            lengths[:, opp] / (2.0 * surface.areas)
+            lengths[:, opp] / (2.0 * surface.areas.astype(dtype))
         )[:, None]
     tol = 1e-12 * lengths.max(axis=1)[None, :]
-    P, F = points.shape[0], v.shape[0]
 
     rel0 = points[:, None, :] - v[None, :, 0, :]
     zeta = np.einsum("pfd,fd->pf", rel0, n)
@@ -125,7 +127,7 @@ def reference_panel_integrals(surface, points):
     omega[on_plane] = 0.0
 
     single = -zeta * omega
-    edge_term = np.zeros((P, F, 3))
+    edge = np.empty((3,) + zeta.shape, dtype)
     for k in range(3):
         a = v[:, k, :]
         m = edge_normals[:, k, :]
@@ -141,13 +143,14 @@ def reference_panel_integrals(surface, points):
         den = np.where(on_line, 1.0, np.where(pos, ra + la, rb - lb))
         pe = np.log(num / den)
         single += d * pe
-        edge_term += pe[:, :, None] * np.einsum("fid,fd->fi", grads, m)[None, :, :]
+        edge[k] = zeta * pe
 
     lam0 = 1.0 + np.einsum("pfd,fd->pf", xpar - v[None, :, 0, :], grads[:, 0, :])
     lam1 = 1.0 + np.einsum("pfd,fd->pf", xpar - v[None, :, 1, :], grads[:, 1, :])
     lam_par = np.stack([lam0, lam1, 1.0 - lam0 - lam1], axis=2)
-    double_p1 = lam_par * omega[:, :, None] - zeta[:, :, None] * edge_term
-    return single, omega, double_p1
+    hat_edge = np.einsum("fid,fed->efi", grads, edge_normals)  # g_i . m_e
+    hats = lam_par * omega[:, :, None] - np.einsum("epf,efi->pfi", edge, hat_edge)
+    return single, omega, edge, hats
 
 
 def edge_distance(surface, x):
@@ -180,9 +183,9 @@ def test_panel_integrals_match_tensor_reference(level, n_radial, center):
         "far": np.asarray(center) + 3.0 * rng.normal(size=(60, 3)),
     }
     for name, pts in sets.items():
-        for new, ref in zip(
-            panel_integrals(geo, pts, True, True), reference_panel_integrals(surf, pts)
-        ):
+        single, omega, edge = panel_integrals(geo, pts, True, True)
+        news = single, omega, edge, panel_hats(surf, pts, omega, edge)
+        for new, ref in zip(news, reference_panel_integrals(surf, pts), strict=True):
             assert np.abs(new - ref).max() <= 1e-11 * np.abs(ref).max(), name
 
 
@@ -191,11 +194,11 @@ def test_self_panel_double_layer_is_exactly_zero(level, n_radial):
     surf = icosphere_volume(level, n_radial=n_radial).boundary()
     faces = np.arange(0, surf.n_faces, surf.n_faces // 320)
     pts = quadrature_points(surf, faces)
-    _, omega, double_p1 = panel_integrals(panel_geometry(surf), pts, True, True)
+    _, omega, edge = panel_integrals(panel_geometry(surf), pts, True, True)
     own = np.repeat(faces, len(pts) // len(faces))
     rows = np.arange(len(pts))
     assert np.all(omega[rows, own] == 0.0)
-    assert np.all(double_p1[rows, own] == 0.0)
+    assert np.all(edge[:, rows, own] == 0.0)  # so every hat moment of the pair is 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -223,13 +226,16 @@ def test_panel_integrals_property(sphere1, coords, face, place, edge, along, log
     if place == "edge":  # just above or below a point of one of its edges
         a, b = surf.vertex_coords[face, edge], surf.vertex_coords[face, (edge + 1) % 3]
         x = a + along * (b - a) + side * 10.0**log_height * geo.diameters[face] * n
-    single, omega, double_p1 = panel_integrals(geo, x[None], True, True)
-    for out in (single, omega, double_p1):
+    single, omega, edge_planes = panel_integrals(geo, x[None], True, True)
+    hats = panel_hats(surf, x[None], omega, edge_planes)
+    outputs = single, omega, edge_planes, hats
+    for out in outputs:
         assert np.isfinite(out).all()
     if place == "plane":
         assert omega[0, face] == 0.0
-        assert np.all(double_p1[0, face] == 0.0)
-    np.testing.assert_allclose(double_p1.sum(axis=2), omega, rtol=0.0, atol=1e-12)
+        assert np.all(edge_planes[:, 0, face] == 0.0)
+        assert np.all(hats[0, face] == 0.0)
+    np.testing.assert_allclose(hats.sum(axis=2), omega, rtol=0.0, atol=1e-12)
     if place == "edge" and abs(log_height - np.log10(_PLANE_TOL)) < np.log10(2.0):
         return  # the on-plane and on-line rules switch here; either side is right
     # Near an edge the outputs are ill-conditioned in x: at distance rho the
@@ -242,7 +248,7 @@ def test_panel_integrals_property(sphere1, coords, face, place, edge, along, log
     slack = 64.0 * eps * reach**2 / max(edge_distance(surf, x), eps * reach)
     with np.errstate(divide="ignore", invalid="ignore"):  # the reference's own cancellation
         reference = reference_panel_integrals(surf, x[None])
-    for new, ref in zip((single, omega, double_p1), reference):
+    for new, ref in zip(outputs, reference, strict=True):
         finite = np.isfinite(ref)
         assert np.abs(new - ref)[finite].max() <= 1e-11 * np.abs(ref[finite]).max() + slack
 
@@ -253,17 +259,51 @@ def test_assemble_bem_matches_tensor_reference(sphere2, monkeypatch):
     surf = sphere2.boundary()
     new = assemble_bem(surf, True, True)
     monkeypatch.setattr(
-        bem, "panel_integrals", lambda geo, pts, *layers: reference_panel_integrals(surf, pts)
+        bem, "panel_integrals", lambda geo, pts, *layers: reference_panel_integrals(surf, pts)[:3]
     )
     ref = assemble_bem(surf, True, True)
     for a, b in zip(new, ref, strict=True):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
+def longdouble_double_layer(source, target, faces_per_chunk=20):
+    """``layer_integrals(source, target, False, True)[1]`` formed in np.longdouble
+    from the hats of ``reference_panel_integrals``, on the same float64 rule."""
+    points, weights = face_quadrature(target)
+    out = np.zeros((target.n_faces, source.boundary_nodes.size), dtype=np.longdouble)
+    for start in range(0, target.n_faces, faces_per_chunk):
+        rows = slice(start, start + faces_per_chunk)
+        w = weights[rows].astype(np.longdouble)
+        hats = reference_panel_integrals(source, points[rows].reshape(-1, 3), np.longdouble)[3]
+        hats = np.einsum("bqfi,bq->bfi", hats.reshape(w.shape + (source.n_faces, 3)), w)
+        for i in range(3):
+            np.add.at(out[rows], (slice(None), source.local_face_indices[:, i]), hats[:, :, i])
+    return out / (4.0 * np.pi)
+
+
+# max |D - D_ref| / max |D_ref| against the extended-precision reference, on level-2
+# spheres: K on one, D12 (Gamma_1's panels at Gamma_2) and D21 (the reverse) on two 3
+# apart.  Before the hats were formed from per-target moments these read 1.42e-14,
+# 1.65e-13 and 1.54e-13; the bounds are twice that.
+@pytest.mark.parametrize(
+    "case, bound", [("K", 2.84e-14), ("D12", 3.3e-13), ("D21", 3.08e-13)]
+)
+def test_double_layer_error_against_extended_precision(sphere2, case, bound):
+    s1 = sphere2.boundary()
+    s2 = icosphere_volume(2, n_radial=2, center=(3.0, 0.0, 0.0)).boundary()
+    source, target = {"K": (s1, s1), "D12": (s1, s2), "D21": (s2, s1)}[case]
+    reference = longdouble_double_layer(source, target)
+    error = np.abs(layer_integrals(source, target, False, True)[1] - reference).max()
+    assert error <= bound * np.abs(reference).max()
+
+
 def add_at_assemble_bem(surface):
-    """V and K as assembled serially, with per-column np.add.at scatters of K rows."""
+    """V and K as assembled serially: each face's rule contracted into its
+    moments, which per-column np.add.at scatters of their products with the
+    per-panel hat coefficients gather onto K's node columns."""
     quad_bary, quad_w = TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS
     geo = panel_geometry(surface)
+    coef = hat_coefficients(surface)
     f_count, nq = surface.n_faces, len(quad_w)
     v_mat = np.zeros((f_count, f_count))
     k_mat = np.zeros((f_count, surface.boundary_nodes.size))
@@ -273,12 +313,23 @@ def add_at_assemble_bem(surface):
     for start in range(0, f_count, step):
         stop = min(start + step, f_count)
         nf = stop - start
-        single, _, double_p1 = panel_integrals(geo, quad_pts[start:stop].reshape(-1, 3), True, True)
+        pts = quad_pts[start:stop]
+        single, omega, edge = panel_integrals(geo, pts.reshape(-1, 3), True, True)
         w = surface.areas[start:stop, None] * quad_w[None, :]
         v_mat[start:stop] = np.einsum("bqf,bq->bf", single.reshape(nf, nq, f_count), w)
-        k_rows = np.einsum("bqfi,bq->bfi", double_p1.reshape(nf, nq, f_count, 3), w)
-        for local in range(3):
-            np.add.at(k_mat[start:stop], (slice(None), col_idx[:, local]), k_rows[:, :, local])
+        moments = np.empty((nf, 4, nq))
+        moments[:, 0] = w
+        np.multiply(w[:, None], (pts - geo.origin).transpose(0, 2, 1), out=moments[:, 1:])
+        r = np.concatenate(
+            [
+                moments @ omega.reshape(nf, nq, f_count),
+                np.einsum("ebqf,bq->bef", edge.reshape(3, nf, nq, f_count), w),
+            ],
+            axis=1,
+        )
+        for c in range(7):  # in the sparse product's order: moment, face, vertex
+            terms = r[:, c, :, None] * coef[c]
+            np.add.at(k_mat[start:stop], (slice(None), col_idx.ravel()), terms.reshape(nf, -1))
     v_mat *= 1.0 / (4.0 * np.pi)
     k_mat *= 1.0 / (4.0 * np.pi)
     return 0.5 * (v_mat + v_mat.T), k_mat
@@ -300,7 +351,8 @@ def test_panel_integrals_match_brute_force(cube1):
     checked = 0
     for _ in range(6):
         x = rng.normal(size=3) * 1.5 + 0.5
-        single, omega, double_p1 = panel_integrals(geo, x[None], True, True)
+        single, omega, edge = panel_integrals(geo, x[None], True, True)
+        double_p1 = panel_hats(surf, x[None], omega, edge)
         for f in range(surf.n_faces):
             v = surf.vertex_coords[f]
             if np.linalg.norm(x - v.mean(axis=0)) < 0.4:
@@ -319,8 +371,8 @@ def test_panel_hats_sum_to_constant_density(sphere1):
     geo = panel_geometry(surf)
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(5, 3)) * 2.0
-    _, omega, double_p1 = panel_integrals(geo, pts, True, True)
-    np.testing.assert_allclose(double_p1.sum(axis=2), omega, atol=1e-10)
+    _, omega, edge = panel_integrals(geo, pts, True, True)
+    np.testing.assert_allclose(panel_hats(surf, pts, omega, edge).sum(axis=2), omega, atol=1e-10)
 
 
 def test_solid_angle_sign_convention(cube1):
@@ -457,18 +509,18 @@ def test_eval_walks_points_in_batches(sphere1, monkeypatch):
 def test_assemble_bem_matches_face_integrals_of_point_operators(monkeypatch):
     # V and K are the point operators integrated over the test faces by the
     # shared face rule; every double layer reaches its node columns through
-    # the one memoised hat incidence of the surface
+    # the one memoised hat map of the surface
     from multimag import bem
 
     surf = icosphere_volume(1, n_radial=2).boundary()
-    incidences = []
-    hat_incidence = bem.hat_incidence
+    maps = []
+    hat_map = bem.hat_map
 
     def recording(surface):
-        incidences.append(hat_incidence(surface))
-        return incidences[-1]
+        maps.append(hat_map(surface))
+        return maps[-1]
 
-    monkeypatch.setattr(bem, "hat_incidence", recording)
+    monkeypatch.setattr(bem, "hat_map", recording)
     v_ops, k_ops = assemble_bem(surf, True, True)
     points, weights = face_quadrature(surf)
     shape = weights.shape + (-1,)
@@ -479,7 +531,7 @@ def test_assemble_bem_matches_face_integrals_of_point_operators(monkeypatch):
     k = np.einsum("fq,fqk->fk", weights, double)
     assert np.abs(v_ops - v).max() <= 1e-13 * np.abs(v).max()
     assert np.abs(k_ops - k).max() <= 1e-13 * np.abs(k).max()
-    assert incidences and all(i is incidences[0] for i in incidences)
+    assert maps and all(i is maps[0] for i in maps)
 
 
 def test_assemble_bem_independent_of_batch_size(sphere1, monkeypatch):
@@ -499,7 +551,7 @@ def test_solid_angles_match_unbatched_form(sphere1, monkeypatch):
     surf = sphere1.boundary()
     geo = panel_geometry(surf)
     pts = np.random.default_rng(13).normal(size=(70, 3)) * 1.5
-    planes = _coordinates(geo, pts, range(7))
+    planes = _coordinates(geo, pts)
     _, vertex_sq, dist = _vertex_distances(geo, planes[0], planes[1:4], planes[4:7])
     whole = _solid_angle(geo, planes[0], vertex_sq, dist).sum(axis=1)
     monkeypatch.setattr(bem, "BATCH_PAIRS", 16 * surf.n_faces)
@@ -574,17 +626,25 @@ def test_layer_integrals_are_both_layers_from_one_sweep(sphere1, monkeypatch, wo
     assert single.shape == (target.n_faces, source.n_faces)
     assert double.shape == (target.n_faces, source.boundary_nodes.size)
     # rows 2b and 2b + 1 of both layers are batch b's panel integrals
-    # summed by the face rule
+    # summed by the face rule: the single layer directly, the double layer
+    # as the rule's moments [w Omega, w (x - origin) Omega, w zeta P_e]
+    # through the hat map
     points, weights = face_quadrature(target)
-    incidence = bem.hat_incidence(source)
+    origin = panel_geometry(source).origin
     for b in (0, 17, 39):
         rows = slice(2 * b, 2 * b + 2)
-        s_pts, _, d_pts = outputs[points[2 * b, 0].tobytes()]
+        s_pts, omega, edge = outputs[points[2 * b, 0].tobytes()]
         w = weights[rows]
         s_rows = np.einsum("bqf,bq->bf", s_pts.reshape(2, 7, -1), w)
-        d_rows = np.einsum("bqfi,bq->bfi", d_pts.reshape(2, 7, -1, 3), w).reshape(2, -1)
+        moments = np.empty((2, 4, 7))
+        moments[:, 0] = w
+        np.multiply(w[:, None], (points[rows] - origin).transpose(0, 2, 1), out=moments[:, 1:])
+        r = np.empty((2, 7, source.n_faces))
+        np.matmul(moments, omega.reshape(2, 7, -1), out=r[:, :4])
+        np.einsum("ebqf,bq->bef", edge.reshape(3, 2, 7, -1), w, out=r[:, 4:])
+        d_rows = r.reshape(2, -1) @ bem.hat_map(source)
         np.testing.assert_array_equal(single[rows], s_rows * (1.0 / (4.0 * np.pi)))
-        np.testing.assert_array_equal(double[rows], (d_rows @ incidence) * (1.0 / (4.0 * np.pi)))
+        np.testing.assert_array_equal(double[rows], d_rows * (1.0 / (4.0 * np.pi)))
 
 
 @pytest.mark.parametrize("level, n_radial", [(1, 2), (3, 4)])
@@ -642,7 +702,12 @@ def test_point_operators_request_only_their_layer(sphere1, monkeypatch):
 )
 def test_layers_rows_are_weighted_point_operator_rows(sphere1, seed, n_targets, n_points, inside):
     # any rule on any targets: each row of _layers is the weighted sum of
-    # the point operators' rows at its points
+    # the point operators' rows at its points.  A double layer row combines
+    # its rule's summed moments about the surface's mean vertex, a point
+    # operator row each point's own, and the affine hat parts cancel by up to
+    # |x - origin| |g_i| ~ 15 here: over 8000 draws of this strategy the two
+    # deviated by at most 6.7e-14 of the scale (1e-14 held when both routes
+    # formed the hats at each point)
     surf = sphere1.boundary()
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(n_targets, n_points, 3))
@@ -659,7 +724,7 @@ def test_layers_rows_are_weighted_point_operator_rows(sphere1, seed, n_targets, 
         ops = ops.reshape(n_targets, n_points, -1)
         expect = np.einsum("tq,tqk->tk", weights, ops)
         scale = np.einsum("tq,tqk->tk", weights, np.abs(ops)).max(axis=1)
-        assert np.all(np.abs(layers - expect).max(axis=1) <= 1e-14 * scale)
+        assert np.all(np.abs(layers - expect).max(axis=1) <= 1.5e-13 * scale)
 
 
 def test_import_starts_no_thread():

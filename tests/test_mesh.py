@@ -209,7 +209,7 @@ def test_mesh_data_is_read_only(build):
         (fem._normal_derivative_matrix, mesh),
         (fem.clement_matrix, surface),
         (fem.assemble_boundary_mass, surface),
-        (bem.hat_incidence, surface),
+        (bem.hat_map, surface),
     ):
         operator = builder(owner)
         assert builder(owner) is operator, builder.__name__

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import itertools
 import logging
 import os
 import subprocess
@@ -42,7 +43,7 @@ from multimag.multiscale import (
 
 from multimag.oracles import magnetizable_sphere_error
 
-from conftest import random_unit_field
+from conftest import panel_hats, random_unit_field
 from meshes import kuhn_cube
 
 
@@ -523,6 +524,79 @@ def test_saturable_ball_oracle_catches_chi_at_half_the_gradient(pair_325, monkey
     assert _ball(pair_325, law, 1.0, "zarantonello")[0] > BALL_ERR_BOUND
 
 
+# The two-sphere reaction field: Omega_1 = Omega_2 = icosphere_volume(L, 2), d apart along
+# x, with uniform m on Omega_1, no applied field and chi = 2.  The mean field over Omega_1
+# is oracles.two_sphere_reaction, whose series runs only through the cross-gap transfers.
+# Measured relative errors: 41-46% at level 1, 12.5-14.3% at level 2 (3.2-3.3x lower);
+# components across m: at most 3.0e-4 of the one along m (level 1, transverse, d = 3);
+# tanh 2 1 (chi(0) = 2) against linear at level 2: 8.5e-5 at d = 3, 7.4e-7 at d = 6.
+REACTION_ERR_BOUND = {1: 0.5, 2: 0.16}
+REACTION_DROP = 2.5
+REACTION_ACROSS_BOUND = 1e-3
+REACTION_SATURATION_BOUND = {3.0: 2e-4, 6.0: 2e-6}
+REACTION_MS = {"axial": np.array([1.0, 0.0, 0.0]), "transverse": np.array([0.0, 0.0, 1.0])}
+
+
+@pytest.fixture(scope="module")
+def reaction_means():
+    """{(level, d, law, m): mean multiscale field over Omega_1} for both m and
+    levels, d in {3, 6}, linear chi = 2, and tanh 2 1 at level 2."""
+    means = {}
+    laws = {"linear": material_law("linear", 2.0), "tanh": material_law("tanh", 2.0, 1.0)}
+    for level, d in itertools.product((1, 2), (3.0, 6.0)):
+        mesh1 = icosphere_volume(level, 2)
+        pair = make_multiscale_workspace(mesh1, icosphere_volume(level, 2, center=(d, 0.0, 0.0)))
+        for (name, law), (kind, m) in itertools.product(laws.items(), REACTION_MS.items()):
+            if name == "tanh" and level == 1:
+                continue
+            contrib = MultiscaleContribution(workspace=pair, law=law, tol_nl=1e-12, max_iter=500)
+            field = contrib.evaluate(NodalVectorField(mesh1, np.tile(m, (mesh1.n_nodes, 1))),
+                                     zeta=np.zeros(3))
+            means[level, d, name, kind] = field.integral_mean()
+    return means
+
+
+def _reaction_error(means, level, d, kind):
+    m = REACTION_MS[kind]
+    exact = oracles.two_sphere_reaction(m, np.array([1.0, 0.0, 0.0]), 1.0, 1.0, d, 2.0)
+    return np.linalg.norm(means[level, d, "linear", kind] - exact) / np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("kind", ["axial", "transverse"])
+@pytest.mark.parametrize("d", [3.0, 6.0])
+def test_reaction_field_matches_the_two_sphere_series(reaction_means, d, kind):
+    errors = [_reaction_error(reaction_means, level, d, kind) for level in (1, 2)]
+    assert errors[0] <= REACTION_ERR_BOUND[1]
+    assert errors[1] <= REACTION_ERR_BOUND[2]
+    assert errors[0] >= REACTION_DROP * errors[1]
+    for level in (1, 2):
+        mean, m = reaction_means[level, d, "linear", kind], REACTION_MS[kind]
+        along = mean @ m
+        assert along < 0.0
+        assert np.linalg.norm(mean - along * m) <= REACTION_ACROSS_BOUND * abs(along)
+
+
+@pytest.mark.parametrize("kind", ["axial", "transverse"])
+@pytest.mark.parametrize("d", [3.0, 6.0])
+def test_saturable_reaction_reproduces_the_linear_one(reaction_means, d, kind):
+    # the reaction fields are ~1e-2, where tanh 2 1 is chi = 2 to ~1e-4
+    linear, tanh = (reaction_means[2, d, name, kind] for name in ("linear", "tanh"))
+    assert np.linalg.norm(tanh - linear) <= REACTION_SATURATION_BOUND[d] * np.linalg.norm(linear)
+
+
+def test_two_sphere_series_leading_terms():
+    # -(4/3) chi/(3 + chi) d^-6 along the axis and a quarter of it across
+    for d in (3.0, 10.0, 100.0):
+        axial, transverse = (
+            oracles.two_sphere_reaction(m, np.array([1.0, 0.0, 0.0]), 1.0, 1.0, d, 2.0)
+            for m in REACTION_MS.values()
+        )
+        lead = -(4.0 / 3.0) * 2.0 / 5.0 / d**6
+        assert axial[1:] @ axial[1:] == 0.0 and transverse[:2] @ transverse[:2] == 0.0
+        assert abs(axial[0] / lead - 1.0) <= 10.0 / d**2
+        assert abs(transverse[2] / (lead / 4.0) - 1.0) <= 10.0 / d**2
+
+
 def test_transfer_of_constant_potential_vanishes(pair_ws):
     # the double layer of a constant trace is zero outside Omega_1
     u1 = transfer_u1_to_omega2(pair_ws, np.full(pair_ws.mesh1.n_nodes, 3.0))
@@ -741,15 +815,17 @@ def test_transfer_matrices_match_pointwise_evaluation(pair_ws):
 
     def pointwise(layer, source, density, target):
         # the potential straight from the panel closed forms, the double
-        # layer's hat rows gathered onto their nodes one by one
+        # layer's hats formed at each point and gathered onto their nodes
+        # one by one
         points, weights = face_quadrature(target)
-        single, _, double_p1 = panel_integrals(
+        single, omega, edge = panel_integrals(
             panel_geometry(source), points.reshape(-1, 3), True, True
         )
         if layer == "single":
             operator = single
         else:
             operator = np.zeros((len(single), source.boundary_nodes.size))
+            double_p1 = panel_hats(source, points.reshape(-1, 3), omega, edge)
             np.add.at(operator, (slice(None), source.local_face_indices), double_p1)
         vals = (operator @ density / (4.0 * np.pi)).reshape(weights.shape)
         return clement_matrix(target) @ (weights * vals).sum(axis=1)
@@ -776,6 +852,8 @@ def test_transfers_match_the_separate_layer_transfers(pair_ws):
     # each map as built from its own layer's point operator at the target
     # quadrature points, integrated per face afterwards: the shared sweep
     # sums over the points first, which moves the maps by rounding only
+    # (the double layer's by up to 3.7e-15 of max, as its affine hat parts
+    # cancel in another order)
     from multimag.bem import eval_double_layer, eval_single_layer
     from multimag.fem import clement_matrix, face_quadrature
 
@@ -793,7 +871,7 @@ def test_transfers_match_the_separate_layer_transfers(pair_ws):
         (single_21, separate(eval_single_layer, s2, s1)),
         (double_21, separate(eval_double_layer, s2, s1)),
     ):
-        assert np.abs(matrix - expect).max() <= 1e-15 * np.abs(expect).max()
+        assert np.abs(matrix - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 def transfers(pair_ws):
