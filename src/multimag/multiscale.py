@@ -43,25 +43,25 @@ psi = 1, restores definiteness on the constants: there s.x = <V phi, 1> +
 <u, 1>, as (1/2 - K)1 = 1.  Both systems have the same solutions.
 
 Material laws supply chi with derivative bounds g' in [gamma, lip]; the
-stabilized operator is strongly monotone when gamma > 1/4, which is
-enforced at solver entry.  The nonlinear solve is a damped Zarantonello
-iteration x <- x - delta z, z = P^-1 (A(x) - b), with delta = gamma / lip^2
-and P the chi == 0 stabilized matrix, or optionally a Kacanov iteration that
-refreezes the weights w = 1 + chi(|grad u|) and solves A_w x = b.  Kacanov
-is for laws whose lip/gamma makes Zarantonello's step too short: for tanh 3 1
-on two 85-node spheres Zarantonello needs ~300 iterations, past its default
-cap of 200, and Kacanov 9.  Both converge from any start x0 (Aurada,
-Feischl, Fuehrer, Karkulik, Melenk & Praetorius, Comput. Mech. 51, 2013),
-which lets MultiscaleContribution warm-start.  ``CouplingWorkspace.apply``
-forms A_w x as G^T (w |T| Gu) through the mesh's gradient map G, plus the BEM
-blocks, and assembles no matrix.  A linear law is one solve of A_w x = b, as
-is each Kacanov step, by restarted GMRES on it preconditioned by P's LU, the
-one factorisation; such a solution solves the system with P itself, so its z
-is read as written.  Zarantonello applies neither: A(x) = P x + N(u) with
-N(u) = G^T (chi(|Gu|) |T| Gu) on the u-block, so z = x - c + Q N(u) with
-c = P^-1 b once per solve and Q the (N2 + F, N2) columns of P^-1 that a
-u-block load meets, built from P's LU on the workspace's first Zarantonello
-solve (``p_inv_u``): 1.7 MB at 325 nodes, 79 MB beside P's 113 MB LU at 2569.
+stabilized operator is strongly monotone when gamma > 1/4, which is enforced
+at solver entry.  The nonlinear solve is a damped Zarantonello iteration
+x <- x - delta z, z = P^-1 (A(x) - b), P the chi == 0 stabilized matrix, or
+optionally a Kacanov iteration that refreezes w = 1 + chi(|grad u|) and
+solves A_w x = b.  Zarantonello tries delta = 2 / (gamma + lip), halved while
+the residual does not fall, down to gamma / lip^2, where a rise aborts.  For
+lip > gamma the long step lies outside (0, 2 gamma / lip^2), the range of
+Zeidler's contraction proof (Nonlinear Functional Analysis II/B, ch. 25), so
+convergence rests on that check and fallback, not on a proof.  Both converge
+from any x0 at gamma / lip^2 (Aurada, Feischl, Fuehrer, Karkulik, Melenk &
+Praetorius, Comput. Mech. 51, 2013), so MultiscaleContribution warm-starts.
+``CouplingWorkspace.apply`` forms A_w x as G^T (w |T| Gu), G the gradient
+map, plus the BEM blocks, and assembles no matrix.  A linear law, and each
+Kacanov step, is one GMRES solve of A_w x = b preconditioned by P's LU, the
+one factorisation, so it solves the system with P itself: its z is read as
+written.  Zarantonello applies neither: A(x) = P x + N(u) with N(u) =
+G^T (chi(|Gu|) |T| Gu) on the u-block, so z = x - c + Q N(u), c = P^-1 b once
+per solve and Q (``p_inv_u``) the (N2 + F, N2) columns of P^-1 that a u-block
+load meets, built from P's LU by the first Zarantonello solve.
 """
 
 from __future__ import annotations
@@ -216,7 +216,8 @@ class CouplingState:
 
     phi: np.ndarray  # (F,) exterior normal derivative on Gamma_2
     u: NodalScalarField
-    residual_history: list  # relative residual after each iteration, in order
+    residual_history: list  # relative residual after each accepted iteration, in order
+    halvings: int = field(default=0, init=False)  # Zarantonello steps halved on a rise
 
     @property
     def residual(self) -> float:
@@ -405,16 +406,15 @@ def solve_coupling(
     """Solve the stabilized coupling system for (u, phi).
 
     A linear law is one :func:`_frozen_solve` and ignores ``x0``.  Nonlinear
-    laws iterate from ``x0`` (zero when None) until ||z||_2, z = P^-1 (A(x) - b),
-    falls below ``tol_nl`` relative to ||P^-1 b||_2 (Zarantonello reads z as
+    laws iterate from ``x0`` ((N2 + F,) (u, phi), such as an earlier state's
+    ``x``; zero when None) until ||z||_2, z = P^-1 (A(x) - b), falls below
+    ``tol_nl`` relative to ||P^-1 b||_2 (Zarantonello reads z as
     ``ws.preconditioned_residual``); the history must decrease strictly, and
-    the iteration cap aborts with it attached.  The settings must pass
-    :func:`check_solver_settings`; the scheme, the start, the iterations and
-    the final residual are logged at DEBUG.
-
-    Args:
-        x0: (N2 + F,) start vector (u, phi), such as the ``x`` of an
-            earlier :class:`CouplingState` on this workspace.
+    the iteration cap aborts with it attached.  Zarantonello steps by
+    2 / (gamma + lip), halved on a rise down to gamma / lip^2, where a rise
+    aborts: outside the proven range when lip > gamma, it converges by that
+    check and fallback, not by a proof.  :func:`check_solver_settings` must
+    pass; scheme, start, iteration and halving counts and residual log at DEBUG.
     """
     check_solver_settings(law, scheme, tol_nl, max_iter)
     b = ws.rhs(data)
@@ -424,7 +424,7 @@ def solve_coupling(
     if law.is_linear:
         x = _frozen_solve(ws, law, np.zeros(ws.n_u + ws.n_phi), b, tol_nl)
         res = float(np.linalg.norm(lu_solve(ws.p_lu, ws.apply(law, x) - b)) / scale)
-        return _pack_state(ws, x, [res], "linear", "cold")
+        return _pack_state(ws, x, [res], "linear", "cold", 0)
 
     if x0 is None:
         x, start = np.zeros(ws.n_u + ws.n_phi), "cold"
@@ -433,23 +433,27 @@ def solve_coupling(
         if x.shape != (ws.n_u + ws.n_phi,):
             raise ValueError(f"expected ({ws.n_u + ws.n_phi},) start vector, got {x.shape}")
     history: list[float] = []
-    delta = law.gamma / law.lip**2
+    long_step, floor, halvings = 2.0 / (law.gamma + law.lip), law.gamma / law.lip**2, 0
     zarantonello = scheme == "zarantonello"
-    for iteration in range(1, max_iter + 1):
+    while len(history) < max_iter:
         if zarantonello:
             z = ws.preconditioned_residual(law, x, c)
         else:  # a Kacanov iterate is a GMRES solve with P itself, so read against P itself
             z = lu_solve(ws.p_lu, ws.apply(law, x) - b)
         res = float(np.linalg.norm(z) / scale)
         if history and res >= history[-1] and res > tol_nl:
-            raise RuntimeError(
-                f"residual increased at iteration {iteration}: "
-                f"{history[-1]:.6e} -> {res:.6e}; history: {history}"
-            )
-        history.append(res)
-        if res <= tol_nl:
-            return _pack_state(ws, x, history, scheme, start)
-        x = x - delta * z if zarantonello else _frozen_solve(ws, law, x, b, tol_nl)
+            if not zarantonello or delta == floor:
+                raise RuntimeError(
+                    f"residual increased at iteration {len(history) + 1}: "
+                    f"{history[-1]:.6e} -> {res:.6e}; history: {history}"
+                )
+            delta, halvings = max(0.5 * delta, floor), halvings + 1
+        else:
+            history.append(res)
+            if res <= tol_nl:
+                return _pack_state(ws, x, history, scheme, start, halvings)
+            x_acc, z_acc, delta = x, z, long_step
+        x = x_acc - delta * z_acc if zarantonello else _frozen_solve(ws, law, x, b, tol_nl)
     raise RuntimeError(
         f"coupling solve did not reach tol {tol_nl:g} within {max_iter} iterations; "
         f"last residuals: {history[-5:]}"
@@ -472,12 +476,14 @@ def _frozen_solve(ws, law, x, b, tol_nl) -> np.ndarray:
     return y
 
 
-def _pack_state(ws, x, history, scheme, start) -> CouplingState:
+def _pack_state(ws, x, history, scheme, start, halvings) -> CouplingState:
     logger.debug(
-        "coupling solve (%s, %s start): %d iterations, relative residual %.3e",
-        scheme, start, len(history), history[-1],
+        "coupling solve (%s, %s start): %d iterations, %d halvings, relative residual %.3e",
+        scheme, start, len(history), halvings, history[-1],
     )
-    return CouplingState(x[ws.n_u :], NodalScalarField(ws.mesh, x[: ws.n_u]), history)
+    state = CouplingState(x[ws.n_u :], NodalScalarField(ws.mesh, x[: ws.n_u]), history)
+    state.halvings = halvings
+    return state
 
 
 @dataclass

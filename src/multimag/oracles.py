@@ -1,8 +1,8 @@
 """Closed-form references, each written once, and the errors their callers
 bound: the mean stray field m/3 of a uniformly magnetized ball and the
-uniform interior field of a magnetizable ball in a uniform field, 3/(3+chi)
-of it for a linear chi (Jackson, Classical Electrodynamics, 5.10-5.11), the
-demagnetising tensor of an ellipsoid, the mean reaction field of a
+uniform interior field of a magnetizable ellipsoid in a uniform field, 3/(3+chi)
+of it on a ball of linear chi (Jackson, Classical Electrodynamics, 5.10-5.11),
+the demagnetising tensor of an ellipsoid, the mean reaction field of a
 magnetizable ball on a magnetized one, and the damped precession ODE of one
 spin, which a uniform state follows.
 """
@@ -26,31 +26,39 @@ def uniform_sphere_error(ws):
     return float(np.linalg.norm(field.integral_mean() - E_Z / 3.0) * 3.0), field
 
 
-def magnetizable_sphere_error(pair, center, law, f_norm, **solver):
-    """(factor_err, l2_dev, mean) of Omega_2, a ball of material ``law``
-    (chi >= 0) in the field f_norm e_z, m = 0 on Omega_1, solved by
-    :func:`solve_coupling` with ``solver``.  The exact interior field is
-    uniform, -grad u = t e_z with t + chi(t) t / 3 = f_norm: t = 3 f_norm /
-    (3 + chi) for a linear law, else the root in [0, f_norm].  On the tets
-    centred within 0.5 of ``center``: the relative errors of the mean
-    |grad u| against t and, in L2, of -grad u against t e_z, and the mean of
-    -grad u over t."""
+def magnetizable_sphere_error(pair, center, law, f, shape=None, **solver):
+    """(factor_err, l2_dev, mean, unit) of Omega_2, the image of the unit ball
+    under x -> shape x + center (a ball when ``shape`` is None), of material
+    ``law`` (chi >= 0) in the uniform field f (a 3-vector, or a number for f
+    e_z), m = 0 on Omega_1, solved by :func:`solve_coupling` with ``solver``.
+    The exact interior field is uniform, -grad u = H with H + chi(|H|) N H =
+    f, N the ellipsoid's demagnetising tensor (I/3 on a ball), so |H| is the
+    root t in [0, |f|] of |(I + chi(t) N)^-1 f| = t.  On the tets whose
+    centroid x has |shape^-1 (x - center)| < 0.5: the relative errors of the
+    mean |grad u| against |H| and, in L2, of -grad u against H, the mean of
+    -grad u over |H|, and H over |H|."""
     from scipy.optimize import brentq
 
     cws = pair.coupling
-    data = coupling_data(pair, np.zeros((pair.mesh1.n_nodes, 3)), f_norm * E_Z)
+    f = np.asarray(f, dtype=np.float64) * (E_Z if np.ndim(f) == 0 else 1.0)
+    data = coupling_data(pair, np.zeros((pair.mesh1.n_nodes, 3)), f)
     state = solve_coupling(cws, data, law, **solver)
-    cents = cws.mesh.nodes[cws.mesh.tets].mean(axis=1)
-    keep = np.linalg.norm(cents - np.asarray(center), axis=1) < 0.5
+    shape = np.eye(3) if shape is None else np.asarray(shape, dtype=np.float64)
+    rotation, axes, _ = np.linalg.svd(shape)
+    demag = ellipsoid_demag_tensor(axes, rotation)
+    cents = np.linalg.solve(shape, (cws.mesh.nodes[cws.mesh.tets].mean(axis=1) - center).T)
+    keep = np.linalg.norm(cents, axis=0) < 0.5
     w, g = cws.mesh.volumes[keep], cws.mesh.element_gradient(state.u.values)[keep]
-    if law.is_linear:
-        t = 3.0 / (3.0 + float(law.chi(0.0))) * f_norm
-    else:
-        t = brentq(lambda s: s + float(law.chi(s)) * s / 3.0 - f_norm, 0.0, f_norm)
+
+    def field(t):  # (I + chi(t) N)^-1 f
+        return np.linalg.solve(np.eye(3) + float(law.chi(t)) * demag, f)
+
+    exact = field(brentq(lambda s: np.linalg.norm(field(s)) - s, 0.0, np.linalg.norm(f)))
+    t = np.linalg.norm(exact)
     mean = (w[:, None] * g).sum(axis=0) / w.sum()
-    dev = g + t * E_Z
+    dev = g + exact
     l2_dev = np.sqrt((w * (dev**2).sum(axis=1)).sum() / w.sum()) / t
-    return float(abs(np.linalg.norm(mean) - t) / t), float(l2_dev), -mean / t
+    return float(abs(np.linalg.norm(mean) - t) / t), float(l2_dev), -mean / t, exact / t
 
 
 def ellipsoid_demag_tensor(axes, rotation):

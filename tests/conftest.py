@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from multimag import (
+    TetMesh,
     assemble_boundary_mass,
     icosphere_volume,
     make_multiscale_workspace,
@@ -88,3 +90,23 @@ def random_unit_field(mesh, seed):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(mesh.n_nodes, 3))
     return values / np.linalg.norm(values, axis=1, keepdims=True)
+
+
+def quaternion_rotation(q):
+    """The rotation matrix of the (nonzero) quaternion q = (w, x, y, z)."""
+    w, x, y, z = np.asarray(q, dtype=np.float64) / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def ellipsoid_mesh(ball, axes, rotation, offset=(0.0, 0.0, 0.0)):
+    """``ball`` mapped by x -> rotation diag(axes) x + offset."""
+    return TetMesh(ball.nodes @ (rotation * axes).T + np.asarray(offset), ball.tets)
+
+
+QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda q: np.linalg.norm(q) > 0.1
+)

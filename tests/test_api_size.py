@@ -21,9 +21,9 @@ import multimag
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "multimag").glob("*.py"))
 
-SETTABLE_CEILING = 178
+SETTABLE_CEILING = 179
 ALL_CEILING = 62
-SOURCE_LINES_CEILING = 4153
+SOURCE_LINES_CEILING = 4161
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

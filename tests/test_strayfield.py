@@ -24,7 +24,7 @@ from multimag import (
 from multimag.fem import clement_matrix, l2_inner, l2_norm
 from multimag.oracles import ellipsoid_demag_tensor, uniform_sphere_error
 
-from conftest import random_unit_field
+from conftest import QUATERNIONS, ellipsoid_mesh, quaternion_rotation, random_unit_field
 
 
 @pytest.fixture(scope="module")
@@ -215,27 +215,8 @@ def demag_tensor(mesh, method):
     return np.column_stack(columns)
 
 
-def quaternion_rotation(q):
-    """The rotation matrix of the (nonzero) quaternion q = (w, x, y, z)."""
-    w, x, y, z = np.asarray(q, dtype=np.float64) / np.linalg.norm(q)
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-    ])
-
-
-def ellipsoid_mesh(ball, axes, rotation, offset=(0.0, 0.0, 0.0)):
-    return TetMesh(ball.nodes @ (rotation * axes).T + np.asarray(offset), ball.tets)
-
-
 def frobenius_error(n_h, exact):
     return float(np.linalg.norm(n_h - exact) / np.linalg.norm(exact))
-
-
-QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
-    lambda q: np.linalg.norm(q) > 0.1
-)
 
 
 @settings(max_examples=5, deadline=None)
