@@ -23,7 +23,8 @@ Snapshot files carry one header line ``nodal-field 3 <N>`` followed by N
 rows of ``mx my mz`` at 17 significant digits, enough to round-trip IEEE
 doubles exactly; ``mesh``'s nodal text reader and writer serve them, so a
 malformed one names its path and line.  The energy table is CSV with columns
-step,time,E_exch,E_int,E_zeeman,E_total,dissipation_sum in that order.
+step,time,E_exch,E_int,E_zeeman,E_total,dissipation_sum in that order, written
+like the snapshots in blocks of ``mesh.ROW_CHUNK`` rows, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -32,16 +33,20 @@ import csv
 import logging
 import os
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from .fem import NodalVectorField, assemble_mass, assemble_stiffness, h1_seminorm_sq, l2_inner
 from .fields import NondimConstants
-from .mesh import TetMesh, _read_blocks, _write_block
+from .mesh import TetMesh, _read_blocks, _write_block, _write_rows
 
 logger = logging.getLogger("multimag")
 
 CSV_COLUMNS = ("step", "time", "E_exch", "E_int", "E_zeeman", "E_total", "dissipation_sum")
+_CSV_ROW = "%d" + ",%.17g" * 6 + "\r\n"  # one record as csv.writer writes it
+_values_of = attrgetter("step", "time", "e_exch", "e_int", "e_zeeman", "e_total", "dissipation_sum")
 
 
 @dataclass(frozen=True)
@@ -191,22 +196,10 @@ def read_snapshot(path: str) -> np.ndarray:
 
 
 def write_energies_csv(path: str, records) -> None:
-    """Write the energy table; floats at 17 significant digits."""
+    """Write a sequence of EnergyRecords as ``csv.writer`` would: CRLF, 17-digit floats."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.step,
-                    f"{r.time:.17g}",
-                    f"{r.e_exch:.17g}",
-                    f"{r.e_int:.17g}",
-                    f"{r.e_zeeman:.17g}",
-                    f"{r.e_total:.17g}",
-                    f"{r.dissipation_sum:.17g}",
-                ]
-            )
+        _write_rows(fh, ",".join(CSV_COLUMNS) + "\r\n", _CSV_ROW, records,
+                    lambda rs: tuple(chain.from_iterable(map(_values_of, rs))))
 
 
 def read_energies_csv(path: str) -> list[EnergyRecord]:

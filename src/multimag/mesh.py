@@ -22,9 +22,9 @@ Mesh file format (plain text, ``#`` starts a comment anywhere on a line)::
 
 Meshes and ``diagnostics`` snapshots are nodal text files, blocks of a
 ``<word> <N>`` header and N lines, with one reader and one writer: each
-block is converted by one ``np.array`` call and written by one ``write``,
-floats at 17 significant digits (an exact float64 round trip), and a
-malformed file raises a :class:`MeshFormatError` naming its path and line.
+block is converted by one ``np.array`` call and written ROW_CHUNK rows per
+``write``, floats at 17 significant digits (an exact float64 round trip), and
+a malformed file raises a :class:`MeshFormatError` naming its path and line.
 
 Tetrahedra are normalized to positive orientation on construction (the last
 two vertices of an inverted cell are swapped), so signed volumes are
@@ -43,6 +43,7 @@ from scipy import sparse
 # Faces of a positively oriented tet (a,b,c,d), ordered so the triangle
 # normals point out of the cell.
 _TET_FACES = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]], dtype=np.int64)
+ROW_CHUNK = 1024  # rows per write of the text writers, so their memory stays bounded
 
 
 class MeshFormatError(ValueError):
@@ -121,6 +122,11 @@ class SurfaceMesh:
     def vertex_coords(self) -> np.ndarray:
         """(F, 3, 3) coordinates of the three vertices of each face."""
         return self.nodes[self.faces]
+
+    @_derived
+    def bounding_box(self) -> np.ndarray:
+        """(2, 3) lowest and highest vertex coordinates on each axis."""
+        return np.stack([self.vertex_coords.min(axis=(0, 1)), self.vertex_coords.max(axis=(0, 1))])
 
     @_derived
     def boundary_nodes(self) -> np.ndarray:
@@ -352,11 +358,20 @@ def _block(path, lines, count: int, width: int, dtype, item: str, value: str) ->
     return array
 
 
+def _write_rows(handle, header: str, line: str, rows, flatten) -> None:
+    """Write ``header``, then ``rows`` through the one-row ``%`` template ``line``,
+    one ``write`` per ROW_CHUNK rows; ``flatten`` makes a slice one flat tuple."""
+    handle.write(header)
+    for start in range(0, len(rows), ROW_CHUNK):
+        chunk = rows[start : start + ROW_CHUNK]
+        handle.write((line * len(chunk)) % flatten(chunk))
+
+
 def _write_block(handle, header: str, values: np.ndarray) -> None:
-    """Write ``header`` and one line per row of ``values`` in one call;
-    floats at 17 significant digits, which round-trip float64 exactly."""
+    """Write ``header`` and one line per row of ``values``; floats at 17
+    significant digits, which round-trip float64 exactly."""
     line = " ".join(["%.17g" if values.dtype.kind == "f" else "%d"] * values.shape[1]) + "\n"
-    handle.write(f"{header}\n" + (line * len(values)) % tuple(values.ravel().tolist()))
+    _write_rows(handle, f"{header}\n", line, values, lambda rows: tuple(rows.ravel().tolist()))
 
 
 def write_mesh(path, mesh: TetMesh, comment: str | None = None) -> None:

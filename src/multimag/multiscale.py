@@ -531,7 +531,10 @@ def _check_separated(s1: SurfaceMesh, s2: SurfaceMesh) -> None:
     the interior angle on it: -2 pi on a face, -pi on a right-angled edge.
     An edge of one body that crosses a face of the other is an overlap; one
     that meets a closed face without crossing it, with no node on the other
-    surface, is a contact."""
+    surface, is a contact.  Bounding boxes strictly apart end the check."""
+    (lo1, hi1), (lo2, hi2) = s1.bounding_box, s2.bounding_box
+    if (lo1 > hi2).any() or (lo2 > hi1).any():
+        return
     d1, d2 = s1.nodes[s1.boundary_nodes], s2.nodes[s2.boundary_nodes]
     angles = np.concatenate([solid_angles(s1, d2), solid_angles(s2, d1)])
     if (angles < -3.0 * np.pi).any():
@@ -549,9 +552,8 @@ def _edge_face_blocks(s: SurfaceMesh, t: SurfaceMesh):
     """Blocks of about GAP_PAIRS (edge, face) pairs of the edges of ``s`` and
     the faces of ``t`` that meet the overlap of the two bounding boxes, as
     ``(p, q, a, b, c)``: (rows, 1, 3) edge ends and (1, T, 3) face vertices."""
-    vs, vt = s.vertex_coords.reshape(-1, 3), t.vertex_coords.reshape(-1, 3)
-    lo = np.maximum(vs.min(axis=0), vt.min(axis=0))
-    hi = np.minimum(vs.max(axis=0), vt.max(axis=0))
+    lo = np.maximum(s.bounding_box[0], t.bounding_box[0])
+    hi = np.minimum(s.bounding_box[1], t.bounding_box[1])
     if (lo > hi).any():
         return
 

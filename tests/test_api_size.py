@@ -23,7 +23,7 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "multimag").glob
 
 SETTABLE_CEILING = 179
 ALL_CEILING = 62
-SOURCE_LINES_CEILING = 4161
+SOURCE_LINES_CEILING = 4171
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

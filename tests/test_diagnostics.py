@@ -1,7 +1,11 @@
 """Energy bookkeeping, the dissipation inequality, snapshots, CSV, VTK."""
 
+import csv
+import io
 import logging
+import math
 import re
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -30,8 +34,9 @@ from multimag import (
     write_vtk,
 )
 from multimag.diagnostics import CSV_COLUMNS, energy, field_from_snapshot, snapshot_filename
+from multimag import mesh as mesh_module
 from multimag.fields import FieldContribution
-from multimag.mesh import MeshFormatError
+from multimag.mesh import MeshFormatError, write_mesh
 
 from conftest import random_unit_field
 
@@ -390,3 +395,76 @@ def test_energies_csv_round_trip_is_exact(tmp_path_factory, records):
     back = read_energies_csv(path)
     assert back == records
     assert same_bits([astuple(r)[1:] for r in back], [astuple(r)[1:] for r in records])
+
+
+def csv_writer_reference(records) -> bytes:
+    """The energy table as ``csv.writer`` writes it, one row per record."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(CSV_COLUMNS)
+    for r in records:
+        writer.writerow([r.step, *(f"{v:.17g}" for v in astuple(r)[1:])])
+    return buffer.getvalue().encode()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  2.2250738585072009e-308, 1e308, -1e308]
+# steps beyond 2**53, where a float64 staging array would round them
+ANY_RECORDS = st.lists(
+    st.builds(EnergyRecord, st.integers(0, 2**62),
+              *[st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))] * 6),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=ANY_RECORDS)
+@example(records=[EnergyRecord(2**62, *SPECIAL_FLOATS[:6]),
+                  EnergyRecord(2**53 + 1, *SPECIAL_FLOATS[5:])])
+def test_energies_csv_matches_csv_writer_on_any_record(tmp_path_factory, records):
+    # byte for byte what csv.writer wrote for the same fields, and read back
+    # exactly: repr tells -0.0 from 0.0 and shows every nan as "nan"
+    path = tmp_path_factory.mktemp("energies") / "energies.csv"
+    write_energies_csv(str(path), records)
+    assert path.read_bytes() == csv_writer_reference(records)
+    back = read_energies_csv(str(path))
+    assert [tuple(map(repr, astuple(r))) for r in back] == [
+        tuple(map(repr, astuple(r))) for r in records
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 10])
+def test_row_chunks_write_the_same_bytes_as_one_chunk(tmp_path, cube2, monkeypatch, chunk):
+    # 10 records and cube2's 27 nodes and 48 tets span several chunks of
+    # 1 or 3 rows, and end on a chunk boundary at 10
+    records = [record(i, 1.0 / (i + 1.0), diss=np.sqrt(i)) for i in range(10)]
+    values = random_unit_field(cube2, seed=1)
+
+    def write_all(directory):
+        directory.mkdir()
+        write_energies_csv(str(directory / "energies.csv"), records)
+        write_snapshot(str(directory / "m.dat"), values)
+        write_mesh(directory / "cube.mesh", cube2, comment="cube2")
+        write_vtk(str(directory / "m.vtk"), cube2, values)
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    whole = write_all(tmp_path / "whole")
+    assert mesh_module.ROW_CHUNK >= cube2.n_tets
+    monkeypatch.setattr(mesh_module, "ROW_CHUNK", chunk)
+    assert write_all(tmp_path / "chunked") == whole
+
+
+def test_energies_csv_memory_does_not_grow_with_rows(tmp_path):
+    # the writer formats ROW_CHUNK rows at a time, so its peak allocation at
+    # 16 chunks is that of 2 chunks, not 8 times it
+    def peak(n):
+        records = [record(i, 1.0 / (i + 1.0), diss=np.sqrt(i)) for i in range(n)]
+        tracemalloc.start()
+        try:
+            write_energies_csv(str(tmp_path / f"{n}.csv"), records)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    chunk = mesh_module.ROW_CHUNK
+    assert peak(16 * chunk) <= 1.5 * peak(2 * chunk)

@@ -831,6 +831,33 @@ def test_edge_resting_on_a_face(start, edge, side1, side2, touches):
             _check_separated(s1, s2)
 
 
+def test_separation_check_sweeps_only_where_bounding_boxes_meet(sphere2, monkeypatch):
+    # boxes strictly apart end the check before any solid-angle sweep; boxes
+    # that overlap, or touch at an equal coordinate, get both sweeps
+    calls = []
+
+    def counted(surface, points):
+        calls.append(len(points))
+        return solid_angles(surface, points)
+
+    monkeypatch.setattr(multiscale, "solid_angles", counted)
+    ball = sphere2.boundary()
+    diagonal = 2.5 / np.sqrt(3.0) * np.ones(3)  # 0.5 apart, boxes overlapping
+    cube, bar = kuhn_cube(1).boundary(), prism((1.4, 0.7, 1.0), (-0.7, 0.7, 0.0),
+                                               (0.25, 0.25, 0.5), (0.5, 0.5, 0.25))
+    assert cube.bounding_box[1, 2] == bar.bounding_box[0, 2] == 1.0
+    for other, sweeps in [
+        (icosphere_volume(2, n_radial=2, center=(3.0, 0.0, 0.0)).boundary(), 0),  # the benchmark's
+        (icosphere_volume(2, n_radial=2, center=diagonal).boundary(), 2),
+    ]:
+        calls.clear()
+        _check_separated(ball, other)
+        assert calls == [162] * sweeps
+    calls.clear()
+    _check_separated(cube, bar)
+    assert len(calls) == 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
